@@ -11,7 +11,6 @@ from .monomials import (
     IdealSyntaxError,
     MonomialIdeal,
     Ring,
-    brute_force_height,
     contains_all_pure_powers,
     divides,
     format_ideal_text,

@@ -13,7 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
-from .complexes import CapExceededError, GENERATOR_CAP, ShiftProfile, _face_lcms
+from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
 from .fields import PrimeField, QQ
 from .monomials import MonomialIdeal, total_degree
 
@@ -91,9 +91,7 @@ def rank_exact(M: list[list], field=QQ) -> int:
 
 def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:
     """All distinct lcms of nonempty generator subsets, sorted lexicographically."""
-    if I.m > cap:
-        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
-    return sorted(set(_face_lcms(I)[1:]))
+    return sorted(set(_face_lcms(I, cap)[1:]))
 
 
 class BettiTable:
@@ -179,9 +177,7 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     Strands are independent; they are walked in lexicographic multidegree
     order so the output is reproducible.
     """
-    if I.m > cap:
-        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
-    lcm = _face_lcms(I)
+    lcm = _face_lcms(I, cap)
     strata: dict[tuple, list[int]] = defaultdict(list)
     for mask in range(1 << I.m):
         strata[lcm[mask]].append(mask)
@@ -208,8 +204,6 @@ def projdim(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> int:
 def scarf_is_resolution(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> bool:
     """Whether the Scarf complex is already the minimal resolution of S/I
     (its ranks match the Betti numbers; true for generic ideals)."""
-    from .complexes import scarf_complex
-
     ranks = scarf_complex(I, cap).ranks()
     totals = multigraded_betti(I, field, cap).totals()
     return tuple(ranks) == tuple(totals)

@@ -44,9 +44,7 @@ class InequalityReport:
 
     def to_dict(self) -> dict:
         def clean(v):
-            if isinstance(v, tuple):
-                return [clean(x) for x in v]
-            if isinstance(v, list):
+            if isinstance(v, (tuple, list)):
                 return [clean(x) for x in v]
             if isinstance(v, dict):
                 return {k: clean(x) for k, x in v.items()}
@@ -115,10 +113,16 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
-def _restriction_projdims(I, alpha, beta, field):
+def _covering_pair(I, alpha, beta, field):
+    """Validate a covering pair for the checks that take one: returns
+    (alpha, beta, p, q) with alpha, beta as tuples and p, q the projective
+    dimensions of S/I restricted below them."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if not is_covering_pair(I, alpha, beta):
+        raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
     p = multigraded_betti(restrict_ideal(I, alpha), field).projdim
     q = multigraded_betti(restrict_ideal(I, beta), field).projdim
-    return p, q
+    return alpha, beta, p, q
 
 
 def _best_splits(t: ShiftProfile, a: int, lo: int, hi: int):
@@ -145,11 +149,8 @@ def check_covering(
     a <= projdim S/I, t_a(I) <= max{t_i(I) + t_j(I) : i+j = a, i <= p, j <= q},
     where p and q are the projective dimensions of S/I restricted below
     alpha and beta."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if not is_covering_pair(I, alpha, beta):
-        raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
+    alpha, beta, p, q = _covering_pair(I, alpha, beta, field)
     t = profile if profile is not None else shifts(I, field)
-    p, q = _restriction_projdims(I, alpha, beta, field)
     reports = [
         InequalityReport(
             "covering-projdim",
@@ -180,11 +181,8 @@ def check_range(
 ) -> InequalityReport:
     """The window form of the covering bound: with s = p + q - a,
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if not is_covering_pair(I, alpha, beta):
-        raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
+    alpha, beta, p, q = _covering_pair(I, alpha, beta, field)
     t = profile if profile is not None else shifts(I, field)
-    p, q = _restriction_projdims(I, alpha, beta, field)
     if a > p + q:
         raise ValueError(f"a={a} exceeds p+q={p + q}")
     s = p + q - a

@@ -14,7 +14,6 @@ import sys
 
 from .betti import betti_records, format_betti_grid, multigraded_betti
 from .checks import (
-    CoveringPairError,
     check_consecutive,
     check_covering,
     check_general,
@@ -216,12 +215,7 @@ def cmd_check(args) -> int:
         if not args.cover:
             raise CLIUsageError("multiple needs at least one --cover")
         covers = [_cover(c) for c in args.cover]
-        try:
-            reports.append(check_multiple(I, covers, field, table=table))
-        except ValueError as exc:
-            if isinstance(exc, CoveringPairError):
-                raise
-            raise CLIUsageError(str(exc)) from None
+        reports.append(check_multiple(I, covers, field, table=table))
     return _emit_reports(reports, args.format)
 
 
@@ -302,27 +296,16 @@ def cmd_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CLIUsageError as exc:
-        print(f"shiftlab: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CLIUsageError as exc:
-        print(f"shiftlab: {exc}", file=sys.stderr)
-        return EXIT_ARGS
     except (IdealSyntaxError, OSError) as exc:
         print(f"shiftlab: cannot read ideal: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceededError as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except CoveringPairError as exc:
-        print(f"shiftlab: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    except ValueError as exc:
+    except (CLIUsageError, ValueError) as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)
         return EXIT_ARGS
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -86,8 +87,11 @@ class FreeComplex:
         return f"FreeComplex(ranks={self.ranks()})"
 
 
-def _face_lcms(I: MonomialIdeal) -> list[tuple]:
-    """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector)."""
+def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
+    """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector).
+    Every 2^m construction reads this table, so it alone checks the cap."""
+    if I.m > cap:
+        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
     zero = I.ring.zero()
     lcm = [zero] * (1 << I.m)
     for mask in range(1, 1 << I.m):
@@ -96,9 +100,47 @@ def _face_lcms(I: MonomialIdeal) -> list[tuple]:
     return lcm
 
 
-def _check_cap(I: MonomialIdeal, cap: int):
-    if I.m > cap:
-        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
+def _trimmed(modules: list, diffs: list) -> FreeComplex:
+    """The complex on these levels, minus trailing empty modules (module 0 stays)."""
+    while len(modules) > 1 and not modules[-1]:
+        modules.pop()
+        diffs.pop()
+    return FreeComplex(modules, diffs)
+
+
+def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComplex:
+    """The Taylor differential on the Taylor faces of I, each size in
+    lexicographic order: all of them, or with ``unique_lcm_only`` those whose
+    lcm no other subset attains.  Kept faces must form a simplicial complex."""
+    lcm = _face_lcms(I, cap)
+    counts = Counter(lcm) if unique_lcm_only else None
+    modules, diffs = [], []
+    below: dict[int, int] = {}  # bitmask -> index of the kept faces one size down
+    for a in range(I.m + 1):
+        level, cols, index = [], [], {}
+        for face in combinations(range(I.m), a):
+            fm = 0
+            for i in face:
+                fm |= 1 << i
+            top = lcm[fm]
+            if counts is not None and counts[top] != 1:
+                continue
+            col = []
+            for k, i in enumerate(face):
+                sub = fm ^ (1 << i)
+                if sub not in below:
+                    raise RuntimeError(
+                        f"facet {face[:k] + face[k + 1:]} of kept face {face} is not kept"
+                    )
+                entry_mdeg = tuple(x - y for x, y in zip(top, lcm[sub]))
+                col.append((below[sub], (-1) ** k, entry_mdeg))
+            index[fm] = len(level)
+            level.append(BasisElement(face, top))
+            cols.append(col)
+        modules.append(level)
+        diffs.append(cols if a else [])
+        below = index
+    return _trimmed(modules, diffs)
 
 
 def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
@@ -109,37 +151,7 @@ def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     k-th smallest index carries sign (-1)^(k-1) and monomial
     lcm(F)/lcm(F minus that member).  The result resolves S/I.
     """
-    _check_cap(I, cap)
-    m = I.m
-    faces = [list(combinations(range(m), a)) for a in range(m + 1)]
-    lcm_by_mask = _face_lcms(I)
-
-    def mask(face):
-        b = 0
-        for i in face:
-            b |= 1 << i
-        return b
-
-    modules = [
-        [BasisElement(face, lcm_by_mask[mask(face)]) for face in level]
-        for level in faces
-    ]
-    index = [{face: j for j, face in enumerate(level)} for level in faces]
-    diffs = [[]]
-    for a in range(1, m + 1):
-        level = []
-        for face in faces[a]:
-            fm = mask(face)
-            col = []
-            for k, i in enumerate(face):
-                sub = face[:k] + face[k + 1:]
-                entry_mdeg = tuple(
-                    x - y for x, y in zip(lcm_by_mask[fm], lcm_by_mask[fm ^ (1 << i)])
-                )
-                col.append((index[a - 1][sub], (-1) ** k, entry_mdeg))
-            level.append(col)
-        diffs.append(level)
-    return FreeComplex(modules, diffs)
+    return _face_complex(I, cap, unique_lcm_only=False)
 
 
 def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
@@ -149,53 +161,7 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     Scarf faces form a simplicial complex (every facet of a Scarf face is
     Scarf), so the restriction never drops a boundary term.
     """
-    _check_cap(I, cap)
-    m = I.m
-    lcm_by_mask = _face_lcms(I)
-    counts: dict[tuple, int] = {}
-    for v in lcm_by_mask:
-        counts[v] = counts.get(v, 0) + 1
-
-    faces: list[list[tuple]] = [[] for _ in range(m + 1)]
-    faces[0].append(())
-    for a in range(1, m + 1):
-        for face in combinations(range(m), a):
-            b = 0
-            for i in face:
-                b |= 1 << i
-            if counts[lcm_by_mask[b]] == 1:
-                faces[a].append(face)
-    while len(faces) > 1 and not faces[-1]:
-        faces.pop()
-
-    def mask(face):
-        b = 0
-        for i in face:
-            b |= 1 << i
-        return b
-
-    modules = [
-        [BasisElement(face, lcm_by_mask[mask(face)]) for face in level]
-        for level in faces
-    ]
-    index = [{face: j for j, face in enumerate(level)} for level in faces]
-    diffs = [[]]
-    for a in range(1, len(faces)):
-        level = []
-        for face in faces[a]:
-            fm = mask(face)
-            col = []
-            for k, i in enumerate(face):
-                sub = face[:k] + face[k + 1:]
-                if sub not in index[a - 1]:
-                    raise RuntimeError(f"Scarf facet {sub} of {face} not Scarf")
-                entry_mdeg = tuple(
-                    x - y for x, y in zip(lcm_by_mask[fm], lcm_by_mask[fm ^ (1 << i)])
-                )
-                col.append((index[a - 1][sub], (-1) ** k, entry_mdeg))
-            level.append(col)
-        diffs.append(level)
-    return FreeComplex(modules, diffs)
+    return _face_complex(I, cap, unique_lcm_only=True)
 
 
 def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
@@ -224,10 +190,7 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
                 col.append((remap[a - 1][row], coeff, mdeg))
             level.append(col)
         diffs.append(level)
-    while len(modules) > 1 and not modules[-1]:
-        modules.pop()
-        diffs.pop()
-    return FreeComplex(modules, diffs)
+    return _trimmed(modules, diffs)
 
 
 @dataclass(frozen=True)
@@ -267,12 +230,13 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
                     )
     for a in range(2, len(F.modules)):
         for j in range(len(F.modules[a])):
-            acc: dict[tuple, object] = {}
-            for row, coeff, mdeg in F.diffs[a][j]:
-                for row2, coeff2, mdeg2 in F.diffs[a - 1][row]:
-                    key = (row2, tuple(x + y for x, y in zip(mdeg, mdeg2)))
-                    acc[key] = acc.get(key, 0) + coeff * coeff2
-            for (row2, _), total in acc.items():
+            # homogeneity (checked above) fixes each entry's multidegree by
+            # its row, so the row alone keys the d∘d sum
+            acc: dict[int, object] = {}
+            for row, coeff, _ in F.diffs[a][j]:
+                for row2, coeff2, _ in F.diffs[a - 1][row]:
+                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
+            for row2, total in acc.items():
                 if not field.is_zero(field.of(total)):
                     return VerifyReport(
                         False, "d∘d has a nonzero entry", (a, j, row2)
@@ -326,9 +290,6 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     cand: list[list] = [[] for _ in range(L + 1)]
     for a in range(1, L + 1):
         for j, col in enumerate(F.diffs[a]):
-            if not col:
-                cols[a][j] = {}
-                continue
             d = {}
             for row, coeff, mdeg in col:
                 c = field.of(coeff)
@@ -415,10 +376,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
                 col.append((order[a - 1][row], coeff, mdeg))
             level.append(col)
         diffs.append(level)
-    while len(modules) > 1 and not modules[-1]:
-        modules.pop()
-        diffs.pop()
-    return FreeComplex(modules, diffs)
+    return _trimmed(modules, diffs)
 
 
 def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:

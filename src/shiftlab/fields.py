@@ -33,22 +33,15 @@ class Rationals:
     """Exact rational coefficients (Fraction-backed)."""
 
     zero = Fraction(0)
-    one = Fraction(1)
 
     def of(self, n):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
 
     def sub(self, a, b):
         return a - b
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         return 1 / Fraction(a)
@@ -74,22 +67,15 @@ class PrimeField:
             raise ValueError(f"not a prime below 2**31: {p!r}")
         self.p = p
         self.zero = 0
-        self.one = 1
 
     def of(self, n):
         return int(n) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
     def sub(self, a, b):
         return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         return pow(a % self.p, -1, self.p)

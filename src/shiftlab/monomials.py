@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Multidegree = tuple[int, ...]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(.+))?$")
 
 
@@ -36,7 +36,7 @@ class Ring:
             raise ValueError("ring needs at least one variable")
         seen = set()
         for name in names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
@@ -158,7 +158,7 @@ class MonomialIdeal:
             v = tuple(g)
             if len(v) != ring.n:
                 raise ValueError(f"generator {v} has wrong length for {ring}")
-            if any(not isinstance(e, int) or e < 0 for e in v):
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in v):
                 raise ValueError(f"generator {v} has a bad exponent")
             if not any(v):
                 raise ValueError("unit ideal rejected (generator 1)")
@@ -264,6 +264,17 @@ def pure_power_exponents(I: MonomialIdeal) -> dict[int, int]:
 # ideal files: a tiny text format and a JSON equivalent
 
 
+@contextmanager
+def _malformed_as_syntax_error():
+    """Both loaders build their Ring and MonomialIdeal inside this block, so a
+    bad variable list or generator surfaces as the IdealSyntaxError of
+    malformed input rather than a bare ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise IdealSyntaxError(str(exc)) from None
+
+
 def parse_ideal_text(text: str) -> MonomialIdeal:
     """Parse the ideal text format::
 
@@ -284,7 +295,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
         if ring is None:
             if not line.startswith("vars:"):
                 raise IdealSyntaxError(f"line {lineno}: expected 'vars:' header")
-            ring = Ring(line[len("vars:"):].split())
+            with _malformed_as_syntax_error():
+                ring = Ring(line[len("vars:"):].split())
             continue
         try:
             gens.append(parse_monomial(line, ring))
@@ -292,7 +304,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
             raise IdealSyntaxError(f"line {lineno}: {exc}") from None
     if ring is None:
         raise IdealSyntaxError("missing 'vars:' header")
-    return MonomialIdeal(ring, gens)
+    with _malformed_as_syntax_error():
+        return MonomialIdeal(ring, gens)
 
 
 def format_ideal_text(I: MonomialIdeal) -> str:
@@ -304,11 +317,14 @@ def format_ideal_text(I: MonomialIdeal) -> str:
 def ideal_from_json(obj: dict) -> MonomialIdeal:
     """Build an ideal from ``{"vars": [...], "gens": [[exponents], ...]}``."""
     try:
-        ring = Ring(obj["vars"])
-        gens = [tuple(int(e) for e in g) for g in obj["gens"]]
+        names, gens = obj["vars"], obj["gens"]
+        if not (isinstance(names, list) and isinstance(gens, list)
+                and all(isinstance(g, list) for g in gens)):
+            raise IdealSyntaxError("bad ideal JSON: vars, gens and each generator must be lists")
+        with _malformed_as_syntax_error():
+            return MonomialIdeal(Ring(names), gens)
     except (KeyError, TypeError) as exc:
         raise IdealSyntaxError(f"bad ideal JSON: {exc}") from None
-    return MonomialIdeal(ring, gens)
 
 
 def ideal_to_json(I: MonomialIdeal) -> dict:
@@ -320,7 +336,7 @@ def loads_ideal(text: str) -> MonomialIdeal:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal too long to read
             raise IdealSyntaxError(f"bad JSON: {exc}") from None
         return ideal_from_json(obj)
     return parse_ideal_text(text)
@@ -329,16 +345,3 @@ def loads_ideal(text: str) -> MonomialIdeal:
 def load_ideal(path) -> MonomialIdeal:
     with open(path, encoding="utf-8") as fh:
         return loads_ideal(fh.read())
-
-
-def brute_force_height(I: MonomialIdeal) -> int:
-    """Independent oracle: try every variable subset by increasing size."""
-    if I.is_zero:
-        raise ValueError("height of the zero ideal is undefined")
-    sups = [set(support(g)) for g in I.gens]
-    for k in range(1, I.ring.n + 1):
-        for sub in combinations(range(I.ring.n), k):
-            cover = set(sub)
-            if all(cover & s for s in sups):
-                return k
-    raise AssertionError("unreachable: full variable set always covers")

@@ -141,6 +141,9 @@ def test_check_missing_args_exit4(capsys):
     assert rc == 4
     rc, _, _ = run(capsys, "check", EX2, "multiple")
     assert rc == 4
+    # a multidegree that is not a Betti support point at that index
+    rc, _, err = run(capsys, "check", EX2, "multiple", "--cover", "1:1,1,1,1,1,1,1")
+    assert rc == 4 and "not a Betti support point" in err
 
 
 # --- random ------------------------------------------------------------------------
@@ -187,9 +190,17 @@ def test_missing_file_exit2(capsys):
 
 def test_malformed_file_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.ideal"
-    bad.write_text("vars: x y\nq^2\n")
-    rc, _, _ = run(capsys, "betti", str(bad))
-    assert rc == 2
+    for text in [
+        "vars: x y\nq^2\n",
+        '{"vars": ["x", "y"], "gens": [[2.7, 1], [true, 0]]}',  # no coercion to (x)
+        '{"vars": ["x", "y"], "gens": [[-1, 2]]}',
+        '{"vars": ["x", "x"], "gens": [[1, 0]]}',
+        "vars: x x\nx\n",
+        "vars: x y\n1\n",  # the unit ideal
+    ]:
+        bad.write_text(text)
+        rc, _, err = run(capsys, "betti", str(bad))
+        assert rc == 2 and "cannot read ideal" in err, text
 
 
 def test_cap_exceeded_exit3(tmp_path, capsys):

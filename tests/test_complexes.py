@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import reduce
 from itertools import combinations
@@ -264,3 +265,31 @@ def test_complex_json_roundtrip(ex2):
 def test_free_complex_validates_shape():
     with pytest.raises(ValueError):
         FreeComplex([[]], [])
+
+
+# sha256 of dumps_complex for each construction of the worked examples.  They
+# pin face order, labels, signs and entry multidegrees byte for byte.
+CONSTRUCTION_DIGESTS = {
+    ("ex1", "taylor"): "ead9954b99194462d507f147c8a0c377d85dbee277ea312d0a1f0e339d2b2a68",
+    ("ex1", "scarf"): "ec0428851a711f555465b2a971ec10952fa9a39084ce2363a3c7523c3b9a47e3",
+    ("ex1", "minimal_qq"): "1611e2bb2051bff5a158a6307d197fc91e01eab35881e91f1181ce7a4bd2f165",
+    ("ex1", "minimal_gf"): "474d23d36ae9a9950866f2d14f93bfd89cb928be6cf66d9bed7c1195d9ca7414",
+    ("ex2", "taylor"): "4ed1ec5076e4ba3df0fad399588e5f9c7fdc3b38f84ab4fb4e2038e534fd6b19",
+    ("ex2", "scarf"): "da6d836db7cd6f0f600348f183db70dda41d0579bb276327325537502eac358a",
+    ("ex2", "minimal_qq"): "5ecdf0f3e1d129e80acddde0da803556183ba36e7a06a4755fbda96afde5776e",
+    ("ex2", "minimal_gf"): "c13640b75fa984627a8255ea0f6cf1ecacfd0be8732716914e08c8f4883590f7",
+}
+
+
+def test_construction_digests(ex1, ex2):
+    for name, I in (("ex1", ex1), ("ex2", ex2)):
+        taylor = taylor_complex(I)
+        built = {
+            "taylor": taylor,
+            "scarf": scarf_complex(I),
+            "minimal_qq": minimalize(taylor, QQ),
+            "minimal_gf": minimalize(taylor, PrimeField(32003)),
+        }
+        for kind, F in built.items():
+            digest = hashlib.sha256(dumps_complex(F).encode()).hexdigest()
+            assert digest == CONSTRUCTION_DIGESTS[(name, kind)], (name, kind)

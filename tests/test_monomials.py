@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,6 @@ from shiftlab import (
     IdealSyntaxError,
     MonomialIdeal,
     Ring,
-    brute_force_height,
     contains_all_pure_powers,
     divides,
     format_ideal_text,
@@ -21,6 +21,7 @@ from shiftlab import (
     minimalize_generators,
     parse_monomial,
     restrict_ideal,
+    support,
     total_degree,
 )
 
@@ -220,6 +221,19 @@ def test_height_examples(ex2):
         height(MonomialIdeal(RING2, []))
 
 
+def brute_force_height(I: MonomialIdeal) -> int:
+    """Independent oracle: try every variable subset by increasing size."""
+    if I.is_zero:
+        raise ValueError("height of the zero ideal is undefined")
+    sups = [set(support(g)) for g in I.gens]
+    for k in range(1, I.ring.n + 1):
+        for sub in combinations(range(I.ring.n), k):
+            cover = set(sub)
+            if all(cover & s for s in sups):
+                return k
+    raise AssertionError("unreachable: full variable set always covers")
+
+
 def test_height_matches_brute_force(corpus):
     for I in corpus[:80]:
         assert height(I) == brute_force_height(I) <= I.ring.n
@@ -249,8 +263,48 @@ def test_text_format_errors():
         loads_ideal("vars: x y\nq^2\n")
     with pytest.raises(IdealSyntaxError):
         loads_ideal("{not json")
+    for text in [  # nothing is coerced, and one validation point covers both formats
+        "vars: x x\nx\n",
+        "vars: x y\n1\n",
+        '{"vars": ["x", "y"], "gens": [[2.0, 1]]}',
+        '{"vars": ["x", "y"], "gens": [[true, 0]]}',
+        '{"vars": ["x", "y"], "gens": [[-1, 2]]}',
+        '{"vars": ["x", "x"], "gens": [[1, 0]]}',
+        '{"vars": "xy", "gens": [[1, 0]]}',
+        '{"vars": ["x"], "gens": {}}',
+        '{"vars": ["x\\n"], "gens": [[1]]}',
+        '{"vars": ["x"], "gens": [[1' + "0" * 5000 + ']]}',
+    ]:
+        with pytest.raises(IdealSyntaxError):
+            loads_ideal(text)
 
 
 def test_comments_and_blanks():
     I = loads_ideal("# header\n\nvars: x y  # trailing\n x \n# mid\ny\n")
     assert set(I.gens) == {(1, 0), (0, 1)}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3)
+    | st.sampled_from(["x", "y", "1", "", "x y"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["vars", "gens", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_ideal_json = st.fixed_dictionaries({"vars": _json_values, "gens": _json_values})
+_ideal_texts = st.text(alphabet="vars:xy_1^*-#{} \n02", max_size=30)
+
+
+@given(st.one_of(
+    _ideal_json.map(json.dumps),
+    _json_values.map(json.dumps),
+    _ideal_texts,
+    _ideal_texts.map(lambda body: "vars: x y\n" + body),
+))
+def test_loaders_fuzz(text):
+    """Any input ends in a parsed ideal or an IdealSyntaxError, nothing else."""
+    try:
+        I = loads_ideal(text)
+    except IdealSyntaxError:
+        return
+    assert isinstance(I, MonomialIdeal)
