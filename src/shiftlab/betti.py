@@ -1,16 +1,30 @@
 """Exact Betti numbers of S/I via fixed-multidegree strand homology.
 
-Tensoring the Taylor complex with the base field splits it by multidegree:
-the strand at alpha has one basis vector per generator subset whose lcm is
-exactly alpha, and a boundary term survives only when dropping a generator
-keeps the lcm.  The a-th homology dimension of that strand is the Betti
-number b_{a,alpha}(S/I), computed from two exact matrix ranks.
+Every Betti multidegree of S/I is the lcm of a set of generators, so the
+engine walks the lcm lattice and, at each alpha, takes the homology of one of
+two chain complexes whose faces are bitmasks:
+
+- the Taylor strand: one face per generator subset whose lcm is exactly
+  alpha; its homology at face size a is b_{a,alpha}(S/I).  It has up to 2^m
+  faces.
+- the upper Koszul complex K^alpha(I) = {squarefree tau <= alpha :
+  x^(alpha - tau) in I}, faces being variable subsets.  For a >= 1,
+  b_{a,alpha}(S/I) = dim H~_{a-2}(K^alpha(I)) (Miller-Sturmfels,
+  Combinatorial Commutative Algebra, Thm 1.34), so its reduced homology at
+  face size s is b_{s+1,alpha}.  It has at most 2^|supp alpha| faces.
+
+K^alpha(I) is used whenever 2^|supp alpha| is below the Taylor strand's size
+(never at alpha = 0, whose Taylor strand is the empty face alone).
+Both complexes are cut from a full simplex by keeping some faces, and a
+boundary term survives exactly when the facet is kept, so strand_matrices
+and one rank loop serve both kinds and both fields.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
@@ -73,12 +87,19 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
 
 
 def rank_exact(M: list[list], field=QQ) -> int:
-    """Exact rank of a matrix over the rationals (Bareiss) or over GF(p)."""
+    """Exact rank of a matrix over the rationals (Bareiss) or over GF(p).
+
+    Over the rationals an all-int matrix goes to Bareiss as it is; any other
+    entries are read as Fractions and each row is scaled to integers first.
+    The argument is never modified.
+    """
     rows = [list(r) for r in M]
     if not rows or not rows[0]:
         return 0
     if isinstance(field, PrimeField):
         return _rank_modp([[int(x) for x in r] for r in rows], field.p)
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return _rank_bareiss(rows)
     cleared = []
     for r in rows:
         fr = [Fraction(x) for x in r]
@@ -137,21 +158,22 @@ class BettiTable:
         return f"BettiTable(totals={self.totals()})"
 
 
-def strand_matrices(masks: list[int], alpha: tuple, lcm: list[tuple]):
-    """Boundary matrices of one strand.
+def strand_matrices(faces: list[int]):
+    """Boundary matrices of one strand (a Taylor strand or an upper Koszul
+    complex; see the module docstring).
 
-    masks are the face bitmasks with lcm exactly alpha; returns
-    (by_size, mats) with by_size[a] the size-a masks (ascending) and
-    mats[a] the 0/±1 boundary matrix from size a into size a-1, built only
-    when both sides are nonempty.  The sign of dropping the k-th smallest
-    member is (-1)^k with k counted from 0.
+    faces are bitmasks; returns (by_size, mats) with by_size[s] the size-s
+    faces in the order given and mats[s] the 0/±1 boundary matrix from size
+    s into size s-1, built only when both sides are nonempty.  A facet is
+    kept iff it is a face one size down.  The sign of dropping the k-th
+    smallest member is (-1)^k with k counted from 0.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
-    for mask in masks:
+    for mask in faces:
         by_size[mask.bit_count()].append(mask)
     mats: dict[int, list[list[int]]] = {}
-    for a, level in by_size.items():
-        below = by_size.get(a - 1)
+    for s, level in by_size.items():
+        below = by_size.get(s - 1)
         if not below:
             continue
         rowidx = {mask: i for i, mask in enumerate(below)}
@@ -161,21 +183,42 @@ def strand_matrices(masks: list[int], alpha: tuple, lcm: list[tuple]):
             rest = fmask
             while rest:
                 low = rest & -rest
-                sub = fmask ^ low
-                if lcm[sub] == alpha:
-                    mat[rowidx[sub]][j] = -1 if k & 1 else 1
+                row = rowidx.get(fmask ^ low)
+                if row is not None:
+                    mat[row][j] = -1 if k & 1 else 1
                 k += 1
                 rest ^= low
-        mats[a] = mat
+        mats[s] = mat
     return dict(by_size), mats
+
+
+def _koszul_faces(gens, alpha: tuple) -> list[int]:
+    """Faces of K^alpha(I) as sorted variable bitmasks: the union of the
+    down-sets of {i : g_i < alpha_i} over the generators g <= alpha."""
+    tops = {
+        sum(1 << i for i, (e, a) in enumerate(zip(g, alpha)) if e < a)
+        for g in gens
+        if all(e <= a for e, a in zip(g, alpha))
+    }
+    faces: set[int] = set()
+    for top in tops:
+        sub = top
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return sorted(faces)
 
 
 def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
-    b_{a,alpha} = n_a - rank(d_a) - rank(d_{a+1}) on the strand at alpha.
-    Strands are independent; they are walked in lexicographic multidegree
-    order so the output is reproducible.
+    At each alpha the smaller of the Taylor strand and K^alpha(I) is used;
+    with shift 0 for Taylor and 1 for Koszul, the face-size-s homology
+    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.  Strands are
+    independent; they are walked in lexicographic multidegree order so the
+    output is reproducible.
     """
     lcm = _face_lcms(I, cap)
     strata: dict[tuple, list[int]] = defaultdict(list)
@@ -183,12 +226,15 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
         strata[lcm[mask]].append(mask)
     entries: dict[tuple, int] = {}
     for alpha in sorted(strata):
-        by_size, mats = strand_matrices(strata[alpha], alpha, lcm)
-        ranks = {a: rank_exact(mat, field) for a, mat in mats.items()}
-        for a, level in by_size.items():
-            beta = len(level) - ranks.get(a, 0) - ranks.get(a + 1, 0)
+        faces, shift = strata[alpha], 0
+        if (1 << sum(1 for e in alpha if e)) < len(faces):
+            faces, shift = _koszul_faces(I.gens, alpha), 1
+        by_size, mats = strand_matrices(faces)
+        ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
+        for s, level in by_size.items():
+            beta = len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
             if beta:
-                entries[(a, alpha)] = beta
+                entries[(s + shift, alpha)] = beta
     return BettiTable(I.ring, entries)
 
 

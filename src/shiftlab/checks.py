@@ -65,6 +65,11 @@ class InequalityReport:
         return f"{self.name} [{ps}]: {self.lhs} <= {self.rhs} -> {verdict}"
 
 
+def _shift_at(t: ShiftProfile, a: int) -> int | None:
+    """t_a, or None when a is past the projective dimension (module a vanishes)."""
+    return t[a] if a <= t.projdim else None
+
+
 def _holds(lhs, rhs) -> bool:
     if lhs is None:
         return True  # the module in question vanishes; nothing to bound
@@ -187,7 +192,7 @@ def check_range(
         raise ValueError(f"a={a} exceeds p+q={p + q}")
     s = p + q - a
     rhs, splits = _best_splits(t, a, p - s, p)
-    lhs = t[a] if a <= t.projdim else None
+    lhs = _shift_at(t, a)
     return InequalityReport(
         "range",
         {"a": a, "p": p, "q": q, "s": s},
@@ -230,10 +235,11 @@ def check_general(
     t = profile if profile is not None else shifts(I, field)
     lo, hi = p - (m - a), min(p, a // 2)
     inner, splits = _best_splits(t, a, lo, hi)
-    side = t[1] + t[a - 1] if a - 1 <= t.projdim else None
+    tail = _shift_at(t, a - 1)
+    side = None if tail is None else t[1] + tail
     options = [v for v in (side, inner) if v is not None]
     rhs = min(options) if options else None
-    lhs = t[a] if a <= t.projdim else None
+    lhs = _shift_at(t, a)
     return InequalityReport(
         "general",
         {"a": a, "p": p, "m": m, "n": n, "window": (lo, hi)},
@@ -264,7 +270,7 @@ def check_multiple(
             )
     t = tab.shift_profile()
     total = sum(a for _, a in covers)
-    lhs = t[total] if total <= t.projdim else None
+    lhs = _shift_at(t, total)
     rhs = sum(t[a] for _, a in covers)
     return InequalityReport(
         "multiple",
@@ -314,11 +320,9 @@ class SymbolicBound:
         return f"t_{self.target} <= {rhs}"
 
     def evaluate(self, t: ShiftProfile) -> InequalityReport:
-        lhs = t[self.target] if self.target <= t.projdim else None
-        if any(i > t.projdim for i in self.terms):
-            rhs = None
-        else:
-            rhs = sum(t[i] for i in self.terms)
+        lhs = _shift_at(t, self.target)
+        parts = [_shift_at(t, i) for i in self.terms]
+        rhs = None if None in parts else sum(parts)
         return InequalityReport(
             "symbolic",
             {"target": self.target, "terms": self.terms},

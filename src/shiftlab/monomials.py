@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 Multidegree = tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(.+))?$")
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\^([0-9]+))?")
 
 
 class IdealSyntaxError(ValueError):
@@ -60,8 +60,9 @@ class Ring:
 def parse_monomial(text: str, ring: Ring) -> Multidegree:
     """Parse ``x^2*w^2*v^2``-style text into an exponent vector.
 
-    Factors are ``var`` or ``var^k`` with k >= 1, joined by ``*``; the bare
-    string ``1`` is the trivial monomial.  Repeated variables accumulate.
+    Factors are ``var`` or ``var^k`` with k >= 1 written in ASCII digits,
+    joined by ``*``; the bare string ``1`` is the trivial monomial.  Repeated
+    variables accumulate.
     """
     text = text.strip()
     if not text:
@@ -73,23 +74,20 @@ def parse_monomial(text: str, ring: Ring) -> Multidegree:
         factor = factor.strip()
         if not factor:
             raise IdealSyntaxError(f"empty factor in {text!r}")
-        m = _FACTOR_RE.match(factor)
+        m = _FACTOR_RE.fullmatch(factor)
         if not m:
-            raise IdealSyntaxError(f"malformed factor {factor!r}")
-        name, exp_text = m.group(1), m.group(2)
+            raise IdealSyntaxError(
+                f"malformed factor {factor!r} (expected var or var^k, k in ASCII digits)"
+            )
+        name, exp_text = m.groups()
         if name not in ring.names:
             raise IdealSyntaxError(f"unknown variable {name!r}")
-        if exp_text is None:
-            k = 1
-        else:
-            try:
-                k = int(exp_text)
-            except ValueError:
-                raise IdealSyntaxError(
-                    f"non-integer exponent {exp_text!r} in {factor!r}"
-                ) from None
-            if k < 1:
-                raise IdealSyntaxError(f"exponent must be >= 1 in {factor!r}")
+        try:
+            k = 1 if exp_text is None else int(exp_text)
+        except ValueError:  # past int()'s limit on digits
+            raise IdealSyntaxError(f"exponent too long in {factor!r}") from None
+        if k < 1:
+            raise IdealSyntaxError(f"exponent must be >= 1 in {factor!r}")
         exps[ring.index(name)] += k
     return tuple(exps)
 

@@ -53,6 +53,23 @@ def test_rank_fractions():
     assert rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
 
 
+def _rank_by_fraction_elimination(M) -> int:
+    """Plain Gaussian elimination over Fractions: the rank oracle."""
+    A = [[Fraction(x) for x in row] for row in M]
+    m, n = len(A), len(A[0]) if A else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, m):
+            f = A[i][c] / A[r][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
 def test_rank_random_vs_rational_elimination():
     import random
 
@@ -60,19 +77,52 @@ def test_rank_random_vs_rational_elimination():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        # plain fraction elimination oracle
-        A = [[Fraction(x) for x in row] for row in M]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if A[i][c]), None)
-            if piv is None:
-                continue
-            A[r], A[piv] = A[piv], A[r]
-            for i in range(r + 1, m):
-                f = A[i][c] / A[r][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-            r += 1
-        assert rank_exact(M) == r
+        assert rank_exact(M) == _rank_by_fraction_elimination(M)
+
+
+def test_rank_int_and_fraction_entries_agree():
+    # low-rank products with many zeros, so that pivots grow, columns are
+    # skipped and the rank is often below both dimensions
+    import random
+
+    rng = random.Random(11)
+    for _ in range(150):
+        m, n, k = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+        A = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)] for _ in range(m)]
+        B = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(k)]
+        M = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        expected = _rank_by_fraction_elimination(M)
+        assert rank_exact(M) == expected, M
+        assert rank_exact([[Fraction(x) for x in row] for row in M]) == expected, M
+
+
+def test_rank_mixed_entries_are_cleared(monkeypatch):
+    import shiftlab.betti as betti
+
+    seen = []
+    bareiss = betti._rank_bareiss
+
+    def spy(rows):
+        seen.append([list(r) for r in rows])
+        return bareiss(rows)
+
+    monkeypatch.setattr(betti, "_rank_bareiss", spy)
+    # read with floor division, the 1/2 would vanish and give rank 1
+    assert rank_exact([[Fraction(1, 2), 0], [0, 1]]) == 2
+    assert seen == [[[1, 0], [0, 1]]]  # rows scaled to integers first
+    assert rank_exact([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 1
+    assert seen[-1] == [[1, 2], [1, 2]]
+
+
+def test_rank_leaves_its_argument_alone():
+    for M, field in (
+        ([[2, 4, 0], [1, 2, 3], [0, 0, 5]], QQ),
+        ([[2, 4, 0], [1, 2, 3], [0, 0, 5]], PrimeField(3)),
+        ([[Fraction(1, 2), 1], [1, 2]], QQ),
+    ):
+        before = [list(row) for row in M]
+        rank_exact(M, field)
+        assert M == before
 
 
 # --- lcm lattice ---------------------------------------------------------------

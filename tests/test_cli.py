@@ -197,8 +197,12 @@ def test_malformed_file_exit2(tmp_path, capsys):
         '{"vars": ["x", "x"], "gens": [[1, 0]]}',
         "vars: x x\nx\n",
         "vars: x y\n1\n",  # the unit ideal
+        "vars: x\nx^1_0\n",  # exponents are ASCII digits and nothing else
+        "vars: x\nx^ 2\n",
+        "vars: x\nx^+2\n",
+        "vars: x\nx^\uff12\n",  # a full-width digit two
     ]:
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         rc, _, err = run(capsys, "betti", str(bad))
         assert rc == 2 and "cannot read ideal" in err, text
 
@@ -260,6 +264,22 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0
     assert "0 11 13 15 16" in proc.stdout
+
+
+def test_python_m_shiftlab():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab", "betti", EX2],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "coarse: 1 5 8 5 1" in proc.stdout
 
 
 def test_verify_paper_corrupted_fixture(tmp_path, capsys):

@@ -274,6 +274,11 @@ def test_text_format_errors():
         '{"vars": ["x"], "gens": {}}',
         '{"vars": ["x\\n"], "gens": [[1]]}',
         '{"vars": ["x"], "gens": [[1' + "0" * 5000 + ']]}',
+        "vars: x\nx^1_0\n",  # exponents are ASCII digits and nothing else
+        "vars: x\nx^ 2\n",
+        "vars: x\nx^+2\n",
+        "vars: x\nx^\uff12\n",  # a full-width digit two
+        "vars: x\nx^1" + "0" * 5000 + "\n",
     ]:
         with pytest.raises(IdealSyntaxError):
             loads_ideal(text)

@@ -1,17 +1,30 @@
 """Property suites over the seeded 500-ideal corpus (n <= 6, m <= 8, exp <= 4)."""
 
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
 from shiftlab import (
+    PrimeField,
+    QQ,
     check_consecutive,
     check_covering,
     check_multiple,
     check_range,
     check_subadditivity_profile,
     check_top,
+    divides,
     find_covering_pairs,
+    join,
+    loads_ideal,
     minimalize,
+    multigraded_betti,
+    rank_exact,
     taylor_complex,
     total_degree,
 )
+from shiftlab.betti import _koszul_faces, strand_matrices
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
 
@@ -37,6 +50,94 @@ def test_every_constructed_complex_verifies(corpus_results):
     for rec in corpus_results["rows"]:
         assert rec["taylor_ok"] and rec["scarf_ok"], rec["ideal"]
         assert rec["min_ok_q"] and rec["min_ok_p"], rec["ideal"]
+
+
+# --- three-way oracle: Taylor strand vs upper Koszul complex vs minimalized Taylor
+
+GF = PrimeField(32003)
+S13 = Path(__file__).resolve().parent.parent / "bench" / "ideals" / "S13.ideal"
+
+
+def _taylor_strata(I) -> dict:
+    """alpha -> the generator-subset bitmasks whose lcm is alpha."""
+    lcms = [I.ring.zero()]
+    for mask in range(1, 1 << I.m):
+        low = mask & -mask
+        lcms.append(join(lcms[mask ^ low], I.gens[low.bit_length() - 1]))
+    strata = defaultdict(list)
+    for mask, alpha in enumerate(lcms):
+        strata[alpha].append(mask)
+    return strata
+
+
+def _koszul_by_definition(I, alpha) -> list[int]:
+    """K^alpha(I) = {squarefree tau <= alpha : x^(alpha - tau) in I}, one
+    membership test per subset of supp(alpha), as variable bitmasks."""
+    supp = sum(1 << i for i, e in enumerate(alpha) if e)
+    faces = []
+    for tau in range(supp + 1):
+        if tau & ~supp:
+            continue
+        rest = tuple(e - (tau >> i & 1) for i, e in enumerate(alpha))
+        if any(divides(g, rest) for g in I.gens):
+            faces.append(tau)
+    return faces
+
+
+def _homology(faces, fields, memo) -> list[dict]:
+    """Per field, {s: dim} of the homology at face size s of the complex on
+    these faces.  It depends on the face list alone, so memo keeps it by
+    that list (the fields stay the same for one memo)."""
+    key = tuple(faces)
+    if key not in memo:
+        by_size, mats = strand_matrices(faces)
+        memo[key] = []
+        for field in fields:
+            ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
+            dims = {s: len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+                    for s, level in by_size.items()}
+            memo[key].append({s: d for s, d in dims.items() if d})
+    return memo[key]
+
+
+def _tables_from_both_strands(I, fields, memo=None) -> list[dict]:
+    """One (a, alpha) -> rank table per field, from the Taylor strand at
+    every alpha of the lcm lattice, checking that K^alpha(I) has the same
+    homology one degree down."""
+    memo = {} if memo is None else memo
+    tables = [{} for _ in fields]
+    for alpha, masks in _taylor_strata(I).items():
+        taylor = _homology(masks, fields, memo)
+        if any(alpha):
+            koszul = _homology(_koszul_faces(I.gens, alpha), fields, memo)
+            assert [{s + 1: d for s, d in h.items()} for h in koszul] == taylor, (I, alpha)
+        for table, homology in zip(tables, taylor):
+            table.update(((a, alpha), d) for a, d in homology.items())
+    return tables
+
+
+def test_oracle_three_way_taylor_koszul_minimal(corpus_results):
+    memo = {}  # shared by the corpus: many ideals repeat the same small complexes
+    for rec in corpus_results["rows"]:
+        minimal = [
+            {(a, mdeg): r for a, ms in rec[key].items() for mdeg, r in ms.items()}
+            for key in ("min_msets_q", "min_msets_p")
+        ]
+        assert _tables_from_both_strands(rec["ideal"], (QQ, GF), memo) == minimal, rec["ideal"]
+
+
+def test_koszul_faces_match_definition(corpus, ex2):
+    for I in corpus[:40] + [ex2]:
+        for alpha in _taylor_strata(I):
+            assert _koszul_faces(I.gens, alpha) == _koszul_by_definition(I, alpha), (I, alpha)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "S13"])
+def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
+    I = {"ex1": ex1, "ex2": ex2}.get(name) or loads_ideal(S13.read_text(encoding="utf-8"))
+    fields = (GF,) if name == "S13" else (QQ, GF)
+    expected = [multigraded_betti(I, field).entries for field in fields]
+    assert _tables_from_both_strands(I, fields) == expected
 
 
 def test_proven_consecutive_and_top(corpus_results):
