@@ -203,6 +203,17 @@ def check_range(
     )
 
 
+def _window(n: int, m: int, a: int, p: int) -> tuple[int, int, list[str]]:
+    """The split window of the zero-dimensional bound, and its failed hypotheses."""
+    failed = [problem for bad, problem in (
+        (m > 2 * n - 6, f"m={m} exceeds 2n-6={2 * n - 6}"),
+        (2 * a < m + 4, f"a={a} is below (m+4)/2={(m + 4) / 2}"),
+        (a > n, f"a={a} exceeds n={n}"),
+        (not m - a + 2 <= p <= a - 2, f"p={p} outside [{m - a + 2}, {a - 2}]"),
+    ) if bad]
+    return p - (m - a), min(p, a // 2), failed
+
+
 def check_general(
     I: MonomialIdeal, a: int, p: int, field=QQ, *, profile=None
 ) -> InequalityReport:
@@ -218,14 +229,8 @@ def check_general(
     problems = []
     if not contains_all_pure_powers(I):
         problems.append("some variable has no pure-power generator (dim S/I > 0)")
-    if m > 2 * n - 6:
-        problems.append(f"m={m} exceeds 2n-6={2 * n - 6}")
-    if 2 * a < m + 4:
-        problems.append(f"a={a} is below (m+4)/2={(m + 4) / 2}")
-    if a > n:
-        problems.append(f"a={a} exceeds n={n}")
-    if not m - a + 2 <= p <= a - 2:
-        problems.append(f"p={p} outside [{m - a + 2}, {a - 2}]")
+    lo, hi, failed = _window(n, m, a, p)
+    problems += failed
     if problems:
         raise ValueError("; ".join(problems))
     pure = pure_power_exponents(I)
@@ -233,7 +238,6 @@ def check_general(
     rest = [g for g in I.gens if not (len(support(g)) == 1 and support(g)[0] < p)]
     beta = reduce(join, rest, I.ring.zero())
     t = profile if profile is not None else shifts(I, field)
-    lo, hi = p - (m - a), min(p, a // 2)
     inner, splits = _best_splits(t, a, lo, hi)
     tail = _shift_at(t, a - 1)
     side = None if tail is None else t[1] + tail
@@ -401,10 +405,10 @@ def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:
     appearing in the zero-dimensional window bound; empty when the
     hypotheses fail for every p."""
     out: dict[int, list[tuple[int, int]]] = {}
-    if m > 2 * n - 6 or 2 * a < m + 4 or a > n:
-        return out
-    for p in range(m - a + 2, a - 1):
-        lo, hi = p - (m - a), min(p, a // 2)
+    for p in range(a - 1):  # p < 1 leaves no split
+        lo, hi, failed = _window(n, m, a, p)
+        if failed:
+            continue
         splits = sorted(
             {tuple(sorted((i, a - i))) for i in range(max(lo, 1), hi + 1) if a - i >= 1}
         )

@@ -231,11 +231,12 @@ def cmd_random(args) -> int:
                 base["skipped"] = "no m-generator antichain within retry budget"
                 print(json.dumps(base, sort_keys=True), file=sink)
                 continue
-            if I.m > args.cap:
+            try:
+                table = multigraded_betti(I, field, args.cap)
+            except CapExceededError:
                 base["skipped"] = "generator cap exceeded"
                 print(json.dumps(base, sort_keys=True), file=sink)
                 continue
-            table = multigraded_betti(I, field, args.cap)
             prof = table.shift_profile()
             open_reports = check_subadditivity_profile(prof)
             proven = check_consecutive(I, field, profile=prof)

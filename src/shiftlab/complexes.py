@@ -3,10 +3,10 @@
 A complex stores, per homological degree a, a list of basis elements
 (label + multidegree) and, for a >= 1, a sparse differential into degree
 a-1.  Differentials are column-major: ``diffs[a][j]`` is the list of
-``(row, coeff, mdeg)`` entries of basis element j of module a, where
-``mdeg`` is the exponent vector of the monomial coefficient.  Multigraded
-homogeneity pins ``mdeg`` to ``mdeg(column) - mdeg(row)``, which is what
-keeps single-term sparse entries closed under all the operations here.
+``(row, coeff)`` entries of basis element j of module a.  Multigraded
+homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
+it is read off the basis and never stored; homogeneity is also what keeps
+single-term sparse entries closed under all the operations here.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComp
                     raise RuntimeError(
                         f"facet {face[:k] + face[k + 1:]} of kept face {face} is not kept"
                     )
-                entry_mdeg = tuple(x - y for x, y in zip(top, lcm[sub]))
-                col.append((below[sub], (-1) ** k, entry_mdeg))
+                col.append((below[sub], (-1) ** k))
             index[fm] = len(level)
             level.append(BasisElement(face, top))
             cols.append(col)
@@ -182,12 +181,12 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
         level = []
         for j in keep[a]:
             col = []
-            for row, coeff, mdeg in F.diffs[a][j]:
+            for row, coeff in F.diffs[a][j]:
                 if row not in remap[a - 1]:
                     raise ValueError(
                         "restriction not closed: input complex is not homogeneous"
                     )
-                col.append((remap[a - 1][row], coeff, mdeg))
+                col.append((remap[a - 1][row], coeff))
             level.append(col)
         diffs.append(level)
     return _trimmed(modules, diffs)
@@ -217,24 +216,20 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     """
     for a in range(1, len(F.modules)):
         for j, col in enumerate(F.diffs[a]):
-            cm = F.modules[a][j].mdeg
-            for row, coeff, mdeg in col:
+            for row, _ in col:
                 if not 0 <= row < len(F.modules[a - 1]):
                     return VerifyReport(False, "row index out of range", (a, j, row))
-                rm = F.modules[a - 1][row].mdeg
-                if any(e < 0 for e in mdeg):
-                    return VerifyReport(False, "negative entry multidegree", (a, j, row))
-                if tuple(x - y for x, y in zip(cm, rm)) != tuple(mdeg):
+                if not divides(F.modules[a - 1][row].mdeg, F.modules[a][j].mdeg):
                     return VerifyReport(
                         False, "entry multidegree breaks homogeneity", (a, j, row)
                     )
     for a in range(2, len(F.modules)):
         for j in range(len(F.modules[a])):
-            # homogeneity (checked above) fixes each entry's multidegree by
-            # its row, so the row alone keys the d∘d sum
+            # every d∘d term landing on row2 carries the monomial
+            # x^(mdeg(j) - mdeg(row2)), so the row alone keys the sum
             acc: dict[int, object] = {}
-            for row, coeff, _ in F.diffs[a][j]:
-                for row2, coeff2, _ in F.diffs[a - 1][row]:
+            for row, coeff in F.diffs[a][j]:
+                for row2, coeff2 in F.diffs[a - 1][row]:
                     acc[row2] = acc.get(row2, 0) + coeff * coeff2
             for row2, total in acc.items():
                 if not field.is_zero(field.of(total)):
@@ -245,13 +240,13 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
 
 
 def is_minimal(F: FreeComplex) -> bool:
-    """Minimal means no differential entry is a nonzero scalar (multidegree 0)."""
-    for a in range(1, len(F.modules)):
-        for col in F.diffs[a]:
-            for _, coeff, mdeg in col:
-                if coeff != 0 and not any(mdeg):
-                    return False
-    return True
+    """Minimal means no nonzero entry joins a row and column of equal multidegree."""
+    return not any(
+        coeff != 0 and F.modules[a - 1][row].mdeg == F.modules[a][j].mdeg
+        for a in range(1, len(F.modules))
+        for j, col in enumerate(F.diffs[a])
+        for row, coeff in col
+    )
 
 
 def shifts_of_complex(F: FreeComplex) -> ShiftProfile:
@@ -270,8 +265,8 @@ def shifts_of_complex(F: FreeComplex) -> ShiftProfile:
 def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     """Cancel invertible differential entries until none remain.
 
-    A pivot is an entry whose monomial multidegree is zero (so the column
-    and row basis elements share a multidegree) with invertible coefficient.
+    A pivot is an entry whose column and row basis elements share a
+    multidegree (so its monomial is 1) with invertible coefficient.
     Cancelling it splits off a trivial two-term summand: the classic update
     M[g',f'] -= M[g,f']*M[g',f]/M[g,f] runs on the pivot's level, the pivot
     column's row disappears from the level above, and the pivot row's
@@ -291,13 +286,13 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     for a in range(1, L + 1):
         for j, col in enumerate(F.diffs[a]):
             d = {}
-            for row, coeff, mdeg in col:
+            for row, coeff in col:
                 c = field.of(coeff)
                 if field.is_zero(c):
                     continue
                 d[row] = c
                 rows[a].setdefault(row, set()).add(j)
-                if not any(mdeg):
+                if basis[a - 1][row] == basis[a][j]:
                     heapq.heappush(cand[a], (row, j))
             cols[a][j] = d
         for j in range(len(F.modules[a])):
@@ -321,10 +316,8 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
         heap = cand[a]
         while heap:
             g, f = heapq.heappop(heap)
-            if g not in basis[a - 1] or f not in basis[a]:
-                continue
             c = cols[a].get(f, {}).get(g)
-            if c is None or field.is_zero(c) or basis[a - 1][g] != basis[a][f]:
+            if c is None:  # cancelled, or eliminated since it was pushed
                 continue
             cinv = field.inv(c)
             pivot_col = [(g2, d) for g2, d in cols[a][f].items() if g2 != g]
@@ -358,24 +351,15 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
             del basis[a][f]
             del basis[a - 1][g]
 
-    modules = []
-    order = []
+    modules, diffs, below = [], [], {}
     for a in range(L + 1):
         alive = sorted(basis[a])
-        order.append({j: i for i, j in enumerate(alive)})
         modules.append([F.modules[a][j] for j in alive])
-    diffs = [[]]
-    for a in range(1, L + 1):
-        level = []
-        for j in sorted(basis[a]):
-            cm = basis[a][j]
-            col = []
-            for row in sorted(cols[a].get(j, {})):
-                coeff = cols[a][j][row]
-                mdeg = tuple(x - y for x, y in zip(cm, basis[a - 1][row]))
-                col.append((order[a - 1][row], coeff, mdeg))
-            level.append(col)
-        diffs.append(level)
+        diffs.append([
+            [(below[row], cols[a][j][row]) for row in sorted(cols[a][j])]
+            for j in alive
+        ] if a else [])
+        below = {j: i for i, j in enumerate(alive)}  # new index of each survivor
     return _trimmed(modules, diffs)
 
 
@@ -397,7 +381,12 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# JSON dump format (used by the CLI `dump` subcommand and golden tests)
+# JSON dump format (used by the CLI `dump` subcommand and golden tests); the
+# "mdeg" of each differential entry is column - row, and loading checks it
+
+
+def _entry_mdeg(modules: list, a: int, j: int, row: int) -> list:
+    return [x - y for x, y in zip(modules[a][j].mdeg, modules[a - 1][row].mdeg)]
 
 
 def complex_to_json(F: FreeComplex) -> dict:
@@ -408,11 +397,12 @@ def complex_to_json(F: FreeComplex) -> dict:
         ],
         "differentials": [
             [
-                {"col": j, "row": row, "coeff": str(coeff), "mdeg": list(mdeg)}
+                {"col": j, "row": row, "coeff": str(coeff),
+                 "mdeg": _entry_mdeg(F.modules, a, j, row)}
                 for j, col in enumerate(level)
-                for row, coeff, mdeg in col
+                for row, coeff in col
             ]
-            for level in F.diffs
+            for a, level in enumerate(F.diffs)
         ],
     }
 
@@ -426,10 +416,14 @@ def complex_from_json(obj: dict) -> FreeComplex:
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
+            j, row = ent["col"], ent["row"]
+            ok = 0 < a and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1])
+            if not ok or list(ent["mdeg"]) != _entry_mdeg(modules, a, j, row):
+                raise ValueError(f"dump entry {(a, j, row)}: mdeg is not column - row")
             coeff = Fraction(ent["coeff"])
             if coeff.denominator == 1:
                 coeff = int(coeff)
-            cols[ent["col"]].append((ent["row"], coeff, tuple(ent["mdeg"])))
+            cols[j].append((row, coeff))
         diffs.append(cols)
     return FreeComplex(modules, diffs)
 

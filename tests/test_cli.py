@@ -167,6 +167,16 @@ def test_random_deterministic(capsys):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+def test_random_cap_skips(capsys):
+    rc, out, _ = run(capsys, "random", "--seed", "1", "--n", "4", "--m", "5",
+                     "--maxexp", "3", "--count", "3", "--cap", "3")
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert rc == 0 and [r["index"] for r in recs] == [0, 1, 2]
+    for rec in recs:
+        assert rec == {"seed": 1, "index": rec["index"], "n": 4, "m": 5,
+                       "maxexp": 3, "skipped": "generator cap exceeded"}
+
+
 def test_random_empty(capsys):
     rc, out, _ = run(capsys, "random", "--seed", "1", "--n", "3", "--m", "3",
                      "--maxexp", "2", "--count", "0")

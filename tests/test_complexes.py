@@ -11,6 +11,7 @@ from shiftlab import (
     PrimeField,
     Ring,
     complex_from_json,
+    divides,
     dumps_complex,
     is_minimal,
     join,
@@ -124,7 +125,6 @@ def test_restrict_taylor_example2_alpha1(ex2):
     R = restrict_complex(F, alpha)
     assert verify_complex(R).ok
     # filter oracle: exactly the faces whose lcm divides alpha survive
-    from shiftlab import divides
     for a in range(len(F.modules)):
         kept = [be.label for be in F.modules[a] if divides(be.mdeg, alpha)]
         got = [be.label for be in R.modules[a]] if a < len(R.modules) else []
@@ -158,18 +158,48 @@ def test_restrict_minimal_resolution_example1(ex1, ex1_table):
 def test_verify_detects_sign_flip(ex2):
     F = taylor_complex(ex2)
     assert verify_complex(F).ok
-    row, coeff, mdeg = F.diffs[2][3][0]
-    F.diffs[2][3][0] = (row, -coeff, mdeg)
+    row, coeff = F.diffs[2][3][0]
+    F.diffs[2][3][0] = (row, -coeff)
     rep = verify_complex(F)
     assert not rep.ok and rep.location[0] in (2, 3)
 
 
-def test_verify_detects_homogeneity_break():
-    F = taylor_complex(KOSZUL2)
-    row, coeff, mdeg = F.diffs[1][0][0]
-    F.diffs[1][0][0] = (row, coeff, (5, 5))
+def taylor_with_stray_row(ex2):
+    """ex2's Taylor complex with the first entry of the edge (0, 1) pointed at
+    a generator outside the edge whose multidegree does not divide the
+    edge's lcm: no monomial makes that entry homogeneous."""
+    F = taylor_complex(ex2)
+    edge = F.modules[2][0]
+    assert edge.label == (0, 1)
+    stray = next(
+        i for i, g in enumerate(ex2.gens)
+        if i not in edge.label and not divides(g, edge.mdeg)
+    )
+    assert F.modules[1][stray].label == (stray,)
+    F.diffs[2][0][0] = (stray, F.diffs[2][0][0][1])
+    return F, stray
+
+
+def test_verify_detects_homogeneity_break(ex2):
+    F, stray = taylor_with_stray_row(ex2)
     rep = verify_complex(F)
     assert not rep.ok and "homogene" in rep.problem
+    assert rep.location == (2, 0, stray)
+
+
+@pytest.mark.parametrize("row", [2, -1])
+def test_verify_detects_row_out_of_range(row):
+    F = taylor_complex(KOSZUL2)
+    F.diffs[2][0][1] = (row, F.diffs[2][0][1][1])
+    rep = verify_complex(F)
+    assert not rep.ok and rep.problem == "row index out of range"
+    assert rep.location == (2, 0, row)
+
+
+def test_restrict_rejects_non_homogeneous_input(ex2):
+    F, _ = taylor_with_stray_row(ex2)
+    with pytest.raises(ValueError, match="not closed"):
+        restrict_complex(F, F.modules[2][0].mdeg)
 
 
 # --- minimalization ----------------------------------------------------------------
@@ -262,13 +292,25 @@ def test_complex_json_roundtrip(ex2):
     assert [be.mdeg for be in back.modules[2]] == [be.mdeg for be in M.modules[2]]
 
 
+@pytest.mark.parametrize(
+    "field, value", [("mdeg", [0, 1]), ("row", 5), ("row", -1), ("col", -1)]
+)
+def test_complex_from_json_checks_entry_mdeg(field, value):
+    obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
+    entry = obj["differentials"][2][0]
+    assert entry["mdeg"] == [1, 0]  # column (1, 1) minus row y = (0, 1)
+    entry[field] = value
+    with pytest.raises(ValueError, match="column - row"):
+        complex_from_json(obj)
+
+
 def test_free_complex_validates_shape():
     with pytest.raises(ValueError):
         FreeComplex([[]], [])
 
 
 # sha256 of dumps_complex for each construction of the worked examples.  They
-# pin face order, labels, signs and entry multidegrees byte for byte.
+# pin face order, labels, signs and the dumped entry multidegrees byte for byte.
 CONSTRUCTION_DIGESTS = {
     ("ex1", "taylor"): "ead9954b99194462d507f147c8a0c377d85dbee277ea312d0a1f0e339d2b2a68",
     ("ex1", "scarf"): "ec0428851a711f555465b2a971ec10952fa9a39084ce2363a3c7523c3b9a47e3",
