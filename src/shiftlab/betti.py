@@ -17,97 +17,94 @@ K^alpha(I) is used whenever 2^|supp alpha| is below the Taylor strand's size
 (never at alpha = 0, whose Taylor strand is the empty face alone).
 Both complexes are cut from a full simplex by keeping some faces, and a
 boundary term survives exactly when the facet is kept, so strand_matrices
-and one rank loop serve both kinds and both fields.
+and one rank loop serve both kinds and both fields.  rank_exact, one sparse
+elimination for QQ and GF(p) alike, takes int entries only (strands are 0/±1).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
-from itertools import chain
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 
 from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
 from .fields import PrimeField, QQ
 from .monomials import MonomialIdeal, total_degree
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def rank_exact(M: list[list[int]], field=QQ) -> int:
+    """Exact rank of an integer matrix over the rationals or over GF(p).
 
-    Every subtraction step divides exactly by the previous pivot, so the
-    working entries stay integers (they are minors of the input matrix).
+    Every entry must be of type int (bool, float and Fraction raise
+    TypeError); over GF(p) the entries are read mod p.  One sparse
+    elimination serves both fields.  It pivots on the lightest live row, in
+    the column with the fewest live entries among that row's units (±1 over
+    QQ, any nonzero over GF(p)), and clears the column with factor w·v⁻¹.
+    Over QQ a row without a unit is pivoted on any entry instead: each target
+    row becomes v·row - w·pivot row and is divided by the gcd of its entries,
+    so every step is exact integer arithmetic.  The argument is never
+    modified.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rowr = rows[r]
-        for i in range(r + 1, m):
-            rowi = rows[i]
-            ric = rowi[c]
-            for j in range(c + 1, n):
-                rowi[j] = (pv * rowi[j] - ric * rowr[j]) // prev
-            rowi[c] = 0
-        prev = pv
-        r += 1
-        if r == m:
+    p = field.p if isinstance(field, PrimeField) else 0
+    nonzero = itemgetter(1)
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = defaultdict(set)
+    for i, r in enumerate(M):
+        if not {int}.issuperset(map(type, r)):
+            raise TypeError(f"rank_exact takes int entries only; row {i} has {set(map(type, r))}")
+        entries = filter(nonzero, enumerate(r))
+        row = {j: y for j, x in entries if (y := x % p)} if p else dict(entries)
+        if row:
+            rows[i] = row
+            for j in row:
+                cols[j].add(i)
+    ncols = len(cols)  # the rank is at most this: fill-in opens no new column
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    rank = 0
+    while rows:
+        n, i = heappop(heap)
+        piv = rows.get(i)
+        if piv is None or len(piv) != n:
+            continue  # a stale heap entry
+        del rows[i]
+        rank += 1
+        if not rows or rank == ncols:
             break
-    return r
-
-
-def _rank_modp(rows: list[list[int]], p: int) -> int:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c] % p, -1, p)
-        rowr = [x * inv % p for x in rows[r]]
-        rows[r] = rowr
-        for i in range(r + 1, m):
-            f = rows[i][c] % p
-            if f:
-                rowi = rows[i]
-                for j in range(c, n):
-                    rowi[j] = (rowi[j] - f * rowr[j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def rank_exact(M: list[list], field=QQ) -> int:
-    """Exact rank of a matrix over the rationals (Bareiss) or over GF(p).
-
-    Over the rationals an all-int matrix goes to Bareiss as it is; any other
-    entries are read as Fractions and each row is scaled to integers first.
-    The argument is never modified.
-    """
-    rows = [list(r) for r in M]
-    if not rows or not rows[0]:
-        return 0
-    if isinstance(field, PrimeField):
-        return _rank_modp([[int(x) for x in r] for r in rows], field.p)
-    if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return _rank_bareiss(rows)
-    cleared = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        scale = 1
-        for x in fr:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        cleared.append([int(x * scale) for x in fr])
-    return _rank_bareiss(cleared)
+        for j in piv:
+            cols[j].discard(i)
+        units = piv if p else [j for j, x in piv.items() if x == 1 or x == -1]
+        c = min(units or piv, key=lambda j: len(cols[j]))
+        v = piv.pop(c)
+        inv = pow(v, -1, p) if p else v if units else 0  # 0: a QQ non-unit pivot
+        for k in cols.pop(c):
+            row = rows[k]
+            w = row.pop(c)
+            if inv:
+                f = w * inv % p if p else w * inv
+            else:
+                row = rows[k] = {j: v * x for j, x in row.items()}
+                f = w
+            for j, x in piv.items():
+                y = row.get(j, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    if j not in row:
+                        cols[j].add(k)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(k)
+            if not row:
+                del rows[k]
+                continue
+            if not inv:
+                g = gcd(*row.values())
+                rows[k] = {j: x // g for j, x in row.items()}
+            heappush(heap, (len(row), k))
+    return rank
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:

@@ -383,6 +383,7 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSON dump format (used by the CLI `dump` subcommand and golden tests); the
 # "mdeg" of each differential entry is column - row, and loading checks it
+# along with the basis multidegrees (lists of non-negative ints, all of one length)
 
 
 def _entry_mdeg(modules: list, a: int, j: int, row: int) -> list:
@@ -408,6 +409,10 @@ def complex_to_json(F: FreeComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> FreeComplex:
+    mdegs = [be["mdeg"] for mod in obj["modules"] for be in mod]
+    ok = all(type(d) is list and all(type(e) is int and e >= 0 for e in d) for d in mdegs)
+    if not ok or len({len(d) for d in mdegs}) > 1:
+        raise ValueError("dump basis mdegs must be lists of non-negative ints, all of one length")
     modules = [
         [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
         for mod in obj["modules"]

@@ -50,7 +50,10 @@ def test_rank_prime_field():
 
 
 def test_rank_fractions():
-    assert rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    # int entries only: a Fraction is refused, not cleared or truncated
+    for field in (QQ, PrimeField(3)):
+        with pytest.raises(TypeError, match="int entries only"):
+            rank_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], field)
 
 
 def _rank_by_fraction_elimination(M) -> int:
@@ -70,6 +73,81 @@ def _rank_by_fraction_elimination(M) -> int:
     return r
 
 
+# Dense elimination, the rank engine before the sparse one; kept here as the
+# oracle that rank_exact is checked against, in both fields.  Both work on
+# their argument in place.
+
+def _rank_bareiss(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every subtraction step divides exactly by the previous pivot, so the
+    working entries stay integers (they are minors of the input matrix).
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rowr = rows[r]
+        for i in range(r + 1, m):
+            rowi = rows[i]
+            ric = rowi[c]
+            for j in range(c + 1, n):
+                rowi[j] = (pv * rowi[j] - ric * rowr[j]) // prev
+            rowi[c] = 0
+        prev = pv
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _rank_modp(rows: list[list[int]], p: int) -> int:
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c] % p, -1, p)
+        rowr = [x * inv % p for x in rows[r]]
+        rows[r] = rowr
+        for i in range(r + 1, m):
+            f = rows[i][c] % p
+            if f:
+                rowi = rows[i]
+                for j in range(c, n):
+                    rowi[j] = (rowi[j] - f * rowr[j]) % p
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def dense_rank(M, field=QQ) -> int:
+    """The dense oracle's rank of M over field; M is left alone."""
+    rows = [list(r) for r in M]
+    if isinstance(field, PrimeField):
+        return _rank_modp(rows, field.p)
+    return _rank_bareiss(rows)
+
+
+def _low_rank_product(rng, entries):
+    """An m x n integer matrix A·B through an inner size k, so the rank is
+    often below both dimensions."""
+    m, n, k = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+    A = [[rng.choice(entries) for _ in range(k)] for _ in range(m)]
+    B = [[rng.choice(entries) for _ in range(n)] for _ in range(k)]
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
 def test_rank_random_vs_rational_elimination():
     import random
 
@@ -82,47 +160,54 @@ def test_rank_random_vs_rational_elimination():
 
 def test_rank_int_and_fraction_entries_agree():
     # low-rank products with many zeros, so that pivots grow, columns are
-    # skipped and the rank is often below both dimensions
+    # skipped and the rank is often below both dimensions; the same matrix
+    # with Fraction entries is refused (int entries only)
     import random
 
     rng = random.Random(11)
     for _ in range(150):
-        m, n, k = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
-        A = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)] for _ in range(m)]
-        B = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(k)]
-        M = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
-        expected = _rank_by_fraction_elimination(M)
-        assert rank_exact(M) == expected, M
-        assert rank_exact([[Fraction(x) for x in row] for row in M]) == expected, M
+        M = _low_rank_product(rng, (0, 0, 0, 1, -1, 2, -3))
+        assert rank_exact(M) == _rank_by_fraction_elimination(M), M
+        with pytest.raises(TypeError):
+            rank_exact([[Fraction(x) for x in row] for row in M])
 
 
-def test_rank_mixed_entries_are_cleared(monkeypatch):
-    import shiftlab.betti as betti
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)], ids=str)
+def test_rank_matches_dense_oracle(field):
+    # no ±1 among the factors' entries, so over QQ most pivots are not units
+    # and the gcd division runs; 32003 and -64006 put entries >= p and
+    # negative multiples of p into the products
+    import random
 
-    seen = []
-    bareiss = betti._rank_bareiss
+    rng = random.Random(20261018)
+    for _ in range(400):
+        M = _low_rank_product(rng, (0, 0, 0, 2, -3, 4, 6, 32003, -64006))
+        assert rank_exact(M, field) == dense_rank(M, field), M
 
-    def spy(rows):
-        seen.append([list(r) for r in rows])
-        return bareiss(rows)
 
-    monkeypatch.setattr(betti, "_rank_bareiss", spy)
-    # read with floor division, the 1/2 would vanish and give rank 1
-    assert rank_exact([[Fraction(1, 2), 0], [0, 1]]) == 2
-    assert seen == [[[1, 0], [0, 1]]]  # rows scaled to integers first
-    assert rank_exact([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 1
-    assert seen[-1] == [[1, 2], [1, 2]]
+def test_rank_mixed_entries_are_rejected():
+    # each of these used to be coerced: the 1/2 and the 0.5 went through
+    # int() to 0 over GF(3), and over QQ the 0.5 was read as a Fraction
+    for M in ([[Fraction(1, 2), 0], [0, 1]], [[Fraction(1, 3), Fraction(2, 3)], [1, 2]],
+              [[Fraction(1, 2)]], [[0.5]], [[1, 0.0]], [[True, 0], [0, 1]]):
+        for field in (QQ, PrimeField(3)):
+            with pytest.raises(TypeError, match="int entries only"):
+                rank_exact(M, field)
 
 
 def test_rank_leaves_its_argument_alone():
     for M, field in (
         ([[2, 4, 0], [1, 2, 3], [0, 0, 5]], QQ),
         ([[2, 4, 0], [1, 2, 3], [0, 0, 5]], PrimeField(3)),
-        ([[Fraction(1, 2), 1], [1, 2]], QQ),
+        ([[-1, 1, 0], [0, -1, 1], [1, 0, -1]], QQ),
     ):
         before = [list(row) for row in M]
         rank_exact(M, field)
         assert M == before
+    M = [[Fraction(1, 2), 1], [1, 2]]
+    with pytest.raises(TypeError):
+        rank_exact(M)
+    assert M == [[Fraction(1, 2), 1], [1, 2]]
 
 
 # --- lcm lattice ---------------------------------------------------------------

@@ -304,6 +304,17 @@ def test_complex_from_json_checks_entry_mdeg(field, value):
         complex_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "mdeg", [[1, 1, 7], [1], [-1, 1], [1.0, 1], [True, 1], ["1", 1], 5, None, "11"]
+)
+def test_complex_from_json_checks_basis_mdeg(mdeg):
+    obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
+    assert obj["modules"][2][0]["mdeg"] == [1, 1]
+    obj["modules"][2][0]["mdeg"] = mdeg
+    with pytest.raises(ValueError, match="basis mdegs"):
+        complex_from_json(obj)
+
+
 def test_free_complex_validates_shape():
     with pytest.raises(ValueError):
         FreeComplex([[]], [])

@@ -25,6 +25,7 @@ from shiftlab import (
     total_degree,
 )
 from shiftlab.betti import _koszul_faces, strand_matrices
+from test_betti import dense_rank
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
 
@@ -52,7 +53,8 @@ def test_every_constructed_complex_verifies(corpus_results):
         assert rec["min_ok_q"] and rec["min_ok_p"], rec["ideal"]
 
 
-# --- three-way oracle: Taylor strand vs upper Koszul complex vs minimalized Taylor
+# --- three-way oracle: Taylor strand vs upper Koszul complex vs minimalized Taylor,
+# each strand rank also checked against dense elimination
 
 GF = PrimeField(32003)
 S13 = Path(__file__).resolve().parent.parent / "bench" / "ideals" / "S13.ideal"
@@ -86,14 +88,16 @@ def _koszul_by_definition(I, alpha) -> list[int]:
 
 def _homology(faces, fields, memo) -> list[dict]:
     """Per field, {s: dim} of the homology at face size s of the complex on
-    these faces.  It depends on the face list alone, so memo keeps it by
-    that list (the fields stay the same for one memo)."""
+    these faces, with each rank checked against dense elimination.  It
+    depends on the face list alone, so memo keeps it by that list (the
+    fields stay the same for one memo)."""
     key = tuple(faces)
     if key not in memo:
         by_size, mats = strand_matrices(faces)
         memo[key] = []
         for field in fields:
             ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
+            assert ranks == {s: dense_rank(mat, field) for s, mat in mats.items()}, faces
             dims = {s: len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
                     for s, level in by_size.items()}
             memo[key].append({s: d for s, d in dims.items() if d})
