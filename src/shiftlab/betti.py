@@ -29,7 +29,7 @@ from math import gcd
 from operator import itemgetter
 
 from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
-from .fields import PrimeField, QQ
+from .fields import QQ, characteristic
 from .monomials import MonomialIdeal, total_degree
 
 
@@ -46,7 +46,7 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
     so every step is exact integer arithmetic.  The argument is never
     modified.
     """
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = characteristic(field)
     nonzero = itemgetter(1)
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = defaultdict(set)

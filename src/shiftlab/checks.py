@@ -66,8 +66,9 @@ class InequalityReport:
 
 
 def _shift_at(t: ShiftProfile, a: int) -> int | None:
-    """t_a, or None when a is past the projective dimension (module a vanishes)."""
-    return t[a] if a <= t.projdim else None
+    """t_a, or None when a is negative or past the projective dimension
+    (module a vanishes)."""
+    return t[a] if 0 <= a <= t.projdim else None
 
 
 def _holds(lhs, rhs) -> bool:
@@ -188,8 +189,8 @@ def check_range(
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}."""
     alpha, beta, p, q = _covering_pair(I, alpha, beta, field)
     t = profile if profile is not None else shifts(I, field)
-    if a > p + q:
-        raise ValueError(f"a={a} exceeds p+q={p + q}")
+    if not 0 <= a <= p + q:
+        raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
     s = p + q - a
     rhs, splits = _best_splits(t, a, p - s, p)
     lhs = _shift_at(t, a)
@@ -260,7 +261,10 @@ def check_multiple(
     """t_{a_1 + ... + a_r}(I) <= t_{a_1}(I) + ... + t_{a_r}(I) for
     multidegrees alpha_i of nonzero Betti entries at a_i whose restrictions
     jointly cover I."""
-    covers = [(tuple(alpha), int(a)) for alpha, a in covers]
+    covers = [(tuple(alpha), a) for alpha, a in covers]
+    for alpha, a in covers:
+        if type(a) is not int or not all(type(e) is int for e in alpha):
+            raise ValueError(f"cover ({alpha}, {a!r}) needs an int index and int exponents")
     if not covers:
         raise ValueError("empty cover list")
     tab = table if table is not None else multigraded_betti(I, field)

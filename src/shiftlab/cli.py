@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .betti import betti_records, format_betti_grid, multigraded_betti
@@ -54,9 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
+def _nat(text: str) -> int:
+    """ASCII digits and nothing else, as exponents in the ideal text format
+    (int() alone also reads '1_0', ' 2' and full-width digits)."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise ValueError(f"{text!r} is not ASCII digits")
+    return int(text)
+
+
 def _vec(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
+        return tuple(_nat(x) for x in text.replace("(", "").replace(")", "").split(","))
     except ValueError:
         raise CLIUsageError(f"bad exponent vector {text!r}") from None
 
@@ -64,7 +73,7 @@ def _vec(text: str) -> tuple[int, ...]:
 def _cover(text: str) -> tuple[tuple[int, ...], int]:
     head, _, tail = text.partition(":")
     try:
-        return _vec(tail), int(head)
+        return _vec(tail), _nat(head)
     except (CLIUsageError, ValueError):
         raise CLIUsageError(f"bad cover {text!r}, expected 'a:e1,e2,...'") from None
 
@@ -221,7 +230,7 @@ def cmd_check(args) -> int:
 
 def cmd_random(args) -> int:
     field = field_from_spec(args.field)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     try:
         for index, I in random_ideal_stream(args.seed, args.count, args.n,
                                             args.m, args.maxexp):

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .fields import QQ
+from .fields import QQ, characteristic
 from .monomials import MonomialIdeal, divides, join, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
@@ -207,13 +208,25 @@ class VerifyReport:
         return f"complex INVALID at {self.location}: {self.problem}"
 
 
+def _check_coeffs(F: FreeComplex, p: int) -> None:
+    """Every coefficient is an int, or over QQ (p = 0) an int or a Fraction;
+    anything else (a float, a bool, a Fraction over GF(p)) raises TypeError."""
+    allowed = (int,) if p else (int, Fraction)
+    bad = {type(c) for level in F.diffs for col in level for _, c in col}.difference(allowed)
+    if bad:
+        names = lambda types: " or ".join(sorted(t.__name__ for t in types))
+        raise TypeError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
+
+
 def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     """Check multigraded homogeneity of every entry and that consecutive
-    differentials compose to zero.  Failures are reported, not raised.
+    differentials compose to zero.  Failures are reported, not raised; a
+    coefficient outside the contract of minimalize raises TypeError.
 
-    Pass the complex's coefficient field: entries of a GF(p) complex are
-    stored as ints in [0, p), so d∘d only cancels modulo p.
+    Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
+    p = characteristic(field)
+    _check_coeffs(F, p)
     for a in range(1, len(F.modules)):
         for j, col in enumerate(F.diffs[a]):
             for row, _ in col:
@@ -232,7 +245,7 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
                 for row2, coeff2 in F.diffs[a - 1][row]:
                     acc[row2] = acc.get(row2, 0) + coeff * coeff2
             for row2, total in acc.items():
-                if not field.is_zero(field.of(total)):
+                if (total % p if p else total) != 0:
                     return VerifyReport(
                         False, "d∘d has a nonzero entry", (a, j, row2)
                     )
@@ -266,7 +279,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     """Cancel invertible differential entries until none remain.
 
     A pivot is an entry whose column and row basis elements share a
-    multidegree (so its monomial is 1) with invertible coefficient.
+    multidegree (so its monomial is 1) with nonzero coefficient.
     Cancelling it splits off a trivial two-term summand: the classic update
     M[g',f'] -= M[g,f']*M[g',f]/M[g,f] runs on the pivot's level, the pivot
     column's row disappears from the level above, and the pivot row's
@@ -275,7 +288,12 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
 
     Pivots are taken smallest (level, row, column) first, which makes the
     output deterministic; surviving basis elements keep their input labels.
+    Coefficients must be ints (read mod p over GF(p)), or over QQ also
+    Fractions, else TypeError; over QQ only a non-unit pivot c brings in a
+    Fraction, as Fraction(1, c).
     """
+    p = characteristic(field)
+    _check_coeffs(F, p)
     L = F.length
     basis = [
         {j: be.mdeg for j, be in enumerate(mod)} for mod in F.modules
@@ -287,8 +305,8 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
         for j, col in enumerate(F.diffs[a]):
             d = {}
             for row, coeff in col:
-                c = field.of(coeff)
-                if field.is_zero(c):
+                c = coeff % p if p else coeff
+                if not c:
                     continue
                 d[row] = c
                 rows[a].setdefault(row, set()).add(j)
@@ -319,17 +337,19 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
             c = cols[a].get(f, {}).get(g)
             if c is None:  # cancelled, or eliminated since it was pushed
                 continue
-            cinv = field.inv(c)
+            cinv = pow(c, -1, p) if p else c if c in (1, -1) else Fraction(1, c)
             pivot_col = [(g2, d) for g2, d in cols[a][f].items() if g2 != g]
             pivot_row = [
                 (f2, cols[a][f2][g]) for f2 in rows[a].get(g, ()) if f2 != f
             ]
             for f2, b in pivot_row:
-                factor = field.mul(cinv, b)
+                factor = b * cinv % p if p else b * cinv
                 target = cols[a][f2]
                 for g2, d in pivot_col:
-                    new = field.sub(target.get(g2, field.zero), field.mul(factor, d))
-                    if field.is_zero(new):
+                    new = target.get(g2, 0) - factor * d
+                    if p:
+                        new %= p
+                    if not new:
                         if g2 in target:
                             del target[g2]
                             rows[a][g2].discard(f2)
@@ -383,7 +403,10 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSON dump format (used by the CLI `dump` subcommand and golden tests); the
 # "mdeg" of each differential entry is column - row, and loading checks it
-# along with the basis multidegrees (lists of non-negative ints, all of one length)
+# along with the basis multidegrees (lists of non-negative ints, all of one
+# length) and each "coeff" (a string n or n/d in ASCII digits, d nonzero)
+
+_COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
 
 
 def _entry_mdeg(modules: list, a: int, j: int, row: int) -> list:
@@ -425,7 +448,10 @@ def complex_from_json(obj: dict) -> FreeComplex:
             ok = 0 < a and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1])
             if not ok or list(ent["mdeg"]) != _entry_mdeg(modules, a, j, row):
                 raise ValueError(f"dump entry {(a, j, row)}: mdeg is not column - row")
-            coeff = Fraction(ent["coeff"])
+            text = ent["coeff"]
+            if type(text) is not str or not _COEFF_RE.fullmatch(text):
+                raise ValueError(f"dump entry {(a, j, row)}: coeff {text!r} is not n or n/d")
+            coeff = Fraction(text)
             if coeff.denominator == 1:
                 coeff = int(coeff)
             cols[j].append((row, coeff))

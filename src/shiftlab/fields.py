@@ -1,8 +1,10 @@
-"""Coefficient fields for exact linear algebra: the rationals and GF(p)."""
+"""Coefficient fields for exact linear algebra: the rationals and GF(p).
+
+A field object only names its characteristic; the exact routines read it
+through ``characteristic`` and do their own int arithmetic, mod p over GF(p).
+"""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _is_prime(p: int) -> bool:
@@ -30,24 +32,7 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """Exact rational coefficients (Fraction-backed)."""
-
-    zero = Fraction(0)
-
-    def of(self, n):
-        return Fraction(n)
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    """The rationals: coefficients are ints, or Fractions where needed."""
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -66,22 +51,6 @@ class PrimeField:
         if not isinstance(p, int) or not 2 <= p < 2**31 or not _is_prime(p):
             raise ValueError(f"not a prime below 2**31: {p!r}")
         self.p = p
-        self.zero = 0
-
-    def of(self, n):
-        return int(n) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a % self.p, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -94,6 +63,15 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+
+def characteristic(field) -> int:
+    """0 for QQ, p for GF(p); any other object raises TypeError."""
+    if isinstance(field, PrimeField):
+        return field.p
+    if isinstance(field, Rationals):
+        return 0
+    raise TypeError(f"not a coefficient field: {field!r}")
 
 
 def field_from_spec(spec: str):

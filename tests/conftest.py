@@ -122,6 +122,10 @@ def corpus_results(corpus):
                 "scarf_in_taylor": scarf_in_taylor,
                 "min_ok_q": verify_complex(min_q, QQ).ok and is_minimal(min_q),
                 "min_ok_p": verify_complex(min_p, gf).ok and is_minimal(min_p),
+                "min_coeff_types": {
+                    type(c) for M in (min_q, min_p) for level in M.diffs
+                    for col in level for _, c in col
+                },
                 "min_msets_q": _mdeg_multisets(min_q),
                 "min_msets_p": _mdeg_multisets(min_p),
                 "table_msets_q": _table_multisets(table_q),

@@ -18,6 +18,7 @@ from shiftlab import (
     lcm_lattice,
     multigraded_betti,
 )
+from shiftlab.checks import _shift_at
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -145,8 +146,14 @@ def test_range_single_split(ex2, ex2_table):
     # a = p + q: s = 0, the window is {p}
     assert r.params["s"] == 0
     assert r.rhs == prof[2] + prof[2]
-    with pytest.raises(ValueError):
-        check_range(ex2, EX2_A, EX2_B, 5, profile=prof)
+    for a in (5, -1):  # -1 once read t_p through Python's negative indexing
+        with pytest.raises(ValueError, match="outside"):
+            check_range(ex2, EX2_A, EX2_B, a, profile=prof)
+
+
+def test_shift_at_negative_index_is_none():
+    t = ShiftProfile((0, 2, 3))
+    assert [_shift_at(t, a) for a in (-1, 0, 2, 3)] == [None, 0, 3, None]
 
 
 # --- the zero-dimensional window bound --------------------------------------------
@@ -199,6 +206,13 @@ def test_multiple_single_cover_tight():
 def test_multiple_rejects_bad_support(ex2, ex2_table):
     with pytest.raises(ValueError, match="support"):
         check_multiple(ex2, [((9, 9, 9, 9, 9, 9, 9), 2)], table=ex2_table)
+
+
+@pytest.mark.parametrize("cover", [(EX2_A, 2.9), (EX2_A, "2"), (EX2_A, True),
+                                   ((3.0, 2, 2, 2, 2, 0, 2), 2)], ids=repr)
+def test_multiple_rejects_coerced_cover(ex2, ex2_table, cover):
+    with pytest.raises(ValueError, match="int index"):
+        check_multiple(ex2, [cover, (EX2_B, 2)], table=ex2_table)
 
 
 def test_multiple_rejects_non_cover(ex2, ex2_table):

@@ -144,6 +144,18 @@ def test_check_missing_args_exit4(capsys):
     # a multidegree that is not a Betti support point at that index
     rc, _, err = run(capsys, "check", EX2, "multiple", "--cover", "1:1,1,1,1,1,1,1")
     assert rc == 4 and "not a Betti support point" in err
+    # vectors and cover indices are ASCII digits only, as in the ideal text format
+    pair = ["--alpha", "3,2,2,2,2,0,2", "--beta", "2,2,3,2,2,2,0"]
+    for bad in ("2,2,3,2,2,2,0_0", "2,2,\uff13,2,2,2,0", "2,2,3,2,2,2,-0", "2, 2,3,2,2,2,0"):
+        rc, _, err = run(capsys, "check", EX2, "covering", *pair[:3], bad)
+        assert rc == 4 and "bad exponent vector" in err, bad
+    for bad in ("2_0:3,2,2,2,2,0,2", "\uff12:3,2,2,2,2,0,2", "+2:3,2,2,2,2,0,2"):
+        rc, _, err = run(capsys, "check", EX2, "multiple", "--cover", bad,
+                         "--cover", "2:2,2,3,2,2,2,0")
+        assert rc == 4 and "bad cover" in err, bad
+    # a = -1 once reported a false violation (exit 1) through negative indexing
+    rc, out, err = run(capsys, "check", EX2, "range", *pair, "--at", "-1")
+    assert rc == 4 and out == "" and "a=-1" in err
 
 
 # --- random ------------------------------------------------------------------------
@@ -189,6 +201,9 @@ def test_random_out_file(tmp_path, capsys):
                      "--maxexp", "2", "--count", "5", "--out", str(ledger))
     assert rc == 0 and out == ""
     assert len(ledger.read_text().splitlines()) == 5
+    rc, _, _ = run(capsys, "random", "--seed", "3", "--n", "3", "--m", "3",
+                   "--maxexp", "2", "--count", "5", "--out", str(ledger))
+    assert rc == 0 and len(ledger.read_text().splitlines()) == 10  # appended
 
 
 # --- exit codes -----------------------------------------------------------------------

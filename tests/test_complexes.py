@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-from shiftlab.complexes import CapExceededError, FreeComplex
+from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -282,6 +283,76 @@ def test_star_shift_bound_example1(ex1, ex1_table):
     assert t[7] <= bound <= max(t[2] + t[5], t[3] + t[4])
 
 
+# --- the coefficient contract: ints, or over QQ also Fractions -------------------------
+
+R1 = Ring(["x"])
+
+
+def line_complex(mdegs, diffs):
+    """A complex on R1 with one basis element per multidegree (x^k as (k,))."""
+    modules = [[BasisElement((a, j), (k,)) for j, k in enumerate(level)]
+               for a, level in enumerate(mdegs)]
+    return FreeComplex(modules, diffs)
+
+
+def coeff_types(F):
+    return {type(c) for level in F.diffs for col in level for _, c in col}
+
+
+def test_verify_rejects_fraction_over_prime_field():
+    # d∘d = 1 * (1/2): nonzero over QQ; 1/2 is no GF(3) coefficient (it was
+    # once read as int(1/2) = 0 and the complex passed)
+    F = line_complex([[0], [1], [1]], [[], [[(0, Fraction(1, 2))]], [[(0, 1)]]])
+    assert not verify_complex(F, QQ).ok
+    with pytest.raises(TypeError, match="characteristic 3"):
+        verify_complex(F, PrimeField(3))
+
+
+def test_minimalize_rejects_fraction_over_prime_field():
+    F = line_complex([[0], [0]], [[], [[(0, Fraction(1, 2))]]])
+    assert minimalize(F, QQ).ranks() == (0,)
+    with pytest.raises(TypeError, match="Fraction"):
+        minimalize(F, PrimeField(3))
+
+
+@pytest.mark.parametrize("coeff", [1.0, 0.5, True], ids=repr)
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+def test_float_and_bool_coefficients_raise(coeff, field):
+    F = line_complex([[0], [0]], [[], [[(0, coeff)]]])
+    for routine in (minimalize, verify_complex):
+        with pytest.raises(TypeError, match=type(coeff).__name__):
+            routine(F, field)
+
+
+def test_minimalize_non_unit_pivot():
+    # d1(f0) = 2e0 + x e1, d1(f1) = 4e0 + 2x e1, d2(h) = 2f0 - f1: the first
+    # pivot is the equal-degree entry 2, which no corpus ideal reaches
+    F = line_complex(
+        [[1, 0], [1, 1], [1]],
+        [[], [[(0, 2), (1, 1)], [(0, 4), (1, 2)]], [[(0, 2), (1, -1)]]],
+    )
+    assert verify_complex(F, QQ).ok
+    M = minimalize(F, QQ)  # cancels (e0, f0) with Fraction(1, 2), then (f1, h)
+    assert M.ranks() == (1,) and [be.label for be in M.modules[0]] == [(0, 1)]
+    assert verify_complex(M, QQ).ok and is_minimal(M)
+    gf2 = PrimeField(2)
+    M2 = minimalize(F, gf2)  # 2 and 4 vanish; only (f1, h) cancels
+    assert M2.ranks() == (2, 1) and M2.diffs[1] == [[(1, 1)]]
+    assert verify_complex(M2, gf2).ok and is_minimal(M2)
+    assert coeff_types(M2) == {int}
+
+
+def test_minimalize_non_unit_pivot_leaves_fraction():
+    # d1(f0) = 2e0 + x e1, d1(f1) = e0: cancelling (e0, f0) leaves
+    # d1(f1) = -1/2 x e1, which survives a dump round trip
+    F = line_complex([[1, 0], [1, 1]], [[], [[(0, 2), (1, 1)], [(0, 1)]]])
+    M = minimalize(F, QQ)
+    assert M.diffs[1] == [[(0, Fraction(-1, 2))]] and coeff_types(M) == {Fraction}
+    assert complex_from_json(json.loads(dumps_complex(M))).diffs == M.diffs
+    M2 = minimalize(F, PrimeField(2))
+    assert M2.ranks() == (1, 1) and M2.diffs[1] == [[(0, 1)]]
+
+
 # --- dump format ---------------------------------------------------------------------
 
 def test_complex_json_roundtrip(ex2):
@@ -312,6 +383,20 @@ def test_complex_from_json_checks_basis_mdeg(mdeg):
     assert obj["modules"][2][0]["mdeg"] == [1, 1]
     obj["modules"][2][0]["mdeg"] = mdeg
     with pytest.raises(ValueError, match="basis mdegs"):
+        complex_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [0.1, 1, True, None, "1_0", "1e3", " 2 ", "+1", "1/0", "1/00", "1/-2", "1.5",
+     "\uff12", "2\n", ""],
+    ids=repr,
+)
+def test_complex_from_json_checks_coeff(coeff):
+    obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
+    assert obj["differentials"][2][0]["coeff"] == "1"
+    obj["differentials"][2][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match="coeff"):
         complex_from_json(obj)
 
 

@@ -53,6 +53,12 @@ def test_every_constructed_complex_verifies(corpus_results):
         assert rec["min_ok_q"] and rec["min_ok_p"], rec["ideal"]
 
 
+def test_minimalize_keeps_int_coefficients(corpus_results):
+    # every corpus pivot is a unit, so neither field ever leaves the ints
+    for rec in corpus_results["rows"]:
+        assert rec["min_coeff_types"] <= {int}, rec["ideal"]
+
+
 # --- three-way oracle: Taylor strand vs upper Koszul complex vs minimalized Taylor,
 # each strand rank also checked against dense elimination
 
