@@ -12,16 +12,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import product
+from operator import or_
 
 from .betti import lcm_lattice, multigraded_betti, shifts
 from .complexes import GENERATOR_CAP, ShiftProfile
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,
-    divides,
-    is_covering_pair,
     contains_all_pure_powers,
+    generators_below,
+    is_covering_pair,
     join,
     pure_power_exponents,
     restrict_ideal,
@@ -271,11 +272,11 @@ def check_multiple(
     for alpha, a in covers:
         if (a, alpha) not in tab.entries:
             raise ValueError(f"({a}, {alpha}) is not a Betti support point")
-    for g in I.gens:
-        if not any(divides(g, alpha) for alpha, _ in covers):
-            raise CoveringPairError(
-                f"generator {g} is below none of the cover multidegrees"
-            )
+    missing = ((1 << I.m) - 1) & ~reduce(
+        or_, (generators_below(I, alpha) for alpha, _ in covers))
+    if missing:
+        g = I.gens[(missing & -missing).bit_length() - 1]
+        raise CoveringPairError(f"generator {g} is below none of the cover multidegrees")
     t = tab.shift_profile()
     total = sum(a for _, a in covers)
     lhs = _shift_at(t, total)
@@ -299,17 +300,22 @@ def find_covering_pairs(
     the Betti-support multidegrees at that homological index.  Pairs come
     back lexicographically sorted; user-chosen vectors outside the lattice
     can always be validated directly with is_covering_pair.
+
+    Each candidate's generator bitmask is computed once; a pair covers I
+    when the partner's mask holds every generator the first one misses.
     """
     if at is None:
         candidates = lcm_lattice(I, cap)
     else:
         tab = table if table is not None else multigraded_betti(I, field, cap)
         candidates = tab.support_at(at)
-    return [
-        (a, b)
-        for a, b in combinations_with_replacement(candidates, 2)
-        if is_covering_pair(I, a, b)
-    ]
+    masks = [generators_below(I, c) for c in candidates]
+    full = (1 << I.m) - 1
+    pairs = []
+    for i, (a, mask) in enumerate(zip(candidates, masks)):
+        need = full & ~mask
+        pairs += [(a, b) for b, mb in zip(candidates[i:], masks[i:]) if mb & need == need]
+    return pairs
 
 
 # ---------------------------------------------------------------------------

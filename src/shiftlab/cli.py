@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .betti import betti_records, format_betti_grid, multigraded_betti
@@ -33,7 +32,7 @@ from .complexes import (
 )
 from .fields import field_from_spec
 from .golden import golden_ok, verify_golden
-from .monomials import IdealSyntaxError, load_ideal
+from .monomials import IdealSyntaxError, ascii_int, load_ideal
 from .randomgen import random_ideal_stream
 
 EXIT_OK = 0
@@ -55,17 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
-def _nat(text: str) -> int:
-    """ASCII digits and nothing else, as exponents in the ideal text format
-    (int() alone also reads '1_0', ' 2' and full-width digits)."""
-    if not re.fullmatch(r"[0-9]+", text):
-        raise ValueError(f"{text!r} is not ASCII digits")
-    return int(text)
+def _signed_int(text: str) -> int:
+    """A seed or an index: ASCII digits after an optional '-', so that a
+    negative index reaches the check that names it.  Counts, exponents and
+    the cap are plain ascii_int."""
+    return ascii_int(text, signed=True)
 
 
 def _vec(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_nat(x) for x in text.replace("(", "").replace(")", "").split(","))
+        return tuple(ascii_int(x) for x in text.replace("(", "").replace(")", "").split(","))
     except ValueError:
         raise CLIUsageError(f"bad exponent vector {text!r}") from None
 
@@ -73,7 +71,7 @@ def _vec(text: str) -> tuple[int, ...]:
 def _cover(text: str) -> tuple[tuple[int, ...], int]:
     head, _, tail = text.partition(":")
     try:
-        return _vec(tail), _nat(head)
+        return _vec(tail), ascii_int(head)
     except (CLIUsageError, ValueError):
         raise CLIUsageError(f"bad cover {text!r}, expected 'a:e1,e2,...'") from None
 
@@ -81,7 +79,7 @@ def _cover(text: str) -> tuple[tuple[int, ...], int]:
 def _add_common(sub):
     sub.add_argument("--field", default="q", help="q (rationals) or p:<prime>")
     sub.add_argument("--format", default="text", choices=["text", "json"])
-    sub.add_argument("--cap", type=int, default=GENERATOR_CAP,
+    sub.add_argument("--cap", type=ascii_int, default=GENERATOR_CAP,
                      help="generator count cap for 2^m constructions")
 
 
@@ -106,19 +104,19 @@ def build_parser() -> _Parser:
                                      "covering", "range", "general", "multiple"])
     c.add_argument("--alpha", help="exponent vector e1,e2,...")
     c.add_argument("--beta", help="exponent vector e1,e2,...")
-    c.add_argument("--at", type=int, help="homological index a (range/general)")
-    c.add_argument("--p", type=int, help="window parameter p (general)")
+    c.add_argument("--at", type=_signed_int, help="homological index a (range/general)")
+    c.add_argument("--p", type=_signed_int, help="window parameter p (general)")
     c.add_argument("--cover", action="append", default=[],
                    help="a:e1,e2,... (multiple; repeatable)")
     _add_common(c)
     c.set_defaults(func=cmd_check)
 
     r = sub.add_parser("random", help="probe random ideals, one JSON line each")
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--n", type=int, required=True, help="variable count")
-    r.add_argument("--m", type=int, required=True, help="minimal generator count")
-    r.add_argument("--maxexp", type=int, required=True)
-    r.add_argument("--count", type=int, required=True)
+    r.add_argument("--seed", type=_signed_int, required=True)
+    r.add_argument("--n", type=ascii_int, required=True, help="variable count")
+    r.add_argument("--m", type=ascii_int, required=True, help="minimal generator count")
+    r.add_argument("--maxexp", type=ascii_int, required=True)
+    r.add_argument("--count", type=ascii_int, required=True)
     r.add_argument("--out", help="append ledger lines here instead of stdout")
     _add_common(r)
     r.set_defaults(func=cmd_random)

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 from .fields import QQ, characteristic
 from .monomials import MonomialIdeal, divides, join, total_degree
@@ -171,25 +172,22 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     a row of smaller multidegree, which is retained too.  Restriction of a
     minimal complex is minimal (no entries are created).
     """
-    keep = [
-        [j for j, be in enumerate(mod) if divides(be.mdeg, alpha)]
-        for mod in F.modules
-    ]
-    remap = [{j: i for i, j in enumerate(level)} for level in keep]
-    modules = [[F.modules[a][j] for j in keep[a]] for a in range(len(keep))]
+    n = next((len(be.mdeg) for mod in F.modules for be in mod), len(alpha))
+    if len(alpha) != n:
+        raise ValueError(f"length mismatch: {n} vs {len(alpha)}")
+    keep = [[j for j, be in enumerate(mod) if all(map(le, be.mdeg, alpha))]
+            for mod in F.modules]
+    modules = [[mod[j] for j in level] for mod, level in zip(F.modules, keep)]
     diffs = [[]]
     for a in range(1, len(keep)):
-        level = []
-        for j in keep[a]:
-            col = []
-            for row, coeff in F.diffs[a][j]:
-                if row not in remap[a - 1]:
-                    raise ValueError(
-                        "restriction not closed: input complex is not homogeneous"
-                    )
-                col.append((remap[a - 1][row], coeff))
-            level.append(col)
-        diffs.append(level)
+        remap = {j: i for i, j in enumerate(keep[a - 1])}
+        try:
+            diffs.append([[(remap[row], coeff) for row, coeff in F.diffs[a][j]]
+                          for j in keep[a]])
+        except KeyError:
+            raise ValueError(
+                "restriction not closed: input complex is not homogeneous"
+            ) from None
     return _trimmed(modules, diffs)
 
 

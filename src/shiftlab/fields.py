@@ -6,6 +6,8 @@ through ``characteristic`` and do their own int arithmetic, mod p over GF(p).
 
 from __future__ import annotations
 
+from .monomials import ascii_int
+
 
 def _is_prime(p: int) -> bool:
     # deterministic Miller-Rabin, valid for p < 3_215_031_751 (bases 2,3,5,7)
@@ -81,7 +83,7 @@ def field_from_spec(spec: str):
         return QQ
     if s.startswith("p:"):
         try:
-            p = int(s[2:])
+            p = ascii_int(s[2:])
         except ValueError:
             raise ValueError(f"bad prime in field spec {spec!r}") from None
         return PrimeField(p)

@@ -12,12 +12,26 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Sequence
 
 Multidegree = tuple[int, ...]
 
+_DIGITS = "[0-9]+"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\^([0-9]+))?")
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\^({_DIGITS}))?")
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """The int written in ASCII digits, with one leading ``-`` if ``signed``.
+
+    This is the one digit rule of every numeric input: exponents in the
+    ideal text format, CLI options and vectors, and field primes.  int()
+    alone also reads '1_0', ' 2', '+2' and full-width digits.
+    """
+    if not re.fullmatch(("-?" if signed else "") + _DIGITS, text):
+        raise ValueError(f"{text!r} is not ASCII digits")
+    return int(text)
 
 
 class IdealSyntaxError(ValueError):
@@ -201,12 +215,21 @@ def restrict_ideal(I: MonomialIdeal, alpha: Multidegree) -> MonomialIdeal:
     return MonomialIdeal(I.ring, [g for g in I.gens if divides(g, alpha)])
 
 
+def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
+    """Bitmask of the minimal generators <= alpha: bit i is I.gens[i]."""
+    if len(alpha) != I.ring.n:
+        raise ValueError("vector length does not match ring")
+    mask = 0
+    for i, g in enumerate(I.gens):
+        if all(map(le, g, alpha)):
+            mask |= 1 << i
+    return mask
+
+
 def is_covering_pair(I: MonomialIdeal, alpha: Multidegree, beta: Multidegree) -> bool:
     """True iff I equals the sum of its restrictions below alpha and beta,
     i.e. every minimal generator is <= alpha or <= beta."""
-    if len(alpha) != I.ring.n or len(beta) != I.ring.n:
-        raise ValueError("vector length does not match ring")
-    return all(divides(g, alpha) or divides(g, beta) for g in I.gens)
+    return generators_below(I, alpha) | generators_below(I, beta) == (1 << I.m) - 1
 
 
 def height(I: MonomialIdeal) -> int:

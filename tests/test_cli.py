@@ -156,6 +156,12 @@ def test_check_missing_args_exit4(capsys):
     # a = -1 once reported a false violation (exit 1) through negative indexing
     rc, out, err = run(capsys, "check", EX2, "range", *pair, "--at", "-1")
     assert rc == 4 and out == "" and "a=-1" in err
+    # numeric options are ASCII digits too (a full-width one, an underscore)
+    for opt in (["--at", "\uff11"], ["--at", "1_0"], ["--at", "+1"], ["--cap", "2_2"]):
+        rc, out, err = run(capsys, "check", EX2, "range", *pair, *opt)
+        assert rc == 4 and out == "" and opt[0] in err, opt
+    rc, out, _ = run(capsys, "check", EX2, "general", "--at", "5", "--p", "\uff12")
+    assert rc == 4 and out == ""
 
 
 # --- random ------------------------------------------------------------------------
@@ -193,6 +199,33 @@ def test_random_empty(capsys):
     rc, out, _ = run(capsys, "random", "--seed", "1", "--n", "3", "--m", "3",
                      "--maxexp", "2", "--count", "0")
     assert rc == 0 and out.strip() == ""
+
+
+RANDOM_OK = {"--seed": "1", "--n": "3", "--m": "2", "--maxexp": "2", "--count": "1"}
+
+
+@pytest.mark.parametrize("opt,value", [
+    ("--maxexp", "0"),  # every draw was the zero vector: the stream never ended
+    ("--n", "-1"),
+    ("--n", "0"),
+    ("--n", "30"),  # past the variable pool; once reported as a bad generator
+    ("--m", "-1"),  # once printed "skipped" lines and exited 0
+    ("--count", "-2"),  # once printed nothing and exited 0
+    ("--seed", "1_0"),
+    ("--seed", "\uff11"),
+    ("--count", "1_0"),
+    ("--cap", "2_2"),
+])
+def test_random_bad_args_exit4(capsys, opt, value):
+    args = {**RANDOM_OK, opt: value}
+    rc, out, err = run(capsys, "random", *[x for kv in args.items() for x in kv])
+    assert rc == 4 and out == "" and err.startswith("shiftlab:")
+
+
+def test_random_negative_seed_ok(capsys):
+    rc, out, _ = run(capsys, "random", *[x for kv in {**RANDOM_OK, "--seed": "-3"}.items()
+                                         for x in kv])
+    assert rc == 0 and json.loads(out)["seed"] == -3
 
 
 def test_random_out_file(tmp_path, capsys):
@@ -241,8 +274,10 @@ def test_cap_exceeded_exit3(tmp_path, capsys):
 
 
 def test_bad_field_exit4(capsys):
-    rc, _, _ = run(capsys, "betti", EX2, "--field", "p:10")
-    assert rc == 4
+    # the prime is ASCII digits: p:\uff13 once ran over GF(3)
+    for spec in ("p:10", "p:\uff13", "p:3_1", "p: 3", "p:+3", "p:-3"):
+        rc, out, err = run(capsys, "betti", EX2, "--field", spec)
+        assert rc == 4 and out == "" and "prime" in err, spec
 
 
 def test_bad_usage_exit4(capsys):

@@ -203,6 +203,16 @@ def test_restrict_rejects_non_homogeneous_input(ex2):
         restrict_complex(F, F.modules[2][0].mdeg)
 
 
+@pytest.mark.parametrize("extra", [(0,), (9, 9), None])
+def test_restrict_rejects_wrong_length(ex2, extra):
+    # zip alone would truncate: ex2's top lcm plus a slot would keep every face
+    F = taylor_complex(ex2)
+    top = reduce(join, (be.mdeg for mod in F.modules for be in mod))
+    alpha = top[:-1] if extra is None else top + extra
+    with pytest.raises(ValueError, match=f"length mismatch: 7 vs {len(alpha)}"):
+        restrict_complex(F, alpha)
+
+
 # --- minimalization ----------------------------------------------------------------
 
 def test_minimalize_example2_gives_betti_ranks(ex2):

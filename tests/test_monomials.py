@@ -24,6 +24,7 @@ from shiftlab import (
     support,
     total_degree,
 )
+from shiftlab.monomials import ascii_int, generators_below
 
 RING7 = Ring("x y z u v w a".split())
 RING2 = Ring(["x", "y"])
@@ -182,6 +183,48 @@ def test_covering_pairs_from_both_examples(ex1, ex2):
     assert is_covering_pair(ex2, (3, 2, 2, 2, 2, 0, 2), (2, 2, 3, 2, 2, 2, 0))
     zero = ex2.ring.zero()
     assert not is_covering_pair(ex2, zero, zero)
+
+
+@st.composite
+def ideal_and_vectors(draw):
+    """A small ideal and two vectors, in or out of its lcm lattice."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vec.filter(any), max_size=6))
+    return MonomialIdeal(Ring([f"x{i}" for i in range(n)]), gens), draw(vec), draw(vec)
+
+
+@given(ideal_and_vectors())
+def test_covering_pair_matches_definition(case):
+    I, alpha, beta = case
+    below = generators_below(I, alpha)
+    assert below == sum(1 << i for i, g in enumerate(I.gens) if divides(g, alpha))
+    assert is_covering_pair(I, alpha, beta) == all(
+        divides(g, alpha) or divides(g, beta) for g in I.gens)
+
+
+def test_covering_pair_zero_ideal():
+    zero = MonomialIdeal(RING2, [])
+    assert is_covering_pair(zero, (0, 0), (0, 0))
+    assert generators_below(zero, (5, 5)) == 0
+
+
+@pytest.mark.parametrize("alpha,beta", [((1, 1, 1), (1, 1)), ((1, 1), (1,)),
+                                        ((), (1, 1))])
+def test_covering_pair_wrong_length(alpha, beta):
+    I = MonomialIdeal(RING2, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="length"):
+        is_covering_pair(I, alpha, beta)
+
+
+def test_ascii_int():
+    assert ascii_int("042") == 42 and ascii_int("-7", signed=True) == -7
+    for bad in ("", "-7", "+7", " 7", "7 ", "1_0", "\uff13", "0x1", "7.0"):
+        with pytest.raises(ValueError):
+            ascii_int(bad)
+    for bad in ("-", "--1", "+1", "-\uff11", "- 1"):
+        with pytest.raises(ValueError):
+            ascii_int(bad, signed=True)
 
 
 def test_covering_pair_union_generates(corpus, corpus_results):
