@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import ge, or_
 
 from .betti import lcm_lattice, multigraded_betti, shifts
 from .complexes import GENERATOR_CAP, ShiftProfile
@@ -205,15 +205,18 @@ def check_range(
     )
 
 
-def _window(n: int, m: int, a: int, p: int) -> tuple[int, int, list[str]]:
-    """The split window of the zero-dimensional bound, and its failed hypotheses."""
-    failed = [problem for bad, problem in (
+def _window_problems(n: int, m: int, a: int) -> list[str]:
+    """The failed hypotheses of the zero-dimensional bound that do not involve p."""
+    return [problem for bad, problem in (
         (m > 2 * n - 6, f"m={m} exceeds 2n-6={2 * n - 6}"),
         (2 * a < m + 4, f"a={a} is below (m+4)/2={(m + 4) / 2}"),
         (a > n, f"a={a} exceeds n={n}"),
-        (not m - a + 2 <= p <= a - 2, f"p={p} outside [{m - a + 2}, {a - 2}]"),
     ) if bad]
-    return p - (m - a), min(p, a // 2), failed
+
+
+def _window(m: int, a: int, p: int) -> tuple[int, int]:
+    """The split window [p - (m - a), min(p, a // 2)] of the zero-dimensional bound."""
+    return p - (m - a), min(p, a // 2)
 
 
 def check_general(
@@ -231,10 +234,12 @@ def check_general(
     problems = []
     if not contains_all_pure_powers(I):
         problems.append("some variable has no pure-power generator (dim S/I > 0)")
-    lo, hi, failed = _window(n, m, a, p)
-    problems += failed
+    problems += _window_problems(n, m, a)
+    if not m - a + 2 <= p <= a - 2:
+        problems.append(f"p={p} outside [{m - a + 2}, {a - 2}]")
     if problems:
         raise ValueError("; ".join(problems))
+    lo, hi = _window(m, a, p)
     pure = pure_power_exponents(I)
     alpha = tuple(pure[i] if i < p else 0 for i in range(n))
     rest = [g for g in I.gens if not (len(support(g)) == 1 and support(g)[0] < p)]
@@ -346,35 +351,29 @@ class SymbolicBound:
         )
 
 
-def _expansions(ms: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Closure of a term multiset under replacing some t_b by t_{b-1} + t_1."""
-    seen = {tuple(sorted(ms))}
-    frontier = [tuple(sorted(ms))]
-    while frontier:
-        cur = frontier.pop()
-        for k, b in enumerate(cur):
-            if b >= 2:
-                nxt = tuple(sorted(cur[:k] + cur[k + 1:] + (b - 1, 1)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+def _expansions(split: tuple[int, ...], a: int) -> set[tuple[int, ...]]:
+    """Closure of a split of t_a under replacing some t_b by t_{b-1} + t_1,
+    as count vectors (entry i - 1 counts the copies of t_i, 1 <= i < a): each
+    term b ends as one t_c with 1 <= c <= b plus b - c copies of t_1."""
+    out = set()
+    for cs in product(*(range(1, b + 1) for b in split)):
+        v = [0] * (a - 1)
+        v[0] = a - sum(cs)
+        for c in cs:
+            v[c - 1] += 1
+        out.add(tuple(v))
+    return out
 
 
-def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    cb, cs = Counter(big), Counter(small)
-    return all(cb[k] >= v for k, v in cs.items())
-
-
-def _max_union(multisets) -> tuple[int, ...]:
-    acc: dict[int, int] = {}
-    for ms in multisets:
-        for k, v in Counter(ms).items():
-            acc[k] = max(acc.get(k, 0), v)
-    out = []
-    for k in sorted(acc):
-        out.extend([k] * acc[k])
-    return tuple(out)
+def _minimal(vectors) -> list[tuple[int, ...]]:
+    """The minimal count vectors under entrywise <=.  A vector that contains a
+    different one has a larger total, so by increasing total each vector is
+    tested against the minima kept so far, not against every other vector."""
+    minima: list[tuple[int, ...]] = []
+    for v in sorted(vectors, key=sum):
+        if not any(all(map(ge, v, w)) for w in minima):
+            minima.append(v)
+    return minima
 
 
 def _symbolic_le(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -413,15 +412,18 @@ def _symbolic_le(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
 def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:
     """For each admissible p, the list of unordered index splits (i, a-i)
     appearing in the zero-dimensional window bound; empty when the
-    hypotheses fail for every p."""
+    hypotheses fail for every p.  n, m and a must be ints (``ValueError``
+    otherwise; a ``bool`` is not an int here)."""
+    for name, x in (("n", n), ("m", m), ("a", a)):
+        if type(x) is not int:
+            raise ValueError(f"{name}={x!r} is not an int")
+    if _window_problems(n, m, a):
+        return {}
     out: dict[int, list[tuple[int, int]]] = {}
-    for p in range(a - 1):  # p < 1 leaves no split
-        lo, hi, failed = _window(n, m, a, p)
-        if failed:
-            continue
-        splits = sorted(
-            {tuple(sorted((i, a - i))) for i in range(max(lo, 1), hi + 1) if a - i >= 1}
-        )
+    # p >= 1 for any split; hi <= a // 2 keeps each split ordered and distinct
+    for p in range(max(1, m - a + 2), a - 1):
+        lo, hi = _window(m, a, p)
+        splits = [(i, a - i) for i in range(max(lo, 1), hi + 1)]
         if splits:
             out[p] = splits
     return out
@@ -433,25 +435,26 @@ def derive_symbolic_bounds(n: int, m: int, a: int) -> list[SymbolicBound]:
     The consecutive rewrite t_b <= t_{b-1} + t_1 always yields
     t_a <= t_1 + t_{a-1}.  Whenever the zero-dimensional window hypotheses
     hold for some p, every multiset that dominates an expansion of each
-    window split is a valid bound; the minimal (non-dominated) ones are
-    kept.  All reported term indices are strictly below a.
+    window split is a valid bound; per window, the minimal ones among the
+    unions of one expansion per split are kept, then those that another
+    kept bound dominates through the consecutive rewrite are dropped.
+    Multisets are count vectors: the union takes the entrywise max,
+    containment is entrywise >=, and a candidate is kept unless it contains
+    a kept one of smaller total.  All reported term indices are strictly
+    below a.  n, m and a must be ints, as in ``general_windows``.
     """
+    windows = general_windows(n, m, a)
     if a < 2:
         raise ValueError("need a >= 2 for a nontrivial bound")
-    bounds: set[tuple[int, ...]] = {tuple(sorted((1, a - 1)))}
-    for splits in general_windows(n, m, a).values():
-        expansion_sets = [sorted(_expansions(s)) for s in splits]
-        candidates = set()
-        for choice in product(*expansion_sets):
-            candidates.add(_max_union(choice))
+    bounds: set[tuple[int, ...]] = {(1, a - 1)}
+    for splits in windows.values():
+        zero = (0,) * (a - 1)  # lets a one-split window take a max too
+        expansion_sets = [_expansions(s, a) for s in splits]
+        unions = {tuple(map(max, zero, *choice)) for choice in product(*expansion_sets)}
         # keep each window's own minimal consequences; a sharper bound from a
         # narrower window does not erase the wider window's weaker one
-        kept = {
-            cand
-            for cand in candidates
-            if not any(other != cand and _contains(cand, other) for other in candidates)
-        }
-        for cand in sorted(kept):
+        kept = [tuple(i for i, c in enumerate(v, 1) for _ in range(c)) for v in _minimal(unions)]
+        for cand in kept:
             dominated = any(
                 other != cand
                 and _symbolic_le(other, cand)

@@ -1,6 +1,8 @@
 import hashlib
 import re
-from itertools import combinations_with_replacement
+import signal
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -23,7 +25,7 @@ from shiftlab import (
     lcm_lattice,
     multigraded_betti,
 )
-from shiftlab.checks import _shift_at
+from shiftlab.checks import SymbolicBound, _expansions, _minimal, _shift_at, _symbolic_le
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -193,6 +195,10 @@ def test_general_preconditions_listed(zero_dim_7_8):
         check_general(zero_dim_7_8, 6, 2)
     with pytest.raises(ValueError, match="below"):
         check_general(zero_dim_7_8, 5, 4)
+    # every failed hypothesis is named, the p-range one last
+    with pytest.raises(ValueError) as exc:
+        check_general(zero_dim_7_8, 5, 9)
+    assert str(exc.value) == "a=5 is below (m+4)/2=6.0; p=9 outside [5, 3]"
 
 
 # --- multi-cover -------------------------------------------------------------------
@@ -294,9 +300,114 @@ def test_find_pairs_example1_needs_user_vector(ex1):
 
 # --- symbolic bounds ------------------------------------------------------------------
 
+# the (n, m, a) grid of the benchmark's symbolic sweep
+SYMBOLIC_GRID = [(n, m, a) for n in (7, 8, 9) for m in range(4, 2 * n - 5) for a in range(2, n + 1)]
+
+
+def brute_force_windows(n, m, a):
+    """The window splits straight from the hypotheses, tested for every p < a - 1."""
+    out = {}
+    for p in range(a - 1):
+        if m > 2 * n - 6 or 2 * a < m + 4 or a > n or not m - a + 2 <= p <= a - 2:
+            continue
+        lo, hi = p - (m - a), min(p, a // 2)
+        splits = sorted(
+            {tuple(sorted((i, a - i))) for i in range(max(lo, 1), hi + 1) if a - i >= 1})
+        if splits:
+            out[p] = splits
+    return out
+
+
+def brute_force_expansions(ms):
+    """Closure of a sorted term tuple under t_b -> t_{b-1} + t_1, one rewrite at a time."""
+    seen, frontier = {ms}, [ms]
+    while frontier:
+        cur = frontier.pop()
+        for k, b in enumerate(cur):
+            if b >= 2:
+                nxt = tuple(sorted(cur[:k] + cur[k + 1:] + (b - 1, 1)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def brute_force_contains(big, small):
+    cb, cs = Counter(big), Counter(small)
+    return all(cb[k] >= v for k, v in cs.items())
+
+
+def brute_force_max_union(multisets):
+    acc = Counter()
+    for ms in multisets:
+        acc |= Counter(ms)
+    return tuple(sorted(acc.elements()))
+
+
+def brute_force_candidates(splits):
+    return {brute_force_max_union(choice)
+            for choice in product(*(brute_force_expansions(s) for s in splits))}
+
+
+def brute_force_minimal(candidates):
+    return {c for c in candidates
+            if not any(o != c and brute_force_contains(c, o) for o in candidates)}
+
+
+def brute_force_symbolic_bounds(n, m, a):
+    """The closure on sorted term tuples, with the minimal filter pair by pair:
+    the oracle that the count-vector closure in derive_symbolic_bounds is
+    checked against."""
+    bounds = {(1, a - 1)}
+    for splits in brute_force_windows(n, m, a).values():
+        kept = brute_force_minimal(brute_force_candidates(splits))
+        for cand in kept:
+            if not any(o != cand and _symbolic_le(o, cand) and not _symbolic_le(cand, o)
+                       for o in kept):
+                bounds.add(cand)
+    return [SymbolicBound(a, b) for b in sorted(bounds)]
+
+
+def test_symbolic_matches_oracle_on_sweep():
+    for n, m, a in SYMBOLIC_GRID:
+        assert general_windows(n, m, a) == brute_force_windows(n, m, a), (n, m, a)
+        assert derive_symbolic_bounds(n, m, a) == brute_force_symbolic_bounds(n, m, a), (n, m, a)
+
+
+def count_vector(ms, a):
+    v = [0] * (a - 1)
+    for i in ms:
+        v[i - 1] += 1
+    return tuple(v)
+
+
+def test_symbolic_closure_steps_match_oracle():
+    # the output alone would not show a broken minimal filter: the
+    # domination pass that follows also drops every non-minimal union
+    for n, m, a in SYMBOLIC_GRID:
+        for splits in general_windows(n, m, a).values():
+            for s in splits:
+                assert _expansions(s, a) == {
+                    count_vector(e, a) for e in brute_force_expansions(s)}, (a, s)
+            candidates = brute_force_candidates(splits)
+            minima = _minimal({count_vector(c, a) for c in candidates})
+            assert set(minima) == {count_vector(c, a) for c in brute_force_minimal(candidates)}
+
+
+def test_windows_match_oracle_off_grid():
+    # negative and degenerate parameters, and both ends of every p range
+    for n in range(-1, 13):
+        for m in range(-3, 2 * n + 1):
+            for a in range(-2, n + 3):
+                assert general_windows(n, m, a) == brute_force_windows(n, m, a), (n, m, a)
+
+
 def test_symbolic_golden_a6():
-    bounds = {str(b) for b in derive_symbolic_bounds(7, 8, 6)}
-    assert "t_6 <= t_1 + t_2 + t_3" in bounds
+    assert [str(b) for b in derive_symbolic_bounds(7, 8, 6)] == [
+        "t_6 <= t_1 + t_2 + t_3",
+        "t_6 <= t_1 + t_5",
+        "t_6 <= t_2 + t_3 + t_3 + t_4",
+    ]
 
 
 def test_symbolic_golden_a7():
@@ -316,6 +427,31 @@ def test_symbolic_windows_empty_when_hypotheses_fail():
     assert general_windows(6, 6, 7) == {}  # a > n
     bounds = {str(b) for b in derive_symbolic_bounds(6, 6, 7)}
     assert bounds == {"t_7 <= t_1 + t_6"}
+
+
+def test_symbolic_huge_a_fails_fast():
+    # a > n fails for every p, so no p may be visited; a loop over them
+    # would take minutes, and the alarm turns that into a failure
+    def timeout(signum, frame):
+        raise TimeoutError("derive_symbolic_bounds(7, 8, 10**9) visited every p")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        bounds = derive_symbolic_bounds(7, 8, 10**9)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [str(b) for b in bounds] == ["t_1000000000 <= t_1 + t_999999999"]
+
+
+@pytest.mark.parametrize("nma", [(7.5, 8, 6), (True, 8, 2), (7, 8, 6.0), (7, 8, "6"),
+                                 (7, False, 6), (7, 8, None)], ids=repr)
+def test_symbolic_rejects_non_int(nma):
+    with pytest.raises(ValueError, match="is not an int"):
+        general_windows(*nma)
+    with pytest.raises(ValueError, match="is not an int"):
+        derive_symbolic_bounds(*nma)
 
 
 def test_symbolic_bounds_evaluate(zero_dim_7_8):
