@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import product
-from operator import ge, or_
+from operator import ge, le, or_
 
 from .betti import lcm_lattice, multigraded_betti, shifts
 from .complexes import GENERATOR_CAP, ShiftProfile
@@ -25,7 +25,6 @@ from .monomials import (
     is_covering_pair,
     join,
     pure_power_exponents,
-    restrict_ideal,
     support,
 )
 
@@ -120,16 +119,20 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
-def _covering_pair(I, alpha, beta, field):
+def _covering_pair(I, alpha, beta, field, profile):
     """Validate a covering pair for the checks that take one: returns
-    (alpha, beta, p, q) with alpha, beta as tuples and p, q the projective
-    dimensions of S/I restricted below them."""
+    (alpha, beta, p, q, t) with alpha, beta as tuples, p and q the projective
+    dimensions of S/I restricted below them, and t the given profile or else
+    that of I.  One Betti table of I serves all three: by the restriction
+    lemma, S/I restricted below alpha has the Betti numbers of S/I at the
+    multidegrees <= alpha, and none elsewhere."""
     alpha, beta = tuple(alpha), tuple(beta)
     if not is_covering_pair(I, alpha, beta):
         raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
-    p = multigraded_betti(restrict_ideal(I, alpha), field).projdim
-    q = multigraded_betti(restrict_ideal(I, beta), field).projdim
-    return alpha, beta, p, q
+    table = multigraded_betti(I, field)
+    p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
+    t = profile if profile is not None else table.shift_profile()
+    return alpha, beta, p, q, t
 
 
 def _best_splits(t: ShiftProfile, a: int, lo: int, hi: int):
@@ -156,8 +159,7 @@ def check_covering(
     a <= projdim S/I, t_a(I) <= max{t_i(I) + t_j(I) : i+j = a, i <= p, j <= q},
     where p and q are the projective dimensions of S/I restricted below
     alpha and beta."""
-    alpha, beta, p, q = _covering_pair(I, alpha, beta, field)
-    t = profile if profile is not None else shifts(I, field)
+    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile)
     reports = [
         InequalityReport(
             "covering-projdim",
@@ -188,8 +190,7 @@ def check_range(
 ) -> InequalityReport:
     """The window form of the covering bound: with s = p + q - a,
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}."""
-    alpha, beta, p, q = _covering_pair(I, alpha, beta, field)
-    t = profile if profile is not None else shifts(I, field)
+    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile)
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
     s = p + q - a
@@ -365,6 +366,16 @@ def _expansions(split: tuple[int, ...], a: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _unions(splits, a: int) -> set[tuple[int, ...]]:
+    """The unions (entrywise max) of one expansion per split, as count
+    vectors.  The splits are folded in one at a time, so each step keeps only
+    the distinct unions so far instead of every choice of expansions."""
+    unions = {(0,) * (a - 1)}
+    for expansions in [_expansions(s, a) for s in splits]:
+        unions = {tuple(map(max, u, e)) for u in unions for e in expansions}
+    return unions
+
+
 def _minimal(vectors) -> list[tuple[int, ...]]:
     """The minimal count vectors under entrywise <=.  A vector that contains a
     different one has a larger total, so by increasing total each vector is
@@ -448,12 +459,10 @@ def derive_symbolic_bounds(n: int, m: int, a: int) -> list[SymbolicBound]:
         raise ValueError("need a >= 2 for a nontrivial bound")
     bounds: set[tuple[int, ...]] = {(1, a - 1)}
     for splits in windows.values():
-        zero = (0,) * (a - 1)  # lets a one-split window take a max too
-        expansion_sets = [_expansions(s, a) for s in splits]
-        unions = {tuple(map(max, zero, *choice)) for choice in product(*expansion_sets)}
         # keep each window's own minimal consequences; a sharper bound from a
         # narrower window does not erase the wider window's weaker one
-        kept = [tuple(i for i, c in enumerate(v, 1) for _ in range(c)) for v in _minimal(unions)]
+        kept = [tuple(i for i, c in enumerate(v, 1) for _ in range(c))
+                for v in _minimal(_unions(splits, a))]
         for cand in kept:
             dominated = any(
                 other != cand

@@ -228,10 +228,10 @@ def cmd_check(args) -> int:
 
 def cmd_random(args) -> int:
     field = field_from_spec(args.field)
+    stream = random_ideal_stream(args.seed, args.count, args.n, args.m, args.maxexp)
     sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     try:
-        for index, I in random_ideal_stream(args.seed, args.count, args.n,
-                                            args.m, args.maxexp):
+        for index, I in stream:
             base = {"seed": args.seed, "index": index, "n": args.n, "m": args.m,
                     "maxexp": args.maxexp}
             if I is None:

@@ -280,9 +280,12 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     multidegree (so its monomial is 1) with nonzero coefficient.
     Cancelling it splits off a trivial two-term summand: the classic update
     M[g',f'] -= M[g,f']*M[g',f]/M[g,f] runs on the pivot's level, the pivot
-    column's row disappears from the level above, and the pivot row's
-    column disappears from the level below.  Homology is unchanged; on a
-    resolution the output is minimal, so its ranks are the Betti numbers.
+    column f leaves module a and the pivot row g leaves module a-1.  Levels
+    are cancelled in increasing a, each on a sparse matrix built when its
+    turn comes: rows already cancelled as columns one level down are left
+    out of it, and the finished level below just omits g from the output.
+    Homology is unchanged; on a resolution the output is minimal, so its
+    ranks are the Betti numbers.
 
     Pivots are taken smallest (level, row, column) first, which makes the
     output deterministic; surviving basis elements keep their input labels.
@@ -292,57 +295,33 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     """
     p = characteristic(field)
     _check_coeffs(F, p)
-    L = F.length
-    basis = [
-        {j: be.mdeg for j, be in enumerate(mod)} for mod in F.modules
-    ]
-    cols: list[dict] = [dict() for _ in range(L + 1)]
-    rows: list[dict] = [dict() for _ in range(L + 1)]
-    cand: list[list] = [[] for _ in range(L + 1)]
-    for a in range(1, L + 1):
-        for j, col in enumerate(F.diffs[a]):
-            d = {}
-            for row, coeff in col:
+    dead = [set() for _ in F.modules]  # the cancelled elements of each module
+    cols = [[]]  # cols[a][f]: the live entries {row: coeff} of column f of d_a
+    for a in range(1, len(F.modules)):
+        gone, below, here = dead[a - 1], F.modules[a - 1], F.modules[a]
+        level, rows, heap = [{} for _ in here], {}, []
+        for f, col in enumerate(F.diffs[a]):
+            for g, coeff in col:
                 c = coeff % p if p else coeff
-                if not c:
-                    continue
-                d[row] = c
-                rows[a].setdefault(row, set()).add(j)
-                if basis[a - 1][row] == basis[a][j]:
-                    heapq.heappush(cand[a], (row, j))
-            cols[a][j] = d
-        for j in range(len(F.modules[a])):
-            cols[a].setdefault(j, {})
-
-    def drop_row_above(a, f):
-        # module-a element f is also a row of the level-(a+1) differential
-        if a + 1 <= L:
-            for e in rows[a + 1].pop(f, ()):
-                cols[a + 1][e].pop(f, None)
-
-    def drop_col_below(a, g):
-        # module-(a-1) element g is also a column of the level-(a-1) differential
-        if a - 1 >= 1:
-            for row in cols[a - 1].pop(g, {}):
-                live = rows[a - 1].get(row)
-                if live is not None:
-                    live.discard(g)
-
-    for a in range(1, L + 1):
-        heap = cand[a]
+                if c and g not in gone:
+                    level[f][g] = c
+                    rows.setdefault(g, set()).add(f)
+                    if below[g].mdeg == here[f].mdeg:
+                        heap.append((g, f))
+        heapq.heapify(heap)
         while heap:
             g, f = heapq.heappop(heap)
-            c = cols[a].get(f, {}).get(g)
+            c = level[f].get(g)
             if c is None:  # cancelled, or eliminated since it was pushed
                 continue
             cinv = pow(c, -1, p) if p else c if c in (1, -1) else Fraction(1, c)
-            pivot_col = [(g2, d) for g2, d in cols[a][f].items() if g2 != g]
-            pivot_row = [
-                (f2, cols[a][f2][g]) for f2 in rows[a].get(g, ()) if f2 != f
-            ]
-            for f2, b in pivot_row:
+            pivot_col = [(g2, d) for g2, d in level[f].items() if g2 != g]
+            for f2 in rows.pop(g):
+                target = level[f2]
+                b = target.pop(g)
+                if f2 == f:
+                    continue
                 factor = b * cinv % p if p else b * cinv
-                target = cols[a][f2]
                 for g2, d in pivot_col:
                     new = target.get(g2, 0) - factor * d
                     if p:
@@ -350,34 +329,27 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
                     if not new:
                         if g2 in target:
                             del target[g2]
-                            rows[a][g2].discard(f2)
+                            rows[g2].discard(f2)
                     else:
                         if g2 not in target:
-                            rows[a].setdefault(g2, set()).add(f2)
+                            rows[g2].add(f2)
                         target[g2] = new
-                        if basis[a - 1][g2] == basis[a][f2]:
+                        if below[g2].mdeg == here[f2].mdeg:
                             heapq.heappush(heap, (g2, f2))
-            # detach the cancelled pair everywhere
-            for f2, _ in pivot_row:
-                cols[a][f2].pop(g, None)
             for g2, _ in pivot_col:
-                rows[a][g2].discard(f)
-            rows[a].pop(g, None)
-            cols[a].pop(f, None)
-            drop_row_above(a, f)
-            drop_col_below(a, g)
-            del basis[a][f]
-            del basis[a - 1][g]
+                rows[g2].discard(f)
+            level[f] = {}
+            dead[a].add(f)
+            gone.add(g)
+        cols.append(level)
 
-    modules, diffs, below = [], [], {}
-    for a in range(L + 1):
-        alive = sorted(basis[a])
-        modules.append([F.modules[a][j] for j in alive])
-        diffs.append([
-            [(below[row], cols[a][j][row]) for row in sorted(cols[a][j])]
-            for j in alive
-        ] if a else [])
-        below = {j: i for i, j in enumerate(alive)}  # new index of each survivor
+    modules, diffs, index = [], [], {}
+    for a, mod in enumerate(F.modules):
+        alive = [j for j in range(len(mod)) if j not in dead[a]]
+        modules.append([mod[j] for j in alive])
+        diffs.append([[(index[g], cols[a][j][g]) for g in sorted(cols[a][j])]
+                      for j in alive] if a else [])
+        index = {j: i for i, j in enumerate(alive)}  # new index of each survivor
     return _trimmed(modules, diffs)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .betti import multigraded_betti
@@ -88,177 +89,112 @@ class GoldenRow:
         return f"[{self.status.upper():4}] {self.name}: {self.detail}"
 
 
-def _row(name, ok, detail, note=False) -> GoldenRow:
-    if ok:
-        return GoldenRow(name, "pass", detail)
-    return GoldenRow(name, "note" if note else "fail", detail)
-
-
 def _guarded(rows: list, name: str, fn, note=False):
-    """Run one check; a raise (corrupted fixture, shorter resolution than
-    recorded, a pair that no longer covers) becomes a red row, not a crash."""
+    """Run one check and append its row; a raise (corrupted fixture, shorter
+    resolution than recorded, a pair that no longer covers) becomes a red
+    row, not a crash.  A failed check is a note when ``note`` is set."""
     try:
         ok, detail = fn()
     except Exception as exc:  # noqa: BLE001 - report, never die
         rows.append(GoldenRow(name, "fail", f"error: {exc}"))
         return
-    rows.append(_row(name, ok, detail, note=note))
+    rows.append(GoldenRow(name, "pass" if ok else "note" if note else "fail", detail))
 
 
 def verify_golden(fixtures_dir: str | None = None) -> list[GoldenRow]:
-    """Recompute every recorded value of the two bundled worked examples."""
+    """Recompute every recorded value of the two bundled worked examples.
+
+    Values that several rows share are computed on first use inside a
+    row's check, so a raise there fails each row that needs them."""
     rows: list[GoldenRow] = []
     I2 = example2(fixtures_dir)
     I1 = example1(fixtures_dir)
+    t2_q = cache(lambda: multigraded_betti(I2, QQ))
+    t1_q = cache(lambda: multigraded_betti(I1, QQ))
 
     # --- the 5-generator example -----------------------------------------
-    t2_q = multigraded_betti(I2, QQ)
-    t2_p = multigraded_betti(I2, PrimeField(CROSSCHECK_PRIME))
-    rows.append(
-        _row(
-            "ex2 Betti numbers (QQ)",
-            t2_q.totals() == EX2_BETTI,
-            f"computed {t2_q.totals()}, recorded {EX2_BETTI}",
-        )
-    )
-    rows.append(
-        _row(
-            f"ex2 Betti numbers (GF({CROSSCHECK_PRIME}))",
-            t2_p.totals() == EX2_BETTI,
-            f"computed {t2_p.totals()}, recorded {EX2_BETTI}",
-        )
-    )
-    prof2 = t2_q.shift_profile()
-    rows.append(
-        _row(
-            "ex2 maximal shifts",
-            tuple(prof2) == EX2_SHIFTS,
-            f"computed {tuple(prof2)}, recorded {EX2_SHIFTS}",
-        )
-    )
-    rows.append(
-        _row(
-            "ex2 projective dimension",
-            prof2.projdim == 4,
-            f"computed {prof2.projdim}, recorded 4",
-        )
-    )
-    h2 = height(I2)
-    rows.append(_row("ex2 height", h2 == EX2_HEIGHT, f"computed {h2}, recorded 2"))
-    t1_max = max(total_degree(g) for g in I2.gens)
-    rows.append(
-        _row(
-            "ex2 t_1 equals max generator degree",
-            prof2[1] == t1_max == 11,
-            f"t_1={prof2[1]}, max generator degree {t1_max}, recorded 11",
-        )
-    )
-    sup2 = t2_q.support_at(2)
-    pair_found = EX2_COVER_A in sup2 and EX2_COVER_B in sup2
-    rows.append(
-        _row(
-            "ex2 covering multidegrees lie in F_2 support",
-            pair_found,
-            f"{EX2_COVER_A} and {EX2_COVER_B} in Betti support at a=2: {pair_found}",
-        )
-    )
-    rows.append(
-        _row(
-            "ex2 covering pair",
-            is_covering_pair(I2, EX2_COVER_A, EX2_COVER_B),
-            f"I = I^<=alpha + I^<=beta for {EX2_COVER_A}, {EX2_COVER_B}",
-        )
-    )
-    _guarded(
-        rows,
-        "ex2 discovered by the F_2 search",
-        lambda: (
-            tuple(sorted((EX2_COVER_A, EX2_COVER_B)))
-            in find_covering_pairs(I2, at=2, table=t2_q),
-            "find_covering_pairs(at=2) returns the recorded pair",
-        ),
-    )
+    def _totals(table):
+        totals = table.totals()
+        return totals == EX2_BETTI, f"computed {totals}, recorded {EX2_BETTI}"
+
+    _guarded(rows, "ex2 Betti numbers (QQ)", lambda: _totals(t2_q()))
+    _guarded(rows, f"ex2 Betti numbers (GF({CROSSCHECK_PRIME}))",
+             lambda: _totals(multigraded_betti(I2, PrimeField(CROSSCHECK_PRIME))))
+    _guarded(rows, "ex2 maximal shifts", lambda: (
+        tuple(t2_q().shift_profile()) == EX2_SHIFTS,
+        f"computed {tuple(t2_q().shift_profile())}, recorded {EX2_SHIFTS}",
+    ))
+    _guarded(rows, "ex2 projective dimension", lambda: (
+        t2_q().projdim == 4, f"computed {t2_q().projdim}, recorded 4"))
+    _guarded(rows, "ex2 height", lambda: (
+        height(I2) == EX2_HEIGHT, f"computed {height(I2)}, recorded 2"))
+
+    def _t1():
+        t1, t1_max = t2_q().shift_profile()[1], max(total_degree(g) for g in I2.gens)
+        return t1 == t1_max == 11, f"t_1={t1}, max generator degree {t1_max}, recorded 11"
+
+    _guarded(rows, "ex2 t_1 equals max generator degree", _t1)
+
+    def _in_support():
+        sup2 = t2_q().support_at(2)
+        found = EX2_COVER_A in sup2 and EX2_COVER_B in sup2
+        return found, f"{EX2_COVER_A} and {EX2_COVER_B} in Betti support at a=2: {found}"
+
+    _guarded(rows, "ex2 covering multidegrees lie in F_2 support", _in_support)
+    _guarded(rows, "ex2 covering pair", lambda: (
+        is_covering_pair(I2, EX2_COVER_A, EX2_COVER_B),
+        f"I = I^<=alpha + I^<=beta for {EX2_COVER_A}, {EX2_COVER_B}",
+    ))
+    _guarded(rows, "ex2 discovered by the F_2 search", lambda: (
+        tuple(sorted((EX2_COVER_A, EX2_COVER_B)))
+        in find_covering_pairs(I2, at=2, table=t2_q()),
+        "find_covering_pairs(at=2) returns the recorded pair",
+    ))
 
     def _multiple():
-        rep = check_multiple(I2, [(EX2_COVER_A, 2), (EX2_COVER_B, 2)], table=t2_q)
-        return (
-            rep.holds and rep.lhs == 16 and rep.rhs == 26,
-            f"{rep.lhs} <= {rep.rhs}",
-        )
+        rep = check_multiple(I2, [(EX2_COVER_A, 2), (EX2_COVER_B, 2)], table=t2_q())
+        return rep.holds and rep.lhs == 16 and rep.rhs == 26, f"{rep.lhs} <= {rep.rhs}"
 
     _guarded(rows, "ex2 t_4 <= t_2 + t_2", _multiple)
 
     # --- the 12-generator example -----------------------------------------
-    t1_q = multigraded_betti(I1, QQ)
-    prof1 = t1_q.shift_profile()
-    rows.append(
-        _row(
-            "ex1 projective dimension",
-            prof1.projdim == EX1_PROJDIM,
-            f"computed {prof1.projdim}, recorded {EX1_PROJDIM}",
-        )
-    )
-    rows.append(
-        _row(
-            "ex1 covering pair",
-            is_covering_pair(I1, EX1_ALPHA, EX1_BETA),
-            f"alpha={EX1_ALPHA}, beta={EX1_BETA}",
-        )
-    )
+    _guarded(rows, "ex1 projective dimension", lambda: (
+        t1_q().projdim == EX1_PROJDIM,
+        f"computed {t1_q().projdim}, recorded {EX1_PROJDIM}",
+    ))
+    _guarded(rows, "ex1 covering pair", lambda: (
+        is_covering_pair(I1, EX1_ALPHA, EX1_BETA), f"alpha={EX1_ALPHA}, beta={EX1_BETA}"))
 
-    ring1 = I1.ring
-    printed_alpha = {parse_monomial(s, ring1) for s in EX1_PRINTED_RESTRICT_ALPHA}
-    computed_alpha = set(restrict_ideal(I1, EX1_ALPHA).gens)
-    rows.append(
-        _row(
-            "ex1 restriction below alpha matches the printed list",
-            printed_alpha == computed_alpha,
-            "computed {%s}; printed {%s} (known misprint: x^3*y^2*z^2 vs x^3*y^3*z^2)"
-            % (
-                ", ".join(sorted(format_monomial(g, ring1) for g in computed_alpha)),
-                ", ".join(sorted(EX1_PRINTED_RESTRICT_ALPHA)),
-            ),
-            note=True,
+    def _restriction(vector, printed, remark):
+        computed = set(restrict_ideal(I1, vector).gens)
+        listed = {parse_monomial(s, I1.ring) for s in printed}
+        return listed == computed, "computed {%s}; printed {%s} (%s)" % (
+            ", ".join(sorted(format_monomial(g, I1.ring) for g in computed)),
+            ", ".join(sorted(printed)),
+            remark,
         )
-    )
-    p_computed = multigraded_betti(restrict_ideal(I1, EX1_ALPHA), QQ).projdim
-    rows.append(
-        _row(
-            "ex1 p = projdim of the alpha restriction",
-            p_computed == EX1_PRINTED_P,
-            f"computed {p_computed}, recorded {EX1_PRINTED_P}",
-        )
-    )
-    printed_beta = {parse_monomial(s, ring1) for s in EX1_PRINTED_RESTRICT_BETA}
-    computed_beta = set(restrict_ideal(I1, EX1_BETA).gens)
-    rows.append(
-        _row(
-            "ex1 restriction below beta matches the printed list",
-            printed_beta == computed_beta,
-            "computed {%s}; printed {%s} (the printed list omits x^3*y^2*z^2)"
-            % (
-                ", ".join(sorted(format_monomial(g, ring1) for g in computed_beta)),
-                ", ".join(sorted(EX1_PRINTED_RESTRICT_BETA)),
-            ),
-            note=True,
-        )
-    )
-    q_computed = multigraded_betti(restrict_ideal(I1, EX1_BETA), QQ).projdim
-    rows.append(
-        _row(
-            "ex1 q = projdim of the beta restriction",
-            q_computed == EX1_PRINTED_Q,
-            f"computed {q_computed} from the definition, recorded {EX1_PRINTED_Q}",
-            note=True,
-        )
-    )
+
+    def _projdim(vector, recorded, source=""):
+        computed = multigraded_betti(restrict_ideal(I1, vector), QQ).projdim
+        return computed == recorded, f"computed {computed}{source}, recorded {recorded}"
+
+    _guarded(rows, "ex1 restriction below alpha matches the printed list",
+             lambda: _restriction(EX1_ALPHA, EX1_PRINTED_RESTRICT_ALPHA,
+                                  "known misprint: x^3*y^2*z^2 vs x^3*y^3*z^2"), note=True)
+    _guarded(rows, "ex1 p = projdim of the alpha restriction",
+             lambda: _projdim(EX1_ALPHA, EX1_PRINTED_P))
+    _guarded(rows, "ex1 restriction below beta matches the printed list",
+             lambda: _restriction(EX1_BETA, EX1_PRINTED_RESTRICT_BETA,
+                                  "the printed list omits x^3*y^2*z^2"), note=True)
+    _guarded(rows, "ex1 q = projdim of the beta restriction",
+             lambda: _projdim(EX1_BETA, EX1_PRINTED_Q, " from the definition"), note=True)
+
     def _top_inequality():
-        lhs = prof1[7]
-        rhs = max(prof1[2] + prof1[5], prof1[3] + prof1[4])
+        t = t1_q().shift_profile()
+        rhs = max(t[2] + t[5], t[3] + t[4])
         return (
-            lhs <= rhs,
-            f"t_7={lhs}, bound {rhs} "
-            f"(t_2={prof1[2]}, t_3={prof1[3]}, t_4={prof1[4]}, t_5={prof1[5]})",
+            t[7] <= rhs,
+            f"t_7={t[7]}, bound {rhs} (t_2={t[2]}, t_3={t[3]}, t_4={t[4]}, t_5={t[5]})",
         )
 
     _guarded(rows, "ex1 t_7 <= max{t_2 + t_5, t_3 + t_4}", _top_inequality)

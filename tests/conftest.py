@@ -4,9 +4,12 @@ The corpus results are computed once per session and shared between the
 property-suite module and the acceptance module; per ideal they hold the
 Betti tables in both field modes, the multidegree multisets of the
 minimalized Taylor complex in both field modes, Taylor/Scarf shift
-profiles, and the verification flags of every constructed complex.
+profiles, and the verification flags of every constructed complex; over
+the whole corpus they hold one sha256 per field of the concatenated dumps
+of the minimalized Taylor complexes, over QQ, GF(32003) and GF(2).
 """
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -17,6 +20,7 @@ from shiftlab import (
     PrimeField,
     QQ,
     divides,
+    dumps_complex,
     example1,
     example2,
     is_minimal,
@@ -82,7 +86,9 @@ def _table_multisets(table):
 @pytest.fixture(scope="session")
 def corpus_results(corpus):
     gf = PrimeField(CROSSCHECK_PRIME)
+    gf2 = PrimeField(2)
     rows = []
+    digests = {"qq": hashlib.sha256(), "gf": hashlib.sha256(), "gf2": hashlib.sha256()}
     timers = {"strand": 0.0, "minimalize": 0.0, "complexes": 0.0}
     for I in corpus:
         t0 = time.perf_counter()
@@ -108,6 +114,8 @@ def corpus_results(corpus):
         min_q = minimalize(taylor, QQ)
         min_p = minimalize(taylor, gf)
         timers["minimalize"] += time.perf_counter() - t0
+        for key, M in (("qq", min_q), ("gf", min_p), ("gf2", minimalize(taylor, gf2))):
+            digests[key].update(dumps_complex(M).encode())
 
         rows.append(
             {
@@ -132,7 +140,8 @@ def corpus_results(corpus):
                 "table_msets_p": _table_multisets(table_p),
             }
         )
-    return {"rows": rows, "timers": timers}
+    return {"rows": rows, "timers": timers,
+            "digests": {key: h.hexdigest() for key, h in digests.items()}}
 
 
 RESTRICTION_PAIRS = 100

@@ -2,6 +2,7 @@ import hashlib
 import re
 import signal
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -24,8 +25,17 @@ from shiftlab import (
     general_windows,
     lcm_lattice,
     multigraded_betti,
+    restrict_ideal,
 )
-from shiftlab.checks import SymbolicBound, _expansions, _minimal, _shift_at, _symbolic_le
+from shiftlab.checks import (
+    SymbolicBound,
+    _expansions,
+    _minimal,
+    _shift_at,
+    _symbolic_le,
+    _unions,
+)
+from shiftlab.golden import EX1_ALPHA, EX1_BETA
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -134,6 +144,34 @@ def test_covering_degenerate_pair(ex2, ex2_table):
     top = reduce(join, ex2.gens)
     reports = check_covering(ex2, top, top, profile=ex2_table.shift_profile())
     assert all(r.holds for r in reports)
+
+
+def restricted_projdims(I, alpha, beta):
+    """p and q straight from the definition: the projective dimensions of two
+    more Betti tables, of the ideals restricted below alpha and beta.  The
+    oracle for the covering checks, which read both from the table of I."""
+    return {"p": multigraded_betti(restrict_ideal(I, alpha)).projdim,
+            "q": multigraded_betti(restrict_ideal(I, beta)).projdim}
+
+
+def test_covering_p_q_match_restricted_tables(corpus_results, ex1, ex1_table):
+    # the pairs the benchmark's corpus workload checks: the first three found
+    cases = [(rec["ideal"], rec["profile"], pair) for rec in corpus_results["rows"]
+             for pair in find_covering_pairs(rec["ideal"])[:3]]
+    cases.append((ex1, ex1_table.shift_profile(), (EX1_ALPHA, EX1_BETA)))
+    assert len(cases) == 1329
+    for I, prof, (alpha, beta) in cases:
+        report = check_covering(I, alpha, beta, profile=prof)[0]
+        assert report.params == restricted_projdims(I, alpha, beta), (I, alpha, beta)
+        assert check_range(I, alpha, beta, 0, profile=prof).params["p"] == report.params["p"]
+
+
+def test_covering_profile_from_the_same_table(ex2, ex2_table):
+    prof = ex2_table.shift_profile()
+    assert check_covering(ex2, EX2_A, EX2_B) == check_covering(ex2, EX2_A, EX2_B, profile=prof)
+    for a in range(prof.projdim + 1):
+        assert check_range(ex2, EX2_A, EX2_B, a) == check_range(ex2, EX2_A, EX2_B, a,
+                                                                profile=prof)
 
 
 def test_range_matches_covering(ex2, ex2_table):
@@ -368,6 +406,30 @@ def brute_force_symbolic_bounds(n, m, a):
     return [SymbolicBound(a, b) for b in sorted(bounds)]
 
 
+def product_unions(splits, a):
+    """Every choice of one expansion per split at once (itertools.product),
+    then the entrywise max of each: the oracle for the one-split-at-a-time
+    fold in _unions."""
+    zero = (0,) * (a - 1)  # lets a one-split window take a max too
+    return {tuple(map(max, zero, *choice))
+            for choice in product(*(_expansions(s, a) for s in splits))}
+
+
+@contextmanager
+def alarm(seconds, message):
+    """Raise TimeoutError when the block runs longer than ``seconds``."""
+    def timeout(signum, frame):
+        raise TimeoutError(message)
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_symbolic_matches_oracle_on_sweep():
     for n, m, a in SYMBOLIC_GRID:
         assert general_windows(n, m, a) == brute_force_windows(n, m, a), (n, m, a)
@@ -392,6 +454,23 @@ def test_symbolic_closure_steps_match_oracle():
             candidates = brute_force_candidates(splits)
             minima = _minimal({count_vector(c, a) for c in candidates})
             assert set(minima) == {count_vector(c, a) for c in brute_force_minimal(candidates)}
+
+
+def test_symbolic_fold_matches_product():
+    for n, m, a in SYMBOLIC_GRID + [(11, 16, 11)]:
+        for splits in general_windows(n, m, a).values():
+            assert _unions(splits, a) == product_unions(splits, a), (n, m, a, splits)
+
+
+def test_symbolic_12_18_12_pinned():
+    # the product of every choice of expansions took about 35 s here; the
+    # fold takes about a second, and the alarm turns a regression into a failure
+    with alarm(10, "derive_symbolic_bounds(12, 18, 12) took more than 10 s"):
+        bounds = derive_symbolic_bounds(12, 18, 12)
+    text = "\n".join(map(str, bounds)).encode()
+    assert len(bounds) == 48
+    assert hashlib.sha256(text).hexdigest() == (
+        "a29c814364a4371060dc261fdbadecbcbd21cad6250e322a1f238b2f7b0a3201")
 
 
 def test_windows_match_oracle_off_grid():
@@ -432,16 +511,8 @@ def test_symbolic_windows_empty_when_hypotheses_fail():
 def test_symbolic_huge_a_fails_fast():
     # a > n fails for every p, so no p may be visited; a loop over them
     # would take minutes, and the alarm turns that into a failure
-    def timeout(signum, frame):
-        raise TimeoutError("derive_symbolic_bounds(7, 8, 10**9) visited every p")
-
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    try:
+    with alarm(5, "derive_symbolic_bounds(7, 8, 10**9) visited every p"):
         bounds = derive_symbolic_bounds(7, 8, 10**9)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert [str(b) for b in bounds] == ["t_1000000000 <= t_1 + t_999999999"]
 
 

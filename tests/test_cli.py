@@ -228,6 +228,14 @@ def test_random_negative_seed_ok(capsys):
     assert rc == 0 and json.loads(out)["seed"] == -3
 
 
+def test_random_bad_args_leave_no_ledger(tmp_path, capsys):
+    ledger = tmp_path / "ledger.jsonl"
+    rc, out, err = run(capsys, "random", "--seed", "1", "--n", "0", "--m", "3",
+                       "--maxexp", "2", "--count", "2", "--out", str(ledger))
+    assert rc == 4 and out == "" and err.startswith("shiftlab:")
+    assert not ledger.exists()
+
+
 def test_random_out_file(tmp_path, capsys):
     ledger = tmp_path / "ledger.jsonl"
     rc, out, _ = run(capsys, "random", "--seed", "2", "--n", "3", "--m", "3",
@@ -349,3 +357,40 @@ def test_verify_paper_corrupted_fixture(tmp_path, capsys):
     (tmp_path / "example2.ideal").write_text(text + "z^9\n")
     rc, out, _ = run(capsys, "verify-paper", "--fixtures", str(tmp_path))
     assert rc == 1 and "[FAIL]" in out
+
+
+def test_verify_paper_reports_raising_checks(tmp_path, capsys):
+    # an eighth variable makes every recorded ex1 vector too short: the
+    # checks that read one raise, and each such raise is a [FAIL] row
+    for name in ("example1.ideal", "example2.ideal", "koszul2.ideal"):
+        shutil.copy(str(FIXDIR / name), tmp_path / name)
+    text = (tmp_path / "example1.ideal").read_text()
+    (tmp_path / "example1.ideal").write_text(
+        text.replace("vars: x y z u v w a\n", "vars: x y z u v w a b\n"))
+    rc, out, _ = run(capsys, "verify-paper", "--fixtures", str(tmp_path))
+    lines = out.splitlines()
+    assert rc == 1
+    assert [line.split(":")[0] for line in lines if "error: " in line] == [
+        "[FAIL] ex1 covering pair",
+        "[FAIL] ex1 restriction below alpha matches the printed list",
+        "[FAIL] ex1 p = projdim of the alpha restriction",
+        "[FAIL] ex1 restriction below beta matches the printed list",
+        "[FAIL] ex1 q = projdim of the beta restriction",
+    ]
+    ex2 = [line for line in lines if line.startswith("[") and " ex2 " in line]
+    assert len(ex2) == 10 and all(line.startswith("[PASS]") for line in ex2)
+
+
+def test_verify_paper_shared_table_raise_fails_its_rows(tmp_path, capsys):
+    # 23 generators exceed the cap, so the shared Betti table of ex1 raises:
+    # every row that reads it fails, the rows that do not still run
+    for name in ("example1.ideal", "example2.ideal", "koszul2.ideal"):
+        shutil.copy(str(FIXDIR / name), tmp_path / name)
+    gens = "\n".join(f"a^{k}*x^{24 - k}" for k in range(1, 24))
+    (tmp_path / "example1.ideal").write_text(f"vars: x y z u v w a\n{gens}\n")
+    rc, out, _ = run(capsys, "verify-paper", "--fixtures", str(tmp_path))
+    failed = {line.split(":")[0] for line in out.splitlines() if "exceeds cap" in line}
+    assert rc == 1
+    assert failed == {"[FAIL] ex1 projective dimension",
+                      "[FAIL] ex1 t_7 <= max{t_2 + t_5, t_3 + t_4}"}
+    assert "[PASS] ex2 t_4 <= t_2 + t_2" in out

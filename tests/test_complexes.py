@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from shiftlab import (
     dumps_complex,
     is_minimal,
     join,
+    load_ideal,
     minimalize,
     multigraded_betti,
     restrict_complex,
@@ -441,3 +443,19 @@ def test_construction_digests(ex1, ex2):
         for kind, F in built.items():
             digest = hashlib.sha256(dumps_complex(F).encode()).hexdigest()
             assert digest == CONSTRUCTION_DIGESTS[(name, kind)], (name, kind)
+
+
+# sha256 of dumps_complex of the minimalized Taylor complex of the pinned
+# 13-generator stress ideal: 8192 faces, far more cancellations than ex1
+S13_MINIMAL_DIGESTS = {
+    "qq": "597f932802ea1e15254f041a674f59af30b58cefae119de53b4e344a9516ed08",
+    "gf": "432ad21fabafe840c2e62cefe2d27a54551db93852385889e1e26a2e7dcab0d1",
+}
+
+
+def test_s13_minimal_digests():
+    I = load_ideal(str(Path(__file__).resolve().parent.parent / "bench" / "ideals" / "S13.ideal"))
+    taylor = taylor_complex(I)
+    for key, field in (("qq", QQ), ("gf", PrimeField(32003))):
+        digest = hashlib.sha256(dumps_complex(minimalize(taylor, field)).encode()).hexdigest()
+        assert digest == S13_MINIMAL_DIGESTS[key], key

@@ -53,6 +53,21 @@ def test_every_constructed_complex_verifies(corpus_results):
         assert rec["min_ok_q"] and rec["min_ok_p"], rec["ideal"]
 
 
+# sha256 of the concatenated dumps_complex of every corpus ideal's minimalized
+# Taylor complex, per field.  The oracle tests above compare multidegree
+# multisets; these pin labels, order and coefficients byte for byte.  GF(2)
+# is where non-unit entries over QQ vanish.
+CORPUS_MINIMAL_DIGESTS = {
+    "qq": "b0d94c394c945b3c3268531d1f93bd7d9172790852550d5cb59a7d54c84b5abb",
+    "gf": "95ee27df213d68b8205597ff9427bfe97cc3a32cae7eaa309c6f3c3a708b7eba",
+    "gf2": "bc5668eebc5f87c43f9d2b659779172cd1b852c0fe9d4f893315903101da612e",
+}
+
+
+def test_corpus_minimal_digests(corpus_results):
+    assert corpus_results["digests"] == CORPUS_MINIMAL_DIGESTS
+
+
 def test_minimalize_keeps_int_coefficients(corpus_results):
     # every corpus pivot is a unit, so neither field ever leaves the ints
     for rec in corpus_results["rows"]:
