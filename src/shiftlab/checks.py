@@ -119,17 +119,19 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
-def _covering_pair(I, alpha, beta, field, profile):
+def _covering_pair(I, alpha, beta, field, profile, table):
     """Validate a covering pair for the checks that take one: returns
     (alpha, beta, p, q, t) with alpha, beta as tuples, p and q the projective
     dimensions of S/I restricted below them, and t the given profile or else
-    that of I.  One Betti table of I serves all three: by the restriction
-    lemma, S/I restricted below alpha has the Betti numbers of S/I at the
-    multidegrees <= alpha, and none elsewhere."""
+    that of I.  One Betti table of I (the given one, or else computed here)
+    serves all three: by the restriction lemma, S/I restricted below alpha
+    has the Betti numbers of S/I at the multidegrees <= alpha, and none
+    elsewhere."""
     alpha, beta = tuple(alpha), tuple(beta)
     if not is_covering_pair(I, alpha, beta):
         raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
-    table = multigraded_betti(I, field)
+    if table is None:
+        table = multigraded_betti(I, field)
     p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
     t = profile if profile is not None else table.shift_profile()
     return alpha, beta, p, q, t
@@ -153,13 +155,14 @@ def _best_splits(t: ShiftProfile, a: int, lo: int, hi: int):
 
 
 def check_covering(
-    I: MonomialIdeal, alpha, beta, field=QQ, *, profile=None
+    I: MonomialIdeal, alpha, beta, field=QQ, *, profile=None, table=None
 ) -> list[InequalityReport]:
     """The covering-pair bounds: projdim S/I <= p + q, and for every
     a <= projdim S/I, t_a(I) <= max{t_i(I) + t_j(I) : i+j = a, i <= p, j <= q},
     where p and q are the projective dimensions of S/I restricted below
-    alpha and beta."""
-    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile)
+    alpha and beta.  ``table``, if given, must be the Betti table of I
+    over ``field``."""
+    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     reports = [
         InequalityReport(
             "covering-projdim",
@@ -186,11 +189,12 @@ def check_covering(
 
 
 def check_range(
-    I: MonomialIdeal, alpha, beta, a: int, field=QQ, *, profile=None
+    I: MonomialIdeal, alpha, beta, a: int, field=QQ, *, profile=None, table=None
 ) -> InequalityReport:
     """The window form of the covering bound: with s = p + q - a,
-    t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}."""
-    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile)
+    t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}.  ``table`` is as
+    in check_covering."""
+    alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
     s = p + q - a

@@ -206,11 +206,11 @@ def cmd_check(args) -> int:
             raise CLIUsageError(f"{which} needs --alpha and --beta")
         alpha, beta = _vec(args.alpha), _vec(args.beta)
         if which == "covering":
-            reports += check_covering(I, alpha, beta, field, profile=prof)
+            reports += check_covering(I, alpha, beta, field, table=table)
         else:
             if args.at is None:
                 raise CLIUsageError("range needs --at")
-            reports.append(check_range(I, alpha, beta, args.at, field, profile=prof))
+            reports.append(check_range(I, alpha, beta, args.at, field, table=table))
     if which == "general":
         if args.at is None or args.p is None:
             raise CLIUsageError("general needs --at and --p")

@@ -89,16 +89,37 @@ class FreeComplex:
         return f"FreeComplex(ranks={self.ranks()})"
 
 
+LCM_BLOCK = 12  # generators in the low block of _face_lcms: 2^12 rows per column
+
+
 def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
     """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector).
-    Every 2^m construction reads this table, so it alone checks the cap."""
+    Every 2^m construction reads this table, so it alone checks the cap.
+
+    The subsets of the first LCM_BLOCK generators are built one exponent
+    column per variable: generator i doubles each column, the new half being
+    the old one clamped from below by its exponent, and one zip turns the
+    columns into rows.  Each subset h of the later generators then appends
+    one block of rows: the low columns clamped by the lcm of h (the row
+    h << LCM_BLOCK, already built), zipped.  Beside the table the build holds
+    at most 2n columns of 2^LCM_BLOCK rows, whatever m is.
+    Single runs on a 2-core Xeon VM, one join per mask → columns, on the
+    random edge ideals E12 and E14 of ROADMAP.md: E12 (2^18 rows) 0.61–0.78
+    → 0.15–0.16 s, E14 (2^20) 2.6–3.3 → 0.54–0.69 s, peak RSS unchanged
+    (58 and 189 MB)."""
     if I.m > cap:
         raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
-    zero = I.ring.zero()
-    lcm = [zero] * (1 << I.m)
-    for mask in range(1, 1 << I.m):
-        low = mask & -mask
-        lcm[mask] = join(lcm[mask ^ low], I.gens[low.bit_length() - 1])
+    low, high = I.gens[:LCM_BLOCK], I.gens[LCM_BLOCK:]
+    cols = [[0] for _ in range(I.ring.n)]
+    for g in low:
+        for col, e in zip(cols, g):
+            col += [x if x >= e else e for x in col] if e else col
+    lcm = list(zip(*cols))
+    for h in range(1, 1 << len(high)):
+        bit = h & -h
+        top = join(lcm[(h ^ bit) << LCM_BLOCK], high[bit.bit_length() - 1])
+        lcm += zip(*[[x if x >= e else e for x in col] if e else col
+                     for col, e in zip(cols, top)])
     return lcm
 
 

@@ -10,6 +10,8 @@ import pytest
 from shiftlab import (
     CoveringPairError,
     MonomialIdeal,
+    PrimeField,
+    QQ,
     Ring,
     ShiftProfile,
     check_consecutive,
@@ -172,6 +174,18 @@ def test_covering_profile_from_the_same_table(ex2, ex2_table):
     for a in range(prof.projdim + 1):
         assert check_range(ex2, EX2_A, EX2_B, a) == check_range(ex2, EX2_A, EX2_B, a,
                                                                 profile=prof)
+
+
+def test_covering_and_range_take_a_table(ex1, ex1_table, ex2, ex2_table):
+    gf = PrimeField(32003)
+    cases = [(ex1, ex1_table, EX1_ALPHA, EX1_BETA, QQ), (ex2, ex2_table, EX2_A, EX2_B, QQ),
+             (ex2, multigraded_betti(ex2, gf), EX2_A, EX2_B, gf)]
+    for I, table, alpha, beta, field in cases:
+        reports = check_covering(I, alpha, beta, field)
+        assert check_covering(I, alpha, beta, field, table=table) == reports
+        for a in range(reports[0].params["p"] + reports[0].params["q"] + 1):
+            assert (check_range(I, alpha, beta, a, field, table=table)
+                    == check_range(I, alpha, beta, a, field))
 
 
 def test_range_matches_covering(ex2, ex2_table):

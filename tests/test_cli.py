@@ -4,6 +4,8 @@ from importlib import resources
 
 import pytest
 
+import shiftlab.checks
+import shiftlab.cli
 from shiftlab import complex_from_json, verify_complex
 from shiftlab.cli import main
 
@@ -91,6 +93,22 @@ def test_check_covering_example1(capsys):
     assert rc == 0 and all(r["holds"] for r in reports)
     a7 = [r for r in reports if r["name"] == "covering-shift" and r["params"]["a"] == 7]
     assert a7 and sorted(map(tuple, a7[0]["witnesses"]["splits"]))
+
+
+@pytest.mark.parametrize("which, extra", [("covering", ()), ("range", ("--at", "7"))])
+def test_check_covering_builds_one_table_with_cap(capsys, monkeypatch, which, extra):
+    caps = []
+    real = shiftlab.cli.multigraded_betti
+
+    def counted(I, field, cap=None):
+        caps.append(cap)
+        return real(I, field) if cap is None else real(I, field, cap)
+
+    monkeypatch.setattr(shiftlab.cli, "multigraded_betti", counted)
+    monkeypatch.setattr(shiftlab.checks, "multigraded_betti", counted)
+    rc, _, _ = run(capsys, "check", EX1, which, "--alpha", "5,5,5,5,0,0,0",
+                   "--beta", "3,3,2,2,6,5,6", *extra, "--cap", "20")
+    assert rc == 0 and caps == [20]
 
 
 def test_check_range_example2(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -29,7 +30,13 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
+from shiftlab.complexes import (
+    LCM_BLOCK,
+    BasisElement,
+    CapExceededError,
+    FreeComplex,
+    _face_lcms,
+)
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -72,6 +79,67 @@ def test_taylor_zero_ideal():
 def test_taylor_cap():
     with pytest.raises(CapExceededError):
         taylor_complex(KOSZUL2, cap=1)
+
+
+# --- the lcm table -------------------------------------------------------------
+
+BENCH_IDEALS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
+
+
+def reference_face_lcms(I):
+    """The per-mask recurrence: a mask's lcm joins its lowest generator to
+    the lcm of the other members."""
+    lcm = [I.ring.zero()] * (1 << I.m)
+    for mask in range(1, 1 << I.m):
+        low = mask & -mask
+        lcm[mask] = join(lcm[mask ^ low], I.gens[low.bit_length() - 1])
+    return lcm
+
+
+def block_edge_ideals():
+    """m = 0, n = 1, m at the block size and one and two past it; exponents
+    from 256 up, and a squarefree path whose columns the later blocks fill."""
+    b = LCM_BLOCK
+    path = Ring([f"x{i}" for i in range(b + 2)])
+    return [
+        MonomialIdeal(RING2, []),
+        MonomialIdeal(Ring(["x"]), [(300,)]),
+        MonomialIdeal(RING2, [(256 + i, 256 + b - i) for i in range(b)]),
+        MonomialIdeal(path, [tuple(int(j in (i, i + 1)) for j in range(b + 2))
+                             for i in range(b + 1)]),
+        MonomialIdeal(Ring(["x", "y", "z"]), [(256 + i, 300 - i, 7 * i % 5) for i in range(b + 2)]),
+    ]
+
+
+def test_face_lcms_match_the_per_mask_recurrence(corpus, ex1, ex2):
+    edges = block_edge_ideals()
+    assert [I.m for I in edges] == [0, 1, LCM_BLOCK, LCM_BLOCK + 1, LCM_BLOCK + 2]
+    stress = [load_ideal(str(BENCH_IDEALS / f"{name}.ideal")) for name in ("S13", "S14")]
+    for I in [*corpus, ex1, ex2, *stress, *edges]:
+        assert _face_lcms(I, I.m) == reference_face_lcms(I), I
+
+
+def test_face_lcms_checks_the_cap():
+    I = block_edge_ideals()[3]
+    with pytest.raises(CapExceededError, match=f"{I.m} generators exceeds cap {I.m - 1}"):
+        _face_lcms(I, I.m - 1)
+
+
+def test_face_lcms_peak_memory_near_the_table():
+    # two generators past the block, in six variables: the 2^B-row columns
+    # held beside the table measure about 0.26 of it (tracemalloc, Python
+    # 3.11); n columns of 2^m rows, built without blocks, about 0.56
+    I = load_ideal(str(BENCH_IDEALS / "S14.ideal"))
+    assert (I.m, I.ring.n) == (LCM_BLOCK + 2, 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lcm = _face_lcms(I, I.m)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lcm) == 1 << I.m
+    assert peak - base <= 1.4 * (size - base)
 
 
 # --- Scarf -------------------------------------------------------------------
