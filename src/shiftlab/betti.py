@@ -17,19 +17,19 @@ K^alpha(I) is used whenever 2^|supp alpha| is below the Taylor strand's size
 (never at alpha = 0, whose Taylor strand is the empty face alone).
 Both complexes are cut from a full simplex by keeping some faces, and a
 boundary term survives exactly when the facet is kept, so strand_matrices
-and one rank loop serve both kinds and both fields.  rank_exact, one sparse
-elimination for QQ and GF(p) alike, takes int entries only (strands are 0/±1).
+and one rank loop serve both kinds and both fields.  rank_exact takes int
+entries only (strands are 0/±1) and clears each pivot with fields.eliminate,
+the sparse step that minimalize cancels with too, over QQ and GF(p) alike.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from math import gcd
 from operator import itemgetter
 
 from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
-from .fields import QQ, characteristic
+from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
 
@@ -40,11 +40,9 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
     TypeError); over GF(p) the entries are read mod p.  One sparse
     elimination serves both fields.  It pivots on the lightest live row, in
     the column with the fewest live entries among that row's units (±1 over
-    QQ, any nonzero over GF(p)), and clears the column with factor w·v⁻¹.
-    Over QQ a row without a unit is pivoted on any entry instead: each target
-    row becomes v·row - w·pivot row and is divided by the gcd of its entries,
-    so every step is exact integer arithmetic.  The argument is never
-    modified.
+    QQ, any nonzero over GF(p)), or among all its entries when it has no
+    unit, and clears that column with ``fields.eliminate``.  The argument is
+    never modified.
     """
     p = characteristic(field)
     nonzero = itemgetter(1)
@@ -76,34 +74,11 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
             cols[j].discard(i)
         units = piv if p else [j for j, x in piv.items() if x == 1 or x == -1]
         c = min(units or piv, key=lambda j: len(cols[j]))
-        v = piv.pop(c)
-        inv = pow(v, -1, p) if p else v if units else 0  # 0: a QQ non-unit pivot
-        for k in cols.pop(c):
-            row = rows[k]
-            w = row.pop(c)
-            if inv:
-                f = w * inv % p if p else w * inv
+        for k in eliminate(piv, c, rows, cols, p):
+            if size := len(rows[k]):
+                heappush(heap, (size, k))
             else:
-                row = rows[k] = {j: v * x for j, x in row.items()}
-                f = w
-            for j, x in piv.items():
-                y = row.get(j, 0) - f * x
-                if p:
-                    y %= p
-                if y:
-                    if j not in row:
-                        cols[j].add(k)
-                    row[j] = y
-                else:
-                    del row[j]
-                    cols[j].discard(k)
-            if not row:
                 del rows[k]
-                continue
-            if not inv:
-                g = gcd(*row.values())
-                rows[k] = {j: x // g for j, x in row.items()}
-            heappush(heap, (len(row), k))
     return rank
 
 

@@ -229,7 +229,10 @@ def cmd_check(args) -> int:
 def cmd_random(args) -> int:
     field = field_from_spec(args.field)
     stream = random_ideal_stream(args.seed, args.count, args.n, args.m, args.maxexp)
-    sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:  # a bad --out argument, not unreadable ideal input
+        raise CLIUsageError(f"cannot open --out file {args.out!r}: {exc.strerror}") from None
     try:
         for index, I in stream:
             base = {"seed": args.seed, "index": index, "n": args.n, "m": args.m,

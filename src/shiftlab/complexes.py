@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import le
 
-from .fields import QQ, characteristic
+from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, divides, join, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
@@ -77,6 +77,10 @@ class FreeComplex:
             raise ValueError("need one differential slot per module (diffs[0] unused)")
         self.modules = [list(mod) for mod in modules]
         self.diffs = [[list(col) for col in d] for d in diffs]
+        for a, (mod, d) in enumerate(zip(self.modules, self.diffs)):
+            if len(d) != (len(mod) if a else 0):
+                want = f"one per basis element of module {a}" if a else "none"
+                raise ValueError(f"diffs[{a}] has {len(d)} columns; it needs {want}")
 
     @property
     def length(self) -> int:
@@ -299,8 +303,9 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
 
     A pivot is an entry whose column and row basis elements share a
     multidegree (so its monomial is 1) with nonzero coefficient.
-    Cancelling it splits off a trivial two-term summand: the classic update
-    M[g',f'] -= M[g,f']*M[g',f]/M[g,f] runs on the pivot's level, the pivot
+    Cancelling it splits off a trivial two-term summand: fields.eliminate,
+    the step rank_exact clears its pivots with too, runs the classic update
+    M[g',f'] -= M[g,f']*M[g',f]/M[g,f] on the pivot's level, the pivot
     column f leaves module a and the pivot row g leaves module a-1.  Levels
     are cancelled in increasing a, each on a sparse matrix built when its
     turn comes: rows already cancelled as columns one level down are left
@@ -332,34 +337,17 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
         heapq.heapify(heap)
         while heap:
             g, f = heapq.heappop(heap)
-            c = level[f].get(g)
-            if c is None:  # cancelled, or eliminated since it was pushed
+            if g not in level[f]:  # cancelled, or eliminated since it was pushed
                 continue
-            cinv = pow(c, -1, p) if p else c if c in (1, -1) else Fraction(1, c)
-            pivot_col = [(g2, d) for g2, d in level[f].items() if g2 != g]
-            for f2 in rows.pop(g):
-                target = level[f2]
-                b = target.pop(g)
-                if f2 == f:
-                    continue
-                factor = b * cinv % p if p else b * cinv
-                for g2, d in pivot_col:
-                    new = target.get(g2, 0) - factor * d
-                    if p:
-                        new %= p
-                    if not new:
-                        if g2 in target:
-                            del target[g2]
-                            rows[g2].discard(f2)
-                    else:
-                        if g2 not in target:
-                            rows[g2].add(f2)
-                        target[g2] = new
-                        if below[g2].mdeg == here[f2].mdeg:
-                            heapq.heappush(heap, (g2, f2))
-            for g2, _ in pivot_col:
+            pivot, level[f] = level[f], {}
+            for g2 in pivot:
                 rows[g2].discard(f)
-            level[f] = {}
+            changed = eliminate(pivot, g, level, rows, p)
+            for g2 in pivot:  # the pivot's few other entries outside the many changed columns
+                mdeg = below[g2].mdeg
+                for f2 in changed:
+                    if here[f2].mdeg == mdeg:
+                        heapq.heappush(heap, (g2, f2))
             dead[a].add(f)
             gone.add(g)
         cols.append(level)
@@ -394,7 +382,8 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSON dump format (used by the CLI `dump` subcommand and golden tests); the
 # "mdeg" of each differential entry is column - row, and loading checks it
-# along with the basis multidegrees (lists of non-negative ints, all of one
+# along with the entry's "col" and "row" (ints in range), the basis labels
+# (lists), the basis multidegrees (lists of non-negative ints, all of one
 # length) and each "coeff" (a string n or n/d in ASCII digits, d nonzero)
 
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
@@ -423,10 +412,12 @@ def complex_to_json(F: FreeComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> FreeComplex:
-    mdegs = [be["mdeg"] for mod in obj["modules"] for be in mod]
+    basis = [be for mod in obj["modules"] for be in mod]
+    mdegs = [be["mdeg"] for be in basis]
     ok = all(type(d) is list and all(type(e) is int and e >= 0 for e in d) for d in mdegs)
-    if not ok or len({len(d) for d in mdegs}) > 1:
-        raise ValueError("dump basis mdegs must be lists of non-negative ints, all of one length")
+    if not ok or len({len(d) for d in mdegs}) > 1 or any(type(be["label"]) is not list for be in basis):
+        raise ValueError("dump basis labels must be lists, and basis mdegs lists of "
+                         "non-negative ints, all of one length")
     modules = [
         [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
         for mod in obj["modules"]
@@ -436,9 +427,11 @@ def complex_from_json(obj: dict) -> FreeComplex:
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
             j, row = ent["col"], ent["row"]
-            ok = 0 < a and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1])
+            ok = (0 < a and type(j) is int and type(row) is int
+                  and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1]))
             if not ok or list(ent["mdeg"]) != _entry_mdeg(modules, a, j, row):
-                raise ValueError(f"dump entry {(a, j, row)}: mdeg is not column - row")
+                raise ValueError(f"dump entry {(a, j, row)}: col and row must be int indices "
+                                 "in range, and mdeg column - row")
             text = ent["coeff"]
             if type(text) is not str or not _COEFF_RE.fullmatch(text):
                 raise ValueError(f"dump entry {(a, j, row)}: coeff {text!r} is not n or n/d")

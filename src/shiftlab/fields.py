@@ -1,10 +1,13 @@
 """Coefficient fields for exact linear algebra: the rationals and GF(p).
 
 A field object only names its characteristic; the exact routines read it
-through ``characteristic`` and do their own int arithmetic, mod p over GF(p).
+through ``characteristic`` and do their int arithmetic, mod p over GF(p), in
+``eliminate``, the one pivot step that ``rank_exact`` and ``minimalize`` share.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .monomials import ascii_int
 
@@ -74,6 +77,37 @@ def characteristic(field) -> int:
     if isinstance(field, Rationals):
         return 0
     raise TypeError(f"not a coefficient field: {field!r}")
+
+
+def eliminate(pivot: dict, c, lines, index: dict, p: int) -> set:
+    """Clear position c from every line in ``index[c]`` with the pivot line.
+
+    Lines are sparse dicts {position: coefficient} and ``index[j]`` holds the
+    keys of the lines with an entry at j; the caller has taken the pivot out
+    of both.  The one inverse rule: pow(v, -1, p) over GF(p), and over QQ
+    (p = 0) v itself for v = ±1, else Fraction(1, v).  Pops c from ``pivot``
+    and ``index``; returns the keys of the changed lines, some maybe empty.
+    """
+    v = pivot.pop(c)
+    inv = pow(v, -1, p) if p else v if v in (1, -1) else Fraction(1, v)
+    changed = index.pop(c)
+    for k in changed:
+        line = lines[k]
+        f = line.pop(c) * inv
+        if p:
+            f %= p
+        for j, x in pivot.items():
+            y = line.get(j, 0) - f * x
+            if p:
+                y %= p
+            if y:
+                if j not in line:
+                    index[j].add(k)
+                line[j] = y
+            else:
+                del line[j]
+                index[j].discard(k)
+    return changed
 
 
 def field_from_spec(spec: str):

@@ -5,14 +5,18 @@ from itertools import combinations
 import pytest
 
 from shiftlab import (
+    BasisElement,
+    FreeComplex,
     MonomialIdeal,
     PrimeField,
     QQ,
     Ring,
     betti_records,
     format_betti_grid,
+    is_minimal,
     join,
     lcm_lattice,
+    minimalize,
     multigraded_betti,
     projdim,
     rank_exact,
@@ -20,6 +24,7 @@ from shiftlab import (
     scarf_is_resolution,
     shifts,
     total_degree,
+    verify_complex,
 )
 from shiftlab.complexes import CapExceededError
 
@@ -172,17 +177,32 @@ def test_rank_int_and_fraction_entries_agree():
             rank_exact([[Fraction(x) for x in row] for row in M])
 
 
+def _one_degree_complex(M) -> FreeComplex:
+    """The two-term complex with differential M whose basis elements all have
+    multidegree 1, so every nonzero entry of M is a pivot for minimalize."""
+    rows = [BasisElement((0, i), (0,)) for i in range(len(M))]
+    cols = [BasisElement((1, j), (0,)) for j in range(len(M[0]))]
+    d1 = [[(i, row[j]) for i, row in enumerate(M) if row[j]] for j in range(len(cols))]
+    return FreeComplex([rows, cols], [[], d1])
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)], ids=str)
 def test_rank_matches_dense_oracle(field):
     # no ±1 among the factors' entries, so over QQ most pivots are not units
-    # and the gcd division runs; 32003 and -64006 put entries >= p and
-    # negative multiples of p into the products
+    # and take the Fraction(1, v) inverse; 32003 and -64006 put entries >= p
+    # and negative multiples of p into the products.  rank_exact and
+    # minimalize share one elimination step: both must match the oracle.
     import random
 
     rng = random.Random(20261018)
     for _ in range(400):
         M = _low_rank_product(rng, (0, 0, 0, 2, -3, 4, 6, 32003, -64006))
-        assert rank_exact(M, field) == dense_rank(M, field), M
+        rank = dense_rank(M, field)
+        assert rank_exact(M, field) == rank, M
+        F = _one_degree_complex(M)
+        Mn = minimalize(F, field)
+        assert sum(F.ranks()) - sum(Mn.ranks()) == 2 * rank, M
+        assert verify_complex(Mn, field).ok and is_minimal(Mn), M
 
 
 def test_rank_mixed_entries_are_rejected():

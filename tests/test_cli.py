@@ -265,6 +265,16 @@ def test_random_out_file(tmp_path, capsys):
     assert rc == 0 and len(ledger.read_text().splitlines()) == 10  # appended
 
 
+def test_random_unwritable_out_exit4(tmp_path, capsys):
+    # a directory, or a file under a missing directory, is a bad --out
+    # argument, not unreadable ideal input (exit 2)
+    for out_path in (tmp_path, tmp_path / "missing" / "ledger.jsonl"):
+        rc, out, err = run(capsys, "random", *[x for kv in RANDOM_OK.items() for x in kv],
+                           "--out", str(out_path))
+        assert rc == 4 and out == ""
+        assert err.startswith("shiftlab: cannot open --out file") and str(out_path) in err
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 def test_missing_file_exit2(capsys):

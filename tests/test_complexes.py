@@ -444,24 +444,34 @@ def test_complex_json_roundtrip(ex2):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("mdeg", [0, 1]), ("row", 5), ("row", -1), ("col", -1)]
+    "field, value",
+    [("mdeg", [0, 1]), ("row", 5), ("row", -1), ("col", -1),
+     # bools, floats and strings are no indices, even where they equal the right int
+     ("row", True), ("col", False), ("row", 1.0), ("col", 0.0), ("row", "1"), ("col", None)]
 )
 def test_complex_from_json_checks_entry_mdeg(field, value):
     obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
     entry = obj["differentials"][2][0]
-    assert entry["mdeg"] == [1, 0]  # column (1, 1) minus row y = (0, 1)
+    assert entry["mdeg"] == [1, 0] and (entry["col"], entry["row"]) == (0, 1)
+    # column (1, 1) minus row y = (0, 1)
     entry[field] = value
     with pytest.raises(ValueError, match="column - row"):
         complex_from_json(obj)
 
 
 @pytest.mark.parametrize(
-    "mdeg", [[1, 1, 7], [1], [-1, 1], [1.0, 1], [True, 1], ["1", 1], 5, None, "11"]
+    "key, value",
+    [("mdeg", d) for d in ([1, 1, 7], [1], [-1, 1], [1.0, 1], [True, 1], ["1", 1], 5, None, "11")]
+    # a label must be a list: a string is not split into characters
+    + [("label", v) for v in ("ab", 5, None, {"0": 1})],
+    # the mdeg cases keep the ids they had when they were the only inputs
+    ids=[f"mdeg{i}" for i in range(6)] + ["5", "None", "11"]
+    + ["label-ab", "label-5", "label-None", "label-dict"],
 )
-def test_complex_from_json_checks_basis_mdeg(mdeg):
+def test_complex_from_json_checks_basis_mdeg(key, value):
     obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
-    assert obj["modules"][2][0]["mdeg"] == [1, 1]
-    obj["modules"][2][0]["mdeg"] = mdeg
+    assert obj["modules"][2][0] == {"label": [0, 1], "mdeg": [1, 1]}
+    obj["modules"][2][0][key] = value
     with pytest.raises(ValueError, match="basis mdegs"):
         complex_from_json(obj)
 
@@ -483,6 +493,16 @@ def test_complex_from_json_checks_coeff(coeff):
 def test_free_complex_validates_shape():
     with pytest.raises(ValueError):
         FreeComplex([[]], [])
+    # one column too many or too few at level 1, and an entry in the unused
+    # diffs[0]: each is refused when the complex is built, before any routine
+    # indexes past a module or drops a column
+    T = taylor_complex(KOSZUL2)
+    for a, diffs in ((1, [[], T.diffs[1] + [[(0, 1)]], T.diffs[2]]),
+                     (1, [[], T.diffs[1][:1], T.diffs[2]]),
+                     (0, [[[(0, 1)]], T.diffs[1], T.diffs[2]])):
+        with pytest.raises(ValueError, match=rf"diffs\[{a}\] has"):
+            FreeComplex(T.modules, diffs)
+    assert FreeComplex(T.modules, T.diffs).diffs == T.diffs
 
 
 # sha256 of dumps_complex for each construction of the worked examples.  They
