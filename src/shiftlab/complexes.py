@@ -382,9 +382,11 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSON dump format (used by the CLI `dump` subcommand and golden tests); the
 # "mdeg" of each differential entry is column - row, and loading checks it
-# along with the entry's "col" and "row" (ints in range), the basis labels
-# (lists), the basis multidegrees (lists of non-negative ints, all of one
-# length) and each "coeff" (a string n or n/d in ASCII digits, d nonzero)
+# along with the shape ("modules" and "differentials" lists of equal length,
+# of lists of objects), the entry's "col" and "row" (ints in range), the basis
+# labels (lists), the basis multidegrees (lists of non-negative ints, all of
+# one length) and each "coeff" (a string n or n/d in ASCII digits, d nonzero);
+# a missing key fails the check of its value
 
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
 
@@ -411,11 +413,21 @@ def complex_to_json(F: FreeComplex) -> dict:
     }
 
 
+def _lists_of_objects(x) -> bool:
+    return type(x) is list and all(type(y) is list and all(type(z) is dict for z in y) for y in x)
+
+
 def complex_from_json(obj: dict) -> FreeComplex:
+    """Load a dump made by ``complex_to_json``; a malformed one raises ``ValueError``."""
+    if not (type(obj) is dict and _lists_of_objects(obj.get("modules"))
+            and _lists_of_objects(obj.get("differentials"))
+            and len(obj["modules"]) == len(obj["differentials"])):
+        raise ValueError('dump needs "modules" and "differentials", lists of equal length '
+                         "of lists of objects")
     basis = [be for mod in obj["modules"] for be in mod]
-    mdegs = [be["mdeg"] for be in basis]
+    mdegs = [be.get("mdeg") for be in basis]
     ok = all(type(d) is list and all(type(e) is int and e >= 0 for e in d) for d in mdegs)
-    if not ok or len({len(d) for d in mdegs}) > 1 or any(type(be["label"]) is not list for be in basis):
+    if not ok or len({len(d) for d in mdegs}) > 1 or any(type(be.get("label")) is not list for be in basis):
         raise ValueError("dump basis labels must be lists, and basis mdegs lists of "
                          "non-negative ints, all of one length")
     modules = [
@@ -426,13 +438,13 @@ def complex_from_json(obj: dict) -> FreeComplex:
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
-            j, row = ent["col"], ent["row"]
+            j, row = ent.get("col"), ent.get("row")
             ok = (0 < a and type(j) is int and type(row) is int
                   and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1]))
-            if not ok or list(ent["mdeg"]) != _entry_mdeg(modules, a, j, row):
+            if not ok or ent.get("mdeg") != _entry_mdeg(modules, a, j, row):
                 raise ValueError(f"dump entry {(a, j, row)}: col and row must be int indices "
                                  "in range, and mdeg column - row")
-            text = ent["coeff"]
+            text = ent.get("coeff")
             if type(text) is not str or not _COEFF_RE.fullmatch(text):
                 raise ValueError(f"dump entry {(a, j, row)}: coeff {text!r} is not n or n/d")
             coeff = Fraction(text)

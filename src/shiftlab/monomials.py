@@ -143,14 +143,14 @@ def support(a: Multidegree) -> tuple[int, ...]:
 
 
 def minimalize_generators(gens: Iterable[Multidegree]) -> list[Multidegree]:
-    """Keep only the <=-minimal vectors, deduplicated, in first-seen order."""
+    """Keep only the <=-minimal vectors, deduplicated, in first-seen order.
+    Vectors of different lengths raise ``ValueError``."""
     gens = list(dict.fromkeys(tuple(g) for g in gens))
-    out = []
     for g in gens:
-        if any(h != g and divides(h, g) for h in gens):
-            continue
-        out.append(g)
-    return out
+        if len(g) != len(gens[0]):
+            raise ValueError(f"length mismatch: {len(g)} vs {len(gens[0])}")
+    # after deduplication, h is not g exactly when h != g
+    return [g for g in gens if not any(h is not g and all(map(le, h, g)) for h in gens)]
 
 
 class MonomialIdeal:

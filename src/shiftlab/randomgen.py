@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import random
+from operator import le
 
-from .monomials import MonomialIdeal, Ring, minimalize_generators
+from .monomials import MonomialIdeal, Ring
 
 _VAR_POOL = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _check_ints(*specs) -> None:
+    """Each (name, value, lo, hi) must be an int, not a bool, in [lo, hi];
+    hi None means no upper bound."""
+    for name, value, lo, hi in specs:
+        if type(value) is not int or value < lo or (hi is not None and value > hi):
+            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise ValueError(f"{name} must be an int {bound}, got {value!r}")
 
 
 def _check_draw(n, m, maxexp, retries, count=0) -> None:
@@ -14,12 +24,8 @@ def _check_draw(n, m, maxexp, retries, count=0) -> None:
     pool), m >= 0, maxexp >= 1, retries >= 1 and count >= 0, all ints.  With
     maxexp = 0 or n < 1 every draw is the zero vector and the antichain loop
     never ends."""
-    for name, value, lo, hi in (("n", n, 1, len(_VAR_POOL)), ("m", m, 0, None),
-                                ("maxexp", maxexp, 1, None), ("retries", retries, 1, None),
-                                ("count", count, 0, None)):
-        if type(value) is not int or value < lo or (hi is not None and value > hi):
-            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-            raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+    _check_ints(("n", n, 1, len(_VAR_POOL)), ("m", m, 0, None), ("maxexp", maxexp, 1, None),
+                ("retries", retries, 1, None), ("count", count, 0, None))
 
 
 def random_ideal(
@@ -27,16 +33,26 @@ def random_ideal(
 ) -> MonomialIdeal | None:
     """One ideal with exactly m minimal generators in n variables, exponents
     in [0, maxexp], or None when ``retries`` draws never produce an
-    m-element antichain (e.g. m larger than the box allows)."""
+    m-element antichain (e.g. m larger than the box allows).
+
+    Each draw is m nonzero vectors; it is kept when minimalizing them keeps
+    all m, that is, when they are distinct and pairwise incomparable.  The
+    test stops at the first duplicate or the first ordered pair g <= h, so a
+    rejected draw costs no full minimalization.  Each exponent is one
+    ``rng.randrange(maxexp + 1)``, which consumes the rng exactly as
+    ``randint(0, maxexp)`` does, so seeds give the same ideals as before."""
     _check_draw(n, m, maxexp, retries)
     ring = Ring(_VAR_POOL[:n])
+    draw, top = rng.randrange, maxexp + 1
     for _ in range(retries):
         vecs = []
         while len(vecs) < m:
-            v = tuple(rng.randint(0, maxexp) for _ in range(n))
+            v = tuple([draw(top) for _ in range(n)])
             if any(v):
                 vecs.append(v)
-        if len(minimalize_generators(vecs)) == m:
+        if len(set(vecs)) == m and not any(
+            g is not h and all(map(le, g, h)) for g in vecs for h in vecs
+        ):
             return MonomialIdeal(ring, vecs)
     return None
 
@@ -53,7 +69,11 @@ def random_ideal_stream(
 
 def random_corpus(seed: int, count: int, max_n: int = 6, max_m: int = 8, maxexp: int = 4):
     """A mixed-size corpus: n and m are drawn per instance (m kept feasible
-    for the box so the antichain retry loop terminates)."""
+    for the box so the antichain retry loop terminates).  count >= 0,
+    2 <= max_n <= 26, max_m >= 1 and maxexp >= 1 must be ints; they are
+    checked before any draw and raise ``ValueError`` otherwise."""
+    _check_ints(("count", count, 0, None), ("max_n", max_n, 2, len(_VAR_POOL)),
+                ("max_m", max_m, 1, None), ("maxexp", maxexp, 1, None))
     rng = random.Random(seed)
     out = []
     while len(out) < count:

@@ -1,4 +1,5 @@
-"""Session fixtures: worked-example ideals and the seeded 500-ideal corpus.
+"""Session fixtures: worked-example ideals, the seeded 500-ideal corpus and
+the pairwise minimalization oracle.
 
 The corpus results are computed once per session and shared between the
 property-suite module and the acceptance module; per ideal they hold the
@@ -70,6 +71,18 @@ def ex1_table(ex1):
 @pytest.fixture(scope="session")
 def corpus():
     return random_corpus(CORPUS_SEED, CORPUS_COUNT)
+
+
+def _pairwise_minimalize(gens):
+    gens = list(dict.fromkeys(tuple(g) for g in gens))
+    return [g for g in gens if not any(h != g and divides(h, g) for h in gens)]
+
+
+@pytest.fixture(scope="session")
+def old_minimalize():
+    """The pairwise-``divides`` minimalize_generators, one call per ordered
+    pair: the oracle for the current one and for the random draw's rule."""
+    return _pairwise_minimalize
 
 
 def _mdeg_multisets(F):

@@ -445,7 +445,7 @@ def test_complex_json_roundtrip(ex2):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("mdeg", [0, 1]), ("row", 5), ("row", -1), ("col", -1),
+    [("mdeg", [0, 1]), ("mdeg", 5), ("row", 5), ("row", -1), ("col", -1),
      # bools, floats and strings are no indices, even where they equal the right int
      ("row", True), ("col", False), ("row", 1.0), ("col", 0.0), ("row", "1"), ("col", None)]
 )
@@ -487,6 +487,38 @@ def test_complex_from_json_checks_coeff(coeff):
     assert obj["differentials"][2][0]["coeff"] == "1"
     obj["differentials"][2][0]["coeff"] = coeff
     with pytest.raises(ValueError, match="coeff"):
+        complex_from_json(obj)
+
+
+def _extra_level(obj):
+    obj["differentials"].append([])
+
+
+def _drop_coeff(obj):
+    del obj["differentials"][2][0]["coeff"]
+
+
+def _drop_col(obj):
+    del obj["differentials"][2][0]["col"]
+
+
+def _int_modules(obj):
+    obj["modules"] = 5
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [(_extra_level, "equal length"),  # was IndexError on modules[3]
+     (_drop_coeff, "coeff None"),  # was KeyError
+     (_drop_col, "column - row"),  # was KeyError
+     (_int_modules, "lists of objects")],  # was TypeError
+    ids=["differentials-too-long", "no-coeff", "no-col", "modules-int"],
+)
+def test_complex_from_json_malformed_raises_value_error(mutate, match):
+    obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
+    assert len(obj["modules"]) == len(obj["differentials"]) == 3
+    mutate(obj)
+    with pytest.raises(ValueError, match=match):
         complex_from_json(obj)
 
 

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +145,27 @@ def test_minimalize_properties(vecs):
             assert g == h or not divides(h, g)
     for v in vecs:
         assert any(divides(g, tuple(v)) for g in out)
+
+
+# few small vectors, so that duplicates and dominated vectors are common
+_SMALL_VECS = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple)
+
+
+@given(st.lists(st.one_of(_SMALL_VECS, _SMALL_VECS.map(list)), max_size=12))
+def test_minimalize_matches_old_rule(old_minimalize, vecs):
+    out = minimalize_generators(vecs)
+    assert out == old_minimalize(vecs)
+    assert all(type(g) is tuple for g in out)
+
+
+@pytest.mark.parametrize("vecs", [[(1, 2), (1,)], [(1,), (2,), (1, 2)],
+                                  [(0, 1), (0, 1), (1, 0, 0)], [(1, 1), (2, 2), ()]])
+def test_minimalize_rejects_mixed_lengths(vecs):
+    # whatever the order, and even where a vector of the other length would
+    # be dominated or a duplicate
+    for order in permutations(vecs):
+        with pytest.raises(ValueError, match="length mismatch"):
+            minimalize_generators(order)
 
 
 def test_unit_ideal_rejected():
