@@ -20,6 +20,20 @@ boundary term survives exactly when the facet is kept, so strand_matrices
 and one rank loop serve both kinds and both fields.  rank_exact takes int
 entries only (strands are 0/±1) and clears each pivot with fields.eliminate,
 the sparse step that minimalize cancels with too, over QQ and GF(p) alike.
+
+Many strands are cones and are skipped before either complex is built.  The
+Taylor strand at alpha != 0 is the set of subsets of G_alpha, the generators
+<= alpha, that meet every R_v = {i in G_alpha : g_i[v] = alpha_v}, v in
+supp alpha.  If a generator i of G_alpha is in no inclusion-minimal R_v, it
+is in no minimal face, and sigma -> sigma xor {i} pairs the faces by ±1
+boundary entries: an acyclic matching by generator toggles, as in discrete
+Morse theory for cellular resolutions (Batzies-Welker, J. reine angew. Math.
+543, 2002), read on the lcm lattice (Gasharov-Peeva-Welker, Math. Res. Lett.
+6, 1999).  The strand is then the cone of an identity map, acyclic over every
+field, and b_{.,alpha} = 0; K^alpha(I) has the same homology.  Only strands
+of even size can pair off, so only those are tested, and a 2-face strand is
+always a pair.  This builds 128 of S13's 285 strands and 184 of S14's 353
+(bench/ideals), and cuts the rank calls from 485 to 52 and from 619 to 171.
 """
 
 from __future__ import annotations
@@ -183,14 +197,34 @@ def _koszul_faces(gens, alpha: tuple) -> list[int]:
     return sorted(faces)
 
 
+def _is_cone(gens, alpha: tuple, faces: list[int]) -> bool:
+    """Whether the Taylor strand at alpha != 0, given as its faces in
+    increasing order, is a cone (see the module docstring): some generator
+    of G_alpha = faces[-1] is in no inclusion-minimal R_v.  A 2-face strand,
+    {G_alpha - {i}, G_alpha}, is one without the test.  The R_v are built
+    from the bits of G_alpha only here, so a strand that is not tested costs
+    nothing."""
+    if len(faces) == 2:
+        return True
+    top = faces[-1]
+    members = [(1 << i, gens[i]) for i in range(top.bit_length()) if top >> i & 1]
+    reqs = {sum(bit for bit, g in members if g[v] == a) for v, a in enumerate(alpha) if a}
+    covered = 0
+    for r in reqs:
+        if not any(s != r and s & r == s for s in reqs):
+            covered |= r
+    return covered != top
+
+
 def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
-    At each alpha the smaller of the Taylor strand and K^alpha(I) is used;
-    with shift 0 for Taylor and 1 for Koszul, the face-size-s homology
-    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.  Strands are
-    independent; they are walked in lexicographic multidegree order so the
-    output is reproducible.
+    A strand that is a cone (``_is_cone``; see the module docstring) has no
+    homology and is skipped unbuilt.  At every other alpha the smaller of
+    the Taylor strand and K^alpha(I) is used; with shift 0 for Taylor and 1
+    for Koszul, the face-size-s homology n_s - rank(d_s) - rank(d_{s+1}) is
+    b_{s+shift,alpha}.  Strands are independent; they are walked in
+    lexicographic multidegree order so the output is reproducible.
     """
     lcm = _face_lcms(I, cap)
     strata: dict[tuple, list[int]] = defaultdict(list)
@@ -199,6 +233,8 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     entries: dict[tuple, int] = {}
     for alpha in sorted(strata):
         faces, shift = strata[alpha], 0
+        if not len(faces) & 1 and _is_cone(I.gens, alpha, faces):
+            continue
         if (1 << sum(1 for e in alpha if e)) < len(faces):
             faces, shift = _koszul_faces(I.gens, alpha), 1
         by_size, mats = strand_matrices(faces)

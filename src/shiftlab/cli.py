@@ -76,11 +76,19 @@ def _cover(text: str) -> tuple[tuple[int, ...], int]:
         raise CLIUsageError(f"bad cover {text!r}, expected 'a:e1,e2,...'") from None
 
 
-def _add_common(sub):
-    sub.add_argument("--field", default="q", help="q (rationals) or p:<prime>")
-    sub.add_argument("--format", default="text", choices=["text", "json"])
-    sub.add_argument("--cap", type=ascii_int, default=GENERATOR_CAP,
-                     help="generator count cap for 2^m constructions")
+_COMMON = {
+    "field": {"default": "q", "help": "q (rationals) or p:<prime>"},
+    "format": {"default": "text", "choices": ["text", "json"]},
+    "cap": {"type": ascii_int, "default": GENERATOR_CAP,
+            "help": "generator count cap for 2^m constructions"},
+}
+
+
+def _add_common(sub, *names):
+    """Add the shared options that this subcommand reads, and no others, so
+    that an option it would ignore is a usage error."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> _Parser:
@@ -90,12 +98,12 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("betti", help="Betti table of S/I")
     b.add_argument("ideal")
-    _add_common(b)
+    _add_common(b, "field", "format", "cap")
     b.set_defaults(func=cmd_betti)
 
     s = sub.add_parser("shifts", help="maximal shifts t_0..t_p")
     s.add_argument("ideal")
-    _add_common(s)
+    _add_common(s, "field", "format", "cap")
     s.set_defaults(func=cmd_shifts)
 
     c = sub.add_parser("check", help="run inequality checks")
@@ -108,7 +116,7 @@ def build_parser() -> _Parser:
     c.add_argument("--p", type=_signed_int, help="window parameter p (general)")
     c.add_argument("--cover", action="append", default=[],
                    help="a:e1,e2,... (multiple; repeatable)")
-    _add_common(c)
+    _add_common(c, "field", "format", "cap")
     c.set_defaults(func=cmd_check)
 
     r = sub.add_parser("random", help="probe random ideals, one JSON line each")
@@ -118,20 +126,20 @@ def build_parser() -> _Parser:
     r.add_argument("--maxexp", type=ascii_int, required=True)
     r.add_argument("--count", type=ascii_int, required=True)
     r.add_argument("--out", help="append ledger lines here instead of stdout")
-    _add_common(r)
+    _add_common(r, "field", "cap")
     r.set_defaults(func=cmd_random)
 
     v = sub.add_parser("verify-paper",
                        help="recompute the recorded worked-example values")
     v.add_argument("--fixtures", help="directory overriding the bundled fixtures")
-    _add_common(v)
+    _add_common(v, "format")
     v.set_defaults(func=cmd_verify_paper)
 
     d = sub.add_parser("dump", help="complex as JSON")
     d.add_argument("ideal")
     d.add_argument("--complex", dest="kind", default="taylor",
                    choices=["taylor", "scarf", "minimal"])
-    _add_common(d)
+    _add_common(d, "field", "cap")
     d.set_defaults(func=cmd_dump)
     return p
 

@@ -438,12 +438,13 @@ def complex_from_json(obj: dict) -> FreeComplex:
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
-            j, row = ent.get("col"), ent.get("row")
+            j, row, mdeg = ent.get("col"), ent.get("row"), ent.get("mdeg")
             ok = (0 < a and type(j) is int and type(row) is int
-                  and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1]))
-            if not ok or ent.get("mdeg") != _entry_mdeg(modules, a, j, row):
+                  and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1])
+                  and type(mdeg) is list and all(type(e) is int for e in mdeg))
+            if not ok or mdeg != _entry_mdeg(modules, a, j, row):
                 raise ValueError(f"dump entry {(a, j, row)}: col and row must be int indices "
-                                 "in range, and mdeg column - row")
+                                 "in range, and mdeg a list of ints equal to column - row")
             text = ent.get("coeff")
             if type(text) is not str or not _COEFF_RE.fullmatch(text):
                 raise ValueError(f"dump entry {(a, j, row)}: coeff {text!r} is not n or n/d")

@@ -1,9 +1,13 @@
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import shiftlab.betti
 from shiftlab import (
     BasisElement,
     FreeComplex,
@@ -16,6 +20,7 @@ from shiftlab import (
     is_minimal,
     join,
     lcm_lattice,
+    load_ideal,
     minimalize,
     multigraded_betti,
     projdim,
@@ -26,6 +31,7 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
+from shiftlab.betti import strand_matrices
 from shiftlab.complexes import CapExceededError
 
 RING2 = Ring(["x", "y"])
@@ -299,6 +305,59 @@ def test_strand_euler_characteristic(ex2):
         lhs = sum((-1) ** a * tab.entries.get((a, alpha), 0) for a in range(len(gens) + 1))
         rhs = sum((-1) ** r for r in rs)
         assert lhs == rhs
+
+
+def _all_taylor_entries(I, field) -> dict:
+    """The Betti table's entries from the Taylor strand at every lcm of
+    generators, each rank by dense elimination: no K^alpha, no skipped
+    strand."""
+    strata = defaultdict(list)
+    for mask in range(1 << I.m):
+        gens = (g for i, g in enumerate(I.gens) if mask >> i & 1)
+        strata[reduce(join, gens, I.ring.zero())].append(mask)
+    entries = {}
+    for alpha, faces in strata.items():
+        by_size, mats = strand_matrices(faces)
+        ranks = {s: dense_rank(mat, field) for s, mat in mats.items()}
+        for s, level in by_size.items():
+            if beta := len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0):
+                entries[(s, alpha)] = beta
+    return entries
+
+
+@st.composite
+def tied_ideals(draw):
+    """Small ideals with exponents <= 3, so that many generators tie at the
+    top exponent of a variable and many strands are skipped."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple).filter(any)
+    return MonomialIdeal(Ring("abcd"[:n]), draw(st.lists(vec, max_size=7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_ideals())
+# strands of even size that are no cone and carry homology: xz, yz, xy has
+# four faces and b_2 = 2 at xyz
+@example(MonomialIdeal(Ring("abc"), [(1, 0, 1), (0, 1, 1), (1, 1, 0)]))
+@example(MonomialIdeal(Ring("abcd"), [(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)]))
+def test_betti_matches_all_taylor_loop(I):
+    for field in (QQ, PrimeField(2)):
+        assert multigraded_betti(I, field).entries == _all_taylor_entries(I, field)
+
+
+STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
+
+
+@pytest.mark.parametrize("name, built", [("S13", 128), ("S14", 184)])
+def test_acyclic_strands_are_not_built(name, built, monkeypatch):
+    # S13 and S14 have 285 and 353 strata (alpha = 0 included); every other
+    # one is a cone and must not be built
+    calls = []
+    real = shiftlab.betti.strand_matrices
+    monkeypatch.setattr(shiftlab.betti, "strand_matrices",
+                        lambda faces: calls.append(faces) or real(faces))
+    multigraded_betti(load_ideal(str(STRESS / f"{name}.ideal")), QQ)
+    assert len(calls) == built
 
 
 # --- shifts and projective dimension ----------------------------------------------

@@ -1,13 +1,16 @@
+import argparse
 import json
+import re
 import shutil
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import shiftlab.checks
 import shiftlab.cli
 from shiftlab import complex_from_json, verify_complex
-from shiftlab.cli import main
+from shiftlab.cli import build_parser, main
 
 FIXDIR = resources.files("shiftlab") / "data"
 EX1 = str(FIXDIR / "example1.ideal")
@@ -319,6 +322,37 @@ def test_bad_field_exit4(capsys):
 def test_bad_usage_exit4(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 4
+
+
+@pytest.mark.parametrize("argv", [
+    # each of these options was accepted and never read
+    ["verify-paper", "--field", "p:3"],
+    ["verify-paper", "--cap", "5"],
+    ["random", *[x for kv in RANDOM_OK.items() for x in kv], "--format", "text"],
+    ["dump", KOSZUL, "--format", "text"],
+], ids=["verify-paper-field", "verify-paper-cap", "random-format", "dump-format"])
+def test_unread_options_exit4(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 4 and out == "" and "unrecognized arguments" in err
+
+
+def test_readme_synopsis_lists_the_accepted_options():
+    """The README's CLI synopsis names, per subcommand, exactly the options
+    the parser accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("shiftlab "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z]+", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt for act in sub._actions for opt in act.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == accepted
 
 
 # --- dump -------------------------------------------------------------------------------

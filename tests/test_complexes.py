@@ -447,7 +447,9 @@ def test_complex_json_roundtrip(ex2):
     "field, value",
     [("mdeg", [0, 1]), ("mdeg", 5), ("row", 5), ("row", -1), ("col", -1),
      # bools, floats and strings are no indices, even where they equal the right int
-     ("row", True), ("col", False), ("row", 1.0), ("col", 0.0), ("row", "1"), ("col", None)]
+     ("row", True), ("col", False), ("row", 1.0), ("col", 0.0), ("row", "1"), ("col", None),
+     # nor are they exponents: each of these equals [1, 0] under ==
+     ("mdeg", [True, 0.0]), ("mdeg", [1.0, 0])]
 )
 def test_complex_from_json_checks_entry_mdeg(field, value):
     obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))

@@ -17,14 +17,15 @@ from shiftlab import (
     divides,
     find_covering_pairs,
     join,
-    loads_ideal,
+    load_ideal,
     minimalize,
     multigraded_betti,
     rank_exact,
     taylor_complex,
     total_degree,
 )
-from shiftlab.betti import _koszul_faces, strand_matrices
+import shiftlab.betti
+from shiftlab.betti import _is_cone, _koszul_faces, strand_matrices
 from test_betti import dense_rank
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
@@ -157,12 +158,77 @@ def test_koszul_faces_match_definition(corpus, ex2):
             assert _koszul_faces(I.gens, alpha) == _koszul_by_definition(I, alpha), (I, alpha)
 
 
+def _stress_or_example(name, ex1, ex2):
+    return {"ex1": ex1, "ex2": ex2}.get(name) or load_ideal(str(S13.with_name(f"{name}.ideal")))
+
+
 @pytest.mark.parametrize("name", ["ex1", "ex2", "S13"])
 def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
-    I = {"ex1": ex1, "ex2": ex2}.get(name) or loads_ideal(S13.read_text(encoding="utf-8"))
+    I = _stress_or_example(name, ex1, ex2)
     fields = (GF,) if name == "S13" else (QQ, GF)
     expected = [multigraded_betti(I, field).entries for field in fields]
     assert _tables_from_both_strands(I, fields) == expected
+
+
+def _skipped(I, monkeypatch) -> list[tuple]:
+    """The alphas whose strand multigraded_betti skips as a cone."""
+    seen = []
+
+    def spy(gens, alpha, faces):
+        if cone := _is_cone(gens, alpha, faces):
+            seen.append(alpha)
+        return cone
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shiftlab.betti, "_is_cone", spy)
+        multigraded_betti(I)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13"])
+def test_skipped_strands_are_acyclic(name, corpus, ex1, ex2, monkeypatch):
+    # the third side of the oracle for what the engine never builds: at each
+    # skipped alpha the Taylor strand and K^alpha(I) both have zero
+    # (reduced) homology, also over GF(2) where non-units vanish.  Ranks are
+    # by rank_exact, checked against dense elimination by the tests above.
+    ideals = corpus if name == "corpus" else [_stress_or_example(name, ex1, ex2)]
+    fields = (QQ, GF, PrimeField(2))
+    skipped = 0
+    for I in ideals:
+        strata = _taylor_strata(I)
+        for alpha in _skipped(I, monkeypatch):
+            skipped += 1
+            for faces in (strata[alpha], _koszul_faces(I.gens, alpha)):
+                by_size, mats = strand_matrices(faces)
+                for field in fields:
+                    ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
+                    for s, level in by_size.items():
+                        assert len(level) == ranks.get(s, 0) + ranks.get(s + 1, 0), (I, alpha)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14"])
+def test_cone_test_fires_iff_a_generator_is_in_no_minimal_face(name, corpus, ex1, ex2):
+    ideals = corpus if name == "corpus" else [_stress_or_example(name, ex1, ex2)]
+    fired = 0
+    for I in ideals:
+        for alpha, faces in _taylor_strata(I).items():
+            if not any(alpha):
+                continue
+            stratum, top = set(faces), max(faces)
+            bits = [1 << i for i in range(I.m) if top >> i & 1]
+            # every face between a face and the top one has lcm alpha, so a
+            # face is minimal when dropping any one member leaves the stratum
+            assert all(f | b in stratum for f in faces for b in bits), (I, alpha)
+            in_minimal = 0
+            for f in faces:
+                if not any(f & b and f ^ b in stratum for b in bits):
+                    in_minimal |= f
+            cone = _is_cone(I.gens, alpha, sorted(faces))
+            assert cone == (in_minimal != top), (I, alpha)
+            assert not cone or len(faces) % 2 == 0, (I, alpha)
+            fired += cone
+    assert fired > 0
 
 
 def test_proven_consecutive_and_top(corpus_results):
