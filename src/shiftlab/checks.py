@@ -10,7 +10,6 @@ valid input signals an implementation bug, not mathematics.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import product
 from operator import ge, le, or_
@@ -20,6 +19,8 @@ from .complexes import GENERATOR_CAP, ShiftProfile
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,
+    _Record,
+    _set,
     contains_all_pure_powers,
     generators_below,
     is_covering_pair,
@@ -33,14 +34,21 @@ class CoveringPairError(ValueError):
     """The supplied multidegrees do not cover the ideal."""
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    params: dict
-    lhs: int | None
-    rhs: int | None
-    holds: bool
-    witnesses: dict = dc_field(default_factory=dict)
+class InequalityReport(_Record):
+    """One instance of a check: its ``name`` and ``params``, both sides of
+    the inequality (None where the module vanishes), whether it ``holds``,
+    and the ``witnesses`` of the bound (a new empty dict when not given)."""
+
+    __slots__ = ("name", "params", "lhs", "rhs", "holds", "witnesses")
+
+    def __init__(self, name: str, params: dict, lhs: int | None, rhs: int | None,
+                 holds: bool, witnesses: dict | None = None):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "holds", holds)
+        _set(self, "witnesses", {} if witnesses is None else witnesses)
 
     def to_dict(self) -> dict:
         def clean(v):
@@ -332,12 +340,14 @@ def find_covering_pairs(
 # symbolic bound expansion
 
 
-@dataclass(frozen=True)
-class SymbolicBound:
+class SymbolicBound(_Record):
     """An inequality t_target <= sum of t_i over ``terms`` (sorted indices)."""
 
-    target: int
-    terms: tuple[int, ...]
+    __slots__ = ("target", "terms")
+
+    def __init__(self, target: int, terms: tuple[int, ...]):
+        _set(self, "target", target)
+        _set(self, "terms", terms)
 
     def __str__(self):
         rhs = " + ".join(f"t_{i}" for i in self.terms)

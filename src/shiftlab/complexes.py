@@ -15,13 +15,12 @@ import heapq
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, divides, join, total_degree
+from .monomials import MonomialIdeal, _Record, _set, join, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -30,25 +29,29 @@ class CapExceededError(RuntimeError):
     """Too many generators for a 2^m-sized construction."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(_Record):
     """One free summand: a label (face tuple or opaque id) and its multidegree."""
 
-    label: tuple
-    mdeg: tuple
+    __slots__ = ("label", "mdeg")
+
+    def __init__(self, label: tuple, mdeg: tuple):
+        _set(self, "label", label)
+        _set(self, "mdeg", mdeg)
 
     @property
     def degree(self) -> int:
         return total_degree(self.mdeg)
 
 
-@dataclass(frozen=True)
-class ShiftProfile:
+class ShiftProfile(_Record):
     """Maximal shifts (t_0, ..., t_p): t_a is the largest total degree of a
     basis element in homological degree a, and p is the index of the last
     nonzero module."""
 
-    shifts: tuple[int, ...]
+    __slots__ = ("shifts",)
+
+    def __init__(self, shifts: tuple[int, ...]):
+        _set(self, "shifts", shifts)
 
     @property
     def projdim(self) -> int:
@@ -216,11 +219,16 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     return _trimmed(modules, diffs)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    problem: str | None = None
-    location: tuple | None = None
+class VerifyReport(_Record):
+    """The verdict of verify_complex: ``ok``, or the first ``problem`` found
+    and its ``location`` (level, column, row)."""
+
+    __slots__ = ("ok", "problem", "location")
+
+    def __init__(self, ok: bool, problem: str | None = None, location: tuple | None = None):
+        _set(self, "ok", ok)
+        _set(self, "problem", problem)
+        _set(self, "location", location)
 
     def __bool__(self):
         return self.ok
@@ -251,22 +259,30 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     p = characteristic(field)
     _check_coeffs(F, p)
     for a in range(1, len(F.modules)):
-        for j, col in enumerate(F.diffs[a]):
+        below = [be.mdeg for be in F.modules[a - 1]]
+        for j, (col, be) in enumerate(zip(F.diffs[a], F.modules[a])):
+            top = be.mdeg
             for row, _ in col:
-                if not 0 <= row < len(F.modules[a - 1]):
+                if not 0 <= row < len(below):
                     return VerifyReport(False, "row index out of range", (a, j, row))
-                if not divides(F.modules[a - 1][row].mdeg, F.modules[a][j].mdeg):
+                # divides(below[row], top), inlined: the same length check
+                low = below[row]
+                if len(low) != len(top):
+                    raise ValueError(f"length mismatch: {len(low)} vs {len(top)}")
+                if not all(map(le, low, top)):
                     return VerifyReport(
                         False, "entry multidegree breaks homogeneity", (a, j, row)
                     )
     for a in range(2, len(F.modules)):
-        for j in range(len(F.modules[a])):
+        prev = F.diffs[a - 1]
+        for j, col in enumerate(F.diffs[a]):
             # every d∘d term landing on row2 carries the monomial
             # x^(mdeg(j) - mdeg(row2)), so the row alone keys the sum
             acc: dict[int, object] = {}
-            for row, coeff in F.diffs[a][j]:
-                for row2, coeff2 in F.diffs[a - 1][row]:
-                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
+            get = acc.get
+            for row, coeff in col:
+                for row2, coeff2 in prev[row]:
+                    acc[row2] = get(row2, 0) + coeff * coeff2
             for row2, total in acc.items():
                 if (total % p if p else total) != 0:
                     return VerifyReport(

@@ -11,7 +11,6 @@ documented discrepancy between the literal definition and the printed text.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
@@ -20,6 +19,8 @@ from .checks import check_multiple, find_covering_pairs
 from .fields import QQ, PrimeField
 from .monomials import (
     MonomialIdeal,
+    _Record,
+    _set,
     format_monomial,
     is_covering_pair,
     height,
@@ -79,11 +80,16 @@ def koszul2(fixtures_dir: str | None = None) -> MonomialIdeal:
     return load_fixture("koszul2.ideal", fixtures_dir)
 
 
-@dataclass(frozen=True)
-class GoldenRow:
-    name: str
-    status: str  # "pass" | "note" | "fail"
-    detail: str
+class GoldenRow(_Record):
+    """One line of the golden report: a recorded value's ``name``, its
+    ``status`` ("pass" | "note" | "fail") and a ``detail`` text."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "detail", detail)
 
     def __str__(self):
         return f"[{self.status.upper():4}] {self.name}: {self.detail}"

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Sequence
 
 Multidegree = tuple[int, ...]
@@ -38,11 +37,53 @@ class IdealSyntaxError(ValueError):
     """Raised for malformed monomial text or ideal files."""
 
 
-@dataclass(frozen=True)
-class Ring:
+_set = object.__setattr__  # how an immutable object's __init__ writes its fields
+
+
+class _Record:
+    """Base of the immutable value records (Ring, BasisElement, ShiftProfile,
+    VerifyReport, InequalityReport, SymbolicBound, GoldenRow).
+
+    A subclass lists its fields in ``__slots__``, in positional order, and
+    its ``__init__`` takes them in that order and writes each with ``_set``.
+    Two records are equal when they have the same type and equal fields, and
+    they hash by their fields; repr is ``Name(field=value, ...)``; a field
+    cannot be assigned or deleted; pickle and copy rebuild a record by
+    calling its type on its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields read in one C call: the value of a lone field, else a tuple
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Ring(_Record):
     """An ordered list of variable names; fixes the slot order of all vectors."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -55,7 +96,7 @@ class Ring:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        object.__setattr__(self, "names", names)
+        _set(self, "names", names)
 
     @property
     def n(self) -> int:
@@ -175,8 +216,8 @@ class MonomialIdeal:
             if not any(v):
                 raise ValueError("unit ideal rejected (generator 1)")
             vecs.append(v)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", tuple(minimalize_generators(vecs)))
+        _set(self, "ring", ring)
+        _set(self, "gens", tuple(minimalize_generators(vecs)))
 
     def __setattr__(self, *args):
         raise AttributeError("MonomialIdeal is immutable")

@@ -412,6 +412,25 @@ def test_python_m_shiftlab():
     assert "coarse: 1 5 8 5 1" in proc.stdout
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI call pays its imports: dataclasses (and the inspect, ast, dis
+    # and tokenize it pulls in) cost about 20 ms of each start-up
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import shiftlab.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_paper_corrupted_fixture(tmp_path, capsys):
     for name in ("example1.ideal", "example2.ideal", "koszul2.ideal"):
         shutil.copy(str(FIXDIR / name), tmp_path / name)

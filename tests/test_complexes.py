@@ -267,6 +267,53 @@ def test_verify_detects_row_out_of_range(row):
     assert rep.location == (2, 0, row)
 
 
+def verify_oracle(F, p=0):
+    """verify_complex before its row multidegrees were hoisted: divides per
+    entry, d∘d by indexing; the checks and their order are the same."""
+    for a in range(1, len(F.modules)):
+        for j, col in enumerate(F.diffs[a]):
+            for row, _ in col:
+                if not 0 <= row < len(F.modules[a - 1]):
+                    return (False, "row index out of range", (a, j, row))
+                if not divides(F.modules[a - 1][row].mdeg, F.modules[a][j].mdeg):
+                    return (False, "entry multidegree breaks homogeneity", (a, j, row))
+    for a in range(2, len(F.modules)):
+        for j in range(len(F.modules[a])):
+            acc = {}
+            for row, coeff in F.diffs[a][j]:
+                for row2, coeff2 in F.diffs[a - 1][row]:
+                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
+            for row2, total in acc.items():
+                if (total % p if p else total) != 0:
+                    return (False, "d∘d has a nonzero entry", (a, j, row2))
+    return (True, None, None)
+
+
+def test_verify_matches_oracle_on_every_single_entry_change(ex2):
+    """Each entry of ex2's Taylor complex in turn gets its sign flipped, its
+    row moved to the next row, or a row one past the end; the report is the
+    oracle's every time, over QQ and over GF(3)."""
+    F = taylor_complex(ex2)
+    for a in range(1, len(F.modules)):
+        n = len(F.modules[a - 1])
+        for j, col in enumerate(F.diffs[a]):
+            for k, (row, coeff) in enumerate(col):
+                for entry in ((row, -coeff), ((row + 1) % n, coeff), (n, coeff)):
+                    col[k] = entry
+                    for field, p in ((QQ, 0), (PrimeField(3), 3)):
+                        rep = verify_complex(F, field)
+                        assert (rep.ok, rep.problem, rep.location) == verify_oracle(F, p)
+                col[k] = (row, coeff)
+    assert verify_complex(F).ok
+
+
+def test_verify_rejects_a_row_of_another_length():
+    F = FreeComplex([[BasisElement((), (0, 0))], [BasisElement((0,), (1, 0, 0))]],
+                    [[], [[(0, 1)]]])
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        verify_complex(F)
+
+
 def test_restrict_rejects_non_homogeneous_input(ex2):
     F, _ = taylor_with_stray_row(ex2)
     with pytest.raises(ValueError, match="not closed"):
