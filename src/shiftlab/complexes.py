@@ -14,9 +14,10 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
@@ -71,15 +72,22 @@ class ShiftProfile(_Record):
 
 
 class FreeComplex:
-    """Finite complex of multigraded free modules with sparse differentials."""
+    """Finite complex of multigraded free modules with sparse differentials.
 
-    __slots__ = ("modules", "diffs")
+    ``modules`` is a tuple of tuples of (immutable) basis elements, so the
+    index restrict_complex builds from it on its first call stays valid;
+    ``diffs`` are lists of lists, read afresh by every operation, and may be
+    edited in place.  Pickle and copy carry the modules and diffs only.
+    """
+
+    __slots__ = ("modules", "diffs", "_index")
 
     def __init__(self, modules, diffs):
         if len(diffs) != len(modules):
             raise ValueError("need one differential slot per module (diffs[0] unused)")
-        self.modules = [list(mod) for mod in modules]
+        self.modules = tuple(tuple(mod) for mod in modules)
         self.diffs = [[list(col) for col in d] for d in diffs]
+        self._index = None
         for a, (mod, d) in enumerate(zip(self.modules, self.diffs)):
             if len(d) != (len(mod) if a else 0):
                 want = f"one per basis element of module {a}" if a else "none"
@@ -94,6 +102,9 @@ class FreeComplex:
 
     def __repr__(self):
         return f"FreeComplex(ranks={self.ranks()})"
+
+    def __reduce__(self):
+        return FreeComplex, (self.modules, self.diffs)
 
 
 LCM_BLOCK = 12  # generators in the low block of _face_lcms: 2^12 rows per column
@@ -193,29 +204,70 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     return _face_complex(I, cap, unique_lcm_only=True)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits -> 0/1 flags for compress
+
+
+def _restriction_index(modules: tuple) -> tuple:
+    """(n, levels) for restrict_complex: n is the length of every basis
+    multidegree (None if there are none), and levels[a][v] the pair (E, P) of
+    module a and variable v, with E the sorted distinct exponents of x_v and
+    P[i] the bitmask of the basis elements whose x_v exponent is at most
+    E[i - 1] (P[0] = 0).  Basis elements of another length raise ValueError."""
+    n = next((len(be.mdeg) for mod in modules for be in mod), None)
+    levels = []
+    for mod in modules:
+        by_exp = [{} for _ in range(n or 0)]
+        for j, be in enumerate(mod):
+            if len(be.mdeg) != n:
+                raise ValueError(f"length mismatch: {n} vs {len(be.mdeg)}")
+            bit = 1 << j
+            for groups, e in zip(by_exp, be.mdeg):
+                groups[e] = groups.get(e, 0) | bit
+        level = []
+        for groups in by_exp:
+            exps, prefix = sorted(groups), [0]
+            for e in exps:
+                prefix.append(prefix[-1] | groups[e])
+            level.append((exps, prefix))
+        levels.append(level)
+    return n, levels
+
+
 def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     """The subcomplex on basis elements with multidegree <= alpha.
 
     Homogeneity makes this closed: any entry of a retained column points at
     a row of smaller multidegree, which is retained too.  Restriction of a
     minimal complex is minimal (no entries are created).
+
+    The first call on F indexes its modules (see _restriction_index) and
+    keeps the index on F.  Each call then finds a module's kept elements,
+    in basis order, as the AND over the variables v of the prefix masks
+    P[bisect_right(E, alpha[v])].  The build costs more than testing every
+    element once, so this pays off on a complex restricted many times.
     """
-    n = next((len(be.mdeg) for mod in F.modules for be in mod), len(alpha))
-    if len(alpha) != n:
+    if F._index is None or F._index[0] is not F.modules:
+        F._index = (F.modules, *_restriction_index(F.modules))
+    _, n, levels = F._index
+    if n is not None and len(alpha) != n:
         raise ValueError(f"length mismatch: {n} vs {len(alpha)}")
-    keep = [[j for j, be in enumerate(mod) if all(map(le, be.mdeg, alpha))]
-            for mod in F.modules]
-    modules = [[mod[j] for j in level] for mod, level in zip(F.modules, keep)]
-    diffs = [[]]
-    for a in range(1, len(keep)):
-        remap = {j: i for i, j in enumerate(keep[a - 1])}
+    modules, diffs, remap = [], [], None
+    for a, (mod, level) in enumerate(zip(F.modules, levels)):
+        mask = (1 << len(mod)) - 1
+        for (exps, prefix), x in zip(level, alpha):
+            mask &= prefix[bisect_right(exps, x)]
+            if not mask:
+                break
+        flags = bin(mask)[:1:-1].encode().translate(_BITS)
+        modules.append(tuple(compress(mod, flags)))
         try:
-            diffs.append([[(remap[row], coeff) for row, coeff in F.diffs[a][j]]
-                          for j in keep[a]])
+            diffs.append([[(remap[row], coeff) for row, coeff in col]
+                          for col in compress(F.diffs[a], flags)] if a else [])
         except KeyError:
             raise ValueError(
                 "restriction not closed: input complex is not homogeneous"
             ) from None
+        remap = dict(zip(compress(range(len(mod)), flags), range(len(mod))))
     return _trimmed(modules, diffs)
 
 

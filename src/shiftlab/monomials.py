@@ -222,6 +222,10 @@ class MonomialIdeal:
     def __setattr__(self, *args):
         raise AttributeError("MonomialIdeal is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the ideal through the validating constructor
+        return MonomialIdeal, (self.ring, self.gens)
+
     @property
     def m(self) -> int:
         return len(self.gens)
@@ -252,14 +256,14 @@ def restrict_ideal(I: MonomialIdeal, alpha: Multidegree) -> MonomialIdeal:
     is <= alpha; equals the span of the generators below alpha, since any
     monomial of I below alpha is divisible by such a generator."""
     if len(alpha) != I.ring.n:
-        raise ValueError("alpha length does not match ring")
+        raise ValueError(f"length mismatch: {I.ring.n} vs {len(alpha)}")
     return MonomialIdeal(I.ring, [g for g in I.gens if divides(g, alpha)])
 
 
 def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
     """Bitmask of the minimal generators <= alpha: bit i is I.gens[i]."""
     if len(alpha) != I.ring.n:
-        raise ValueError("vector length does not match ring")
+        raise ValueError(f"length mismatch: {I.ring.n} vs {len(alpha)}")
     mask = 0
     for i, g in enumerate(I.gens):
         if all(map(le, g, alpha)):

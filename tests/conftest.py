@@ -163,8 +163,8 @@ RESTRICTION_PAIRS = 100
 @pytest.fixture(scope="session")
 def restriction_results(corpus_results):
     """100 seeded (ideal, alpha) pairs with alpha drawn from the lcm lattice:
-    the restricted Betti table, the matching slice of the full table, and
-    the restrictability facts about the minimalized resolution."""
+    the restricted Betti table, the matching slice of the full table, the
+    minimalized resolution and the restrictability facts about it."""
     rng = random.Random(CORPUS_SEED + 1)
     rows = []
     for rec in corpus_results["rows"]:
@@ -193,6 +193,7 @@ def restriction_results(corpus_results):
                 "restriction_minimal": is_minimal(min_restricted),
                 "restriction_verified": verify_complex(min_restricted, QQ).ok,
                 "restriction_ranks": min_restricted.ranks(),
+                "min_full": min_full,
             }
         )
     return rows

@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from shiftlab import (
     dumps_complex,
     is_minimal,
     join,
+    lcm_lattice,
     load_ideal,
     minimalize,
     multigraded_betti,
@@ -30,6 +34,7 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
+import shiftlab.complexes
 from shiftlab.complexes import (
     LCM_BLOCK,
     BasisElement,
@@ -224,6 +229,101 @@ def test_restrict_minimal_resolution_example1(ex1, ex1_table):
     assert R.ranks() == multigraded_betti(restrict_ideal(ex1, alpha)).totals()
 
 
+def restrict_oracle(F, alpha):
+    """restrict_complex before its index: every basis element is tested
+    against alpha, then the kept columns' rows are remapped; (modules, diffs)
+    with trailing empty modules dropped."""
+    keep = [[j for j, be in enumerate(mod) if all(map(le, be.mdeg, alpha))]
+            for mod in F.modules]
+    modules = [tuple(mod[j] for j in level) for mod, level in zip(F.modules, keep)]
+    diffs = [[]]
+    for a in range(1, len(keep)):
+        remap = {j: i for i, j in enumerate(keep[a - 1])}
+        diffs.append([[(remap[row], coeff) for row, coeff in F.diffs[a][j]]
+                      for j in keep[a]])
+    while len(modules) > 1 and not modules[-1]:
+        modules.pop()
+        diffs.pop()
+    return tuple(modules), diffs
+
+
+def assert_restricts_like_oracle(F, alphas):
+    for alpha in alphas:
+        R = restrict_complex(F, alpha)
+        assert (R.modules, R.diffs) == restrict_oracle(F, alpha), alpha
+
+
+def probe_alphas(I, F):
+    """Every lcm-lattice element of I, then off the lattice: the zero vector,
+    the join of the basis multidegrees, the join plus one in each slot, and
+    the join with one slot one below each exponent that occurs there."""
+    mdegs = [be.mdeg for mod in F.modules for be in mod]
+    top = reduce(join, mdegs)
+    alphas = [*lcm_lattice(I), I.ring.zero(), top]
+    for v in range(len(top)):
+        alphas.append(top[:v] + (top[v] + 1,) + top[v + 1:])
+        alphas += [top[:v] + (e - 1,) + top[v + 1:] for e in sorted({d[v] for d in mdegs})]
+    return alphas
+
+
+def built_complex(I, kind):
+    T = taylor_complex(I)
+    if kind == "taylor":
+        return T
+    return minimalize(T, QQ if kind == "minimal_qq" else PrimeField(32003))
+
+
+@pytest.mark.parametrize("name, kind", [
+    *((name, kind) for name in ("ex1", "ex2") for kind in ("taylor", "minimal_qq", "minimal_gf")),
+    ("S14", "minimal_qq"),
+])
+def test_restrict_matches_the_filter_oracle(ex1, ex2, name, kind):
+    examples = {"ex1": ex1, "ex2": ex2}
+    I = examples[name] if name in examples else load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))
+    F = built_complex(I, kind)
+    assert_restricts_like_oracle(F, probe_alphas(I, F))
+
+
+def test_restrict_matches_the_filter_oracle_on_corpus_pairs(restriction_results):
+    assert len(restriction_results) == 100
+    for rec in restriction_results:
+        assert_restricts_like_oracle(rec["min_full"], [rec["alpha"]])
+
+
+def test_restrict_indexes_a_complex_once(ex1, monkeypatch):
+    # the bench resolve pin: ex1's minimal resolution below its 1251 lattice elements
+    build, calls = shiftlab.complexes._restriction_index, []
+    monkeypatch.setattr(shiftlab.complexes, "_restriction_index",
+                        lambda modules: calls.append(modules) or build(modules))
+    M = minimalize(taylor_complex(ex1), QQ)
+    restricted = [restrict_complex(M, alpha) for alpha in lcm_lattice(ex1)]
+    assert len(restricted) == 1251
+    assert sum(sum(R.ranks()) for R in restricted) == 67684
+    assert calls == [M.modules]
+
+
+def test_restrict_reindexes_reassigned_modules(ex2):
+    F = taylor_complex(ex2)
+    restrict_complex(F, ex2.ring.zero())
+    M = minimalize(F)
+    F.modules, F.diffs = M.modules, M.diffs
+    assert_restricts_like_oracle(F, probe_alphas(ex2, M))
+
+
+def test_free_complex_pickles_and_copies_without_its_index(ex2):
+    alpha = (3, 2, 2, 2, 2, 0, 2)
+    F = minimalize(taylor_complex(ex2))
+    before = pickle.dumps(F)
+    R = restrict_complex(F, alpha)
+    assert pickle.dumps(F) == before
+    for back in (pickle.loads(before), copy.copy(F), copy.deepcopy(F)):
+        assert (back.modules, back.diffs) == (F.modules, F.diffs)
+        S = restrict_complex(back, alpha)
+        assert (S.modules, S.diffs) == (R.modules, R.diffs)
+    with pytest.raises(TypeError):
+        F.modules[1][0] = F.modules[1][1]
+
+
 # --- verification ----------------------------------------------------------------
 
 def test_verify_detects_sign_flip(ex2):
@@ -307,11 +407,21 @@ def test_verify_matches_oracle_on_every_single_entry_change(ex2):
     assert verify_complex(F).ok
 
 
+def mixed_length_complex():
+    return FreeComplex([[BasisElement((), (0, 0))], [BasisElement((0,), (1, 0, 0))]],
+                       [[], [[(0, 1)]]])
+
+
 def test_verify_rejects_a_row_of_another_length():
-    F = FreeComplex([[BasisElement((), (0, 0))], [BasisElement((0,), (1, 0, 0))]],
-                    [[], [[(0, 1)]]])
     with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
-        verify_complex(F)
+        verify_complex(mixed_length_complex())
+
+
+@pytest.mark.parametrize("alpha", [(1, 0), (1, 0, 0)])
+def test_restrict_rejects_basis_elements_of_two_lengths(alpha):
+    # zip would truncate the second element's (1, 0, 0) and keep it below (1, 0)
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        restrict_complex(mixed_length_complex(), alpha)
 
 
 def test_restrict_rejects_non_homogeneous_input(ex2):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations, permutations
 
 import pytest
@@ -168,6 +170,13 @@ def test_minimalize_rejects_mixed_lengths(vecs):
             minimalize_generators(order)
 
 
+def test_ideal_pickles_and_copies(ex2):
+    for back in (pickle.loads(pickle.dumps(ex2)), copy.copy(ex2), copy.deepcopy(ex2)):
+        assert type(back) is MonomialIdeal and back == ex2 and back.gens == ex2.gens
+        with pytest.raises(AttributeError, match="immutable"):
+            back.gens = ()
+
+
 def test_unit_ideal_rejected():
     with pytest.raises(ValueError):
         MonomialIdeal(RING2, [(0, 0)])
@@ -234,8 +243,13 @@ def test_covering_pair_zero_ideal():
                                         ((), (1, 1))])
 def test_covering_pair_wrong_length(alpha, beta):
     I = MonomialIdeal(RING2, [(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="length"):
+    bad = alpha if len(alpha) != 2 else beta
+    message = f"^length mismatch: 2 vs {len(bad)}$"
+    with pytest.raises(ValueError, match=message):
         is_covering_pair(I, alpha, beta)
+    for routine in (generators_below, restrict_ideal):
+        with pytest.raises(ValueError, match=message):
+            routine(I, bad)
 
 
 def test_ascii_int():
