@@ -9,7 +9,6 @@ valid input signals an implementation bug, not mathematics.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import ge, le, or_
@@ -404,34 +403,29 @@ def _minimal(vectors) -> list[tuple[int, ...]]:
 def _symbolic_le(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     """Whether sum of t_i over ``small`` provably bounds below the sum over
     ``big``: each small term b must absorb a disjoint chunk of ``big`` of
-    the shape {j} + (b - j) copies of t_1 (the consecutive rewrite), and
-    leftover big terms are harmless since shifts are nonnegative."""
-    avail = Counter(big)
+    the shape {j} + (b - j) copies of t_1 with 1 <= j <= b (the consecutive
+    rewrite), and leftover big terms are harmless since shifts are
+    nonnegative.  Matching b to a big term j >= 2 saves j copies of t_1 over
+    paying for b in copies of t_1 alone, so small <= big iff some matching
+    of big terms j >= 2 to distinct small terms b >= j has
+    sum(small) - (sum of the matched j) <= the number of t_1 in big.
 
-    def match(terms):
-        if not terms:
-            return True
-        b, rest = terms[0], terms[1:]
-        for j in sorted(set(avail), reverse=True):
-            k = b - j
-            if j < 1 or k < 0 or avail[j] == 0:
-                continue
-            need_ones = k + (1 if j == 1 else 0)
-            if j != 1 and avail[1] < k:
-                continue
-            if j == 1 and avail[1] < need_ones:
-                continue
-            avail[j] -= 1
-            avail[1] -= k
-            if match(rest):
-                avail[j] += 1
-                avail[1] += k
-                return True
-            avail[j] += 1
-            avail[1] += k
-        return False
-
-    return match(tuple(sorted(small, reverse=True)))
+    The greedy finds the largest matched sum.  The sets of big terms that
+    can be matched at once are the independent sets of a transversal
+    matroid, so taking the terms by descending weight j, each one kept when
+    it can still be matched, is optimal.  The neighbourhoods are nested (a
+    small term >= j is >= every smaller j), so j can be matched iff the
+    largest unmatched small term is >= j, and which one takes it does not
+    matter."""
+    small = sorted(small, reverse=True)
+    k = saved = 0
+    for j in sorted(big, reverse=True):
+        if j < 2:
+            break
+        if k < len(small) and small[k] >= j:
+            saved += j
+            k += 1
+    return sum(small) - saved <= big.count(1)
 
 
 def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:

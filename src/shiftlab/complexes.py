@@ -21,7 +21,7 @@ from itertools import combinations, compress
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, _Record, _set, join, total_degree
+from .monomials import MonomialIdeal, _length_mismatch, _Record, _set, join, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -74,10 +74,17 @@ class ShiftProfile(_Record):
 class FreeComplex:
     """Finite complex of multigraded free modules with sparse differentials.
 
-    ``modules`` is a tuple of tuples of (immutable) basis elements, so the
-    index restrict_complex builds from it on its first call stays valid;
+    The constructor is the one place a complex is checked: one differential
+    slot per module (``diffs[0]`` empty), one column per basis element, and
+    basis multidegrees of one length (else ``length mismatch: n vs k``, the
+    two shortest).  It drops trailing empty modules (module 0 stays) and
+    keeps the column lists it is handed.
+
+    ``modules`` is a tuple of tuples of immutable basis elements and cannot
+    be reassigned, so the index restrict_complex builds from it stays valid;
     ``diffs`` are lists of lists, read afresh by every operation, and may be
-    edited in place.  Pickle and copy carry the modules and diffs only.
+    edited in place.  Pickle and copy carry the modules and diffs only
+    (copy.copy shares the columns).
     """
 
     __slots__ = ("modules", "diffs", "_index")
@@ -85,13 +92,25 @@ class FreeComplex:
     def __init__(self, modules, diffs):
         if len(diffs) != len(modules):
             raise ValueError("need one differential slot per module (diffs[0] unused)")
-        self.modules = tuple(tuple(mod) for mod in modules)
-        self.diffs = [[list(col) for col in d] for d in diffs]
-        self._index = None
-        for a, (mod, d) in enumerate(zip(self.modules, self.diffs)):
+        modules = tuple(tuple(mod) for mod in modules)
+        for a, (mod, d) in enumerate(zip(modules, diffs)):
             if len(d) != (len(mod) if a else 0):
                 want = f"one per basis element of module {a}" if a else "none"
                 raise ValueError(f"diffs[{a}] has {len(d)} columns; it needs {want}")
+        lengths = {len(be.mdeg) for mod in modules for be in mod}
+        if len(lengths) > 1:
+            _length_mismatch(*sorted(lengths)[:2])
+        top = len(modules)
+        while top > 1 and not modules[top - 1]:
+            top -= 1
+        _set(self, "modules", modules[:top])
+        _set(self, "diffs", [list(d) for d in diffs[:top]])
+        _set(self, "_index", None)
+
+    def __setattr__(self, name, value):
+        if name == "modules":
+            raise AttributeError("cannot assign to field 'modules'")
+        _set(self, name, value)
 
     @property
     def length(self) -> int:
@@ -141,14 +160,6 @@ def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
     return lcm
 
 
-def _trimmed(modules: list, diffs: list) -> FreeComplex:
-    """The complex on these levels, minus trailing empty modules (module 0 stays)."""
-    while len(modules) > 1 and not modules[-1]:
-        modules.pop()
-        diffs.pop()
-    return FreeComplex(modules, diffs)
-
-
 def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComplex:
     """The Taylor differential on the Taylor faces of I, each size in
     lexicographic order: all of them, or with ``unique_lcm_only`` those whose
@@ -180,7 +191,7 @@ def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComp
         modules.append(level)
         diffs.append(cols if a else [])
         below = index
-    return _trimmed(modules, diffs)
+    return FreeComplex(modules, diffs)
 
 
 def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
@@ -212,14 +223,12 @@ def _restriction_index(modules: tuple) -> tuple:
     multidegree (None if there are none), and levels[a][v] the pair (E, P) of
     module a and variable v, with E the sorted distinct exponents of x_v and
     P[i] the bitmask of the basis elements whose x_v exponent is at most
-    E[i - 1] (P[0] = 0).  Basis elements of another length raise ValueError."""
+    E[i - 1] (P[0] = 0)."""
     n = next((len(be.mdeg) for mod in modules for be in mod), None)
     levels = []
     for mod in modules:
         by_exp = [{} for _ in range(n or 0)]
         for j, be in enumerate(mod):
-            if len(be.mdeg) != n:
-                raise ValueError(f"length mismatch: {n} vs {len(be.mdeg)}")
             bit = 1 << j
             for groups, e in zip(by_exp, be.mdeg):
                 groups[e] = groups.get(e, 0) | bit
@@ -241,16 +250,17 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     minimal complex is minimal (no entries are created).
 
     The first call on F indexes its modules (see _restriction_index) and
-    keeps the index on F.  Each call then finds a module's kept elements,
-    in basis order, as the AND over the variables v of the prefix masks
+    keeps the index on F; F.modules cannot be reassigned, so the index never
+    goes stale.  Each call then finds a module's kept elements, in basis
+    order, as the AND over the variables v of the prefix masks
     P[bisect_right(E, alpha[v])].  The build costs more than testing every
     element once, so this pays off on a complex restricted many times.
     """
-    if F._index is None or F._index[0] is not F.modules:
-        F._index = (F.modules, *_restriction_index(F.modules))
-    _, n, levels = F._index
+    if F._index is None:
+        F._index = _restriction_index(F.modules)
+    n, levels = F._index
     if n is not None and len(alpha) != n:
-        raise ValueError(f"length mismatch: {n} vs {len(alpha)}")
+        _length_mismatch(n, len(alpha))
     modules, diffs, remap = [], [], None
     for a, (mod, level) in enumerate(zip(F.modules, levels)):
         mask = (1 << len(mod)) - 1
@@ -268,7 +278,7 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
                 "restriction not closed: input complex is not homogeneous"
             ) from None
         remap = dict(zip(compress(range(len(mod)), flags), range(len(mod))))
-    return _trimmed(modules, diffs)
+    return FreeComplex(modules, diffs)
 
 
 class VerifyReport(_Record):
@@ -317,11 +327,8 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
             for row, _ in col:
                 if not 0 <= row < len(below):
                     return VerifyReport(False, "row index out of range", (a, j, row))
-                # divides(below[row], top), inlined: the same length check
-                low = below[row]
-                if len(low) != len(top):
-                    raise ValueError(f"length mismatch: {len(low)} vs {len(top)}")
-                if not all(map(le, low, top)):
+                # divides(below[row], top), inlined: FreeComplex checked the lengths
+                if not all(map(le, below[row], top)):
                     return VerifyReport(
                         False, "entry multidegree breaks homogeneity", (a, j, row)
                     )
@@ -354,16 +361,9 @@ def is_minimal(F: FreeComplex) -> bool:
 
 
 def shifts_of_complex(F: FreeComplex) -> ShiftProfile:
-    """Maximal total degree per module, up to the last nonzero module."""
-    top = 0
-    for a, mod in enumerate(F.modules):
-        if mod:
-            top = a
-    return ShiftProfile(
-        tuple(
-            max((be.degree for be in F.modules[a]), default=0) for a in range(top + 1)
-        )
-    )
+    """Maximal total degree per module, up to the last nonzero one (the last
+    module of F: FreeComplex drops trailing empty modules)."""
+    return ShiftProfile(tuple(max((be.degree for be in mod), default=0) for mod in F.modules))
 
 
 def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
@@ -427,7 +427,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
         diffs.append([[(index[g], cols[a][j][g]) for g in sorted(cols[a][j])]
                       for j in alive] if a else [])
         index = {j: i for i, j in enumerate(alive)}  # new index of each survivor
-    return _trimmed(modules, diffs)
+    return FreeComplex(modules, diffs)
 
 
 def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:

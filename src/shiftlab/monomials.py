@@ -12,7 +12,7 @@ import json
 import re
 from contextlib import contextmanager
 from operator import attrgetter, le
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 Multidegree = tuple[int, ...]
 
@@ -31,6 +31,11 @@ def ascii_int(text: str, signed: bool = False) -> int:
     if not re.fullmatch(("-?" if signed else "") + _DIGITS, text):
         raise ValueError(f"{text!r} is not ASCII digits")
     return int(text)
+
+
+def _length_mismatch(n: int, k: int, prefix: str = "") -> NoReturn:
+    """Raise the one error of every length check on multidegrees."""
+    raise ValueError(f"{prefix}length mismatch: {n} vs {k}")
 
 
 class IdealSyntaxError(ValueError):
@@ -150,7 +155,7 @@ def parse_monomial(text: str, ring: Ring) -> Multidegree:
 def format_monomial(mdeg: Multidegree, ring: Ring) -> str:
     """Inverse of parse_monomial; the zero vector prints as ``1``."""
     if len(mdeg) != ring.n:
-        raise ValueError("multidegree length does not match ring")
+        _length_mismatch(ring.n, len(mdeg))
     parts = []
     for name, e in zip(ring.names, mdeg):
         if e == 1:
@@ -163,14 +168,14 @@ def format_monomial(mdeg: Multidegree, ring: Ring) -> str:
 def divides(a: Multidegree, b: Multidegree) -> bool:
     """x^a divides x^b, i.e. a <= b componentwise."""
     if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        _length_mismatch(len(a), len(b))
     return all(x <= y for x, y in zip(a, b))
 
 
 def join(a: Multidegree, b: Multidegree) -> Multidegree:
     """Componentwise max; the exponent vector of lcm(x^a, x^b)."""
     if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        _length_mismatch(len(a), len(b))
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
@@ -189,7 +194,7 @@ def minimalize_generators(gens: Iterable[Multidegree]) -> list[Multidegree]:
     gens = list(dict.fromkeys(tuple(g) for g in gens))
     for g in gens:
         if len(g) != len(gens[0]):
-            raise ValueError(f"length mismatch: {len(g)} vs {len(gens[0])}")
+            _length_mismatch(len(gens[0]), len(g))
     # after deduplication, h is not g exactly when h != g
     return [g for g in gens if not any(h is not g and all(map(le, h, g)) for h in gens)]
 
@@ -210,7 +215,7 @@ class MonomialIdeal:
         for g in gens:
             v = tuple(g)
             if len(v) != ring.n:
-                raise ValueError(f"generator {v} has wrong length for {ring}")
+                _length_mismatch(ring.n, len(v), f"generator {v}: ")
             if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in v):
                 raise ValueError(f"generator {v} has a bad exponent")
             if not any(v):
@@ -256,14 +261,14 @@ def restrict_ideal(I: MonomialIdeal, alpha: Multidegree) -> MonomialIdeal:
     is <= alpha; equals the span of the generators below alpha, since any
     monomial of I below alpha is divisible by such a generator."""
     if len(alpha) != I.ring.n:
-        raise ValueError(f"length mismatch: {I.ring.n} vs {len(alpha)}")
+        _length_mismatch(I.ring.n, len(alpha))
     return MonomialIdeal(I.ring, [g for g in I.gens if divides(g, alpha)])
 
 
 def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
     """Bitmask of the minimal generators <= alpha: bit i is I.gens[i]."""
     if len(alpha) != I.ring.n:
-        raise ValueError(f"length mismatch: {I.ring.n} vs {len(alpha)}")
+        _length_mismatch(I.ring.n, len(alpha))
     mask = 0
     for i, g in enumerate(I.gens):
         if all(map(le, g, alpha)):

@@ -406,6 +406,38 @@ def brute_force_minimal(candidates):
             if not any(o != c and brute_force_contains(c, o) for o in candidates)}
 
 
+def backtracking_symbolic_le(small, big):
+    """_symbolic_le before its greedy: each small term, largest first, tries
+    every big term j <= b it could absorb with b - j copies of t_1, and
+    backtracks on failure.  The oracle for the greedy matching."""
+    avail = Counter(big)
+
+    def match(terms):
+        if not terms:
+            return True
+        b, rest = terms[0], terms[1:]
+        for j in sorted(set(avail), reverse=True):
+            k = b - j
+            if j < 1 or k < 0 or avail[j] == 0:
+                continue
+            need_ones = k + (1 if j == 1 else 0)
+            if j != 1 and avail[1] < k:
+                continue
+            if j == 1 and avail[1] < need_ones:
+                continue
+            avail[j] -= 1
+            avail[1] -= k
+            if match(rest):
+                avail[j] += 1
+                avail[1] += k
+                return True
+            avail[j] += 1
+            avail[1] += k
+        return False
+
+    return match(tuple(sorted(small, reverse=True)))
+
+
 def brute_force_symbolic_bounds(n, m, a):
     """The closure on sorted term tuples, with the minimal filter pair by pair:
     the oracle that the count-vector closure in derive_symbolic_bounds is
@@ -414,8 +446,8 @@ def brute_force_symbolic_bounds(n, m, a):
     for splits in brute_force_windows(n, m, a).values():
         kept = brute_force_minimal(brute_force_candidates(splits))
         for cand in kept:
-            if not any(o != cand and _symbolic_le(o, cand) and not _symbolic_le(cand, o)
-                       for o in kept):
+            if not any(o != cand and backtracking_symbolic_le(o, cand)
+                       and not backtracking_symbolic_le(cand, o) for o in kept):
                 bounds.add(cand)
     return [SymbolicBound(a, b) for b in sorted(bounds)]
 
@@ -474,6 +506,15 @@ def test_symbolic_fold_matches_product():
     for n, m, a in SYMBOLIC_GRID + [(11, 16, 11)]:
         for splits in general_windows(n, m, a).values():
             assert _unions(splits, a) == product_unions(splits, a), (n, m, a, splits)
+
+
+def test_symbolic_le_greedy_matches_backtracking():
+    # every pair of multisets of the terms t_1..t_6 with at most 4 terms
+    multisets = [ms for k in range(5) for ms in combinations_with_replacement(range(1, 7), k)]
+    assert len(multisets) ** 2 == 44100
+    differ = [(small, big) for small in multisets for big in multisets
+              if _symbolic_le(small, big) != backtracking_symbolic_le(small, big)]
+    assert differ == []
 
 
 def test_symbolic_12_18_12_pinned():

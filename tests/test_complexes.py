@@ -10,6 +10,7 @@ from operator import le
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab import (
     MonomialIdeal,
@@ -302,12 +303,15 @@ def test_restrict_indexes_a_complex_once(ex1, monkeypatch):
     assert calls == [M.modules]
 
 
-def test_restrict_reindexes_reassigned_modules(ex2):
+def test_free_complex_modules_cannot_be_reassigned(ex2):
+    # restrict_complex indexes F.modules on its first call, so they stay put
     F = taylor_complex(ex2)
+    modules = F.modules
     restrict_complex(F, ex2.ring.zero())
-    M = minimalize(F)
-    F.modules, F.diffs = M.modules, M.diffs
-    assert_restricts_like_oracle(F, probe_alphas(ex2, M))
+    with pytest.raises(AttributeError, match="modules"):
+        F.modules = minimalize(F).modules
+    assert F.modules is modules
+    assert_restricts_like_oracle(F, probe_alphas(ex2, F))
 
 
 def test_free_complex_pickles_and_copies_without_its_index(ex2):
@@ -322,6 +326,17 @@ def test_free_complex_pickles_and_copies_without_its_index(ex2):
         assert (S.modules, S.diffs) == (R.modules, R.diffs)
     with pytest.raises(TypeError):
         F.modules[1][0] = F.modules[1][1]
+
+
+def test_copy_shares_columns_deepcopy_and_pickle_do_not(ex2):
+    F = taylor_complex(ex2)
+    columns = [id(col) for level in F.diffs for col in level]
+    shallow = copy.copy(F)
+    assert [id(col) for level in shallow.diffs for col in level] == columns
+    assert shallow.diffs is not F.diffs and shallow.diffs[1] is not F.diffs[1]
+    for back in (copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert back.diffs == F.diffs
+        assert not {id(col) for level in back.diffs for col in level} & set(columns)
 
 
 # --- verification ----------------------------------------------------------------
@@ -413,8 +428,69 @@ def mixed_length_complex():
 
 
 def test_verify_rejects_a_row_of_another_length():
+    # the complex is refused when it is built, before verify_complex runs
     with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
         verify_complex(mixed_length_complex())
+
+
+@pytest.mark.parametrize("mdegs, message", [
+    ([[(0, 0)], [(1, 0, 0)]], "2 vs 3"),
+    ([[(0, 0, 0)], [(1, 0, 0), (0, 1)]], "2 vs 3"),
+    ([[(0,), (1, 1)]], "1 vs 2"),
+    ([[], [(1, 1, 1)], [], [(1, 1)], [(1,)]], "1 vs 2"),
+])
+def test_free_complex_rejects_basis_multidegrees_of_two_lengths(mdegs, message):
+    modules = [[BasisElement((a, j), m) for j, m in enumerate(mod)]
+               for a, mod in enumerate(mdegs)]
+    diffs = [[[] for _ in mod] if a else [] for a, mod in enumerate(modules)]
+    with pytest.raises(ValueError, match=f"^length mismatch: {message}$"):
+        FreeComplex(modules, diffs)
+
+
+@pytest.mark.parametrize("mdegs, diffs, ranks, shifts", [
+    ([[0], [], []], [[], [], []], (1,), (0,)),
+    ([[], []], [[], []], (0,), (0,)),
+    ([[0], [], [1], []], [[], [], [[]], []], (1, 0, 1), (0, 0, 1)),
+])
+def test_free_complex_drops_trailing_empty_modules(mdegs, diffs, ranks, shifts):
+    F = line_complex(mdegs, diffs)
+    assert F.ranks() == ranks and len(F.diffs) == len(ranks)
+    assert shifts_of_complex(F).shifts == shifts
+
+
+def test_complex_from_json_drops_trailing_empty_modules():
+    obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
+    obj["modules"] += [[], []]
+    obj["differentials"] += [[], []]
+    assert complex_from_json(obj).ranks() == (1, 2, 1)
+
+
+@st.composite
+def small_complexes(draw):
+    """Modules of basis elements in one or two variables, with multidegrees
+    mostly of one length, and differentials with rows in and out of range."""
+    n = draw(st.integers(1, 2))
+    mdeg = st.lists(st.integers(0, 2), min_size=n, max_size=n + 1).map(tuple)
+    mdegs = draw(st.lists(st.lists(mdeg, max_size=3), min_size=1, max_size=4))
+    modules = [[BasisElement((a, j), m) for j, m in enumerate(mod)]
+               for a, mod in enumerate(mdegs)]
+    diffs = [[]]
+    for a in range(1, len(modules)):
+        entry = st.tuples(st.integers(-1, len(modules[a - 1])), st.integers(-2, 2))
+        diffs.append([draw(st.lists(entry, max_size=3)) for _ in modules[a]])
+    return modules, diffs
+
+
+@given(small_complexes(), st.sampled_from([0, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_verify_raises_no_value_error_on_a_built_complex(case, p):
+    try:
+        F = FreeComplex(*case)
+    except ValueError as exc:
+        assert str(exc).startswith("length mismatch")
+        return
+    rep = verify_complex(F, PrimeField(p) if p else QQ)
+    assert (rep.ok, rep.problem, rep.location) == verify_oracle(F, p)
 
 
 @pytest.mark.parametrize("alpha", [(1, 0), (1, 0, 0)])

@@ -81,6 +81,24 @@ def test_join_examples():
     assert join((5, 5, 5, 5, 0, 0, 0), (3, 3, 2, 2, 6, 5, 6)) == (5, 5, 5, 5, 6, 5, 6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: divides((1, 0), (1, 0, 0)), "length mismatch: 2 vs 3"),
+    (lambda: join((1, 0, 0), (1, 0)), "length mismatch: 3 vs 2"),
+    (lambda: minimalize_generators([(1, 0), (1, 0, 0)]), "length mismatch: 2 vs 3"),
+    (lambda: restrict_ideal(MonomialIdeal(RING2, [(1, 0)]), (1,)), "length mismatch: 2 vs 1"),
+    (lambda: generators_below(MonomialIdeal(RING2, [(1, 0)]), (1, 0, 0)),
+     "length mismatch: 2 vs 3"),
+    (lambda: format_monomial((1, 0, 0), RING2), "length mismatch: 2 vs 3"),
+    (lambda: MonomialIdeal(RING2, [(1, 0), (1,)]), "generator (1,): length mismatch: 2 vs 1"),
+], ids=["divides", "join", "minimalize_generators", "restrict_ideal", "generators_below",
+        "format_monomial", "MonomialIdeal"])
+def test_length_mismatch_message(call, message):
+    # one message names both lengths at every entry point
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_total_degree():
     assert total_degree((2, 0, 0, 0, 2, 2, 0)) == 6
     assert total_degree((0,) * 7 ) == 0
