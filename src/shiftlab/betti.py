@@ -1,8 +1,8 @@
 """Exact Betti numbers of S/I via fixed-multidegree strand homology.
 
 Every Betti multidegree of S/I is the lcm of a set of generators, so the
-engine walks the lcm lattice and, at each alpha, takes the homology of one of
-two chain complexes whose faces are bitmasks:
+engine groups the subsets by lcm (_face_lcms, the 2^m table) and at each
+alpha takes the homology of one of two chain complexes with bitmask faces:
 
 - the Taylor strand: one face per generator subset whose lcm is exactly
   alpha; its homology at face size a is b_{a,alpha}(S/I).  It has up to 2^m
@@ -42,9 +42,9 @@ from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .complexes import GENERATOR_CAP, ShiftProfile, _face_lcms, scarf_complex
+from .complexes import GENERATOR_CAP, ShiftProfile, _check_cap, scarf_complex
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, total_degree
+from .monomials import MonomialIdeal, join, total_degree
 
 
 def rank_exact(M: list[list[int]], field=QQ) -> int:
@@ -94,6 +94,34 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
             else:
                 del rows[k]
     return rank
+
+
+LCM_BLOCK = 12  # generators in the low block of _face_lcms: 2^12 rows per column
+
+
+def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
+    """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector).
+
+    The subsets of the first LCM_BLOCK generators are built one exponent
+    column per variable: generator i doubles each column, the new half being
+    the old one clamped from below by its exponent, and one zip turns the
+    columns into rows.  Each subset h of the later generators then appends
+    one block of rows: the low columns clamped by the lcm of h (the row
+    h << LCM_BLOCK, already built), zipped.  Beside the table the build holds
+    at most 2n columns of 2^LCM_BLOCK rows, whatever m is."""
+    _check_cap(I, cap)
+    low, high = I.gens[:LCM_BLOCK], I.gens[LCM_BLOCK:]
+    cols = [[0] for _ in range(I.ring.n)]
+    for g in low:
+        for col, e in zip(cols, g):
+            col += [x if x >= e else e for x in col] if e else col
+    lcm = list(zip(*cols))
+    for h in range(1, 1 << len(high)):
+        bit = h & -h
+        top = join(lcm[(h ^ bit) << LCM_BLOCK], high[bit.bit_length() - 1])
+        lcm += zip(*[[x if x >= e else e for x in col] if e else col
+                     for col, e in zip(cols, top)])
+    return lcm
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:
@@ -226,10 +254,9 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     b_{s+shift,alpha}.  Strands are independent; they are walked in
     lexicographic multidegree order so the output is reproducible.
     """
-    lcm = _face_lcms(I, cap)
     strata: dict[tuple, list[int]] = defaultdict(list)
-    for mask in range(1 << I.m):
-        strata[lcm[mask]].append(mask)
+    for mask, top in enumerate(_face_lcms(I, cap)):
+        strata[top].append(mask)
     entries: dict[tuple, int] = {}
     for alpha in sorted(strata):
         faces, shift = strata[alpha], 0

@@ -1,12 +1,13 @@
 """Multigraded free chain complexes over a polynomial ring.
 
-A complex stores, per homological degree a, a list of basis elements
+A complex stores, per homological degree a, a tuple of basis elements
 (label + multidegree) and, for a >= 1, a sparse differential into degree
 a-1.  Differentials are column-major: ``diffs[a][j]`` is the list of
 ``(row, coeff)`` entries of basis element j of module a.  Multigraded
 homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
 it is read off the basis and never stored; homogeneity is also what keeps
-single-term sparse entries closed under all the operations here.
+single-term sparse entries closed under all the operations here.  Taylor
+and Scarf faces grow from kept facets; only betti builds the 2^m lcm table.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import heapq
 import json
 import re
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, _length_mismatch, _Record, _set, join, total_degree
+from .monomials import MonomialIdeal, _length_mismatch, _Record, _set, generators_below, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -74,22 +74,24 @@ class ShiftProfile(_Record):
 class FreeComplex:
     """Finite complex of multigraded free modules with sparse differentials.
 
-    The constructor is the one place a complex is checked: one differential
-    slot per module (``diffs[0]`` empty), one column per basis element, and
-    basis multidegrees of one length (else ``length mismatch: n vs k``, the
-    two shortest).  It drops trailing empty modules (module 0 stays) and
-    keeps the column lists it is handed.
+    The constructor is the one place a complex is checked: module 0, one
+    differential slot per module (``diffs[0]`` empty), one column per basis
+    element, and basis multidegrees of one length (else ``length mismatch:
+    n vs k``, the two shortest).  It drops trailing empty modules (module 0
+    stays) and keeps the column lists it is handed.
 
     ``modules`` is a tuple of tuples of immutable basis elements and cannot
     be reassigned, so the index restrict_complex builds from it stays valid;
-    ``diffs`` are lists of lists, read afresh by every operation, and may be
-    edited in place.  Pickle and copy carry the modules and diffs only
-    (copy.copy shares the columns).
+    ``diffs`` is a tuple of tuples of column lists, so the column counts stay
+    as checked while the columns may be edited in place.  Pickle and copy
+    carry the modules and columns only (copy.copy shares the columns).
     """
 
     __slots__ = ("modules", "diffs", "_index")
 
     def __init__(self, modules, diffs):
+        if not modules:
+            raise ValueError("a complex needs module 0")
         if len(diffs) != len(modules):
             raise ValueError("need one differential slot per module (diffs[0] unused)")
         modules = tuple(tuple(mod) for mod in modules)
@@ -104,7 +106,7 @@ class FreeComplex:
         while top > 1 and not modules[top - 1]:
             top -= 1
         _set(self, "modules", modules[:top])
-        _set(self, "diffs", [list(d) for d in diffs[:top]])
+        _set(self, "diffs", tuple(tuple(d) for d in diffs[:top]))
         _set(self, "_index", None)
 
     def __setattr__(self, name, value):
@@ -123,74 +125,42 @@ class FreeComplex:
         return f"FreeComplex(ranks={self.ranks()})"
 
     def __reduce__(self):
-        return FreeComplex, (self.modules, self.diffs)
+        return FreeComplex, (self.modules, [list(d) for d in self.diffs])
 
 
-LCM_BLOCK = 12  # generators in the low block of _face_lcms: 2^12 rows per column
-
-
-def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
-    """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector).
-    Every 2^m construction reads this table, so it alone checks the cap.
-
-    The subsets of the first LCM_BLOCK generators are built one exponent
-    column per variable: generator i doubles each column, the new half being
-    the old one clamped from below by its exponent, and one zip turns the
-    columns into rows.  Each subset h of the later generators then appends
-    one block of rows: the low columns clamped by the lcm of h (the row
-    h << LCM_BLOCK, already built), zipped.  Beside the table the build holds
-    at most 2n columns of 2^LCM_BLOCK rows, whatever m is.
-    Single runs on a 2-core Xeon VM, one join per mask → columns, on the
-    random edge ideals E12 and E14 of ROADMAP.md: E12 (2^18 rows) 0.61–0.78
-    → 0.15–0.16 s, E14 (2^20) 2.6–3.3 → 0.54–0.69 s, peak RSS unchanged
-    (58 and 189 MB)."""
+def _check_cap(I: MonomialIdeal, cap: int) -> None:
+    """Refuse a 2^m-sized construction on more than ``cap`` generators."""
     if I.m > cap:
         raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
-    low, high = I.gens[:LCM_BLOCK], I.gens[LCM_BLOCK:]
-    cols = [[0] for _ in range(I.ring.n)]
-    for g in low:
-        for col, e in zip(cols, g):
-            col += [x if x >= e else e for x in col] if e else col
-    lcm = list(zip(*cols))
-    for h in range(1, 1 << len(high)):
-        bit = h & -h
-        top = join(lcm[(h ^ bit) << LCM_BLOCK], high[bit.bit_length() - 1])
-        lcm += zip(*[[x if x >= e else e for x in col] if e else col
-                     for col, e in zip(cols, top)])
-    return lcm
 
 
 def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComplex:
     """The Taylor differential on the Taylor faces of I, each size in
-    lexicographic order: all of them, or with ``unique_lcm_only`` those whose
-    lcm no other subset attains.  Kept faces must form a simplicial complex."""
-    lcm = _face_lcms(I, cap)
-    counts = Counter(lcm) if unique_lcm_only else None
-    modules, diffs = [], []
-    below: dict[int, int] = {}  # bitmask -> index of the kept faces one size down
-    for a in range(I.m + 1):
-        level, cols, index = [], [], {}
-        for face in combinations(range(I.m), a):
-            fm = 0
-            for i in face:
-                fm |= 1 << i
-            top = lcm[fm]
-            if counts is not None and counts[top] != 1:
-                continue
-            col = []
-            for k, i in enumerate(face):
-                sub = fm ^ (1 << i)
-                if sub not in below:
-                    raise RuntimeError(
-                        f"facet {face[:k] + face[k + 1:]} of kept face {face} is not kept"
-                    )
-                col.append((below[sub], (-1) ** k))
-            index[fm] = len(level)
-            level.append(BasisElement(face, top))
-            cols.append(col)
-        modules.append(level)
-        diffs.append(cols if a else [])
-        below = index
+    lexicographic order: all of them, or with ``unique_lcm_only`` the Scarf
+    faces.  Each kept face grows by every generator i past its last member,
+    with lcm the join of its own with g_i, taken once per distinct pair (1259
+    joins for S14's 16384 faces); a facet's row is its index one size down."""
+    _check_cap(I, cap)
+    level, index = [BasisElement((), I.ring.zero())], {0: 0}  # kept faces of one size, by bitmask
+    modules, diffs, signs, joined = [level], [[]], (1,), {}
+    while level:
+        grown, grown_index, cols = [], {}, []
+        for fm, j in index.items():
+            face, top = level[j].label, level[j].mdeg
+            for i in range(face[-1] + 1 if face else 0, I.m):
+                mask = fm | 1 << i
+                lcm = joined.get((top, i))
+                if lcm is None:
+                    lcm = joined[top, i] = tuple(x if x >= e else e for x, e in zip(top, I.gens[i]))
+                rows = [index.get(mask ^ 1 << k) for k in face] + [j]
+                if unique_lcm_only and (None in rows or generators_below(I, lcm) != mask):
+                    continue
+                grown_index[mask] = len(grown)
+                grown.append(BasisElement(face + (i,), lcm))
+                cols.append(list(zip(rows, signs)))
+        modules.append(grown)
+        diffs.append(cols)
+        level, index, signs = grown, grown_index, signs + (-signs[-1],)
     return FreeComplex(modules, diffs)
 
 
@@ -209,9 +179,12 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     """The Scarf complex: the Taylor faces whose lcm no other subset attains,
     with the Taylor differential restricted to them.
 
-    Scarf faces form a simplicial complex (every facet of a Scarf face is
-    Scarf), so the restriction never drops a boundary term.
-    """
+    A face is kept when its facets are kept and its members are exactly the
+    generators below its lcm.  A subset with its lcm then lies in it; a
+    proper one lies in a facet of the same lcm, and the generator that facet
+    lacks is below that lcm, so the facet was not kept.  Every facet of a
+    Scarf face is Scarf, so growing kept faces misses none and drops no
+    boundary term."""
     return _face_complex(I, cap, unique_lcm_only=True)
 
 

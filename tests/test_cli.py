@@ -312,6 +312,16 @@ def test_cap_exceeded_exit3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("kind", ["taylor", "scarf"])
+def test_dump_cap_exceeded_exit3(tmp_path, capsys, kind):
+    # the face builder checks the cap itself, with no lcm table to do it
+    big = tmp_path / "big.ideal"
+    lines = ["vars: x y"] + [f"x^{23 - k}*y^{k}" for k in range(1, 23)] + ["y^23"]
+    big.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "dump", str(big), "--complex", kind)
+    assert rc == 3 and out == "" and "23 generators exceeds cap 22" in err
+
+
 def test_bad_field_exit4(capsys):
     # the prime is ASCII digits: p:\uff13 once ran over GF(3)
     for spec in ("p:10", "p:\uff13", "p:3_1", "p: 3", "p:+3", "p:-3"):

@@ -2,7 +2,9 @@ import copy
 import hashlib
 import json
 import pickle
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -35,14 +37,10 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
+import shiftlab.betti
 import shiftlab.complexes
-from shiftlab.complexes import (
-    LCM_BLOCK,
-    BasisElement,
-    CapExceededError,
-    FreeComplex,
-    _face_lcms,
-)
+from shiftlab.betti import LCM_BLOCK, _face_lcms
+from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -186,6 +184,84 @@ def test_scarf_subset_of_taylor_with_distinct_mdegs(ex2):
     assert len(mdegs) == len(set(mdegs))
 
 
+def reference_face_complex(I, unique_lcm_only):
+    """The table-based face builder the grown one replaced: every subset's
+    lcm read off _face_lcms, Scarf uniqueness counted over all 2^m of them,
+    and a kept face whose facet is not kept refused."""
+    lcm = _face_lcms(I, I.m)
+    counts = Counter(lcm) if unique_lcm_only else None
+    modules, diffs = [], []
+    below = {}  # bitmask -> index of the kept faces one size down
+    for a in range(I.m + 1):
+        level, cols, index = [], [], {}
+        for face in combinations(range(I.m), a):
+            fm = 0
+            for i in face:
+                fm |= 1 << i
+            top = lcm[fm]
+            if counts is not None and counts[top] != 1:
+                continue
+            col = []
+            for k, i in enumerate(face):
+                sub = fm ^ (1 << i)
+                if sub not in below:
+                    raise RuntimeError(
+                        f"facet {face[:k] + face[k + 1:]} of kept face {face} is not kept"
+                    )
+                col.append((below[sub], (-1) ** k))
+            index[fm] = len(level)
+            level.append(BasisElement(face, top))
+            cols.append(col)
+        modules.append(level)
+        diffs.append(cols if a else [])
+        below = index
+    return FreeComplex(modules, diffs)
+
+
+def oracle_ideals(corpus, ex1, ex2):
+    stress = [load_ideal(str(BENCH_IDEALS / f"{name}.ideal")) for name in ("S13", "S14")]
+    return [*corpus, ex1, ex2, *stress]
+
+
+def test_grown_faces_match_the_table_builder(corpus, ex1, ex2):
+    for I in oracle_ideals(corpus, ex1, ex2):
+        for build, unique in ((taylor_complex, False), (scarf_complex, True)):
+            assert dumps_complex(build(I)) == dumps_complex(reference_face_complex(I, unique)), I
+
+
+def test_every_facet_of_a_scarf_face_is_a_scarf_face(corpus, ex1, ex2):
+    for I in oracle_ideals(corpus, ex1, ex2):
+        S = scarf_complex(I)
+        for a in range(1, len(S.modules)):
+            below = {be.label for be in S.modules[a - 1]}
+            for be in S.modules[a]:
+                face = be.label
+                assert all(face[:k] + face[k + 1:] in below for k in range(a)), (I, face)
+
+
+def test_taylor_and_scarf_never_build_the_lcm_table(ex1, ex2):
+    # a profiler hook sees every call of the table's code, whatever module
+    # namespace it is called through; lcm_lattice is the positive control
+    table = shiftlab.betti._face_lcms.__code__
+    calls = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code is table:
+            calls.append(frame.f_code.co_name)
+
+    before = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        for I in (KOSZUL2, ex2, ex1):
+            taylor_complex(I)
+            scarf_complex(I)
+        built = list(calls)
+        lcm_lattice(ex2)
+    finally:
+        sys.setprofile(before)
+    assert built == [] and calls == ["_face_lcms"]
+
+
 # --- restriction ---------------------------------------------------------------
 
 def test_restrict_by_join_is_identity(ex2):
@@ -237,15 +313,15 @@ def restrict_oracle(F, alpha):
     keep = [[j for j, be in enumerate(mod) if all(map(le, be.mdeg, alpha))]
             for mod in F.modules]
     modules = [tuple(mod[j] for j in level) for mod, level in zip(F.modules, keep)]
-    diffs = [[]]
+    diffs = [()]
     for a in range(1, len(keep)):
         remap = {j: i for i, j in enumerate(keep[a - 1])}
-        diffs.append([[(remap[row], coeff) for row, coeff in F.diffs[a][j]]
-                      for j in keep[a]])
+        diffs.append(tuple([(remap[row], coeff) for row, coeff in F.diffs[a][j]]
+                           for j in keep[a]))
     while len(modules) > 1 and not modules[-1]:
         modules.pop()
         diffs.pop()
-    return tuple(modules), diffs
+    return tuple(modules), tuple(diffs)
 
 
 def assert_restricts_like_oracle(F, alphas):
@@ -650,7 +726,7 @@ def test_minimalize_non_unit_pivot():
     assert verify_complex(M, QQ).ok and is_minimal(M)
     gf2 = PrimeField(2)
     M2 = minimalize(F, gf2)  # 2 and 4 vanish; only (f1, h) cancels
-    assert M2.ranks() == (2, 1) and M2.diffs[1] == [[(1, 1)]]
+    assert M2.ranks() == (2, 1) and M2.diffs[1] == ([(1, 1)],)
     assert verify_complex(M2, gf2).ok and is_minimal(M2)
     assert coeff_types(M2) == {int}
 
@@ -660,10 +736,10 @@ def test_minimalize_non_unit_pivot_leaves_fraction():
     # d1(f1) = -1/2 x e1, which survives a dump round trip
     F = line_complex([[1, 0], [1, 1]], [[], [[(0, 2), (1, 1)], [(0, 1)]]])
     M = minimalize(F, QQ)
-    assert M.diffs[1] == [[(0, Fraction(-1, 2))]] and coeff_types(M) == {Fraction}
+    assert M.diffs[1] == ([(0, Fraction(-1, 2))],) and coeff_types(M) == {Fraction}
     assert complex_from_json(json.loads(dumps_complex(M))).diffs == M.diffs
     M2 = minimalize(F, PrimeField(2))
-    assert M2.ranks() == (1, 1) and M2.diffs[1] == [[(0, 1)]]
+    assert M2.ranks() == (1, 1) and M2.diffs[1] == ([(0, 1)],)
 
 
 # --- dump format ---------------------------------------------------------------------
@@ -741,13 +817,18 @@ def _int_modules(obj):
     obj["modules"] = 5
 
 
+def _no_modules(obj):
+    obj["modules"], obj["differentials"] = [], []
+
+
 @pytest.mark.parametrize(
     "mutate, match",
     [(_extra_level, "equal length"),  # was IndexError on modules[3]
      (_drop_coeff, "coeff None"),  # was KeyError
      (_drop_col, "column - row"),  # was KeyError
-     (_int_modules, "lists of objects")],  # was TypeError
-    ids=["differentials-too-long", "no-coeff", "no-col", "modules-int"],
+     (_int_modules, "lists of objects"),  # was TypeError
+     (_no_modules, "module 0")],  # was a complex of length -1
+    ids=["differentials-too-long", "no-coeff", "no-col", "modules-int", "no-modules"],
 )
 def test_complex_from_json_malformed_raises_value_error(mutate, match):
     obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
@@ -760,16 +841,30 @@ def test_complex_from_json_malformed_raises_value_error(mutate, match):
 def test_free_complex_validates_shape():
     with pytest.raises(ValueError):
         FreeComplex([[]], [])
+    with pytest.raises(ValueError, match="module 0"):
+        FreeComplex([], [])
     # one column too many or too few at level 1, and an entry in the unused
     # diffs[0]: each is refused when the complex is built, before any routine
     # indexes past a module or drops a column
     T = taylor_complex(KOSZUL2)
-    for a, diffs in ((1, [[], T.diffs[1] + [[(0, 1)]], T.diffs[2]]),
+    for a, diffs in ((1, [[], [*T.diffs[1], [(0, 1)]], T.diffs[2]]),
                      (1, [[], T.diffs[1][:1], T.diffs[2]]),
                      (0, [[[(0, 1)]], T.diffs[1], T.diffs[2]])):
         with pytest.raises(ValueError, match=rf"diffs\[{a}\] has"):
             FreeComplex(T.modules, diffs)
     assert FreeComplex(T.modules, T.diffs).diffs == T.diffs
+
+
+def test_free_complex_column_counts_cannot_change():
+    # a level of diffs is a tuple: a column appended after the shape check
+    # once passed verify_complex and made minimalize raise IndexError
+    F = taylor_complex(KOSZUL2)
+    with pytest.raises(AttributeError, match="append"):
+        F.diffs[1].append([(0, 1)])
+    with pytest.raises(TypeError):
+        F.diffs[1] = [*F.diffs[1], [(0, 1)]]
+    assert F.ranks() == (1, 2, 1) and [len(d) for d in F.diffs] == [0, 2, 1]
+    assert verify_complex(F).ok and minimalize(F).ranks() == (1, 2, 1)
 
 
 # sha256 of dumps_complex for each construction of the worked examples.  They
