@@ -72,6 +72,14 @@ class InequalityReport(_Record):
         return f"{self.name} [{ps}]: {self.lhs} <= {self.rhs} -> {verdict}"
 
 
+def _require_ints(**params) -> None:
+    """The one rule for index parameters: each must be an int, and a bool is
+    not one; anything else raises ``ValueError: name=value is not an int``."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise ValueError(f"{name}={x!r} is not an int")
+
+
 def _shift_at(t: ShiftProfile, a: int) -> int | None:
     """t_a, or None when a is negative or past the projective dimension
     (module a vanishes)."""
@@ -201,6 +209,7 @@ def check_range(
     """The window form of the covering bound: with s = p + q - a,
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}.  ``table`` is as
     in check_covering."""
+    _require_ints(a=a)
     alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
@@ -242,6 +251,7 @@ def check_general(
     variables, beta is the lcm of the remaining generators.  The bound is
     min{t_1 + t_{a-1}, max{t_i + t_{a-i} : p - (m-a) <= i <= min(p, a//2)}}.
     """
+    _require_ints(a=a, p=p)
     m, n = I.m, I.ring.n
     problems = []
     if not contains_all_pure_powers(I):
@@ -324,6 +334,7 @@ def find_covering_pairs(
     if at is None:
         candidates = lcm_lattice(I, cap)
     else:
+        _require_ints(at=at)
         tab = table if table is not None else multigraded_betti(I, field, cap)
         candidates = tab.support_at(at)
     masks = [generators_below(I, c) for c in candidates]
@@ -433,9 +444,7 @@ def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:
     appearing in the zero-dimensional window bound; empty when the
     hypotheses fail for every p.  n, m and a must be ints (``ValueError``
     otherwise; a ``bool`` is not an int here)."""
-    for name, x in (("n", n), ("m", m), ("a", a)):
-        if type(x) is not int:
-            raise ValueError(f"{name}={x!r} is not an int")
+    _require_ints(n=n, m=m, a=a)
     if _window_problems(n, m, a):
         return {}
     out: dict[int, list[tuple[int, int]]] = {}

@@ -2,7 +2,7 @@
 
 A complex stores, per homological degree a, a tuple of basis elements
 (label + multidegree) and, for a >= 1, a sparse differential into degree
-a-1.  Differentials are column-major: ``diffs[a][j]`` is the list of
+a-1.  Differentials are column-major: ``diffs[a][j]`` is the tuple of
 ``(row, coeff)`` entries of basis element j of module a.  Multigraded
 homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
 it is read off the basis and never stored; homogeneity is also what keeps
@@ -21,7 +21,8 @@ from itertools import compress
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, _length_mismatch, _Record, _set, generators_below, total_degree
+from .monomials import (MonomialIdeal, _Frozen, _length_mismatch, _Record, _set, generators_below,
+                        total_degree)
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -71,20 +72,21 @@ class ShiftProfile(_Record):
         return " ".join(str(t) for t in self.shifts)
 
 
-class FreeComplex:
+class FreeComplex(_Frozen):
     """Finite complex of multigraded free modules with sparse differentials.
 
     The constructor is the one place a complex is checked: module 0, one
     differential slot per module (``diffs[0]`` empty), one column per basis
     element, and basis multidegrees of one length (else ``length mismatch:
     n vs k``, the two shortest).  It drops trailing empty modules (module 0
-    stays) and keeps the column lists it is handed.
+    stays) and stores each column as a tuple (a tuple is kept, not copied).
 
-    ``modules`` is a tuple of tuples of immutable basis elements and cannot
-    be reassigned, so the index restrict_complex builds from it stays valid;
-    ``diffs`` is a tuple of tuples of column lists, so the column counts stay
-    as checked while the columns may be edited in place.  Pickle and copy
-    carry the modules and columns only (copy.copy shares the columns).
+    A complex is immutable all the way down: ``modules`` is a tuple of
+    tuples of immutable basis elements, ``diffs`` a tuple of tuples of
+    column tuples of the ``(row, coeff)`` tuples every builder makes, and no
+    field can be assigned or deleted.  So the shape stays as checked and the
+    index restrict_complex keeps on the complex never goes stale.  Pickle
+    and copy carry the modules and columns only.
     """
 
     __slots__ = ("modules", "diffs", "_index")
@@ -106,13 +108,8 @@ class FreeComplex:
         while top > 1 and not modules[top - 1]:
             top -= 1
         _set(self, "modules", modules[:top])
-        _set(self, "diffs", tuple(tuple(d) for d in diffs[:top]))
+        _set(self, "diffs", tuple(tuple(map(tuple, d)) for d in diffs[:top]))
         _set(self, "_index", None)
-
-    def __setattr__(self, name, value):
-        if name == "modules":
-            raise AttributeError("cannot assign to field 'modules'")
-        _set(self, name, value)
 
     @property
     def length(self) -> int:
@@ -125,7 +122,7 @@ class FreeComplex:
         return f"FreeComplex(ranks={self.ranks()})"
 
     def __reduce__(self):
-        return FreeComplex, (self.modules, [list(d) for d in self.diffs])
+        return FreeComplex, (self.modules, self.diffs)
 
 
 def _check_cap(I: MonomialIdeal, cap: int) -> None:
@@ -157,7 +154,7 @@ def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComp
                     continue
                 grown_index[mask] = len(grown)
                 grown.append(BasisElement(face + (i,), lcm))
-                cols.append(list(zip(rows, signs)))
+                cols.append(tuple(zip(rows, signs)))
         modules.append(grown)
         diffs.append(cols)
         level, index, signs = grown, grown_index, signs + (-signs[-1],)
@@ -223,14 +220,14 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     minimal complex is minimal (no entries are created).
 
     The first call on F indexes its modules (see _restriction_index) and
-    keeps the index on F; F.modules cannot be reassigned, so the index never
-    goes stale.  Each call then finds a module's kept elements, in basis
-    order, as the AND over the variables v of the prefix masks
+    keeps the index on F; F cannot change, so the index never goes stale.
+    Each call then finds a module's kept elements, in basis order, as the
+    AND over the variables v of the prefix masks
     P[bisect_right(E, alpha[v])].  The build costs more than testing every
     element once, so this pays off on a complex restricted many times.
     """
     if F._index is None:
-        F._index = _restriction_index(F.modules)
+        _set(F, "_index", _restriction_index(F.modules))
     n, levels = F._index
     if n is not None and len(alpha) != n:
         _length_mismatch(n, len(alpha))
@@ -244,7 +241,7 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
         flags = bin(mask)[:1:-1].encode().translate(_BITS)
         modules.append(tuple(compress(mod, flags)))
         try:
-            diffs.append([[(remap[row], coeff) for row, coeff in col]
+            diffs.append([tuple([(remap[row], coeff) for row, coeff in col])
                           for col in compress(F.diffs[a], flags)] if a else [])
         except KeyError:
             raise ValueError(
@@ -397,7 +394,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     for a, mod in enumerate(F.modules):
         alive = [j for j in range(len(mod)) if j not in dead[a]]
         modules.append([mod[j] for j in alive])
-        diffs.append([[(index[g], cols[a][j][g]) for g in sorted(cols[a][j])]
+        diffs.append([tuple([(index[g], cols[a][j][g]) for g in sorted(cols[a][j])])
                       for j in alive] if a else [])
         index = {j: i for i, j in enumerate(alive)}  # new index of each survivor
     return FreeComplex(modules, diffs)

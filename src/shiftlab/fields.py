@@ -1,7 +1,8 @@
 """Coefficient fields for exact linear algebra: the rationals and GF(p).
 
-A field object only names its characteristic; the exact routines read it
-through ``characteristic`` and do their int arithmetic, mod p over GF(p), in
+A field object is immutable and only names its characteristic; GF(p) is a
+record, so pickle and copy check p again.  The exact routines read it through
+``characteristic`` and do their int arithmetic, mod p over GF(p), in
 ``eliminate``, the one pivot step that ``rank_exact`` and ``minimalize`` share.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .monomials import ascii_int
+from .monomials import _Frozen, _Record, _set, ascii_int
 
 
 def _is_prime(p: int) -> bool:
@@ -19,8 +20,10 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-class Rationals:
+class Rationals(_Frozen):
     """The rationals: coefficients are ints, or Fractions where needed."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -32,19 +35,15 @@ class Rationals:
         return "QQ"
 
 
-class PrimeField:
+class PrimeField(_Record):
     """Coefficients modulo a prime p < 2**31, stored as ints in [0, p)."""
+
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < 2**31 or not _is_prime(p):
             raise ValueError(f"not a prime below 2**31: {p!r}")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+        _set(self, "p", p)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -24,6 +24,7 @@ from .monomials import (
     format_monomial,
     is_covering_pair,
     height,
+    load_ideal,
     loads_ideal,
     parse_monomial,
     restrict_ideal,
@@ -57,15 +58,12 @@ EX2_COVER_B = (2, 2, 3, 2, 2, 2, 0)
 CROSSCHECK_PRIME = 32003
 
 
-def fixture_text(name: str, fixtures_dir: str | None = None) -> str:
-    if fixtures_dir is not None:
-        with open(os.path.join(fixtures_dir, name), encoding="utf-8") as fh:
-            return fh.read()
-    return (resources.files("shiftlab") / "data" / name).read_text(encoding="utf-8")
-
-
 def load_fixture(name: str, fixtures_dir: str | None = None) -> MonomialIdeal:
-    return loads_ideal(fixture_text(name, fixtures_dir))
+    """The fixture ``name`` from ``fixtures_dir`` through load_ideal, the one
+    reader of ideal files, or else the copy bundled with the package."""
+    if fixtures_dir is not None:
+        return load_ideal(os.path.join(fixtures_dir, name))
+    return loads_ideal((resources.files("shiftlab") / "data" / name).read_text(encoding="utf-8"))
 
 
 def example1(fixtures_dir: str | None = None) -> MonomialIdeal:

@@ -45,16 +45,33 @@ class IdealSyntaxError(ValueError):
 _set = object.__setattr__  # how an immutable object's __init__ writes its fields
 
 
-class _Record:
+class _Frozen:
+    """Base of every value whose constructor checks it: the records, the
+    ideals, the complexes and the fields.
+
+    The constructor writes each slot with ``_set``; after it, no field can be
+    assigned or deleted, so a value stays as its constructor checked it.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
     """Base of the immutable value records (Ring, BasisElement, ShiftProfile,
-    VerifyReport, InequalityReport, SymbolicBound, GoldenRow).
+    VerifyReport, InequalityReport, SymbolicBound, GoldenRow, PrimeField).
 
     A subclass lists its fields in ``__slots__``, in positional order, and
     its ``__init__`` takes them in that order and writes each with ``_set``.
     Two records are equal when they have the same type and equal fields, and
-    they hash by their fields; repr is ``Name(field=value, ...)``; a field
-    cannot be assigned or deleted; pickle and copy rebuild a record by
-    calling its type on its fields.
+    they hash by their fields; repr is ``Name(field=value, ...)``; pickle and
+    copy rebuild a record by calling its type on its fields, so through its
+    constructor's checks.
     """
 
     __slots__ = ()
@@ -74,12 +91,6 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
@@ -199,7 +210,7 @@ def minimalize_generators(gens: Iterable[Multidegree]) -> list[Multidegree]:
     return [g for g in gens if not any(h is not g and all(map(le, h, g)) for h in gens)]
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal, stored as its minimal generating exponent vectors.
 
     Construction validates and minimalizes the generators (first-seen input
@@ -223,9 +234,6 @@ class MonomialIdeal:
             vecs.append(v)
         _set(self, "ring", ring)
         _set(self, "gens", tuple(minimalize_generators(vecs)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("MonomialIdeal is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild the ideal through the validating constructor
@@ -407,12 +415,18 @@ def loads_ideal(text: str) -> MonomialIdeal:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int literal too long to read
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an int literal too long to read, or nesting too deep
             raise IdealSyntaxError(f"bad JSON: {exc}") from None
         return ideal_from_json(obj)
     return parse_ideal_text(text)
 
 
 def load_ideal(path) -> MonomialIdeal:
+    """Read an ideal file in either format; text that is not UTF-8 is malformed."""
     with open(path, encoding="utf-8") as fh:
-        return loads_ideal(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise IdealSyntaxError(f"not UTF-8: {exc}") from None
+    return loads_ideal(text)

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+import shiftlab.checks
 from shiftlab import (
     CoveringPairError,
     MonomialIdeal,
@@ -37,7 +38,7 @@ from shiftlab.checks import (
     _symbolic_le,
     _unions,
 )
-from shiftlab.golden import EX1_ALPHA, EX1_BETA
+from shiftlab.golden import EX1_ALPHA, EX1_BETA, EX2_COVER_A, EX2_COVER_B
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -578,6 +579,24 @@ def test_symbolic_rejects_non_int(nma):
         general_windows(*nma)
     with pytest.raises(ValueError, match="is not an int"):
         derive_symbolic_bounds(*nma)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+def test_index_parameters_must_be_ints(ex2, zero_dim_7_8, monkeypatch, bad):
+    # check_range once ran True as a = 1, 2.0 raised TypeError inside range,
+    # and find_covering_pairs read at=True as 1; no table is built first
+    tables = []
+    monkeypatch.setattr(shiftlab.checks, "multigraded_betti",
+                        lambda *args, **kw: tables.append(args))
+    for call, name in [
+        (lambda: check_range(ex2, EX2_COVER_A, EX2_COVER_B, bad), "a"),
+        (lambda: check_general(zero_dim_7_8, bad, 4), "a"),
+        (lambda: check_general(zero_dim_7_8, 6, bad), "p"),
+        (lambda: find_covering_pairs(ex2, at=bad), "at"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} is not an int")):
+            call()
+    assert tables == []
 
 
 def test_symbolic_bounds_evaluate(zero_dim_7_8):

@@ -304,6 +304,47 @@ def test_malformed_file_exit2(tmp_path, capsys):
         assert rc == 2 and "cannot read ideal" in err, text
 
 
+# an ideal file that is not UTF-8, and JSON nested past the parser's recursion
+# limit: each once exited 4 or crashed with exit 1, the code of a failed proof
+UNREADABLE = {"not-utf8": b"vars: x y\nx^2\xff\n",
+              "deep-json": b'{"vars": ["x"], "gens": ' + b"[" * 200000}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("command", ["betti", "shifts", "check", "dump"])
+def test_unreadable_ideal_exit2(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.ideal"
+    bad.write_bytes(content)
+    rc, out, err = run(capsys, command, str(bad), *(["all"] if command == "check" else []))
+    assert rc == 2 and out == "" and "cannot read ideal" in err
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_verify_paper_unreadable_fixture_exit2(tmp_path, capsys, content):
+    for name in ("example1.ideal", "koszul2.ideal"):
+        shutil.copy(str(FIXDIR / name), tmp_path / name)
+    (tmp_path / "example2.ideal").write_bytes(content)
+    rc, out, err = run(capsys, "verify-paper", "--fixtures", str(tmp_path))
+    assert rc == 2 and out == "" and "cannot read ideal" in err
+
+
+def test_deep_json_exit2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    deep = tmp_path / "deep.ideal"
+    deep.write_bytes(UNREADABLE["deep-json"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab", "betti", str(deep)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert "bad JSON" in proc.stderr
+
+
 def test_cap_exceeded_exit3(tmp_path, capsys):
     big = tmp_path / "big.ideal"
     lines = ["vars: x y"] + [f"x^{23 - k}*y^{k}" for k in range(1, 23)] + ["y^23"]

@@ -316,7 +316,7 @@ def restrict_oracle(F, alpha):
     diffs = [()]
     for a in range(1, len(keep)):
         remap = {j: i for i, j in enumerate(keep[a - 1])}
-        diffs.append(tuple([(remap[row], coeff) for row, coeff in F.diffs[a][j]]
+        diffs.append(tuple(tuple((remap[row], coeff) for row, coeff in F.diffs[a][j])
                            for j in keep[a]))
     while len(modules) > 1 and not modules[-1]:
         modules.pop()
@@ -404,24 +404,66 @@ def test_free_complex_pickles_and_copies_without_its_index(ex2):
         F.modules[1][0] = F.modules[1][1]
 
 
-def test_copy_shares_columns_deepcopy_and_pickle_do_not(ex2):
+def assert_immutable_all_the_way_down(F):
+    assert type(F.modules) is tuple and all(type(mod) is tuple for mod in F.modules)
+    assert type(F.diffs) is tuple
+    assert all(type(level) is tuple and all(type(col) is tuple for col in level)
+               for level in F.diffs)
+    for name in ("modules", "diffs", "_index"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(F, name, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(F, name)
+
+
+def test_copies_are_equal_and_immutable_all_the_way_down(ex2):
+    # the columns are tuples, so a copy may share them or not: only its
+    # fields and their immutability matter
     F = taylor_complex(ex2)
-    columns = [id(col) for level in F.diffs for col in level]
-    shallow = copy.copy(F)
-    assert [id(col) for level in shallow.diffs for col in level] == columns
-    assert shallow.diffs is not F.diffs and shallow.diffs[1] is not F.diffs[1]
-    for back in (copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
-        assert back.diffs == F.diffs
-        assert not {id(col) for level in back.diffs for col in level} & set(columns)
+    assert_immutable_all_the_way_down(F)
+    for back in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert (back.modules, back.diffs) == (F.modules, F.diffs)
+        assert_immutable_all_the_way_down(back)
+
+
+@pytest.mark.parametrize("kind", ["taylor", "scarf", "minimal_qq", "restricted", "loaded"])
+def test_every_builder_makes_an_immutable_complex(ex2, kind):
+    T = taylor_complex(ex2)
+    F = {"taylor": lambda: T, "scarf": lambda: scarf_complex(ex2),
+         "minimal_qq": lambda: minimalize(T),
+         "restricted": lambda: restrict_complex(T, (3, 2, 2, 2, 2, 0, 2)),
+         "loaded": lambda: complex_from_json(json.loads(dumps_complex(T)))}[kind]()
+    assert_immutable_all_the_way_down(F)
+    with pytest.raises(AttributeError):
+        F.diffs[1][0].append((0, 1))
+
+
+def test_assigned_diffs_no_longer_pass_for_a_complex():
+    # once, F.diffs = ... succeeded: verify_complex then called 5 columns on
+    # 2 basis elements ok, and minimalize and is_minimal raised IndexError
+    F = taylor_complex(KOSZUL2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'diffs'"):
+        F.diffs = (F.diffs[0], F.diffs[1] + ((), (), ()), F.diffs[2])
+    with pytest.raises(AttributeError, match="cannot delete field 'modules'"):
+        del F.modules
+    assert F.ranks() == (1, 2, 1) and [len(d) for d in F.diffs] == [0, 2, 1]
+    assert verify_complex(F).ok and minimalize(F).ranks() == (1, 2, 1) and is_minimal(F)
 
 
 # --- verification ----------------------------------------------------------------
+
+def with_entry(F, a, j, k, entry):
+    """F with entry k of column j of d_a replaced, built through the constructor."""
+    col = F.diffs[a][j]
+    level = F.diffs[a][:j] + (col[:k] + (entry,) + col[k + 1:],) + F.diffs[a][j + 1:]
+    return FreeComplex(F.modules, F.diffs[:a] + (level,) + F.diffs[a + 1:])
+
 
 def test_verify_detects_sign_flip(ex2):
     F = taylor_complex(ex2)
     assert verify_complex(F).ok
     row, coeff = F.diffs[2][3][0]
-    F.diffs[2][3][0] = (row, -coeff)
+    F = with_entry(F, 2, 3, 0, (row, -coeff))
     rep = verify_complex(F)
     assert not rep.ok and rep.location[0] in (2, 3)
 
@@ -438,8 +480,7 @@ def taylor_with_stray_row(ex2):
         if i not in edge.label and not divides(g, edge.mdeg)
     )
     assert F.modules[1][stray].label == (stray,)
-    F.diffs[2][0][0] = (stray, F.diffs[2][0][0][1])
-    return F, stray
+    return with_entry(F, 2, 0, 0, (stray, F.diffs[2][0][0][1])), stray
 
 
 def test_verify_detects_homogeneity_break(ex2):
@@ -452,7 +493,7 @@ def test_verify_detects_homogeneity_break(ex2):
 @pytest.mark.parametrize("row", [2, -1])
 def test_verify_detects_row_out_of_range(row):
     F = taylor_complex(KOSZUL2)
-    F.diffs[2][0][1] = (row, F.diffs[2][0][1][1])
+    F = with_entry(F, 2, 0, 1, (row, F.diffs[2][0][1][1]))
     rep = verify_complex(F)
     assert not rep.ok and rep.problem == "row index out of range"
     assert rep.location == (2, 0, row)
@@ -490,11 +531,10 @@ def test_verify_matches_oracle_on_every_single_entry_change(ex2):
         for j, col in enumerate(F.diffs[a]):
             for k, (row, coeff) in enumerate(col):
                 for entry in ((row, -coeff), ((row + 1) % n, coeff), (n, coeff)):
-                    col[k] = entry
+                    G = with_entry(F, a, j, k, entry)
                     for field, p in ((QQ, 0), (PrimeField(3), 3)):
-                        rep = verify_complex(F, field)
-                        assert (rep.ok, rep.problem, rep.location) == verify_oracle(F, p)
-                col[k] = (row, coeff)
+                        rep = verify_complex(G, field)
+                        assert (rep.ok, rep.problem, rep.location) == verify_oracle(G, p)
     assert verify_complex(F).ok
 
 
@@ -726,7 +766,7 @@ def test_minimalize_non_unit_pivot():
     assert verify_complex(M, QQ).ok and is_minimal(M)
     gf2 = PrimeField(2)
     M2 = minimalize(F, gf2)  # 2 and 4 vanish; only (f1, h) cancels
-    assert M2.ranks() == (2, 1) and M2.diffs[1] == ([(1, 1)],)
+    assert M2.ranks() == (2, 1) and M2.diffs[1] == (((1, 1),),)
     assert verify_complex(M2, gf2).ok and is_minimal(M2)
     assert coeff_types(M2) == {int}
 
@@ -736,10 +776,10 @@ def test_minimalize_non_unit_pivot_leaves_fraction():
     # d1(f1) = -1/2 x e1, which survives a dump round trip
     F = line_complex([[1, 0], [1, 1]], [[], [[(0, 2), (1, 1)], [(0, 1)]]])
     M = minimalize(F, QQ)
-    assert M.diffs[1] == ([(0, Fraction(-1, 2))],) and coeff_types(M) == {Fraction}
+    assert M.diffs[1] == (((0, Fraction(-1, 2)),),) and coeff_types(M) == {Fraction}
     assert complex_from_json(json.loads(dumps_complex(M))).diffs == M.diffs
     M2 = minimalize(F, PrimeField(2))
-    assert M2.ranks() == (1, 1) and M2.diffs[1] == ([(0, 1)],)
+    assert M2.ranks() == (1, 1) and M2.diffs[1] == (((0, 1),),)
 
 
 # --- dump format ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The primality test behind PrimeField, checked against deterministic
-Miller-Rabin, and the bounds PrimeField puts on its prime."""
+Miller-Rabin, the bounds PrimeField puts on its prime, and that a field
+cannot change once built."""
 
 import pytest
 
-from shiftlab import PrimeField
-from shiftlab.fields import _is_prime
+from shiftlab import QQ, PrimeField
+from shiftlab.fields import _is_prime, characteristic
 
 
 def miller_rabin(p):
@@ -67,3 +68,16 @@ def test_prime_field_bounds():
     for bad in (-3, 0, 1, 4, 561, 2**31, 2**61 - 1, True, 3.0):
         with pytest.raises(ValueError, match="not a prime below 2"):
             PrimeField(bad)
+
+
+def test_fields_cannot_be_changed():
+    # once, PrimeField(7).p = 8 succeeded, and Betti then ran over "GF(8)"
+    gf = PrimeField(7)
+    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+        gf.p = 8
+    with pytest.raises(AttributeError, match="cannot delete field 'p'"):
+        del gf.p
+    assert gf == PrimeField(7) and repr(gf) == "GF(7)" and characteristic(gf) == 7
+    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+        QQ.p = 3
+    assert not hasattr(QQ, "p") and characteristic(QQ) == 0

@@ -191,8 +191,18 @@ def test_minimalize_rejects_mixed_lengths(vecs):
 def test_ideal_pickles_and_copies(ex2):
     for back in (pickle.loads(pickle.dumps(ex2)), copy.copy(ex2), copy.deepcopy(ex2)):
         assert type(back) is MonomialIdeal and back == ex2 and back.gens == ex2.gens
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match="cannot assign to field 'gens'"):
             back.gens = ()
+
+
+def test_ideal_fields_cannot_be_assigned_or_deleted():
+    I = MonomialIdeal(RING2, [(1, 0), (0, 1)])
+    for name in ("ring", "gens"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(I, name, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(I, name)
+    assert I.gens == ((1, 0), (0, 1)) and I.ring == RING2
 
 
 def test_unit_ideal_rejected():

@@ -1,4 +1,4 @@
-"""The contract of the seven immutable value records: positional
+"""The contract of the eight immutable value records: positional
 construction, equality by type and fields, hashing, the
 ``Name(field=value, ...)`` repr, frozen fields, and pickle/copy."""
 
@@ -10,6 +10,7 @@ import pytest
 from shiftlab import (
     BasisElement,
     InequalityReport,
+    PrimeField,
     Ring,
     ShiftProfile,
     SymbolicBound,
@@ -32,6 +33,7 @@ CASES = [
     (SymbolicBound, ("target", "terms"), (3, (1, 2)), "SymbolicBound(target=3, terms=(1, 2))"),
     (GoldenRow, ("name", "status", "detail"), ("ex2 betti", "pass", "1 5 8 5 1"),
      "GoldenRow(name='ex2 betti', status='pass', detail='1 5 8 5 1')"),
+    (PrimeField, ("p",), (7,), "GF(7)"),
 ]
 IDS = [c[0].__name__ for c in CASES]
 
@@ -52,7 +54,7 @@ def test_equality_is_by_type_and_fields(cls, fields, args, text):
     assert cls(*copy.deepcopy(args)) == r
     if cls is not Ring:  # Ring's one field is validated names
         alt = list(args)
-        alt[-1] = "different"
+        alt[-1] = 11 if cls is PrimeField else "different"  # a prime's field is a prime
         assert cls(*alt) != r
 
 
