@@ -21,8 +21,7 @@ from itertools import compress
 from operator import le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import (MonomialIdeal, _Frozen, _length_mismatch, _Record, _set, generators_below,
-                        total_degree)
+from .monomials import MonomialIdeal, _Frozen, _length_mismatch, _Record, _set, total_degree
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -83,10 +82,12 @@ class FreeComplex(_Frozen):
 
     A complex is immutable all the way down: ``modules`` is a tuple of
     tuples of immutable basis elements, ``diffs`` a tuple of tuples of
-    column tuples of the ``(row, coeff)`` tuples every builder makes, and no
-    field can be assigned or deleted.  So the shape stays as checked and the
-    index restrict_complex keeps on the complex never goes stale.  Pickle
-    and copy carry the modules and columns only.
+    column tuples of ``(row, coeff)`` entries, and no field can be assigned
+    or deleted.  So the shape stays as checked and the index
+    restrict_complex keeps on the complex never goes stale.  The entries are
+    kept as given, unchecked (a Taylor complex on 14 generators has 114688),
+    so they must be tuples, as every builder makes them: a list entry would
+    stay mutable.  Pickle and copy carry the modules and columns only.
     """
 
     __slots__ = ("modules", "diffs", "_index")
@@ -150,7 +151,8 @@ def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComp
                 if lcm is None:
                     lcm = joined[top, i] = tuple(x if x >= e else e for x, e in zip(top, I.gens[i]))
                 rows = [index.get(mask ^ 1 << k) for k in face] + [j]
-                if unique_lcm_only and (None in rows or generators_below(I, lcm) != mask):
+                if unique_lcm_only and (None in rows or any(
+                        not mask >> k & 1 and all(map(le, g, lcm)) for k, g in enumerate(I.gens))):
                     continue
                 grown_index[mask] = len(grown)
                 grown.append(BasisElement(face + (i,), lcm))
@@ -177,11 +179,12 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     with the Taylor differential restricted to them.
 
     A face is kept when its facets are kept and its members are exactly the
-    generators below its lcm.  A subset with its lcm then lies in it; a
-    proper one lies in a facet of the same lcm, and the generator that facet
-    lacks is below that lcm, so the facet was not kept.  Every facet of a
-    Scarf face is Scarf, so growing kept faces misses none and drops no
-    boundary term."""
+    generators below its lcm.  Its members are below its lcm anyway, so only
+    the generators outside it are tested.  A subset with its lcm then lies
+    in it; a proper one lies in a facet of the same lcm, and the generator
+    that facet lacks is below that lcm, so the facet was not kept.  Every
+    facet of a Scarf face is Scarf, so growing kept faces misses none and
+    drops no boundary term."""
     return _face_complex(I, cap, unique_lcm_only=True)
 
 

@@ -1,5 +1,5 @@
-"""Session fixtures: worked-example ideals, the seeded 500-ideal corpus and
-the pairwise minimalization oracle.
+"""Session fixtures: worked-example ideals, the RP^2 ideal, the seeded
+500-ideal corpus and the pairwise minimalization oracle.
 
 The corpus results are computed once per session and shared between the
 property-suite module and the acceptance module; per ideal they hold the
@@ -14,12 +14,15 @@ import hashlib
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from shiftlab import (
+    MonomialIdeal,
     PrimeField,
     QQ,
+    Ring,
     divides,
     dumps_complex,
     example1,
@@ -56,6 +59,19 @@ def ex2():
 @pytest.fixture(scope="session")
 def kz2():
     return koszul2()
+
+
+# the facets of the 6-vertex real projective plane, vertices 1..6
+RP2_FACETS = "124 126 135 136 145 234 235 256 346 456".split()
+
+
+@pytest.fixture(scope="session")
+def rp2():
+    """The Stanley-Reisner ideal of the 6-vertex RP^2: one squarefree cubic
+    per vertex triple that is not a facet, 10 generators.  Its Betti numbers
+    depend on the characteristic."""
+    nonfaces = [t for t in combinations("123456", 3) if "".join(t) not in RP2_FACETS]
+    return MonomialIdeal(Ring("abcdef"), [tuple(int(v in t) for v in "123456") for t in nonfaces])
 
 
 @pytest.fixture(scope="session")

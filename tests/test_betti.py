@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -28,10 +28,11 @@ from shiftlab import (
     restrict_ideal,
     scarf_is_resolution,
     shifts,
+    taylor_complex,
     total_degree,
     verify_complex,
 )
-from shiftlab.betti import strand_matrices
+from shiftlab.betti import _classify, _equal_masks, strand_matrices
 from shiftlab.complexes import CapExceededError
 
 RING2 = Ring(["x", "y"])
@@ -348,16 +349,34 @@ def test_betti_matches_all_taylor_loop(I):
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
 
-@pytest.mark.parametrize("name, built", [("S13", 128), ("S14", 184)])
-def test_acyclic_strands_are_not_built(name, built, monkeypatch):
+@pytest.mark.parametrize("name, built", [("S13", 10), ("S14", 33)])
+def test_only_unclassified_strands_are_built(name, built, monkeypatch):
     # S13 and S14 have 285 and 353 strata (alpha = 0 included); every other
-    # one is a cone and must not be built
+    # one is read off as a cone or a sphere and must not be built
     calls = []
     real = shiftlab.betti.strand_matrices
     monkeypatch.setattr(shiftlab.betti, "strand_matrices",
                         lambda faces: calls.append(faces) or real(faces))
     multigraded_betti(load_ideal(str(STRESS / f"{name}.ideal")), QQ)
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("p, totals", [(0, (1, 10, 15, 6)), (3, (1, 10, 15, 6)),
+                                       (2, (1, 10, 15, 7, 1))])
+def test_rp2_betti_depends_on_the_field(rp2, p, totals):
+    # the Stanley-Reisner ideal of RP^2 has 2-torsion: over GF(2) its top
+    # strand carries one more Betti number in each of degrees 3 and 4, which
+    # only rank_exact can see, so the classifier must leave it unread
+    field = PrimeField(p) if p else QQ
+    table = multigraded_betti(rp2, field)
+    assert table.totals() == totals
+    minimal = minimalize(taylor_complex(rp2), field)
+    assert verify_complex(minimal, field).ok and is_minimal(minimal)
+    assert Counter((a, be.mdeg) for a, mod in enumerate(minimal.modules) for be in mod) == table.entries
+    top = (1,) * 6
+    faces = [mask for mask in range(1 << rp2.m)
+             if reduce(join, (g for i, g in enumerate(rp2.gens) if mask >> i & 1), rp2.ring.zero()) == top]
+    assert _classify(_equal_masks(rp2), top, faces) is None
 
 
 # --- shifts and projective dimension ----------------------------------------------

@@ -426,16 +426,32 @@ def test_copies_are_equal_and_immutable_all_the_way_down(ex2):
         assert_immutable_all_the_way_down(back)
 
 
-@pytest.mark.parametrize("kind", ["taylor", "scarf", "minimal_qq", "restricted", "loaded"])
-def test_every_builder_makes_an_immutable_complex(ex2, kind):
+BUILDERS = ["taylor", "scarf", "minimal_qq", "restricted", "loaded"]
+
+
+def _built(ex2, kind) -> FreeComplex:
     T = taylor_complex(ex2)
-    F = {"taylor": lambda: T, "scarf": lambda: scarf_complex(ex2),
-         "minimal_qq": lambda: minimalize(T),
-         "restricted": lambda: restrict_complex(T, (3, 2, 2, 2, 2, 0, 2)),
-         "loaded": lambda: complex_from_json(json.loads(dumps_complex(T)))}[kind]()
+    return {"taylor": lambda: T, "scarf": lambda: scarf_complex(ex2),
+            "minimal_qq": lambda: minimalize(T),
+            "restricted": lambda: restrict_complex(T, (3, 2, 2, 2, 2, 0, 2)),
+            "loaded": lambda: complex_from_json(json.loads(dumps_complex(T)))}[kind]()
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_every_builder_makes_an_immutable_complex(ex2, kind):
+    F = _built(ex2, kind)
     assert_immutable_all_the_way_down(F)
     with pytest.raises(AttributeError):
         F.diffs[1][0].append((0, 1))
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_every_builder_emits_tuple_entries(ex2, kind):
+    # the constructor keeps the (row, coeff) entries it is given without a
+    # per-entry check, so each builder must hand it tuples
+    F = _built(ex2, kind)
+    entries = [entry for level in F.diffs for col in level for entry in col]
+    assert entries and all(type(entry) is tuple and len(entry) == 2 for entry in entries)
 
 
 def test_assigned_diffs_no_longer_pass_for_a_complex():

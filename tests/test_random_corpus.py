@@ -1,6 +1,8 @@
 """Property suites over the seeded 500-ideal corpus (n <= 6, m <= 8, exp <= 4)."""
 
 from collections import defaultdict
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,7 @@ from shiftlab import (
     taylor_complex,
     total_degree,
 )
-import shiftlab.betti
-from shiftlab.betti import _is_cone, _koszul_faces, strand_matrices
+from shiftlab.betti import CONE, _classify, _equal_masks, _koszul_faces, strand_matrices
 from test_betti import dense_rank
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
@@ -108,18 +109,18 @@ def _koszul_by_definition(I, alpha) -> list[int]:
     return faces
 
 
-def _homology(faces, fields, memo) -> list[dict]:
+def _homology(faces, fields, memo, dense=True) -> list[dict]:
     """Per field, {s: dim} of the homology at face size s of the complex on
-    these faces, with each rank checked against dense elimination.  It
-    depends on the face list alone, so memo keeps it by that list (the
-    fields stay the same for one memo)."""
+    these faces, with each rank checked against dense elimination unless
+    dense is false.  It depends on the face list alone, so memo keeps it by
+    that list (the fields stay the same for one memo)."""
     key = tuple(faces)
     if key not in memo:
         by_size, mats = strand_matrices(faces)
         memo[key] = []
         for field in fields:
             ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
-            assert ranks == {s: dense_rank(mat, field) for s, mat in mats.items()}, faces
+            assert not dense or ranks == {s: dense_rank(mat, field) for s, mat in mats.items()}, faces
             dims = {s: len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
                     for s, level in by_size.items()}
             memo[key].append({s: d for s, d in dims.items() if d})
@@ -170,65 +171,98 @@ def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
     assert _tables_from_both_strands(I, fields) == expected
 
 
-def _skipped(I, monkeypatch) -> list[tuple]:
-    """The alphas whose strand multigraded_betti skips as a cone."""
-    seen = []
-
-    def spy(gens, alpha, faces):
-        if cone := _is_cone(gens, alpha, faces):
-            seen.append(alpha)
-        return cone
-
-    with monkeypatch.context() as patch:
-        patch.setattr(shiftlab.betti, "_is_cone", spy)
-        multigraded_betti(I)
-    return seen
+def _verdicts(I) -> list[tuple]:
+    """(alpha, stratum, verdict of _classify) at every alpha of the lcm lattice."""
+    eq = _equal_masks(I)
+    return [(alpha, faces, _classify(eq, alpha, faces)) for alpha, faces in _taylor_strata(I).items()]
 
 
-@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13"])
-def test_skipped_strands_are_acyclic(name, corpus, ex1, ex2, monkeypatch):
+def _ideals(name, corpus, ex1, ex2) -> list:
+    return corpus if name == "corpus" else [_stress_or_example(name, ex1, ex2)]
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14"])
+def test_skipped_strands_are_acyclic(name, corpus, ex1, ex2):
     # the third side of the oracle for what the engine never builds: at each
-    # skipped alpha the Taylor strand and K^alpha(I) both have zero
+    # alpha read as a cone the Taylor strand and K^alpha(I) both have zero
     # (reduced) homology, also over GF(2) where non-units vanish.  Ranks are
-    # by rank_exact, checked against dense elimination by the tests above.
-    ideals = corpus if name == "corpus" else [_stress_or_example(name, ex1, ex2)]
-    fields = (QQ, GF, PrimeField(2))
-    skipped = 0
-    for I in ideals:
-        strata = _taylor_strata(I)
-        for alpha in _skipped(I, monkeypatch):
-            skipped += 1
-            for faces in (strata[alpha], _koszul_faces(I.gens, alpha)):
-                by_size, mats = strand_matrices(faces)
-                for field in fields:
-                    ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
-                    for s, level in by_size.items():
-                        assert len(level) == ranks.get(s, 0) + ranks.get(s + 1, 0), (I, alpha)
-    assert skipped > 0
+    # by rank_exact, checked against dense elimination by _homology except on
+    # S14, whose cones reach 3864 faces: dense elimination would take minutes.
+    fields, memo, cones = (QQ, GF, PrimeField(2)), {}, 0
+    for I in _ideals(name, corpus, ex1, ex2):
+        for alpha, faces, verdict in _verdicts(I):
+            if verdict == CONE:
+                cones += 1
+                for strand in (faces, _koszul_faces(I.gens, alpha)):
+                    assert _homology(strand, fields, memo, name != "S14") == [{}] * 3, (I, alpha)
+    assert cones > 0
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14"])
+def test_sphere_strands_have_one_betti_number(name, corpus, ex1, ex2):
+    # at each alpha read as a sphere with k blocks, the Taylor strand's only
+    # homology is one copy of the field at face size k, and K^alpha(I)'s (for
+    # alpha != 0) one at face size k - 1, over every field tested
+    fields, memo, spheres = (QQ, GF, PrimeField(2)), {}, 0
+    for I in _ideals(name, corpus, ex1, ex2):
+        for alpha, faces, verdict in _verdicts(I):
+            if verdict is not None and verdict != CONE:
+                spheres += 1
+                assert _homology(faces, fields, memo) == [{verdict: 1}] * 3, (I, alpha)
+                if any(alpha):
+                    koszul = _homology(_koszul_faces(I.gens, alpha), fields, memo)
+                    assert koszul == [{verdict - 1: 1}] * 3, (I, alpha)
+    assert spheres > 0
+
+
+def _verdict_from_stratum(faces) -> int | None:
+    """The classifier's verdict read from the stratum alone: CONE when some
+    generator of the top face is in no minimal face, k when the minimal faces
+    are the transversals of k blocks partitioning the top face, else None."""
+    stratum, top = set(faces), max(faces)
+    bits = [1 << i for i in range(top.bit_length()) if top >> i & 1]
+    # every face between a face and the top one has lcm alpha, so a face is
+    # minimal when dropping any one member leaves the stratum
+    assert all(f | b in stratum for f in faces for b in bits), faces
+    minimal = [f for f in faces if not any(f & b and f ^ b in stratum for b in bits)]
+    if reduce(or_, minimal) != top:
+        return CONE
+    # in a product of blocks, two generators share a block iff no minimal
+    # face holds both
+    blocks = {b | sum(c for c in bits if not any(f & b and f & c for f in minimal)) for b in bits}
+    transversals = {0}
+    for block in blocks:
+        transversals = {f | b for f in transversals for b in bits if b & block}
+    disjoint = sum(map(int.bit_count, blocks)) == top.bit_count()
+    return len(blocks) if disjoint and transversals == set(minimal) else None
 
 
 @pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14"])
 def test_cone_test_fires_iff_a_generator_is_in_no_minimal_face(name, corpus, ex1, ex2):
-    ideals = corpus if name == "corpus" else [_stress_or_example(name, ex1, ex2)]
     fired = 0
-    for I in ideals:
-        for alpha, faces in _taylor_strata(I).items():
-            if not any(alpha):
-                continue
-            stratum, top = set(faces), max(faces)
-            bits = [1 << i for i in range(I.m) if top >> i & 1]
-            # every face between a face and the top one has lcm alpha, so a
-            # face is minimal when dropping any one member leaves the stratum
-            assert all(f | b in stratum for f in faces for b in bits), (I, alpha)
-            in_minimal = 0
-            for f in faces:
-                if not any(f & b and f ^ b in stratum for b in bits):
-                    in_minimal |= f
-            cone = _is_cone(I.gens, alpha, sorted(faces))
-            assert cone == (in_minimal != top), (I, alpha)
+    for I in _ideals(name, corpus, ex1, ex2):
+        for alpha, faces, verdict in _verdicts(I):
+            cone = _verdict_from_stratum(faces) == CONE
+            assert (verdict == CONE) == cone, (I, alpha)
             assert not cone or len(faces) % 2 == 0, (I, alpha)
             fired += cone
     assert fired > 0
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14"])
+def test_sphere_verdict_iff_the_minimal_faces_are_a_product_of_blocks(name, corpus, ex1, ex2):
+    # the verdict on every stratum, cones included; a sphere's stratum has
+    # the odd size prod(2^|B| - 1) over its blocks B
+    seen = {"sphere": 0, "built": 0}
+    for I in _ideals(name, corpus, ex1, ex2):
+        for alpha, faces, verdict in _verdicts(I):
+            assert verdict == _verdict_from_stratum(faces), (I, alpha)
+            if verdict is None:
+                seen["built"] += 1
+            elif verdict != CONE:
+                seen["sphere"] += 1
+                assert len(faces) % 2 == 1, (I, alpha)
+    assert seen["sphere"] > 0 and (seen["built"] > 0 or name == "ex2"), seen
 
 
 def test_proven_consecutive_and_top(corpus_results):
