@@ -1,8 +1,12 @@
 """Exact Betti numbers of S/I via fixed-multidegree strand homology.
 
-Every Betti multidegree of S/I is the lcm of a set of generators, so the
-engine groups the subsets by lcm (_face_lcms, the 2^m table) and at each
-alpha takes the homology of one of two chain complexes with bitmask faces:
+Every Betti multidegree of S/I is the lcm of a set of generators
+(Gasharov-Peeva-Welker, Math. Res. Lett. 6, 1999), so the engine walks the
+lcm lattice.  _lattice builds it by join closure, one generator at a time,
+and carries at each alpha the bitmask G_alpha of the generators <= alpha
+and the number of generator subsets whose lcm is alpha; time and memory
+follow the lattice, not the 2^m subsets.  At each alpha the engine takes
+the homology of one of two chain complexes with bitmask faces:
 
 - the Taylor strand: one face per generator subset whose lcm is exactly
   alpha; its homology at face size a is b_{a,alpha}(S/I).  It has up to 2^m
@@ -22,13 +26,12 @@ entries only (strands are 0/±1) and clears each pivot with fields.eliminate,
 the sparse step that minimalize cancels with too, over QQ and GF(p) alike.
 
 Most strands are read off without building either complex.  The Taylor
-strand at alpha is the set of subsets of G_alpha, the generators <= alpha,
-that meet every R_v = {i in G_alpha : g_i[v] = alpha_v}, v in supp alpha
-(Gasharov-Peeva-Welker's lcm-lattice reading, Math. Res. Lett. 6, 1999); a
-subset meets every R_v iff it meets the inclusion-minimal ones.  With one
-table eq[v][e], the generators whose x_v exponent is e, built per call in
-n*m steps, R_v = G_alpha & eq[v][alpha_v].  Let U be the union of the
-minimal R_v.
+strand at alpha is the set of subsets of G_alpha that meet every
+R_v = {i in G_alpha : g_i[v] = alpha_v}, v in supp alpha (the lcm-lattice
+reading of Gasharov-Peeva-Welker); a subset meets every R_v iff it meets
+the inclusion-minimal ones.  With one table eq[v][e], the generators whose
+x_v exponent is e, built per call in n*m steps, R_v = G_alpha &
+eq[v][alpha_v].  Let U be the union of the minimal R_v.
 
 - U != G_alpha: a generator i outside U is in no minimal R_v, and
   sigma -> sigma xor {i} pairs the faces by ±1 boundary entries (an acyclic
@@ -46,12 +49,17 @@ minimal R_v.
   field.  A 1-face stratum is the case of singleton blocks, and alpha = 0
   the case k = 0.
 - Otherwise the strand is built: the smaller of the Taylor strand and
-  K^alpha(I), then strand_matrices and rank_exact.
+  K^alpha(I), then strand_matrices and rank_exact.  The choice reads the
+  carried size, and only a Taylor strand that is built is enumerated
+  (_taylor_faces), from the minimal R_v.
 
 A cone has an even number of faces and a sphere an odd one, the product of
-the 2^|B_i| - 1.  Over QQ the 500-ideal test corpus builds 211 of its 7982
-strands and makes 474 rank calls; S13 builds 10 of its 285 strands and S14
-33 of its 353 (bench/ideals), with 25 and 115 rank calls.
+the 2^|B_i| - 1.  A stratum of one face is the sphere of singleton blocks,
+and one of two faces, {G_alpha - {i}, G_alpha}, the cone on i, so both are
+classified from the carried size alone.  Over QQ the 500-ideal test corpus
+builds 211 of its 7982 strands and makes 474 rank calls; S13 builds 10 of
+its 285 strands and S14 33 of its 353 (bench/ideals), with 25 and 115 rank
+calls.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from operator import itemgetter, or_
 
 from .complexes import GENERATOR_CAP, ShiftProfile, _check_cap, scarf_complex
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, join, total_degree
+from .monomials import MonomialIdeal, total_degree
 
 
 def rank_exact(M: list[list[int]], field=QQ) -> int:
@@ -115,37 +123,34 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
     return rank
 
 
-LCM_BLOCK = 12  # generators in the low block of _face_lcms: 2^12 rows per column
+def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
+    """The lcm lattice by join closure, 0 included: alpha -> (G_alpha, size),
+    with G_alpha the bitmask of the generators <= alpha and size the number
+    of generator subsets whose lcm is alpha.
 
-
-def _face_lcms(I: MonomialIdeal, cap: int) -> list[tuple]:
-    """lcm of every generator subset, indexed by bitmask (lcm[0] = 0-vector).
-
-    The subsets of the first LCM_BLOCK generators are built one exponent
-    column per variable: generator i doubles each column, the new half being
-    the old one clamped from below by its exponent, and one zip turns the
-    columns into rows.  Each subset h of the later generators then appends
-    one block of rows: the low columns clamped by the lcm of h (the row
-    h << LCM_BLOCK, already built), zipped.  Beside the table the build holds
-    at most 2n columns of 2^LCM_BLOCK rows, whatever m is."""
+    Generator i joins every element found from the generators before it:
+    the subsets holding i and lcm alpha' are those with i added to the
+    subsets of lcm alpha, over the alpha that g_i joins to alpha'.  So the
+    sizes add, and G_alpha' is the union of those G_alpha with bit i (the
+    lcm of the earlier generators <= alpha' is one such alpha).  The joins
+    are taken one exponent column per variable, and one zip turns the
+    columns back into keys.  Every element found is in the final lattice,
+    so time and memory follow it, not 2^m."""
     _check_cap(I, cap)
-    low, high = I.gens[:LCM_BLOCK], I.gens[LCM_BLOCK:]
-    cols = [[0] for _ in range(I.ring.n)]
-    for g in low:
-        for col, e in zip(cols, g):
-            col += [x if x >= e else e for x in col] if e else col
-    lcm = list(zip(*cols))
-    for h in range(1, 1 << len(high)):
-        bit = h & -h
-        top = join(lcm[(h ^ bit) << LCM_BLOCK], high[bit.bit_length() - 1])
-        lcm += zip(*[[x if x >= e else e for x in col] if e else col
-                     for col, e in zip(cols, top)])
-    return lcm
+    lattice = {I.ring.zero(): (0, 1)}
+    for i, g in enumerate(I.gens):
+        bit, old = 1 << i, list(lattice.values())
+        joined = zip(*[[x if x >= e else e for x in col] if e else col
+                       for col, e in zip(zip(*lattice), g)])
+        for top, (mask, size) in zip(joined, old):
+            had, count = lattice.get(top, (0, 0))
+            lattice[top] = (had | mask | bit, count + size)
+    return lattice
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:
     """All distinct lcms of nonempty generator subsets, sorted lexicographically."""
-    return sorted(set(_face_lcms(I, cap)[1:]))
+    return sorted(alpha for alpha, (mask, _) in _lattice(I, cap).items() if mask)
 
 
 class BettiTable:
@@ -256,16 +261,17 @@ def _equal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
 CONE = -1  # _classify's verdict for a strand with no homology
 
 
-def _classify(eq: list[dict[int, int]], alpha: tuple, faces: list[int]) -> int | None:
-    """Read the Taylor strand at alpha, given as its faces in increasing
-    order, off its minimal R_v (see the module docstring): CONE, the k of a
-    sphere (b_{k,alpha} = 1 and no other), or None when it must be built.
+def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> int | list[int]:
+    """Read the Taylor strand at alpha off its minimal R_v (see the module
+    docstring).  Its faces are the subsets of top = G_alpha that meet every
+    R_v, and size counts them.  Returns CONE, the k of a sphere
+    (b_{k,alpha} = 1 and no other), or, when the strand must be built, the
+    minimal R_v themselves, smallest first.
     A 1-face stratum is the sphere whose blocks are all singletons (alpha = 0
     included, with k = 0), and a 2-face stratum {G_alpha - {i}, G_alpha} the
     cone on i, so neither reads the R_v."""
-    top = faces[-1]
-    if len(faces) < 3:
-        return top.bit_count() if len(faces) == 1 else CONE
+    if size < 3:
+        return top.bit_count() if size == 1 else CONE
     reqs = sorted({top & masks[a] for masks, a in zip(eq, alpha) if a}, key=int.bit_count)
     minimal: list[int] = []
     for r in reqs:  # by size, so a strict subset of r is met before r
@@ -273,7 +279,39 @@ def _classify(eq: list[dict[int, int]], alpha: tuple, faces: list[int]) -> int |
             minimal.append(r)
     if reduce(or_, minimal) != top:
         return CONE
-    return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else None
+    return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else minimal
+
+
+def _taylor_faces(top: int, minimal: list[int]) -> list[int]:
+    """The Taylor strand as sorted bitmasks: the subsets of top that meet
+    every mask in minimal.  A branch takes the first mask its chosen members
+    miss, and branches on which of its undecided members is the smallest
+    chosen one (the smaller ones are left out); once every mask is met, all
+    subsets of the undecided members are emitted.  Each face comes from one
+    branch, and every branch that is not cut emits at least one face.  The
+    chosen members only grow along a branch, so a mask met stays met and
+    each branch resumes the scan where its parent stopped."""
+    faces: list[int] = []
+    stack = [(0, top, 0)]  # (chosen, undecided, index of the first mask not known met)
+    while stack:
+        chosen, free, k = stack.pop()
+        while k < len(minimal) and minimal[k] & chosen:
+            k += 1
+        if k == len(minimal):
+            sub = free
+            while True:
+                faces.append(chosen | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            continue
+        unmet, rest = minimal[k], minimal[k] & free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append((chosen | low, free & ~(unmet & ((low << 1) - 1)), k + 1))
+    faces.sort()
+    return faces
 
 
 def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
@@ -286,20 +324,19 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     b_{s+shift,alpha}.  Strands are independent; they are walked in
     lexicographic multidegree order so the output is reproducible.
     """
-    strata: dict[tuple, list[int]] = defaultdict(list)
-    for mask, top in enumerate(_face_lcms(I, cap)):
-        strata[top].append(mask)
+    lattice = _lattice(I, cap)
     eq = _equal_masks(I)
     entries: dict[tuple, int] = {}
-    for alpha in sorted(strata):
-        faces, shift = strata[alpha], 0
-        k = _classify(eq, alpha, faces)
-        if k is not None:
-            if k != CONE:
-                entries[(k, alpha)] = 1
+    for alpha, (top, size) in sorted(lattice.items()):
+        verdict = _classify(eq, alpha, top, size)
+        if isinstance(verdict, int):
+            if verdict != CONE:
+                entries[(verdict, alpha)] = 1
             continue
-        if (1 << sum(1 for e in alpha if e)) < len(faces):
+        if (1 << sum(1 for e in alpha if e)) < size:
             faces, shift = _koszul_faces(I.gens, alpha), 1
+        else:
+            faces, shift = _taylor_faces(top, verdict), 0
         by_size, mats = strand_matrices(faces)
         ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
         for s, level in by_size.items():

@@ -13,7 +13,7 @@ from functools import reduce
 from itertools import product
 from operator import ge, le, or_
 
-from .betti import lcm_lattice, multigraded_betti, shifts
+from .betti import _lattice, multigraded_betti, shifts
 from .complexes import GENERATOR_CAP, ShiftProfile
 from .fields import QQ
 from .monomials import (
@@ -134,6 +134,21 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
+def _table_of(I: MonomialIdeal, field, table, cap: int = GENERATOR_CAP):
+    """The Betti table of I over field: ``table`` when given, else computed.
+    A given table must be one of S/I: its ring must be I's, and its
+    multidegrees at index 1 exactly I's generators (``ValueError``
+    otherwise).  That does not pin the field, which the caller vouches for."""
+    if table is None:
+        return multigraded_betti(I, field, cap)
+    if table.ring != I.ring:
+        raise ValueError(f"table= is over {table.ring}, the ideal over {I.ring}")
+    if set(table.support_at(1)) != set(I.gens):
+        raise ValueError("table= is not a Betti table of this ideal: "
+                         "its index-1 multidegrees are not the generators")
+    return table
+
+
 def _covering_pair(I, alpha, beta, field, profile, table):
     """Validate a covering pair for the checks that take one: returns
     (alpha, beta, p, q, t) with alpha, beta as tuples, p and q the projective
@@ -145,8 +160,7 @@ def _covering_pair(I, alpha, beta, field, profile, table):
     alpha, beta = tuple(alpha), tuple(beta)
     if not is_covering_pair(I, alpha, beta):
         raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
-    if table is None:
-        table = multigraded_betti(I, field)
+    table = _table_of(I, field, table)
     p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
     t = profile if profile is not None else table.shift_profile()
     return alpha, beta, p, q, t
@@ -295,7 +309,7 @@ def check_multiple(
             raise ValueError(f"cover ({alpha}, {a!r}) needs an int index and int exponents")
     if not covers:
         raise ValueError("empty cover list")
-    tab = table if table is not None else multigraded_betti(I, field)
+    tab = _table_of(I, field, table)
     for alpha, a in covers:
         if (a, alpha) not in tab.entries:
             raise ValueError(f"({a}, {alpha}) is not a Betti support point")
@@ -328,16 +342,19 @@ def find_covering_pairs(
     back lexicographically sorted; user-chosen vectors outside the lattice
     can always be validated directly with is_covering_pair.
 
-    Each candidate's generator bitmask is computed once; a pair covers I
-    when the partner's mask holds every generator the first one misses.
+    Each candidate carries the bitmask of the generators below it, read off
+    the lattice's join closure (or, for Betti-support candidates, computed
+    once each); a pair covers I when the partner's mask holds every
+    generator the first one misses.  ``table`` is as in check_covering.
     """
     if at is None:
-        candidates = lcm_lattice(I, cap)
+        lattice = _lattice(I, cap)
+        candidates = sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
+        masks = [lattice[c][0] for c in candidates]
     else:
         _require_ints(at=at)
-        tab = table if table is not None else multigraded_betti(I, field, cap)
-        candidates = tab.support_at(at)
-    masks = [generators_below(I, c) for c in candidates]
+        candidates = _table_of(I, field, table, cap).support_at(at)
+        masks = [generators_below(I, c) for c in candidates]
     full = (1 << I.m) - 1
     pairs = []
     for i, (a, mask) in enumerate(zip(candidates, masks)):

@@ -7,7 +7,8 @@ a-1.  Differentials are column-major: ``diffs[a][j]`` is the tuple of
 homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
 it is read off the basis and never stored; homogeneity is also what keeps
 single-term sparse entries closed under all the operations here.  Taylor
-and Scarf faces grow from kept facets; only betti builds the 2^m lcm table.
+and Scarf faces grow from kept facets, so no table of the lcms of all 2^m
+generator subsets is built anywhere.
 """
 
 from __future__ import annotations

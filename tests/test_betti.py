@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import reduce
@@ -376,7 +378,40 @@ def test_rp2_betti_depends_on_the_field(rp2, p, totals):
     top = (1,) * 6
     faces = [mask for mask in range(1 << rp2.m)
              if reduce(join, (g for i, g in enumerate(rp2.gens) if mask >> i & 1), rp2.ring.zero()) == top]
-    assert _classify(_equal_masks(rp2), top, faces) is None
+    assert verdict_of(_equal_masks(rp2), top, faces) is None
+
+
+def verdict_of(eq, alpha, faces):
+    """_classify's verdict on a stratum given as its sorted faces: CONE, the
+    k of a sphere, or None where it returns the minimal R_v to build from."""
+    verdict = _classify(eq, alpha, faces[-1], len(faces))
+    return verdict if isinstance(verdict, int) else None
+
+
+def w22():
+    """W22: 22 generators in 8 variables, whose 2^22 subsets have 2972
+    distinct lcms.  The first 22 minimal generators of 60 distinct seeded
+    exponent vectors."""
+    rng, vectors = random.Random(1), set()
+    while len(vectors) < 60:
+        vectors.add(tuple(rng.randint(0, 6) for _ in range(8)))
+    ring = Ring([f"x{i}" for i in range(8)])
+    return MonomialIdeal(ring, MonomialIdeal(ring, vectors).gens[:22])
+
+
+def test_betti_memory_follows_the_lattice():
+    # a table of all 2^22 subset lcms traced about 600 MB; the join closure
+    # holds the lattice and one strand at a time
+    I = w22()
+    assert I.m == 22
+    tracemalloc.start()
+    try:
+        table = multigraded_betti(I, PrimeField(32003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.totals() == (1, 22, 106, 211, 205, 98, 20, 1)
+    assert peak < 8 << 20
 
 
 # --- shifts and projective dimension ----------------------------------------------

@@ -189,6 +189,25 @@ def test_covering_and_range_take_a_table(ex1, ex1_table, ex2, ex2_table):
                     == check_range(I, alpha, beta, a, field))
 
 
+@pytest.mark.parametrize("caller", ["covering", "range", "multiple", "find_pairs"])
+def test_a_table_of_another_ideal_is_refused(caller, ex1_table, ex2, ex2_table):
+    # ex1's table is over another ring; that of ex2 restricted below EX2_A is
+    # over ex2's ring but misses some of its generators.  Taken as ex2's,
+    # ex1's made check_covering report 7 <= 4, a false violation.
+    alpha, beta = find_covering_pairs(ex2)[0]
+    call = {
+        "covering": lambda t: check_covering(ex2, alpha, beta, table=t),
+        "range": lambda t: check_range(ex2, alpha, beta, 2, table=t),
+        "multiple": lambda t: check_multiple(ex2, [(EX2_A, 2), (EX2_B, 2)], table=t),
+        "find_pairs": lambda t: find_covering_pairs(ex2, at=2, table=t),
+    }[caller]
+    call(ex2_table)
+    restricted = multigraded_betti(restrict_ideal(ex2, EX2_A))
+    for table, message in ((ex1_table, "table= is over"), (restricted, "not a Betti table")):
+        with pytest.raises(ValueError, match=message):
+            call(table)
+
+
 def test_range_matches_covering(ex2, ex2_table):
     prof = ex2_table.shift_profile()
     cov = {r.params["a"]: r for r in check_covering(ex2, EX2_A, EX2_B, profile=prof)

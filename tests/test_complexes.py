@@ -2,8 +2,6 @@ import copy
 import hashlib
 import json
 import pickle
-import sys
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -37,9 +35,8 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-import shiftlab.betti
 import shiftlab.complexes
-from shiftlab.betti import LCM_BLOCK, _face_lcms
+from shiftlab.betti import _classify, _equal_masks, _lattice, _taylor_faces
 from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
 
 RING2 = Ring(["x", "y"])
@@ -85,7 +82,7 @@ def test_taylor_cap():
         taylor_complex(KOSZUL2, cap=1)
 
 
-# --- the lcm table -------------------------------------------------------------
+# --- the lcm lattice and its strata ------------------------------------------------
 
 BENCH_IDEALS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
@@ -100,50 +97,70 @@ def reference_face_lcms(I):
     return lcm
 
 
-def block_edge_ideals():
-    """m = 0, n = 1, m at the block size and one and two past it; exponents
-    from 256 up, and a squarefree path whose columns the later blocks fill."""
-    b = LCM_BLOCK
-    path = Ring([f"x{i}" for i in range(b + 2)])
+def edge_ideals():
+    """m = 0, n = 1, then 12 to 14 generators: exponents from 256 up, and a
+    squarefree path."""
+    path = Ring([f"x{i}" for i in range(14)])
     return [
         MonomialIdeal(RING2, []),
         MonomialIdeal(Ring(["x"]), [(300,)]),
-        MonomialIdeal(RING2, [(256 + i, 256 + b - i) for i in range(b)]),
-        MonomialIdeal(path, [tuple(int(j in (i, i + 1)) for j in range(b + 2))
-                             for i in range(b + 1)]),
-        MonomialIdeal(Ring(["x", "y", "z"]), [(256 + i, 300 - i, 7 * i % 5) for i in range(b + 2)]),
+        MonomialIdeal(RING2, [(256 + i, 268 - i) for i in range(12)]),
+        MonomialIdeal(path, [tuple(int(j in (i, i + 1)) for j in range(14)) for i in range(13)]),
+        MonomialIdeal(Ring(["x", "y", "z"]), [(256 + i, 300 - i, 7 * i % 5) for i in range(14)]),
     ]
 
 
-def test_face_lcms_match_the_per_mask_recurrence(corpus, ex1, ex2):
-    edges = block_edge_ideals()
-    assert [I.m for I in edges] == [0, 1, LCM_BLOCK, LCM_BLOCK + 1, LCM_BLOCK + 2]
+def lattice_ideals(corpus, ex1, ex2):
     stress = [load_ideal(str(BENCH_IDEALS / f"{name}.ideal")) for name in ("S13", "S14")]
-    for I in [*corpus, ex1, ex2, *stress, *edges]:
-        assert _face_lcms(I, I.m) == reference_face_lcms(I), I
+    edges = edge_ideals()
+    assert [I.m for I in edges] == [0, 1, 12, 13, 14]
+    return [*corpus, ex1, ex2, *stress, *edges]
 
 
-def test_face_lcms_checks_the_cap():
-    I = block_edge_ideals()[3]
+def reference_strata(I) -> dict:
+    """alpha -> the sorted bitmasks of the generator subsets with lcm alpha."""
+    strata = {}
+    for mask, alpha in enumerate(reference_face_lcms(I)):
+        strata.setdefault(alpha, []).append(mask)
+    return strata
+
+
+def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
+    # G_alpha is the largest mask with lcm alpha, and size the number of them
+    for I in lattice_ideals(corpus, ex1, ex2):
+        expected = {alpha: (max(masks), len(masks)) for alpha, masks in reference_strata(I).items()}
+        assert _lattice(I, I.m) == expected, I
+
+
+def minimal_requirements(I, alpha, top) -> list[int]:
+    """The inclusion-minimal R_v = {i in top : g_i[v] = alpha_v}, v in supp
+    alpha, each read generator by generator."""
+    reqs = {sum(1 << i for i, g in enumerate(I.gens) if top >> i & 1 and g[v] == a)
+            for v, a in enumerate(alpha) if a}
+    return [r for r in reqs if not any(s != r and s & r == s for s in reqs)]
+
+
+def test_taylor_faces_match_the_stratum(corpus, ex1, ex2):
+    # at every alpha, cones and spheres included, the subsets of G_alpha that
+    # meet every minimal R_v are the stratum; where _classify asks for a
+    # build, the R_v it returns are those minimal ones
+    built = 0
+    for I in lattice_ideals(corpus, ex1, ex2):
+        eq = _equal_masks(I)
+        for alpha, faces in reference_strata(I).items():
+            minimal = minimal_requirements(I, alpha, faces[-1])
+            assert _taylor_faces(faces[-1], minimal) == faces, (I, alpha)
+            verdict = _classify(eq, alpha, faces[-1], len(faces))
+            if isinstance(verdict, list):
+                built += 1
+                assert sorted(verdict) == sorted(minimal), (I, alpha)
+    assert built > 0
+
+
+def test_lattice_checks_the_cap():
+    I = edge_ideals()[3]
     with pytest.raises(CapExceededError, match=f"{I.m} generators exceeds cap {I.m - 1}"):
-        _face_lcms(I, I.m - 1)
-
-
-def test_face_lcms_peak_memory_near_the_table():
-    # two generators past the block, in six variables: the 2^B-row columns
-    # held beside the table measure about 0.26 of it (tracemalloc, Python
-    # 3.11); n columns of 2^m rows, built without blocks, about 0.56
-    I = load_ideal(str(BENCH_IDEALS / "S14.ideal"))
-    assert (I.m, I.ring.n) == (LCM_BLOCK + 2, 6)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        lcm = _face_lcms(I, I.m)
-        size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(lcm) == 1 << I.m
-    assert peak - base <= 1.4 * (size - base)
+        _lattice(I, I.m - 1)
 
 
 # --- Scarf -------------------------------------------------------------------
@@ -186,9 +203,9 @@ def test_scarf_subset_of_taylor_with_distinct_mdegs(ex2):
 
 def reference_face_complex(I, unique_lcm_only):
     """The table-based face builder the grown one replaced: every subset's
-    lcm read off _face_lcms, Scarf uniqueness counted over all 2^m of them,
-    and a kept face whose facet is not kept refused."""
-    lcm = _face_lcms(I, I.m)
+    lcm read off the per-mask recurrence, Scarf uniqueness counted over all
+    2^m of them, and a kept face whose facet is not kept refused."""
+    lcm = reference_face_lcms(I)
     counts = Counter(lcm) if unique_lcm_only else None
     modules, diffs = [], []
     below = {}  # bitmask -> index of the kept faces one size down
@@ -237,29 +254,6 @@ def test_every_facet_of_a_scarf_face_is_a_scarf_face(corpus, ex1, ex2):
             for be in S.modules[a]:
                 face = be.label
                 assert all(face[:k] + face[k + 1:] in below for k in range(a)), (I, face)
-
-
-def test_taylor_and_scarf_never_build_the_lcm_table(ex1, ex2):
-    # a profiler hook sees every call of the table's code, whatever module
-    # namespace it is called through; lcm_lattice is the positive control
-    table = shiftlab.betti._face_lcms.__code__
-    calls = []
-
-    def spy(frame, event, arg):
-        if event == "call" and frame.f_code is table:
-            calls.append(frame.f_code.co_name)
-
-    before = sys.getprofile()
-    sys.setprofile(spy)
-    try:
-        for I in (KOSZUL2, ex2, ex1):
-            taylor_complex(I)
-            scarf_complex(I)
-        built = list(calls)
-        lcm_lattice(ex2)
-    finally:
-        sys.setprofile(before)
-    assert built == [] and calls == ["_face_lcms"]
 
 
 # --- restriction ---------------------------------------------------------------

@@ -26,8 +26,8 @@ from shiftlab import (
     taylor_complex,
     total_degree,
 )
-from shiftlab.betti import CONE, _classify, _equal_masks, _koszul_faces, strand_matrices
-from test_betti import dense_rank
+from shiftlab.betti import CONE, _equal_masks, _koszul_faces, strand_matrices
+from test_betti import dense_rank, verdict_of
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
 
@@ -174,7 +174,7 @@ def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
 def _verdicts(I) -> list[tuple]:
     """(alpha, stratum, verdict of _classify) at every alpha of the lcm lattice."""
     eq = _equal_masks(I)
-    return [(alpha, faces, _classify(eq, alpha, faces)) for alpha, faces in _taylor_strata(I).items()]
+    return [(alpha, faces, verdict_of(eq, alpha, faces)) for alpha, faces in _taylor_strata(I).items()]
 
 
 def _ideals(name, corpus, ex1, ex2) -> list:
