@@ -110,11 +110,15 @@ def edge_ideals():
     ]
 
 
-def lattice_ideals(corpus, ex1, ex2):
+def oracle_ideals(corpus, ex1, ex2):
     stress = [load_ideal(str(BENCH_IDEALS / f"{name}.ideal")) for name in ("S13", "S14")]
+    return [*corpus, ex1, ex2, *stress]
+
+
+def lattice_ideals(corpus, ex1, ex2):
     edges = edge_ideals()
     assert [I.m for I in edges] == [0, 1, 12, 13, 14]
-    return [*corpus, ex1, ex2, *stress, *edges]
+    return [*oracle_ideals(corpus, ex1, ex2), *edges]
 
 
 def reference_strata(I) -> dict:
@@ -233,11 +237,6 @@ def reference_face_complex(I, unique_lcm_only):
         diffs.append(cols if a else [])
         below = index
     return FreeComplex(modules, diffs)
-
-
-def oracle_ideals(corpus, ex1, ex2):
-    stress = [load_ideal(str(BENCH_IDEALS / f"{name}.ideal")) for name in ("S13", "S14")]
-    return [*corpus, ex1, ex2, *stress]
 
 
 def test_grown_faces_match_the_table_builder(corpus, ex1, ex2):
