@@ -38,16 +38,29 @@ def random_ideal(
     Each draw is m nonzero vectors; it is kept when minimalizing them keeps
     all m, that is, when they are distinct and pairwise incomparable.  The
     test stops at the first duplicate or the first ordered pair g <= h, so a
-    rejected draw costs no full minimalization.  Each exponent is one
-    ``rng.randrange(maxexp + 1)``, which consumes the rng exactly as
-    ``randint(0, maxexp)`` does, so seeds give the same ideals as before."""
+    rejected draw costs no full minimalization.
+
+    Each exponent is ``r = rng.getrandbits(k)`` with ``k = (maxexp +
+    1).bit_length()``, drawn again while ``r > maxexp``.  That is
+    ``Random._randbelow_with_getrandbits(maxexp + 1)``, the rule behind
+    ``randrange(maxexp + 1)`` and ``randint(0, maxexp)`` (CPython 3.10 to
+    3.13), written inline so no Python function is called per exponent; it
+    takes the same words, so seeds give the same ideals as before.  A subclass of
+    ``random.Random`` that overrides ``random()`` but not ``getrandbits()``
+    has a ``randrange`` built on ``random()``, so its stream differs here."""
     _check_draw(n, m, maxexp, retries)
     ring = Ring(_VAR_POOL[:n])
-    draw, top = rng.randrange, maxexp + 1
+    bits, k = rng.getrandbits, (maxexp + 1).bit_length()
     for _ in range(retries):
         vecs = []
         while len(vecs) < m:
-            v = tuple([draw(top) for _ in range(n)])
+            v = []
+            for _ in range(n):
+                r = bits(k)
+                while r > maxexp:
+                    r = bits(k)
+                v.append(r)
+            v = tuple(v)
             if any(v):
                 vecs.append(v)
         if len(set(vecs)) == m and not any(
@@ -68,8 +81,12 @@ def random_ideal_stream(
 
 
 def random_corpus(seed: int, count: int, max_n: int = 6, max_m: int = 8, maxexp: int = 4):
-    """A mixed-size corpus: n and m are drawn per instance (m kept feasible
-    for the box so the antichain retry loop terminates).  count >= 0,
+    """A mixed-size corpus: n is drawn from [2, max_n], then m from
+    [1, max_m], or from [1, min(max_m, 5)] when n = 2 (5 is the width of the
+    2-variable box only at the default maxexp = 4).  No other (n, m) is
+    capped: one whose box has no m-antichain, or whose antichains are rarely
+    drawn, returns None from ``random_ideal`` after its retries and is
+    redrawn, and m = 1 always succeeds, so the loop ends.  count >= 0,
     2 <= max_n <= 26, max_m >= 1 and maxexp >= 1 must be ints; they are
     checked before any draw and raise ``ValueError`` otherwise."""
     _check_ints(("count", count, 0, None), ("max_n", max_n, 2, len(_VAR_POOL)),

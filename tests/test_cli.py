@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shutil
@@ -204,6 +205,15 @@ def test_random_deterministic(capsys):
     rc2, out2, _ = run(capsys, "random", "--seed", "9", "--n", "3", "--m", "4",
                        "--maxexp", "2", "--count", "20")
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+def test_random_ledger_pinned(capsys):
+    # sha256 of the ledger that the bench paper workload asks for: the draw and
+    # every record must keep their bytes
+    rc, out, _ = run(capsys, "random", "--seed", "20260810", "--n", "6", "--m", "8",
+                     "--maxexp", "4", "--count", "100")
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "50c9b44ffc2c32541e578977698af14ca1e4e9aeb225072a82b2b0a0db883911")
 
 
 def test_random_cap_skips(capsys):

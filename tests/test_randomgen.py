@@ -109,9 +109,12 @@ def _old_random_ideal(minimalize, rng, n, m, maxexp, retries=200):
 
 
 # (n, m, maxexp): feasible boxes, and boxes with no m-antichain, which use up
-# every retry and return None
+# every retry and return None.  Each exponent takes getrandbits(k) words,
+# k = (maxexp + 1).bit_length(), until one is <= maxexp: maxexp = 3 and 7
+# reject half the words (k = 3, 4), maxexp = 1000 takes k = 10
 DRAW_GRID = [(1, 1, 1), (1, 2, 3), (2, 2, 1), (2, 4, 1), (2, 3, 2), (3, 0, 1), (3, 3, 1),
-             (3, 4, 1), (3, 5, 2), (4, 6, 1), (4, 7, 3), (6, 8, 4), (8, 5, 6)]
+             (3, 4, 1), (3, 5, 2), (4, 6, 1), (4, 7, 3), (6, 8, 4), (8, 5, 6),
+             (5, 6, 3), (4, 3, 7), (3, 3, 1000), (26, 2, 1)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -133,3 +136,12 @@ def test_random_corpus_pinned(corpus):
     text = repr([I.gens for I in corpus])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "13488bdc460dbfe932debde5ae5b0630a81ab9094f0561b3215b1b42e0e09c9f")
+
+
+def test_demo_corpus_pinned():
+    # the corpus of demos/random_search.py; maxexp = 3 draws getrandbits(3) and
+    # rejects every word >= 4, half of them
+    corpus = random_corpus(7, 200, max_n=5, max_m=6, maxexp=3)
+    text = repr([I.gens for I in corpus])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "17cba82e7c8a94d581c8ec6c2b567bb9a540f7df66ef5bf30893d0ad7bc8ecae")
