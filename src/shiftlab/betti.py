@@ -2,11 +2,11 @@
 
 Every Betti multidegree of S/I is the lcm of a set of generators
 (Gasharov-Peeva-Welker, Math. Res. Lett. 6, 1999), so the engine walks the
-lcm lattice.  _lattice builds it by join closure, one generator at a time,
-and carries at each alpha the bitmask G_alpha of the generators <= alpha
-and the number of generator subsets whose lcm is alpha; time and memory
-follow the lattice, not the 2^m subsets.  At each alpha the engine takes
-the homology of one of two chain complexes with bitmask faces:
+lcm lattice.  complexes._lattice builds it by join closure, one generator
+at a time, and carries at each alpha the bitmask G_alpha of the generators
+<= alpha and the number of generator subsets whose lcm is alpha; time and
+memory follow the lattice, not the 2^m subsets.  At each alpha the engine
+takes the homology of one of two chain complexes with bitmask faces:
 
 - the Taylor strand: one face per generator subset whose lcm is exactly
   alpha; its homology at face size a is b_{a,alpha}(S/I).  It has up to 2^m
@@ -69,7 +69,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, or_
 
-from .complexes import GENERATOR_CAP, ShiftProfile, _check_cap, scarf_complex
+from .complexes import GENERATOR_CAP, ShiftProfile, _lattice, scarf_complex
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -121,31 +121,6 @@ def rank_exact(M: list[list[int]], field=QQ) -> int:
             else:
                 del rows[k]
     return rank
-
-
-def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
-    """The lcm lattice by join closure, 0 included: alpha -> (G_alpha, size),
-    with G_alpha the bitmask of the generators <= alpha and size the number
-    of generator subsets whose lcm is alpha.
-
-    Generator i joins every element found from the generators before it:
-    the subsets holding i and lcm alpha' are those with i added to the
-    subsets of lcm alpha, over the alpha that g_i joins to alpha'.  So the
-    sizes add, and G_alpha' is the union of those G_alpha with bit i (the
-    lcm of the earlier generators <= alpha' is one such alpha).  The joins
-    are taken one exponent column per variable, and one zip turns the
-    columns back into keys.  Every element found is in the final lattice,
-    so time and memory follow it, not 2^m."""
-    _check_cap(I, cap)
-    lattice = {I.ring.zero(): (0, 1)}
-    for i, g in enumerate(I.gens):
-        bit, old = 1 << i, list(lattice.values())
-        joined = zip(*[[x if x >= e else e for x in col] if e else col
-                       for col, e in zip(zip(*lattice), g)])
-        for top, (mask, size) in zip(joined, old):
-            had, count = lattice.get(top, (0, 0))
-            lattice[top] = (had | mask | bit, count + size)
-    return lattice
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:

@@ -13,8 +13,8 @@ from functools import reduce
 from itertools import product
 from operator import ge, le, or_
 
-from .betti import _lattice, multigraded_betti, shifts
-from .complexes import GENERATOR_CAP, ShiftProfile
+from .betti import multigraded_betti, shifts
+from .complexes import GENERATOR_CAP, ShiftProfile, _lattice
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,

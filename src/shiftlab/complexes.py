@@ -7,8 +7,8 @@ a-1.  Differentials are column-major: ``diffs[a][j]`` is the tuple of
 homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
 it is read off the basis and never stored; homogeneity is also what keeps
 single-term sparse entries closed under all the operations here.  Taylor
-and Scarf faces grow from kept facets, so no table of the lcms of all 2^m
-generator subsets is built anywhere.
+faces grow past their last member, Scarf faces come off the lcm lattice
+(_lattice), and _face_complex assembles both; no 2^m table is built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from operator import le
+from operator import itemgetter, le
 
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, _Frozen, _length_mismatch, _Record, _set, total_degree
@@ -133,34 +133,46 @@ def _check_cap(I: MonomialIdeal, cap: int) -> None:
         raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
 
 
-def _face_complex(I: MonomialIdeal, cap: int, unique_lcm_only: bool) -> FreeComplex:
-    """The Taylor differential on the Taylor faces of I, each size in
-    lexicographic order: all of them, or with ``unique_lcm_only`` the Scarf
-    faces.  Each kept face grows by every generator i past its last member,
-    with lcm the join of its own with g_i, taken once per distinct pair (1259
-    joins for S14's 16384 faces); a facet's row is its index one size down."""
+def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
+    """The lcm lattice by join closure, 0 included: alpha -> (G_alpha, size),
+    with G_alpha the bitmask of the generators <= alpha and size the number
+    of generator subsets whose lcm is alpha.
+
+    Generator i joins every element found from the generators before it:
+    the subsets holding i and lcm alpha' are those with i added to the
+    subsets of lcm alpha, over the alpha that g_i joins to alpha'.  So the
+    sizes add, and G_alpha' is the union of those G_alpha with bit i (the
+    lcm of the earlier generators <= alpha' is one such alpha).  The joins
+    are taken one exponent column per variable, and one zip turns the
+    columns back into keys.  Every element found is in the final lattice,
+    so time and memory follow it, not 2^m."""
     _check_cap(I, cap)
-    level, index = [BasisElement((), I.ring.zero())], {0: 0}  # kept faces of one size, by bitmask
-    modules, diffs, signs, joined = [level], [[]], (1,), {}
-    while level:
-        grown, grown_index, cols = [], {}, []
-        for fm, j in index.items():
-            face, top = level[j].label, level[j].mdeg
-            for i in range(face[-1] + 1 if face else 0, I.m):
-                mask = fm | 1 << i
-                lcm = joined.get((top, i))
-                if lcm is None:
-                    lcm = joined[top, i] = tuple(x if x >= e else e for x, e in zip(top, I.gens[i]))
-                rows = [index.get(mask ^ 1 << k) for k in face] + [j]
-                if unique_lcm_only and (None in rows or any(
-                        not mask >> k & 1 and all(map(le, g, lcm)) for k, g in enumerate(I.gens))):
-                    continue
-                grown_index[mask] = len(grown)
-                grown.append(BasisElement(face + (i,), lcm))
-                cols.append(tuple(zip(rows, signs)))
-        modules.append(grown)
-        diffs.append(cols)
-        level, index, signs = grown, grown_index, signs + (-signs[-1],)
+    lattice = {I.ring.zero(): (0, 1)}
+    for i, g in enumerate(I.gens):
+        bit, old = 1 << i, list(lattice.values())
+        joined = zip(*[[x if x >= e else e for x in col] if e else col
+                       for col, e in zip(zip(*lattice), g)])
+        for top, (mask, size) in zip(joined, old):
+            had, count = lattice.get(top, (0, 0))
+            lattice[top] = (had | mask | bit, count + size)
+    return lattice
+
+
+def _face_complex(levels) -> FreeComplex:
+    """The Taylor differential on the faces of levels, read once: the s-th
+    holds the (bitmask, sorted members, mdeg) of each size-s face in order.  A
+    column holds the row of each facet in the level below, with sign (-1)^k
+    for dropping the k-th smallest member; a missing facet raises ValueError."""
+    modules, diffs, index = [], [], {}
+    for s, level in enumerate(levels):
+        signs = (1, -1) * s
+        try:
+            cols = [tuple(zip([index[mask ^ 1 << i] for i in face], signs)) for mask, face, _ in level]
+        except KeyError as exc:
+            raise ValueError(f"a size-{s} face has no facet {exc.args[0]:#b} one size down") from None
+        modules.append([BasisElement(face, mdeg) for _, face, mdeg in level])
+        diffs.append(cols if s else [])
+        index = {mask: j for j, (mask, _, _) in enumerate(level)}
     return FreeComplex(modules, diffs)
 
 
@@ -170,23 +182,38 @@ def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
 
     The boundary of a face drops one member at a time: the term for the
     k-th smallest index carries sign (-1)^(k-1) and monomial
-    lcm(F)/lcm(F minus that member).  The result resolves S/I.
-    """
-    return _face_complex(I, cap, unique_lcm_only=False)
+    lcm(F)/lcm(F minus that member).  The result resolves S/I.  Each face
+    grows by every generator i past its last member, with lcm the join of
+    its own with g_i, taken once per distinct pair (1259 joins for S14)."""
+    _check_cap(I, cap)
+
+    def levels():  # one at a time, so the assembler holds no more than two
+        level, joined = [(0, (), I.ring.zero())], {}
+        while level:
+            yield level
+            grown = []
+            for mask, face, top in level:
+                for i in range(face[-1] + 1 if face else 0, I.m):
+                    lcm = joined.get((top, i))
+                    if lcm is None:
+                        lcm = joined[top, i] = tuple(x if x >= e else e for x, e in zip(top, I.gens[i]))
+                    grown.append((mask | 1 << i, face + (i,), lcm))
+            level = grown
+    return _face_complex(levels())
 
 
 def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     """The Scarf complex: the Taylor faces whose lcm no other subset attains,
-    with the Taylor differential restricted to them.
-
-    A face is kept when its facets are kept and its members are exactly the
-    generators below its lcm.  Its members are below its lcm anyway, so only
-    the generators outside it are tested.  A subset with its lcm then lies
-    in it; a proper one lies in a facet of the same lcm, and the generator
-    that facet lacks is below that lcm, so the facet was not kept.  Every
-    facet of a Scarf face is Scarf, so growing kept faces misses none and
-    drops no boundary term."""
-    return _face_complex(I, cap, unique_lcm_only=True)
+    with the Taylor differential restricted to them, each size in
+    lexicographic order.  They are the lattice elements alpha of stratum
+    size 1, each with face G_alpha: the one subset with lcm alpha lies in
+    G_alpha, so G_alpha has lcm alpha too and is that subset.  A facet of a
+    Scarf face is Scarf, so _face_complex finds every boundary term."""
+    levels = [[] for _ in range(I.m + 1)]
+    for alpha, (mask, size) in _lattice(I, cap).items():
+        if size == 1:
+            levels[mask.bit_count()].append((mask, tuple(i for i in range(I.m) if mask >> i & 1), alpha))
+    return _face_complex(sorted(level, key=itemgetter(1)) for level in levels)
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits -> 0/1 flags for compress

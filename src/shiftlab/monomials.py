@@ -268,9 +268,8 @@ def restrict_ideal(I: MonomialIdeal, alpha: Multidegree) -> MonomialIdeal:
     """The subideal generated by every monomial of I whose exponent vector
     is <= alpha; equals the span of the generators below alpha, since any
     monomial of I below alpha is divisible by such a generator."""
-    if len(alpha) != I.ring.n:
-        _length_mismatch(I.ring.n, len(alpha))
-    return MonomialIdeal(I.ring, [g for g in I.gens if divides(g, alpha)])
+    mask = generators_below(I, alpha)
+    return MonomialIdeal(I.ring, [g for i, g in enumerate(I.gens) if mask >> i & 1])
 
 
 def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
@@ -325,8 +324,7 @@ def height(I: MonomialIdeal) -> int:
 
 def contains_all_pure_powers(I: MonomialIdeal) -> bool:
     """True iff every variable has a pure-power generator (dim S/I = 0)."""
-    singly = {support(g)[0] for g in I.gens if len(support(g)) == 1}
-    return len(singly) == I.ring.n
+    return len(pure_power_exponents(I)) == I.ring.n
 
 
 def pure_power_exponents(I: MonomialIdeal) -> dict[int, int]:

@@ -205,12 +205,13 @@ def test_scarf_subset_of_taylor_with_distinct_mdegs(ex2):
     assert len(mdegs) == len(set(mdegs))
 
 
-def reference_face_complex(I, unique_lcm_only):
-    """The table-based face builder the grown one replaced: every subset's
-    lcm read off the per-mask recurrence, Scarf uniqueness counted over all
-    2^m of them, and a kept face whose facet is not kept refused."""
+def reference_face_complex(I, scarf):
+    """The exhaustive builder the grown Taylor faces and the lattice-read
+    Scarf faces are checked against: every subset's lcm read off the
+    per-mask recurrence, Scarf uniqueness counted over all 2^m of them, and
+    a kept face whose facet is not kept refused."""
     lcm = reference_face_lcms(I)
-    counts = Counter(lcm) if unique_lcm_only else None
+    counts = Counter(lcm) if scarf else None
     modules, diffs = [], []
     below = {}  # bitmask -> index of the kept faces one size down
     for a in range(I.m + 1):
@@ -239,20 +240,33 @@ def reference_face_complex(I, unique_lcm_only):
     return FreeComplex(modules, diffs)
 
 
-def test_grown_faces_match_the_table_builder(corpus, ex1, ex2):
-    for I in oracle_ideals(corpus, ex1, ex2):
-        for build, unique in ((taylor_complex, False), (scarf_complex, True)):
-            assert dumps_complex(build(I)) == dumps_complex(reference_face_complex(I, unique)), I
+def test_grown_faces_match_the_table_builder(corpus, ex1, ex2, rp2):
+    # squarefree (the path, rp2) and heavy-exponent ideals as well as the corpus
+    for I in [*lattice_ideals(corpus, ex1, ex2), rp2]:
+        for build, scarf in ((taylor_complex, False), (scarf_complex, True)):
+            assert dumps_complex(build(I)) == dumps_complex(reference_face_complex(I, scarf)), I
 
 
-def test_every_facet_of_a_scarf_face_is_a_scarf_face(corpus, ex1, ex2):
-    for I in oracle_ideals(corpus, ex1, ex2):
+def test_every_facet_of_a_scarf_face_is_a_scarf_face(corpus, ex1, ex2, rp2):
+    for I in [*lattice_ideals(corpus, ex1, ex2), rp2]:
         S = scarf_complex(I)
         for a in range(1, len(S.modules)):
             below = {be.label for be in S.modules[a - 1]}
             for be in S.modules[a]:
                 face = be.label
                 assert all(face[:k] + face[k + 1:] in below for k in range(a)), (I, face)
+
+
+def test_face_complex_refuses_a_missing_facet():
+    # {0, 1} over a level that lacks {1}: the boundary term must not be dropped
+    zero = (0, 0)
+    levels = [[(0, (), zero)], [(0b01, (0,), (1, 0))], [(0b11, (0, 1), (1, 1))]]
+    with pytest.raises(ValueError, match="a size-2 face has no facet 0b10 one size down"):
+        shiftlab.complexes._face_complex(levels)
+    levels[1].append((0b10, (1,), (0, 1)))
+    F = shiftlab.complexes._face_complex(levels)
+    assert F.diffs[2] == (((1, 1), (0, -1)),)  # drop 0: row of {1}, +1; drop 1: row of {0}, -1
+    assert dumps_complex(F) == dumps_complex(taylor_complex(KOSZUL2))
 
 
 # --- restriction ---------------------------------------------------------------

@@ -351,6 +351,16 @@ def test_contains_all_pure_powers(ex1, ex2):
     assert contains_all_pure_powers(MonomialIdeal(RING2, [(2, 0), (0, 3)]))
 
 
+def test_contains_all_pure_powers_matches_its_definition(corpus):
+    # every variable x_v has a generator x_v^e, e >= 1, and no other variable
+    verdicts = [contains_all_pure_powers(I) for I in corpus]
+    for I, verdict in zip(corpus, verdicts):
+        expected = all(any(g[v] and g.count(0) == I.ring.n - 1 for g in I.gens)
+                       for v in range(I.ring.n))
+        assert verdict == expected, I
+    assert True in verdicts and False in verdicts
+
+
 # --- file formats ------------------------------------------------------------
 
 def test_text_roundtrip(ex1):
