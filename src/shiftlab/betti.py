@@ -21,9 +21,9 @@ K^alpha(I) is used whenever 2^|supp alpha| is below the Taylor strand's size
 (never at alpha = 0, whose Taylor strand is the empty face alone).
 Both complexes are cut from a full simplex by keeping some faces, and a
 boundary term survives exactly when the facet is kept, so strand_matrices
-and one rank loop serve both kinds and both fields.  rank_exact takes int
-entries only (strands are 0/±1) and clears each pivot with fields.eliminate,
-the sparse step that minimalize cancels with too, over QQ and GF(p) alike.
+reads both off complexes._columns, the Taylor complex's facet rule, as ±1
+columns, and one rank loop serves both kinds and both fields: rank_exact
+clears each pivot with fields.eliminate, as minimalize does.
 
 Most strands are read off without building either complex.  The Taylor
 strand at alpha is the set of subsets of G_alpha that meet every
@@ -67,59 +67,58 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, or_
+from operator import or_
 
-from .complexes import GENERATOR_CAP, ShiftProfile, _lattice, scarf_complex
+from .complexes import GENERATOR_CAP, ShiftProfile, _columns, _lattice, scarf_complex
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
 
-def rank_exact(M: list[list[int]], field=QQ) -> int:
-    """Exact rank of an integer matrix over the rationals or over GF(p).
-
-    Every entry must be of type int (bool, float and Fraction raise
-    TypeError); over GF(p) the entries are read mod p.  One sparse
-    elimination serves both fields.  It pivots on the lightest live row, in
-    the column with the fewest live entries among that row's units (±1 over
-    QQ, any nonzero over GF(p)), or among all its entries when it has no
-    unit, and clears that column with ``fields.eliminate``.  The argument is
-    never modified.
+def rank_exact(M, field=QQ) -> int:
+    """Exact rank over the rationals or over GF(p) of a matrix given by its
+    columns in the ``FreeComplex.diffs`` format, a sequence of (row, coeff)
+    pairs each.  A row repeated in a column raises ValueError; every coeff
+    must be of type int (bool, float and Fraction raise TypeError), read mod
+    p over GF(p).  One sparse elimination serves both fields.  It pivots on
+    the lightest live column, in the row with the fewest live entries among
+    that column's units (±1 over QQ, any nonzero over GF(p)), or among all
+    its entries when it has none, and clears that row with
+    ``fields.eliminate``.  The argument is never modified.
     """
     p = characteristic(field)
-    nonzero = itemgetter(1)
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = defaultdict(set)
-    for i, r in enumerate(M):
-        if not {int}.issuperset(map(type, r)):
-            raise TypeError(f"rank_exact takes int entries only; row {i} has {set(map(type, r))}")
-        entries = filter(nonzero, enumerate(r))
-        row = {j: y for j, x in entries if (y := x % p)} if p else dict(entries)
-        if row:
-            rows[i] = row
-            for j in row:
-                cols[j].add(i)
-    ncols = len(cols)  # the rank is at most this: fill-in opens no new column
-    heap = [(len(row), i) for i, row in rows.items()]
+    lines: dict[int, dict[int, int]] = {}
+    index: dict[int, set[int]] = defaultdict(set)
+    for j, col in enumerate(M):
+        if len(line := dict(col)) != len(col):
+            raise ValueError(f"rank_exact: column {j} repeats a row")
+        if not {int}.issuperset(kinds := set(map(type, line.values()))):
+            raise TypeError(f"rank_exact takes int entries only; column {j} has {kinds}")
+        if line := {r: y for r, x in line.items() if (y := x % p if p else x)}:
+            lines[j] = line
+            for r in line:
+                index[r].add(j)
+    nrows = len(index)  # the rank is at most this: fill-in opens no new row
+    heap = [(len(line), j) for j, line in lines.items()]
     heapify(heap)
     rank = 0
-    while rows:
-        n, i = heappop(heap)
-        piv = rows.get(i)
+    while lines:
+        n, j = heappop(heap)
+        piv = lines.get(j)
         if piv is None or len(piv) != n:
             continue  # a stale heap entry
-        del rows[i]
+        del lines[j]
         rank += 1
-        if not rows or rank == ncols:
+        if not lines or rank == nrows:
             break
-        for j in piv:
-            cols[j].discard(i)
-        units = piv if p else [j for j, x in piv.items() if x == 1 or x == -1]
-        c = min(units or piv, key=lambda j: len(cols[j]))
-        for k in eliminate(piv, c, rows, cols, p):
-            if size := len(rows[k]):
+        for r in piv:
+            index[r].discard(j)
+        units = piv if p else [r for r, x in piv.items() if x == 1 or x == -1]
+        c = min(units or piv, key=lambda r: len(index[r]))
+        for k in eliminate(piv, c, lines, index, p):
+            if size := len(lines[k]):
                 heappush(heap, (size, k))
             else:
-                del rows[k]
+                del lines[k]
     return rank
 
 
@@ -172,36 +171,21 @@ class BettiTable:
 
 
 def strand_matrices(faces: list[int]):
-    """Boundary matrices of one strand (a Taylor strand or an upper Koszul
+    """Boundary columns of one strand (a Taylor strand or an upper Koszul
     complex; see the module docstring).
 
     faces are bitmasks; returns (by_size, mats) with by_size[s] the size-s
-    faces in the order given and mats[s] the 0/±1 boundary matrix from size
-    s into size s-1, built only when both sides are nonempty.  A facet is
-    kept iff it is a face one size down.  The sign of dropping the k-th
-    smallest member is (-1)^k with k counted from 0.
+    faces in the order given and mats[s] the columns (complexes._columns) of
+    the boundary from size s into size s-1, built only when both sides are
+    nonempty.  A facet that is not a face one size down is absent.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for mask in faces:
         by_size[mask.bit_count()].append(mask)
-    mats: dict[int, list[list[int]]] = {}
+    mats = {}
     for s, level in by_size.items():
-        below = by_size.get(s - 1)
-        if not below:
-            continue
-        rowidx = {mask: i for i, mask in enumerate(below)}
-        mat = [[0] * len(level) for _ in below]
-        for j, fmask in enumerate(level):
-            k = 0
-            rest = fmask
-            while rest:
-                low = rest & -rest
-                row = rowidx.get(fmask ^ low)
-                if row is not None:
-                    mat[row][j] = -1 if k & 1 else 1
-                k += 1
-                rest ^= low
-        mats[s] = mat
+        if below := by_size.get(s - 1):
+            mats[s] = _columns(level, dict(zip(below, range(len(below)))))
     return dict(by_size), mats
 
 

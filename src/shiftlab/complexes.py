@@ -8,7 +8,8 @@ homogeneity pins an entry's monomial to x^(mdeg(column) - mdeg(row)), so
 it is read off the basis and never stored; homogeneity is also what keeps
 single-term sparse entries closed under all the operations here.  Taylor
 faces grow past their last member, Scarf faces come off the lcm lattice
-(_lattice), and _face_complex assembles both; no 2^m table is built.
+(_lattice), and _face_complex assembles both; no 2^m table is built.  Their
+columns, and the Betti strands', come from _columns, the one facet rule.
 """
 
 from __future__ import annotations
@@ -158,18 +159,33 @@ def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
     return lattice
 
 
+def _columns(level, index: dict) -> list[tuple[tuple[int, int], ...]]:
+    """One boundary column per face bitmask in level: the (index[facet],
+    (-1)^k) of dropping its k-th smallest member (k from 0), smallest first,
+    over the facets that index holds."""
+    cols = []
+    for mask in level:
+        col, sign, rest = [], 1, mask
+        while rest:
+            low = rest & -rest
+            if (row := index.get(mask ^ low)) is not None:
+                col.append((row, sign))
+            sign, rest = -sign, rest ^ low
+        cols.append(tuple(col))
+    return cols
+
+
 def _face_complex(levels) -> FreeComplex:
     """The Taylor differential on the faces of levels, read once: the s-th
-    holds the (bitmask, sorted members, mdeg) of each size-s face in order.  A
-    column holds the row of each facet in the level below, with sign (-1)^k
-    for dropping the k-th smallest member; a missing facet raises ValueError."""
+    holds the (bitmask, sorted members, mdeg) of each size-s face in order.
+    Columns come from _columns; a missing facet raises ValueError."""
     modules, diffs, index = [], [], {}
     for s, level in enumerate(levels):
-        signs = (1, -1) * s
-        try:
-            cols = [tuple(zip([index[mask ^ 1 << i] for i in face], signs)) for mask, face, _ in level]
-        except KeyError as exc:
-            raise ValueError(f"a size-{s} face has no facet {exc.args[0]:#b} one size down") from None
+        cols = _columns([mask for mask, _, _ in level], index)
+        for (mask, face, _), col in zip(level, cols):
+            if len(col) < s:
+                facet = next(f for i in face if (f := mask ^ 1 << i) not in index)
+                raise ValueError(f"a size-{s} face has no facet {facet:#b} one size down")
         modules.append([BasisElement(face, mdeg) for _, face, mdeg in level])
         diffs.append(cols if s else [])
         index = {mask: j for j, (mask, _, _) in enumerate(level)}

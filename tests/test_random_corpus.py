@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import shiftlab.betti
 from shiftlab import (
     PrimeField,
     QQ,
@@ -27,7 +28,7 @@ from shiftlab import (
     total_degree,
 )
 from shiftlab.betti import CONE, _equal_masks, _koszul_faces, strand_matrices
-from test_betti import dense_rank, verdict_of
+from test_betti import dense_rank, dense_strand_matrices, verdict_of
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
 
@@ -111,16 +112,18 @@ def _koszul_by_definition(I, alpha) -> list[int]:
 
 def _homology(faces, fields, memo, dense=True) -> list[dict]:
     """Per field, {s: dim} of the homology at face size s of the complex on
-    these faces, with each rank checked against dense elimination unless
-    dense is false.  It depends on the face list alone, so memo keeps it by
-    that list (the fields stay the same for one memo)."""
+    these faces, with each rank checked against the dense oracle's matrix
+    and elimination unless dense is false.  It depends on the face list
+    alone, so memo keeps it by that list (the fields stay the same for one
+    memo)."""
     key = tuple(faces)
     if key not in memo:
         by_size, mats = strand_matrices(faces)
+        oracle = dense_strand_matrices(faces)[1] if dense else None
         memo[key] = []
         for field in fields:
             ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
-            assert not dense or ranks == {s: dense_rank(mat, field) for s, mat in mats.items()}, faces
+            assert not dense or ranks == {s: dense_rank(mat, field) for s, mat in oracle.items()}, faces
             dims = {s: len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
                     for s, level in by_size.items()}
             memo[key].append({s: d for s, d in dims.items() if d})
@@ -169,6 +172,31 @@ def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
     fields = (GF,) if name == "S13" else (QQ, GF)
     expected = [multigraded_betti(I, field).entries for field in fields]
     assert _tables_from_both_strands(I, fields) == expected
+
+
+@pytest.mark.parametrize("name", ["corpus", "S13", "S14", "rp2"])
+def test_strand_columns_match_the_dense_oracle(name, corpus, ex1, ex2, rp2, monkeypatch):
+    # every strand the engine builds, Taylor or K^alpha: its columns, made
+    # dense, equal the oracle's matrix entry for entry, signs included (a
+    # wrong sign can leave a rank over QQ unchanged)
+    built, real = [], shiftlab.betti.strand_matrices
+    monkeypatch.setattr(shiftlab.betti, "strand_matrices",
+                        lambda faces: built.append(faces) or real(faces))
+    for I in [rp2] if name == "rp2" else _ideals(name, corpus, ex1, ex2):
+        multigraded_betti(I, QQ)
+    assert built
+    for faces in built:
+        by_size, mats = real(faces)
+        oracle_by_size, oracle = dense_strand_matrices(faces)
+        assert by_size == oracle_by_size and mats.keys() == oracle.keys(), faces
+        for s, cols in mats.items():
+            assert len(cols) == len(by_size[s]), (faces, s)
+            dense = [[0] * len(cols) for _ in by_size[s - 1]]
+            for j, col in enumerate(cols):
+                for row, coeff in col:
+                    assert dense[row][j] == 0, (faces, s, j)  # one entry per row and column
+                    dense[row][j] = coeff
+            assert dense == oracle[s], (faces, s)
 
 
 def _verdicts(I) -> list[tuple]:
