@@ -5,33 +5,16 @@ Every Betti multidegree of S/I is the lcm of a set of generators
 lcm lattice.  complexes._lattice builds it by join closure, one generator
 at a time, and carries at each alpha the bitmask G_alpha of the generators
 <= alpha and the number of generator subsets whose lcm is alpha; time and
-memory follow the lattice, not the 2^m subsets.  At each alpha the engine
-takes the homology of one of two chain complexes with bitmask faces:
+memory follow the lattice, not the 2^m subsets.
 
-- the Taylor strand: one face per generator subset whose lcm is exactly
-  alpha; its homology at face size a is b_{a,alpha}(S/I).  It has up to 2^m
-  faces.
-- the upper Koszul complex K^alpha(I) = {squarefree tau <= alpha :
-  x^(alpha - tau) in I}, faces being variable subsets.  For a >= 1,
-  b_{a,alpha}(S/I) = dim H~_{a-2}(K^alpha(I)) (Miller-Sturmfels,
-  Combinatorial Commutative Algebra, Thm 1.34), so its reduced homology at
-  face size s is b_{s+1,alpha}.  It has at most 2^|supp alpha| faces.
-
-K^alpha(I) is used whenever 2^|supp alpha| is below the Taylor strand's size
-(never at alpha = 0, whose Taylor strand is the empty face alone).
-Both complexes are cut from a full simplex by keeping some faces, and a
-boundary term survives exactly when the facet is kept, so strand_matrices
-reads both off complexes._columns, the Taylor complex's facet rule, as ±1
-columns, and one rank loop serves both kinds and both fields: rank_exact
-clears each pivot with fields.eliminate, as minimalize does.
-
-Most strands are read off without building either complex.  The Taylor
-strand at alpha is the set of subsets of G_alpha that meet every
-R_v = {i in G_alpha : g_i[v] = alpha_v}, v in supp alpha (the lcm-lattice
-reading of Gasharov-Peeva-Welker); a subset meets every R_v iff it meets
-the inclusion-minimal ones.  With one table eq[v][e], the generators whose
-x_v exponent is e, built per call in n*m steps, R_v = G_alpha &
-eq[v][alpha_v].  Let U be the union of the minimal R_v.
+Most strands are read off without building anything.  The Taylor strand at
+alpha, the generator subsets whose lcm is exactly alpha, is the set of
+subsets of G_alpha that meet every R_v = {i in G_alpha : g_i[v] = alpha_v},
+v in supp alpha (the lcm-lattice reading of Gasharov-Peeva-Welker); a
+subset meets every R_v iff it meets the inclusion-minimal ones.  With one
+table eq[v][e], the generators whose x_v exponent is e, built per call in
+n*m steps, R_v = G_alpha & eq[v][alpha_v].  Let U be the union of the
+minimal R_v.
 
 - U != G_alpha: a generator i outside U is in no minimal R_v, and
   sigma -> sigma xor {i} pairs the faces by ±1 boundary entries (an acyclic
@@ -48,18 +31,47 @@ eq[v][alpha_v].  Let U be the union of the minimal R_v.
   sphere: b_{k,alpha} = 1 and every other b_{.,alpha} is 0, over every
   field.  A 1-face stratum is the case of singleton blocks, and alpha = 0
   the case k = 0.
-- Otherwise the strand is built: the smaller of the Taylor strand and
-  K^alpha(I), then strand_matrices and rank_exact.  The choice reads the
-  carried size, and only a Taylor strand that is built is enumerated
-  (_taylor_faces), from the minimal R_v.
+- Otherwise a strand is built and ranked: the Lyubeznik strand at alpha,
+  or K^alpha(I) where that is smaller (below).
 
 A cone has an even number of faces and a sphere an odd one, the product of
 the 2^|B_i| - 1.  A stratum of one face is the sphere of singleton blocks,
 and one of two faces, {G_alpha - {i}, G_alpha}, the cone on i, so both are
-classified from the carried size alone.  Over QQ the 500-ideal test corpus
-builds 211 of its 7982 strands and makes 474 rank calls; S13 builds 10 of
-its 285 strands and S14 33 of its 353 (bench/ideals), with 25 and 115 rank
-calls.
+classified from the carried size alone.
+
+The Lyubeznik complex L (Lyubeznik, "A new explicit finite free resolution
+of ideals generated by monomials in an R-sequence", JPAA 51, 1988) is the
+set of generator subsets {i_1 < ... < i_k} such that, for every t, no g_j
+with j < i_t divides lcm(g_{i_t}, ..., g_{i_k}).  It is a simplicial
+subcomplex of the Taylor complex and still resolves S/I, so
+Tor_a(S/I, k)_alpha is the homology at face size a of its strand at alpha:
+the faces of L with lcm exactly alpha, with the Taylor boundary cut to
+them.  Taking t = 1, the smallest member of such a face is min G_alpha,
+and dropping it leaves a face of lcm beta with min G_beta greater than it
+and beta v g_i = alpha.  So the faces at alpha are, over those beta, the
+faces at beta with i = min G_alpha added, plus {i} itself when g_i = alpha
+(beta = 0, whose one face is the empty one).  _lyubeznik_pushes counts
+them up the lattice by this rule, in sorted order, over the elements below
+some alpha to be built.
+
+A Lyubeznik strand can still have about 2^m faces: on x*y^i*z^(20-i),
+i = 0..20, and y^20*z^20 it has over 2^19 at alpha = (1, 20, 20).  The
+upper Koszul complex K^alpha(I) = {squarefree tau <= alpha :
+x^(alpha - tau) in I}, faces being variable subsets, has at most
+2^|supp alpha|, and for a >= 1 b_{a,alpha}(S/I) = dim H~_{a-2}(K^alpha(I))
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), so its
+homology at face size s is b_{s+1,alpha}.  The Lyubeznik strand is ranked
+where the count is at most 2^|supp alpha|, and K^alpha(I) elsewhere, so no
+strand has more than 2^n faces.  _lyubeznik_faces then grows the faces of
+the Lyubeznik strands to be ranked, and only the faces that lie in them.
+
+strand_matrices reads each strand off complexes._columns, the Taylor
+complex's facet rule, as ±1 columns, and one rank loop serves both kinds
+and both fields: rank_exact clears each pivot with fields.eliminate, as
+minimalize does.  Over QQ the 500-ideal test corpus builds 211 of its 7982
+strands, one of them K^alpha, with 698 faces, and makes 176 rank calls;
+S13 builds 10 of its 285 strands and S14 33 of its 353 (bench/ideals),
+all Lyubeznik, with 8 and 56 rank calls.
 """
 
 from __future__ import annotations
@@ -171,8 +183,8 @@ class BettiTable:
 
 
 def strand_matrices(faces: list[int]):
-    """Boundary columns of one strand (a Taylor strand or an upper Koszul
-    complex; see the module docstring).
+    """Boundary columns of one strand (a Lyubeznik strand or an upper
+    Koszul complex; see the module docstring).
 
     faces are bitmasks; returns (by_size, mats) with by_size[s] the size-s
     faces in the order given and mats[s] the columns (complexes._columns) of
@@ -187,25 +199,6 @@ def strand_matrices(faces: list[int]):
         if below := by_size.get(s - 1):
             mats[s] = _columns(level, dict(zip(below, range(len(below)))))
     return dict(by_size), mats
-
-
-def _koszul_faces(gens, alpha: tuple) -> list[int]:
-    """Faces of K^alpha(I) as sorted variable bitmasks: the union of the
-    down-sets of {i : g_i < alpha_i} over the generators g <= alpha."""
-    tops = {
-        sum(1 << i for i, (e, a) in enumerate(zip(g, alpha)) if e < a)
-        for g in gens
-        if all(e <= a for e, a in zip(g, alpha))
-    }
-    faces: set[int] = set()
-    for top in tops:
-        sub = top
-        while True:
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & top
-    return sorted(faces)
 
 
 def _equal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
@@ -241,66 +234,131 @@ def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> in
     return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else minimal
 
 
-def _taylor_faces(top: int, minimal: list[int]) -> list[int]:
-    """The Taylor strand as sorted bitmasks: the subsets of top that meet
-    every mask in minimal.  A branch takes the first mask its chosen members
-    miss, and branches on which of its undecided members is the smallest
-    chosen one (the smaller ones are left out); once every mask is met, all
-    subsets of the undecided members are emitted.  Each face comes from one
-    branch, and every branch that is not cut emits at least one face.  The
-    chosen members only grow along a branch, so a mask met stays met and
-    each branch resumes the scan where its parent stopped."""
-    faces: list[int] = []
-    stack = [(0, top, 0)]  # (chosen, undecided, index of the first mask not known met)
-    while stack:
-        chosen, free, k = stack.pop()
-        while k < len(minimal) and minimal[k] & chosen:
-            k += 1
-        if k == len(minimal):
-            sub = free
-            while True:
-                faces.append(chosen | sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+def _koszul_faces(gens, alpha: tuple) -> list[int]:
+    """Faces of K^alpha(I) as sorted variable bitmasks: the union of the
+    down-sets of {i : g_i < alpha_i} over the generators g <= alpha."""
+    tops = {
+        sum(1 << i for i, (e, a) in enumerate(zip(g, alpha)) if e < a)
+        for g in gens
+        if all(e <= a for e, a in zip(g, alpha))
+    }
+    faces: set[int] = set()
+    for top in tops:
+        sub = top
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return sorted(faces)
+
+
+def _lyubeznik_pushes(I: MonomialIdeal, lattice: dict, wanted) -> dict:
+    """beta -> (the number of Lyubeznik faces with lcm beta, the pushes
+    (alpha, 1 << i) out of beta), in sorted order, for every element reached
+    below some alpha in wanted.
+
+    A face at alpha is i = min G_alpha added to a face at some beta with
+    min G_beta > i and beta v g_i = alpha (see the module docstring), and
+    whether i may be added reads only beta and i.  So the faces are the
+    paths from 0 along the pushes, counted here in sorted order, a linear
+    extension of <=: from each beta along each i < min G_beta with
+    min G_(beta v g_i) = i, one join per pair.  A push goes only into an
+    element below some wanted alpha, that is, whose G lies in that alpha's
+    G.  Each element reached keeps the inclusion-maximal wanted G above it,
+    and only their members are tried as i."""
+    zero, gens = I.ring.zero(), I.gens
+    count = {zero: 1}  # the empty face, the one face of lcm 0
+    maximal: list[int] = []  # an element is below a wanted one iff below a maximal one
+    for top in sorted((lattice[alpha][0] for alpha in wanted), key=int.bit_count, reverse=True):
+        if not any(top & t == top for t in maximal):
+            maximal.append(top)
+    above = {zero: maximal}
+    pushes = {}
+    for beta in sorted(lattice):
+        if (n := count.get(beta)) is None:
             continue
-        unmet, rest = minimal[k], minimal[k] & free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            stack.append((chosen | low, free & ~(unmet & ((low << 1) - 1)), k + 1))
-    faces.sort()
-    return faces
+        low = lattice[beta][0]
+        ups = above.pop(beta)
+        reach = reduce(or_, ups, 0) & ((low & -low) - 1 if low else -1)
+        out = []
+        while reach:
+            bit = reach & -reach
+            reach ^= bit
+            alpha = tuple([x if x >= e else e for x, e in zip(beta, gens[bit.bit_length() - 1])])
+            top = lattice[alpha][0]
+            if top & (bit - 1):
+                continue  # an earlier generator divides alpha: i is not min G_alpha
+            if (tops := above.get(alpha)) is None:
+                tops = above[alpha] = [t for t in ups if top & t == top]
+            if tops:
+                count[alpha] = count.get(alpha, 0) + n
+                out.append((alpha, bit))
+        pushes[beta] = n, out
+    return pushes
+
+
+def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
+    """alpha -> the bitmasks of the Lyubeznik faces with lcm alpha, for each
+    alpha in wanted that is reached, grown along _lyubeznik_pushes.  Faces
+    travel only along pushes into elements from which some wanted alpha is
+    reached.  The pushes out of beta read only beta, so each face there
+    extends to a distinct face at that alpha, and beta holds no more faces
+    than it.  Each push extends all of beta's faces in one list
+    comprehension."""
+    useful = set(wanted)
+    for beta, (_, out) in reversed(pushes.items()):
+        if any(alpha in useful for alpha, _ in out):
+            useful.add(beta)
+    grown: dict[tuple, list[int]] = {}
+    faces: dict[tuple, list[int]] = {}
+    for beta, (_, out) in pushes.items():
+        if beta not in useful:
+            continue
+        here = faces.pop(beta, [0])  # only 0 gets no push; its one face is the empty one
+        if beta in wanted:
+            grown[beta] = here
+        for alpha, bit in out:
+            if alpha in useful:
+                faces.setdefault(alpha, []).extend([f | bit for f in here])
+    return grown
 
 
 def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
     ``_classify`` reads every cone and sphere strand off its minimal R_v
-    (see the module docstring), unbuilt.  At every other alpha the smaller of
-    the Taylor strand and K^alpha(I) is used; with shift 0 for Taylor and 1
-    for Koszul, the face-size-s homology n_s - rank(d_s) - rank(d_{s+1}) is
-    b_{s+shift,alpha}.  Strands are independent; they are walked in
-    lexicographic multidegree order so the output is reproducible.
+    (see the module docstring), unbuilt.  At every other alpha the smaller
+    of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik strand
+    when it has at most 2^|supp alpha| faces.  Lyubeznik faces are counted
+    first and enumerated only for the strands ranked.  With shift 0 for
+    Lyubeznik and 1 for Koszul, the face-size-s
+    homology n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
     lattice = _lattice(I, cap)
     eq = _equal_masks(I)
     entries: dict[tuple, int] = {}
-    for alpha, (top, size) in sorted(lattice.items()):
+    built = []
+    for alpha, (top, size) in lattice.items():
         verdict = _classify(eq, alpha, top, size)
-        if isinstance(verdict, int):
-            if verdict != CONE:
-                entries[(verdict, alpha)] = 1
-            continue
-        if (1 << sum(1 for e in alpha if e)) < size:
-            faces, shift = _koszul_faces(I.gens, alpha), 1
+        if not isinstance(verdict, int):
+            built.append(alpha)
+        elif verdict != CONE:
+            entries[(verdict, alpha)] = 1
+    if not built:
+        return BettiTable(I.ring, entries)
+    pushes = _lyubeznik_pushes(I, lattice, built)
+    small = {alpha for alpha in built if pushes.get(alpha, (0,))[0] <= 1 << sum(map(bool, alpha))}
+    lyubeznik = _lyubeznik_faces(pushes, small)
+    for alpha in built:
+        if alpha in small:
+            faces, shift = lyubeznik.get(alpha, []), 0
         else:
-            faces, shift = _taylor_faces(top, verdict), 0
+            faces, shift = _koszul_faces(I.gens, alpha), 1
         by_size, mats = strand_matrices(faces)
         ranks = {s: rank_exact(mat, field) for s, mat in mats.items()}
         for s, level in by_size.items():
-            beta = len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
-            if beta:
+            if beta := len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0):
                 entries[(s + shift, alpha)] = beta
     return BettiTable(I.ring, entries)
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -18,6 +19,7 @@ from shiftlab import (
     QQ,
     Ring,
     betti_records,
+    divides,
     format_betti_grid,
     is_minimal,
     join,
@@ -34,7 +36,7 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-from shiftlab.betti import _classify, _equal_masks
+from shiftlab.betti import _classify, _equal_masks, _lattice, _lyubeznik_faces, _lyubeznik_pushes
 from shiftlab.complexes import CapExceededError
 
 RING2 = Ring(["x", "y"])
@@ -354,6 +356,38 @@ def dense_strand_matrices(faces: list[int]):
     return dict(by_size), mats
 
 
+def taylor_faces(top: int, minimal: list[int]) -> list[int]:
+    """The Taylor strand as sorted bitmasks: the subsets of top that meet
+    every mask in minimal.  A branch takes the first mask its chosen members
+    miss, and branches on which of its undecided members is the smallest
+    chosen one (the smaller ones are left out); once every mask is met, all
+    subsets of the undecided members are emitted.  Each face comes from one
+    branch, and every branch that is not cut emits at least one face.  The
+    chosen members only grow along a branch, so a mask met stays met and
+    each branch resumes the scan where its parent stopped."""
+    faces: list[int] = []
+    stack = [(0, top, 0)]  # (chosen, undecided, index of the first mask not known met)
+    while stack:
+        chosen, free, k = stack.pop()
+        while k < len(minimal) and minimal[k] & chosen:
+            k += 1
+        if k == len(minimal):
+            sub = free
+            while True:
+                faces.append(chosen | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            continue
+        unmet, rest = minimal[k], minimal[k] & free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append((chosen | low, free & ~(unmet & ((low << 1) - 1)), k + 1))
+    faces.sort()
+    return faces
+
+
 def _all_taylor_entries(I, field) -> dict:
     """The Betti table's entries from the Taylor strand at every lcm of
     generators, each built by the dense oracle and ranked by dense
@@ -393,16 +427,82 @@ def test_betti_matches_all_taylor_loop(I):
         assert multigraded_betti(I, field).entries == _all_taylor_entries(I, field)
 
 
+def rooted_faces(I) -> dict:
+    """alpha -> the sorted bitmasks of the Lyubeznik faces with lcm alpha,
+    by brute force over all 2^m generator subsets.  {i_1 < ... < i_k} is a
+    face when, for every t, no g_j with j < i_t divides lcm(g_{i_t}, ...,
+    g_{i_k}); g_{i_t} divides it, so the first generator that does is
+    g_{i_t}.  The empty face is the one face of lcm 0."""
+    lcms = [I.ring.zero()]
+    for mask in range(1, 1 << I.m):
+        low = mask & -mask
+        lcms.append(join(lcms[mask ^ low], I.gens[low.bit_length() - 1]))
+    first = {}
+    for alpha in lcms:
+        if alpha not in first:
+            first[alpha] = next((j for j, g in enumerate(I.gens) if divides(g, alpha)), None)
+    faces = defaultdict(list)
+    for mask in range(1 << I.m):
+        tail, rooted = mask, True
+        while tail and rooted:
+            low = tail & -tail
+            rooted = first[lcms[tail]] == low.bit_length() - 1
+            tail ^= low
+        if rooted:
+            faces[lcms[mask]].append(mask)
+    return dict(faces)
+
+
+def check_lyubeznik_faces(I):
+    # with every lattice element wanted, the pushes reach the lcms of the
+    # rooted subsets in sorted order and count them, and the faces grown
+    # along them are those subsets
+    lattice, rooted = _lattice(I, I.m), rooted_faces(I)
+    pushes = _lyubeznik_pushes(I, lattice, lattice)
+    assert list(pushes) == sorted(rooted), I
+    assert {alpha: n for alpha, (n, _) in pushes.items()} == {
+        alpha: len(faces) for alpha, faces in rooted.items()}, I
+    grown = {alpha: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, set(lattice)).items()}
+    assert grown == rooted, I
+    # a simplicial complex, each face rooted at min G of its lcm
+    every = {face for faces in grown.values() for face in faces}
+    for alpha, faces in grown.items():
+        top = lattice[alpha][0]
+        for face in faces:
+            assert all(face ^ 1 << i in every for i in range(I.m) if face >> i & 1), (I, face)
+            assert face & -face == top & -top, (I, face)
+    # wanting fewer elements prunes the pushes but not the counts or the
+    # faces at those
+    part = set(sorted(lattice)[1::3])
+    pushes = _lyubeznik_pushes(I, lattice, part)
+    assert {alpha: pushes[alpha][0] for alpha in part if alpha in pushes} == {
+        alpha: len(rooted[alpha]) for alpha in part if alpha in rooted}, I
+    assert {alpha: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, part).items()} == {
+        alpha: rooted[alpha] for alpha in part if alpha in rooted}, I
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_ideals())
+def test_lyubeznik_faces_match_the_definition(I):
+    check_lyubeznik_faces(I)
+
+
+def test_lyubeznik_faces_match_the_definition_on_the_corpus(corpus, ex2):
+    for I in [*corpus, ex2]:  # m <= 8, so 2^m subsets each
+        check_lyubeznik_faces(I)
+
+
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
 
-@pytest.mark.parametrize("name, built, ranked", [("S13", 10, 25), ("S14", 33, 115)],
+@pytest.mark.parametrize("name, built, ranked", [("S13", 10, 8), ("S14", 33, 56)],
                          ids=["S13-10", "S14-33"])
 def test_only_unclassified_strands_are_built(name, built, ranked, monkeypatch):
     # S13 and S14 have 285 and 353 strata (alpha = 0 included); every other
     # one is read off as a cone or a sphere and must not be built.  Each
     # built strand is ranked one level at a time, through rank_exact, which
-    # is where bench/tracing.py counts it.
+    # is where bench/tracing.py counts it.  A level is ranked only when it
+    # and the level below hold faces.
     calls = Counter()
 
     def counted(fn):
@@ -451,6 +551,63 @@ def w22():
         vectors.add(tuple(rng.randint(0, 6) for _ in range(8)))
     ring = Ring([f"x{i}" for i in range(8)])
     return MonomialIdeal(ring, MonomialIdeal(ring, vectors).gens[:22])
+
+
+def edge_ideal(n: int, m: int) -> MonomialIdeal:
+    """A seeded random edge ideal: m distinct edges (min, max) drawn by
+    rng.sample(range(n), 2), rng = random.Random(1), one generator x_i*x_j
+    per edge in sorted edge order."""
+    rng, edges = random.Random(1), set()
+    while len(edges) < m:
+        i, j = rng.sample(range(n), 2)
+        edges.add((min(i, j), max(i, j)))
+    ring = Ring([f"x{k}" for k in range(n)])
+    return MonomialIdeal(ring, [tuple(int(k in edge) for k in range(n)) for edge in sorted(edges)])
+
+
+@pytest.mark.parametrize("n, m, field, totals", [
+    (12, 18, QQ, (1, 18, 85, 223, 348, 336, 208, 82, 19, 2)),
+    (14, 20, PrimeField(32003), (1, 20, 116, 359, 673, 836, 734, 467, 212, 65, 12, 1)),
+], ids=["E12-QQ", "E14-GF"])
+def test_edge_ideal_totals(n, m, field, totals):
+    # totals pinned from the engine at af7d60d, which ranked the smaller of
+    # the Taylor strand and K^alpha(I)
+    assert multigraded_betti(edge_ideal(n, m), field).totals() == totals
+
+
+def staircase(k: int) -> MonomialIdeal:
+    """x*y^i*z^(k-i) for i = 0..k, then y^k*z^k.  At alpha = (1, k, k) the
+    minimal R_v overlap, so the strand is built, and every {0} u S u {k}
+    with S in {1..k-1} is a Lyubeznik face there: 2^(k-1) faces and more,
+    where K^alpha(I) has at most 2^3."""
+    ring = Ring(["x", "y", "z"])
+    return MonomialIdeal(ring, [(1, i, k - i) for i in range(k + 1)] + [(0, k, k)])
+
+
+@pytest.mark.parametrize("k, totals", [(11, (1, 13, 12)), (20, (1, 22, 21))])
+def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
+    # totals pinned from the engine at af7d60d, which ranked the smaller of
+    # the Taylor strand and K^alpha(I) in about 2 ms.  No strand the engine
+    # ranks may exceed 2^n = 8 faces, however many Lyubeznik faces alpha has.
+    I, sizes, real = staircase(k), [], shiftlab.betti.strand_matrices
+    pushes = _lyubeznik_pushes(I, _lattice(I, I.m), [(1, k, k)])
+    assert pushes[(1, k, k)][0] >= 2 ** (k - 1)
+    monkeypatch.setattr(shiftlab.betti, "strand_matrices",
+                        lambda faces: sizes.append(len(faces)) or real(faces))
+    start = time.perf_counter()
+    assert multigraded_betti(I, QQ).totals() == totals
+    assert time.perf_counter() - start < 2
+    assert sizes and max(sizes) <= 8
+    # nor are the 2^(k-1) faces grown on the way: faces travel only towards
+    # an alpha whose Lyubeznik strand is ranked (growing them all traces
+    # about 34 MB at k = 20, against 0.25 MB)
+    tracemalloc.start()
+    try:
+        multigraded_betti(I, QQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_betti_memory_follows_the_lattice():

@@ -2,7 +2,7 @@
 
 from collections import defaultdict
 from functools import reduce
-from operator import or_
+from operator import le, or_
 from pathlib import Path
 
 import pytest
@@ -27,8 +27,9 @@ from shiftlab import (
     taylor_complex,
     total_degree,
 )
-from shiftlab.betti import CONE, _equal_masks, _koszul_faces, strand_matrices
-from test_betti import dense_rank, dense_strand_matrices, verdict_of
+from shiftlab.betti import CONE, _classify, _equal_masks, _koszul_faces, _lattice, strand_matrices
+from test_betti import dense_rank, dense_strand_matrices, taylor_faces, verdict_of
+from test_complexes import edge_ideals
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
 
@@ -176,7 +177,7 @@ def test_taylor_and_koszul_strands_agree(name, ex1, ex2):
 
 @pytest.mark.parametrize("name", ["corpus", "S13", "S14", "rp2"])
 def test_strand_columns_match_the_dense_oracle(name, corpus, ex1, ex2, rp2, monkeypatch):
-    # every strand the engine builds, Taylor or K^alpha: its columns, made
+    # every Lyubeznik strand the engine builds: its columns, made
     # dense, equal the oracle's matrix entry for entry, signs included (a
     # wrong sign can leave a rank over QQ unchanged)
     built, real = [], shiftlab.betti.strand_matrices
@@ -197,6 +198,40 @@ def test_strand_columns_match_the_dense_oracle(name, corpus, ex1, ex2, rp2, monk
                     assert dense[row][j] == 0, (faces, s, j)  # one entry per row and column
                     dense[row][j] = coeff
             assert dense == oracle[s], (faces, s)
+
+
+@pytest.mark.parametrize("name", ["corpus", "S13", "S14", "ex1", "rp2", "edges"])
+def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, monkeypatch):
+    # at every alpha where the engine ranks the Lyubeznik strand, it is a
+    # subcomplex of the Taylor strand with the same homology, and K^alpha(I)
+    # has it one face size down, over QQ, GF(2) and GF(32003).  Ranks are
+    # checked against dense elimination except on S14 and the edge ideals,
+    # whose Taylor strands and K^alpha are too large for it.
+    built, grown, real = [], [], shiftlab.betti._lyubeznik_faces
+    monkeypatch.setattr(shiftlab.betti, "_lyubeznik_faces",
+                        lambda pushes, wanted: grown.append(real(pushes, wanted)) or grown[-1])
+    ideals = {"rp2": [rp2], "edges": edge_ideals()}.get(name) or _ideals(name, corpus, ex1, ex2)
+    for I in ideals:
+        multigraded_betti(I, QQ)
+        built += [(I, alpha, faces) for alpha, faces in grown.pop().items()] if grown else []
+    assert built
+    fields, memo, dense, lattices = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges"), {}
+    for I, alpha, faces in built:
+        if I not in lattices:
+            lattices[I] = _lattice(I, I.m), _equal_masks(I)
+        lattice, eq = lattices[I]
+        top, size = lattice[alpha]
+        taylor = taylor_faces(top, _classify(eq, alpha, top, size))
+        assert set(faces) <= set(taylor), (I, alpha)
+        homology = _homology(faces, fields, memo, dense)
+        assert homology == _homology(taylor, fields, memo, dense), (I, alpha)
+        # K^alpha(I) reads only alpha and the generators <= alpha, and only on
+        # supp alpha; read there, the path ideal's 330 built alpha give 64
+        # complexes, up to 15397 faces each
+        supp = [v for v, e in enumerate(alpha) if e]
+        gens = [[g[v] for v in supp] for g in I.gens if all(map(le, g, alpha))]
+        koszul = _homology(_koszul_faces(gens, [alpha[v] for v in supp]), fields, memo, dense)
+        assert [{s + 1: d for s, d in h.items()} for h in koszul] == homology, (I, alpha)
 
 
 def _verdicts(I) -> list[tuple]:
