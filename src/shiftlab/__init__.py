@@ -8,6 +8,7 @@ shift inequality as an executable check.
 
 from .fields import PrimeField, QQ, Rationals, field_from_spec
 from .monomials import (
+    ContractError,
     IdealSyntaxError,
     MonomialIdeal,
     Ring,

@@ -81,7 +81,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .complexes import GENERATOR_CAP, ShiftProfile, _columns, _lattice, scarf_complex
+from .complexes import (GENERATOR_CAP, ShiftProfile, _check_columns, _columns, _lattice,
+                        scarf_complex)
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -89,8 +90,9 @@ from .monomials import MonomialIdeal, total_degree
 def rank_exact(M, field=QQ) -> int:
     """Exact rank over the rationals or over GF(p) of a matrix given by its
     columns in the ``FreeComplex.diffs`` format, a sequence of (row, coeff)
-    pairs each.  A row repeated in a column raises ValueError; every coeff
-    must be of type int (bool, float and Fraction raise TypeError), read mod
+    pairs each.  They keep the column rule (complexes._check_columns),
+    else ContractError: no row twice in a column, and each coeff an int
+    (over QQ also a Fraction; a bool or a float is neither), read mod
     p over GF(p).  One sparse elimination serves both fields.  It pivots on
     the lightest live column, in the row with the fewest live entries among
     that column's units (±1 over QQ, any nonzero over GF(p)), or among all
@@ -98,14 +100,12 @@ def rank_exact(M, field=QQ) -> int:
     ``fields.eliminate``.  The argument is never modified.
     """
     p = characteristic(field)
-    lines: dict[int, dict[int, int]] = {}
+    lines: dict[int, dict] = {}
     index: dict[int, set[int]] = defaultdict(set)
+    M = tuple(M)
+    _check_columns((M,), p)
     for j, col in enumerate(M):
-        if len(line := dict(col)) != len(col):
-            raise ValueError(f"rank_exact: column {j} repeats a row")
-        if not {int}.issuperset(kinds := set(map(type, line.values()))):
-            raise TypeError(f"rank_exact takes int entries only; column {j} has {kinds}")
-        if line := {r: y for r, x in line.items() if (y := x % p if p else x)}:
+        if line := {r: y for r, x in col if (y := x % p if p else x)}:
             lines[j] = line
             for r in line:
                 index[r].add(j)
@@ -213,12 +213,11 @@ def _equal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
 CONE = -1  # _classify's verdict for a strand with no homology
 
 
-def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> int | list[int]:
+def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> int | None:
     """Read the Taylor strand at alpha off its minimal R_v (see the module
     docstring).  Its faces are the subsets of top = G_alpha that meet every
     R_v, and size counts them.  Returns CONE, the k of a sphere
-    (b_{k,alpha} = 1 and no other), or, when the strand must be built, the
-    minimal R_v themselves, smallest first.
+    (b_{k,alpha} = 1 and no other), or None when the strand must be built.
     A 1-face stratum is the sphere whose blocks are all singletons (alpha = 0
     included, with k = 0), and a 2-face stratum {G_alpha - {i}, G_alpha} the
     cone on i, so neither reads the R_v."""
@@ -231,7 +230,7 @@ def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> in
             minimal.append(r)
     if reduce(or_, minimal) != top:
         return CONE
-    return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else minimal
+    return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else None
 
 
 def _koszul_faces(gens, alpha: tuple) -> list[int]:
@@ -328,7 +327,8 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
     ``_classify`` reads every cone and sphere strand off its minimal R_v
-    (see the module docstring), unbuilt.  At every other alpha the smaller
+    (see the module docstring), unbuilt, and returns None, the build
+    marker, at every other alpha.  There the smaller
     of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik strand
     when it has at most 2^|supp alpha| faces.  Lyubeznik faces are counted
     first and enumerated only for the strands ranked.  With shift 0 for
@@ -341,7 +341,7 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     built = []
     for alpha, (top, size) in lattice.items():
         verdict = _classify(eq, alpha, top, size)
-        if not isinstance(verdict, int):
+        if verdict is None:
             built.append(alpha)
         elif verdict != CONE:
             entries[(verdict, alpha)] = 1

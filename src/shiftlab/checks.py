@@ -18,6 +18,8 @@ from .complexes import GENERATOR_CAP, ShiftProfile, _lattice
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,
+    _check_int,
+    _check_mdeg,
     _Record,
     _set,
     contains_all_pure_powers,
@@ -70,14 +72,6 @@ class InequalityReport(_Record):
         ps = " ".join(f"{k}={v}" for k, v in self.params.items())
         verdict = "ok" if self.holds else "VIOLATION"
         return f"{self.name} [{ps}]: {self.lhs} <= {self.rhs} -> {verdict}"
-
-
-def _require_ints(**params) -> None:
-    """The one rule for index parameters: each must be an int, and a bool is
-    not one; anything else raises ``ValueError: name=value is not an int``."""
-    for name, x in params.items():
-        if type(x) is not int:
-            raise ValueError(f"{name}={x!r} is not an int")
 
 
 def _shift_at(t: ShiftProfile, a: int) -> int | None:
@@ -223,7 +217,7 @@ def check_range(
     """The window form of the covering bound: with s = p + q - a,
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}.  ``table`` is as
     in check_covering."""
-    _require_ints(a=a)
+    _check_int(a, "a")
     alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
@@ -265,7 +259,8 @@ def check_general(
     variables, beta is the lcm of the remaining generators.  The bound is
     min{t_1 + t_{a-1}, max{t_i + t_{a-i} : p - (m-a) <= i <= min(p, a//2)}}.
     """
-    _require_ints(a=a, p=p)
+    _check_int(a, "a")
+    _check_int(p, "p")
     m, n = I.m, I.ring.n
     problems = []
     if not contains_all_pure_powers(I):
@@ -305,8 +300,8 @@ def check_multiple(
     jointly cover I."""
     covers = [(tuple(alpha), a) for alpha, a in covers]
     for alpha, a in covers:
-        if type(a) is not int or not all(type(e) is int for e in alpha):
-            raise ValueError(f"cover ({alpha}, {a!r}) needs an int index and int exponents")
+        _check_mdeg(alpha, I.ring.n)
+        _check_int(a, "a")
     if not covers:
         raise ValueError("empty cover list")
     tab = _table_of(I, field, table)
@@ -352,7 +347,7 @@ def find_covering_pairs(
         candidates = sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
         masks = [lattice[c][0] for c in candidates]
     else:
-        _require_ints(at=at)
+        _check_int(at, "at")
         candidates = _table_of(I, field, table, cap).support_at(at)
         masks = [generators_below(I, c) for c in candidates]
     full = (1 << I.m) - 1
@@ -461,7 +456,8 @@ def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:
     appearing in the zero-dimensional window bound; empty when the
     hypotheses fail for every p.  n, m and a must be ints (``ValueError``
     otherwise; a ``bool`` is not an int here)."""
-    _require_ints(n=n, m=m, a=a)
+    for name, x in (("n", n), ("m", m), ("a", a)):
+        _check_int(x, name)
     if _window_problems(n, m, a):
         return {}
     out: dict[int, list[tuple[int, int]]] = {}

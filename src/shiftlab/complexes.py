@@ -23,7 +23,8 @@ from itertools import compress
 from operator import itemgetter, le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, _Frozen, _length_mismatch, _Record, _set, total_degree
+from .monomials import (MonomialIdeal, ContractError, _check_int, _check_mdeg, _Frozen,
+                        _length_mismatch, _Record, _set, total_degree)
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
 
@@ -276,8 +277,7 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     if F._index is None:
         _set(F, "_index", _restriction_index(F.modules))
     n, levels = F._index
-    if n is not None and len(alpha) != n:
-        _length_mismatch(n, len(alpha))
+    _check_mdeg(alpha, len(alpha) if n is None else n)
     modules, diffs, remap = [], [], None
     for a, (mod, level) in enumerate(zip(F.modules, levels)):
         mask = (1 << len(mod)) - 1
@@ -318,25 +318,44 @@ class VerifyReport(_Record):
         return f"complex INVALID at {self.location}: {self.problem}"
 
 
-def _check_coeffs(F: FreeComplex, p: int) -> None:
-    """Every coefficient is an int, or over QQ (p = 0) an int or a Fraction;
-    anything else (a float, a bool, a Fraction over GF(p)) raises TypeError."""
-    allowed = (int,) if p else (int, Fraction)
-    bad = {type(c) for level in F.diffs for col in level for _, c in col}.difference(allowed)
+class RepeatedRowError(ContractError):
+    """A column holds a row twice; args are (level, column, row)."""
+
+    def __str__(self):
+        return "column %d repeats row %d" % self.args[1:]
+
+
+def _check_columns(levels, p: int) -> None:
+    """The one column rule of every boundary matrix, over levels of columns
+    in the ``FreeComplex.diffs`` format: first every coeff must be an int,
+    or over QQ (p = 0) an int or a Fraction; then no row may appear twice in
+    a column, as a dict would keep only one of the entries
+    (RepeatedRowError at the first repeat)."""
+    allowed = {int} if p else {int, Fraction}
+    bad = {type(c) for cols in levels for col in cols for _, c in col}.difference(allowed)
     if bad:
         names = lambda types: " or ".join(sorted(t.__name__ for t in types))
-        raise TypeError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
+        raise ContractError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
+    for a, cols in enumerate(levels):
+        if sum(map(len, map(dict, cols))) != sum(map(len, cols)):
+            j, col = next((j, col) for j, col in enumerate(cols) if len(dict(col)) != len(col))
+            row = next(r for k, (r, _) in enumerate(col) if r in dict(col[:k]))
+            raise RepeatedRowError(a, j, row)
 
 
 def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
-    """Check multigraded homogeneity of every entry and that consecutive
-    differentials compose to zero.  Failures are reported, not raised; a
-    coefficient outside the contract of minimalize raises TypeError.
+    """Check the column rule (_check_columns), multigraded homogeneity of
+    every entry and that consecutive differentials compose to zero.
+    Failures are reported, not raised, a repeated row first; a coefficient
+    outside the column rule raises ContractError, whatever else is wrong.
 
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
     p = characteristic(field)
-    _check_coeffs(F, p)
+    try:
+        _check_columns(F.diffs, p)
+    except RepeatedRowError as exc:
+        return VerifyReport(False, "column repeats a row", exc.args)
     for a in range(1, len(F.modules)):
         below = [be.mdeg for be in F.modules[a - 1]]
         for j, (col, be) in enumerate(zip(F.diffs[a], F.modules[a])):
@@ -400,12 +419,12 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
 
     Pivots are taken smallest (level, row, column) first, which makes the
     output deterministic; surviving basis elements keep their input labels.
-    Coefficients must be ints (read mod p over GF(p)), or over QQ also
-    Fractions, else TypeError; over QQ only a non-unit pivot c brings in a
-    Fraction, as Fraction(1, c).
+    The columns must keep the column rule (_check_columns), else
+    ContractError; over GF(p) coefficients are read mod p.  Over QQ only a
+    non-unit pivot c brings in a Fraction, as Fraction(1, c).
     """
     p = characteristic(field)
-    _check_coeffs(F, p)
+    _check_columns(F.diffs, p)
     dead = [set() for _ in F.modules]  # the cancelled elements of each module
     cols = [[]]  # cols[a][f]: the live entries {row: coeff} of column f of d_a
     for a in range(1, len(F.modules)):
@@ -453,6 +472,7 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
     basis-level bound is computed (a paired basis element's multidegree is
     the join of its factors, so its degree is at most the sum).  Returns
     None when no split exists (a negative or beyond both lengths)."""
+    _check_int(a, "a")
     if a < 0:
         return None
     ta = shifts_of_complex(Fa)
@@ -470,8 +490,8 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
 # along with the shape ("modules" and "differentials" lists of equal length,
 # of lists of objects), the entry's "col" and "row" (ints in range), the basis
 # labels (lists), the basis multidegrees (lists of non-negative ints, all of
-# one length) and each "coeff" (a string n or n/d in ASCII digits, d nonzero);
-# a missing key fails the check of its value
+# one length), each "coeff" (a string n or n/d in ASCII digits, d nonzero)
+# and each column (no row twice); a missing key fails the check of its value
 
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
 
@@ -511,10 +531,10 @@ def complex_from_json(obj: dict) -> FreeComplex:
                          "of lists of objects")
     basis = [be for mod in obj["modules"] for be in mod]
     mdegs = [be.get("mdeg") for be in basis]
-    ok = all(type(d) is list and all(type(e) is int and e >= 0 for e in d) for d in mdegs)
-    if not ok or len({len(d) for d in mdegs}) > 1 or any(type(be.get("label")) is not list for be in basis):
-        raise ValueError("dump basis labels must be lists, and basis mdegs lists of "
-                         "non-negative ints, all of one length")
+    if any(type(d) is not list for d in mdegs) or any(type(be.get("label")) is not list for be in basis):
+        raise ValueError("dump basis labels and basis mdegs must be lists")
+    for d in mdegs:
+        _check_mdeg(d, len(mdegs[0]), "dump basis mdegs: ")
     modules = [
         [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
         for mod in obj["modules"]
@@ -523,21 +543,24 @@ def complex_from_json(obj: dict) -> FreeComplex:
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
-            j, row, mdeg = ent.get("col"), ent.get("row"), ent.get("mdeg")
-            ok = (0 < a and type(j) is int and type(row) is int
-                  and 0 <= j < len(modules[a]) and 0 <= row < len(modules[a - 1])
-                  and type(mdeg) is list and all(type(e) is int for e in mdeg))
-            if not ok or mdeg != _entry_mdeg(modules, a, j, row):
-                raise ValueError(f"dump entry {(a, j, row)}: col and row must be int indices "
-                                 "in range, and mdeg a list of ints equal to column - row")
-            text = ent.get("coeff")
-            if type(text) is not str or not _COEFF_RE.fullmatch(text):
-                raise ValueError(f"dump entry {(a, j, row)}: coeff {text!r} is not n or n/d")
+            j, row, mdeg, text = ent.get("col"), ent.get("row"), ent.get("mdeg"), ent.get("coeff")
+            try:
+                _check_int(j, "col", 0, len(cols) - 1)
+                _check_int(row, "row", 0, len(modules[a - 1]) - 1)
+                if type(mdeg) is not list or mdeg != _entry_mdeg(modules, a, j, row):
+                    raise ValueError("mdeg must be a list of ints equal to column - row")
+                for e in mdeg:
+                    _check_int(e, "mdeg entry")
+                if type(text) is not str or not _COEFF_RE.fullmatch(text):
+                    raise ValueError(f"coeff {text!r} is not n or n/d")
+            except ValueError as exc:
+                raise type(exc)(f"dump entry {(a, j, row)}: {exc}") from None
             coeff = Fraction(text)
             if coeff.denominator == 1:
                 coeff = int(coeff)
             cols[j].append((row, coeff))
         diffs.append(cols)
+    _check_columns(diffs, 0)
     return FreeComplex(modules, diffs)
 
 

@@ -33,9 +33,32 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
+class ContractError(ValueError, TypeError):
+    """The error of every input contract (integers, multidegrees, columns):
+    both errors that the earlier checks and Python's own comparisons raised
+    for these inputs, so a caller that caught either still does."""
+
+
 def _length_mismatch(n: int, k: int, prefix: str = "") -> NoReturn:
     """Raise the one error of every length check on multidegrees."""
-    raise ValueError(f"{prefix}length mismatch: {n} vs {k}")
+    raise ContractError(f"{prefix}length mismatch: {n} vs {k}")
+
+
+def _check_int(x, name: str, lo: int | None = None, hi: int | None = None) -> None:
+    """The one integer rule: ``type(x) is int`` (so no bool, IntEnum member
+    or float), and lo <= x <= hi where given, else ContractError."""
+    if type(x) is not int or lo is not None and x < lo or hi is not None and x > hi:
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ContractError(f"{name} must be an int{bound}, got {x!r}")
+
+
+def _check_mdeg(v, n: int, prefix: str = "") -> None:
+    """The one multidegree rule: n plain ints >= 0 (see _check_int), else
+    ContractError, with _length_mismatch's message for a wrong length."""
+    if len(v) != n:
+        _length_mismatch(n, len(v), prefix)
+    if not all(type(e) is int and e >= 0 for e in v):
+        raise ContractError(f"{prefix}exponents must be ints >= 0, got {tuple(v)!r}")
 
 
 class IdealSyntaxError(ValueError):
@@ -165,8 +188,7 @@ def parse_monomial(text: str, ring: Ring) -> Multidegree:
 
 def format_monomial(mdeg: Multidegree, ring: Ring) -> str:
     """Inverse of parse_monomial; the zero vector prints as ``1``."""
-    if len(mdeg) != ring.n:
-        _length_mismatch(ring.n, len(mdeg))
+    _check_mdeg(mdeg, ring.n)
     parts = []
     for name, e in zip(ring.names, mdeg):
         if e == 1:
@@ -178,15 +200,15 @@ def format_monomial(mdeg: Multidegree, ring: Ring) -> str:
 
 def divides(a: Multidegree, b: Multidegree) -> bool:
     """x^a divides x^b, i.e. a <= b componentwise."""
-    if len(a) != len(b):
-        _length_mismatch(len(a), len(b))
+    _check_mdeg(a, len(a))
+    _check_mdeg(b, len(a))
     return all(x <= y for x, y in zip(a, b))
 
 
 def join(a: Multidegree, b: Multidegree) -> Multidegree:
     """Componentwise max; the exponent vector of lcm(x^a, x^b)."""
-    if len(a) != len(b):
-        _length_mismatch(len(a), len(b))
+    _check_mdeg(a, len(a))
+    _check_mdeg(b, len(a))
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
@@ -225,10 +247,7 @@ class MonomialIdeal(_Frozen):
         vecs = []
         for g in gens:
             v = tuple(g)
-            if len(v) != ring.n:
-                _length_mismatch(ring.n, len(v), f"generator {v}: ")
-            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in v):
-                raise ValueError(f"generator {v} has a bad exponent")
+            _check_mdeg(v, ring.n, f"generator {v}: ")
             if not any(v):
                 raise ValueError("unit ideal rejected (generator 1)")
             vecs.append(v)
@@ -274,8 +293,7 @@ def restrict_ideal(I: MonomialIdeal, alpha: Multidegree) -> MonomialIdeal:
 
 def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
     """Bitmask of the minimal generators <= alpha: bit i is I.gens[i]."""
-    if len(alpha) != I.ring.n:
-        _length_mismatch(I.ring.n, len(alpha))
+    _check_mdeg(alpha, I.ring.n)
     mask = 0
     for i, g in enumerate(I.gens):
         if all(map(le, g, alpha)):

@@ -65,6 +65,7 @@ def test_rank_zero_matrix():
 
 def test_rank_dependent_rows():
     assert rank_exact(columns([[1, 2], [2, 4]])) == 1
+    assert rank_exact(iter(columns([[1, 2], [0, 4]]))) == 2  # read once, then checked and ranked
 
 
 def test_rank_prime_field():
@@ -75,16 +76,19 @@ def test_rank_prime_field():
 
 
 def test_rank_fractions():
-    # int entries only: a Fraction is refused, not cleared or truncated
-    for field in (QQ, PrimeField(3)):
-        with pytest.raises(TypeError, match="int entries only"):
-            rank_exact(columns([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]), field)
+    # over QQ a Fraction column is read as it is: the matrix times 6 has the
+    # same rank.  Over GF(p) it is refused, not cleared or truncated.
+    M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert rank_exact(columns(M), QQ) == rank_exact(columns([[int(6 * x) for x in row] for row in M]), QQ) == 1
+    assert rank_exact(columns([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]), QQ) == 2
+    with pytest.raises(TypeError, match="characteristic 3 must be int, not Fraction"):
+        rank_exact(columns(M), PrimeField(3))
 
 
 def test_rank_repeated_row_is_rejected():
     # a dict of the column would keep the -1 alone and give rank 2
     for field in (QQ, PrimeField(3)):
-        with pytest.raises(ValueError, match="column 0 repeats a row"):
+        with pytest.raises(ValueError, match="column 0 repeats row 0"):
             rank_exact([[(0, 1), (0, -1)], [(1, 1)]], field)
 
 
@@ -192,16 +196,19 @@ def test_rank_random_vs_rational_elimination():
 
 def test_rank_int_and_fraction_entries_agree():
     # low-rank products with many zeros, so that pivots grow, columns are
-    # skipped and the rank is often below both dimensions; the same matrix
-    # with Fraction entries is refused (int entries only)
+    # skipped and the rank is often below both dimensions; over QQ the same
+    # matrix with Fraction entries has the same rank, and over GF(3) it is
+    # refused
     import random
 
     rng = random.Random(11)
     for _ in range(150):
         M = _low_rank_product(rng, (0, 0, 0, 1, -1, 2, -3))
         assert rank_exact(columns(M)) == _rank_by_fraction_elimination(M), M
+        fractions = columns([[Fraction(x) for x in row] for row in M])
+        assert rank_exact(fractions) == rank_exact(columns(M)), M
         with pytest.raises(TypeError):
-            rank_exact(columns([[Fraction(x) for x in row] for row in M]))
+            rank_exact(fractions, PrimeField(3))
 
 
 def _one_degree_complex(d1, nrows: int) -> FreeComplex:
@@ -234,11 +241,16 @@ def test_rank_matches_dense_oracle(field):
 
 def test_rank_mixed_entries_are_rejected():
     # each of these used to be coerced: the 1/2 and the 0.5 went through
-    # int() to 0 over GF(3), and over QQ the 0.5 was read as a Fraction
+    # int() to 0 over GF(3), and over QQ the 0.5 was read as a Fraction.
+    # Over QQ an int and Fraction matrix is read exactly.
     for M in ([[Fraction(1, 2), 0], [0, 1]], [[Fraction(1, 3), Fraction(2, 3)], [1, 2]],
               [[Fraction(1, 2)]], [[0.5]], [[1, 0.0]], [[True, 0], [0, 1]]):
+        exact = {type(x) for row in M for x in row} <= {int, Fraction}
         for field in (QQ, PrimeField(3)):
-            with pytest.raises(TypeError, match="int entries only"):
+            if exact and field == QQ:
+                assert rank_exact(columns(M), field) == _rank_by_fraction_elimination(M)
+                continue
+            with pytest.raises(TypeError, match="must be (Fraction or )?int"):
                 rank_exact(columns(M), field)
 
 
@@ -254,8 +266,9 @@ def test_rank_leaves_its_argument_alone():
         assert cols == before
     cols = columns([[Fraction(1, 2), 1], [1, 2]])
     before = [list(col) for col in cols]
+    assert rank_exact(cols) == 1 and cols == before
     with pytest.raises(TypeError):
-        rank_exact(cols)
+        rank_exact(cols, PrimeField(3))
     assert cols == before
 
 
@@ -354,6 +367,14 @@ def dense_strand_matrices(faces: list[int]):
                     mat[row][j] = (-1) ** k
         mats[s] = mat
     return dict(by_size), mats
+
+
+def minimal_requirements(I, alpha, top) -> list[int]:
+    """The inclusion-minimal R_v = {i in top : g_i[v] = alpha_v}, v in supp
+    alpha, each read generator by generator."""
+    reqs = {sum(1 << i for i, g in enumerate(I.gens) if top >> i & 1 and g[v] == a)
+            for v, a in enumerate(alpha) if a}
+    return [r for r in reqs if not any(s != r and s & r == s for s in reqs)]
 
 
 def taylor_faces(top: int, minimal: list[int]) -> list[int]:
@@ -537,9 +558,8 @@ def test_rp2_betti_depends_on_the_field(rp2, p, totals):
 
 def verdict_of(eq, alpha, faces):
     """_classify's verdict on a stratum given as its sorted faces: CONE, the
-    k of a sphere, or None where it returns the minimal R_v to build from."""
-    verdict = _classify(eq, alpha, faces[-1], len(faces))
-    return verdict if isinstance(verdict, int) else None
+    k of a sphere, or None where the strand must be built."""
+    return _classify(eq, alpha, faces[-1], len(faces))
 
 
 def w22():

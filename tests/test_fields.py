@@ -66,7 +66,7 @@ def test_prime_field_bounds():
     assert PrimeField(2**31 - 1).p == 2**31 - 1
     assert PrimeField(2).p == 2
     for bad in (-3, 0, 1, 4, 561, 2**31, 2**61 - 1, True, 3.0):
-        with pytest.raises(ValueError, match="not a prime below 2"):
+        with pytest.raises(ValueError, match="not a prime below 2|p must be an int"):
             PrimeField(bad)
 
 

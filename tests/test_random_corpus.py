@@ -27,8 +27,8 @@ from shiftlab import (
     taylor_complex,
     total_degree,
 )
-from shiftlab.betti import CONE, _classify, _equal_masks, _koszul_faces, _lattice, strand_matrices
-from test_betti import dense_rank, dense_strand_matrices, taylor_faces, verdict_of
+from shiftlab.betti import CONE, _equal_masks, _koszul_faces, _lattice, strand_matrices
+from test_betti import dense_rank, dense_strand_matrices, minimal_requirements, taylor_faces, verdict_of
 from test_complexes import edge_ideals
 
 PAIR_BUDGET = 5  # covering pairs checked per ideal (deterministic: first sorted)
@@ -218,10 +218,9 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
     fields, memo, dense, lattices = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges"), {}
     for I, alpha, faces in built:
         if I not in lattices:
-            lattices[I] = _lattice(I, I.m), _equal_masks(I)
-        lattice, eq = lattices[I]
-        top, size = lattice[alpha]
-        taylor = taylor_faces(top, _classify(eq, alpha, top, size))
+            lattices[I] = _lattice(I, I.m)
+        top = lattices[I][alpha][0]
+        taylor = taylor_faces(top, minimal_requirements(I, alpha, top))
         assert set(faces) <= set(taylor), (I, alpha)
         homology = _homology(faces, fields, memo, dense)
         assert homology == _homology(taylor, fields, memo, dense), (I, alpha)
