@@ -81,8 +81,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .complexes import (GENERATOR_CAP, ShiftProfile, _check_columns, _columns, _lattice,
-                        scarf_complex)
+from .complexes import GENERATOR_CAP, ShiftProfile, _check_columns, _columns, _lattice, scarf_complex
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -90,9 +89,8 @@ from .monomials import MonomialIdeal, total_degree
 def rank_exact(M, field=QQ) -> int:
     """Exact rank over the rationals or over GF(p) of a matrix given by its
     columns in the ``FreeComplex.diffs`` format, a sequence of (row, coeff)
-    pairs each.  They keep the column rule (complexes._check_columns),
-    else ContractError: no row twice in a column, and each coeff an int
-    (over QQ also a Fraction; a bool or a float is neither), read mod
+    pairs each.  Columns keep the column rule (complexes._repeated_row), or
+    ContractError: no row twice, each coeff an int (or over QQ a Fraction), read mod
     p over GF(p).  One sparse elimination serves both fields.  It pivots on
     the lightest live column, in the row with the fewest live entries among
     that column's units (±1 over QQ, any nonzero over GF(p)), or among all
@@ -327,12 +325,11 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
     ``_classify`` reads every cone and sphere strand off its minimal R_v
-    (see the module docstring), unbuilt, and returns None, the build
-    marker, at every other alpha.  There the smaller
-    of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik strand
-    when it has at most 2^|supp alpha| faces.  Lyubeznik faces are counted
-    first and enumerated only for the strands ranked.  With shift 0 for
-    Lyubeznik and 1 for Koszul, the face-size-s
+    (see the module docstring), unbuilt, and marks every other alpha with
+    None.  There the smaller of the Lyubeznik strand and K^alpha(I) is
+    ranked, the Lyubeznik strand when it has at most 2^|supp alpha| faces.
+    Lyubeznik faces are counted first and enumerated only for the strands
+    ranked.  With shift 0 for Lyubeznik and 1 for Koszul, the face-size-s
     homology n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
     lattice = _lattice(I, cap)

@@ -18,7 +18,7 @@ from .complexes import GENERATOR_CAP, ShiftProfile, _lattice
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,
-    _check_int,
+    _check_ints,
     _check_mdeg,
     _Record,
     _set,
@@ -217,7 +217,7 @@ def check_range(
     """The window form of the covering bound: with s = p + q - a,
     t_a(I) <= max{t_i(I) + t_{a-i}(I) : p - s <= i <= p}.  ``table`` is as
     in check_covering."""
-    _check_int(a, "a")
+    _check_ints(("a", a))
     alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
@@ -259,8 +259,7 @@ def check_general(
     variables, beta is the lcm of the remaining generators.  The bound is
     min{t_1 + t_{a-1}, max{t_i + t_{a-i} : p - (m-a) <= i <= min(p, a//2)}}.
     """
-    _check_int(a, "a")
-    _check_int(p, "p")
+    _check_ints(("a", a), ("p", p))
     m, n = I.m, I.ring.n
     problems = []
     if not contains_all_pure_powers(I):
@@ -301,7 +300,7 @@ def check_multiple(
     covers = [(tuple(alpha), a) for alpha, a in covers]
     for alpha, a in covers:
         _check_mdeg(alpha, I.ring.n)
-        _check_int(a, "a")
+        _check_ints(("a", a))
     if not covers:
         raise ValueError("empty cover list")
     tab = _table_of(I, field, table)
@@ -347,7 +346,7 @@ def find_covering_pairs(
         candidates = sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
         masks = [lattice[c][0] for c in candidates]
     else:
-        _check_int(at, "at")
+        _check_ints(("at", at))
         candidates = _table_of(I, field, table, cap).support_at(at)
         masks = [generators_below(I, c) for c in candidates]
     full = (1 << I.m) - 1
@@ -456,8 +455,7 @@ def general_windows(n: int, m: int, a: int) -> dict[int, list[tuple[int, int]]]:
     appearing in the zero-dimensional window bound; empty when the
     hypotheses fail for every p.  n, m and a must be ints (``ValueError``
     otherwise; a ``bool`` is not an int here)."""
-    for name, x in (("n", n), ("m", m), ("a", a)):
-        _check_int(x, name)
+    _check_ints(("n", n), ("m", m), ("a", a))
     if _window_problems(n, m, a):
         return {}
     out: dict[int, list[tuple[int, int]]] = {}

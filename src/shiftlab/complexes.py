@@ -23,7 +23,7 @@ from itertools import compress
 from operator import itemgetter, le
 
 from .fields import QQ, characteristic, eliminate
-from .monomials import (MonomialIdeal, ContractError, _check_int, _check_mdeg, _Frozen,
+from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
                         _length_mismatch, _Record, _set, total_degree)
 
 GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
@@ -318,33 +318,29 @@ class VerifyReport(_Record):
         return f"complex INVALID at {self.location}: {self.problem}"
 
 
-class RepeatedRowError(ContractError):
-    """A column holds a row twice; args are (level, column, row)."""
-
-    def __str__(self):
-        return "column %d repeats row %d" % self.args[1:]
-
-
-def _check_columns(levels, p: int) -> None:
+def _repeated_row(levels, p: int) -> tuple | None:
     """The one column rule of every boundary matrix, over levels of columns
-    in the ``FreeComplex.diffs`` format: first every coeff must be an int,
-    or over QQ (p = 0) an int or a Fraction; then no row may appear twice in
-    a column, as a dict would keep only one of the entries
-    (RepeatedRowError at the first repeat)."""
+    in the ``FreeComplex.diffs`` format: each coeff an int, or over QQ (p =
+    0) an int or a Fraction, else ContractError; and each row once in a
+    column.  Returns a repeat's (level, column, row), or None if none."""
     allowed = {int} if p else {int, Fraction}
-    bad = {type(c) for cols in levels for col in cols for _, c in col}.difference(allowed)
-    if bad:
+    if bad := {type(c) for cols in levels for col in cols for _, c in col} - allowed:
         names = lambda types: " or ".join(sorted(t.__name__ for t in types))
         raise ContractError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
     for a, cols in enumerate(levels):
-        if sum(map(len, map(dict, cols))) != sum(map(len, cols)):
+        if sum(map(len, map(dict, cols))) != sum(map(len, cols)):  # a dict keeps one entry per row
             j, col = next((j, col) for j, col in enumerate(cols) if len(dict(col)) != len(col))
-            row = next(r for k, (r, _) in enumerate(col) if r in dict(col[:k]))
-            raise RepeatedRowError(a, j, row)
+            return a, j, next(r for k, (r, _) in enumerate(col) if r in dict(col[:k]))
+
+
+def _check_columns(levels, p: int) -> None:
+    """The column rule (_repeated_row) as an error: a repeat raises ContractError."""
+    if at := _repeated_row(levels, p):
+        raise ContractError("column %d repeats row %d" % at[1:])
 
 
 def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
-    """Check the column rule (_check_columns), multigraded homogeneity of
+    """Check the column rule (_repeated_row), multigraded homogeneity of
     every entry and that consecutive differentials compose to zero.
     Failures are reported, not raised, a repeated row first; a coefficient
     outside the column rule raises ContractError, whatever else is wrong.
@@ -352,10 +348,8 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
     p = characteristic(field)
-    try:
-        _check_columns(F.diffs, p)
-    except RepeatedRowError as exc:
-        return VerifyReport(False, "column repeats a row", exc.args)
+    if at := _repeated_row(F.diffs, p):
+        return VerifyReport(False, "column repeats a row", at)
     for a in range(1, len(F.modules)):
         below = [be.mdeg for be in F.modules[a - 1]]
         for j, (col, be) in enumerate(zip(F.diffs[a], F.modules[a])):
@@ -419,7 +413,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
 
     Pivots are taken smallest (level, row, column) first, which makes the
     output deterministic; surviving basis elements keep their input labels.
-    The columns must keep the column rule (_check_columns), else
+    The columns must keep the column rule (_repeated_row), else
     ContractError; over GF(p) coefficients are read mod p.  Over QQ only a
     non-unit pivot c brings in a Fraction, as Fraction(1, c).
     """
@@ -472,7 +466,7 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
     basis-level bound is computed (a paired basis element's multidegree is
     the join of its factors, so its degree is at most the sum).  Returns
     None when no split exists (a negative or beyond both lengths)."""
-    _check_int(a, "a")
+    _check_ints(("a", a))
     if a < 0:
         return None
     ta = shifts_of_complex(Fa)
@@ -530,11 +524,10 @@ def complex_from_json(obj: dict) -> FreeComplex:
         raise ValueError('dump needs "modules" and "differentials", lists of equal length '
                          "of lists of objects")
     basis = [be for mod in obj["modules"] for be in mod]
-    mdegs = [be.get("mdeg") for be in basis]
-    if any(type(d) is not list for d in mdegs) or any(type(be.get("label")) is not list for be in basis):
+    if any(type(be.get("label")) is not list or type(be.get("mdeg")) is not list for be in basis):
         raise ValueError("dump basis labels and basis mdegs must be lists")
-    for d in mdegs:
-        _check_mdeg(d, len(mdegs[0]), "dump basis mdegs: ")
+    for be in basis:
+        _check_mdeg(be["mdeg"], len(basis[0]["mdeg"]), "dump basis mdegs")
     modules = [
         [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
         for mod in obj["modules"]
@@ -545,12 +538,10 @@ def complex_from_json(obj: dict) -> FreeComplex:
         for ent in level:
             j, row, mdeg, text = ent.get("col"), ent.get("row"), ent.get("mdeg"), ent.get("coeff")
             try:
-                _check_int(j, "col", 0, len(cols) - 1)
-                _check_int(row, "row", 0, len(modules[a - 1]) - 1)
+                _check_ints(("col", j, 0, len(cols) - 1), ("row", row, 0, len(modules[a - 1]) - 1))
                 if type(mdeg) is not list or mdeg != _entry_mdeg(modules, a, j, row):
                     raise ValueError("mdeg must be a list of ints equal to column - row")
-                for e in mdeg:
-                    _check_int(e, "mdeg entry")
+                _check_ints(*(("mdeg entry", e) for e in mdeg))
                 if type(text) is not str or not _COEFF_RE.fullmatch(text):
                     raise ValueError(f"coeff {text!r} is not n or n/d")
             except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .monomials import _check_int, _Frozen, _Record, _set, ascii_int
+from .monomials import _check_ints, _Frozen, _Record, _set, ascii_int
 
 
 def _is_prime(p: int) -> bool:
@@ -41,8 +41,8 @@ class PrimeField(_Record):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        _check_int(p, "p")
-        if not 2 <= p < 2**31 or not _is_prime(p):
+        _check_ints(("p", p, 2, 2**31 - 1))
+        if not _is_prime(p):
             raise ValueError(f"not a prime below 2**31: {p!r}")
         _set(self, "p", p)
 

@@ -35,8 +35,7 @@ def ascii_int(text: str, signed: bool = False) -> int:
 
 class ContractError(ValueError, TypeError):
     """The error of every input contract (integers, multidegrees, columns):
-    both errors that the earlier checks and Python's own comparisons raised
-    for these inputs, so a caller that caught either still does."""
+    a ValueError, and a TypeError as Python's comparisons raised for some."""
 
 
 def _length_mismatch(n: int, k: int, prefix: str = "") -> NoReturn:
@@ -44,21 +43,25 @@ def _length_mismatch(n: int, k: int, prefix: str = "") -> NoReturn:
     raise ContractError(f"{prefix}length mismatch: {n} vs {k}")
 
 
-def _check_int(x, name: str, lo: int | None = None, hi: int | None = None) -> None:
-    """The one integer rule: ``type(x) is int`` (so no bool, IntEnum member
-    or float), and lo <= x <= hi where given, else ContractError."""
-    if type(x) is not int or lo is not None and x < lo or hi is not None and x > hi:
-        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-        raise ContractError(f"{name} must be an int{bound}, got {x!r}")
+def _check_ints(*specs) -> None:
+    """The one integer rule, for each (name, x) or (name, x, lo, hi) spec:
+    ``type(x) is int`` (so no bool, IntEnum member or float), and
+    lo <= x <= hi where given (hi None: no upper bound), else ContractError."""
+    for name, x, *bounds in specs:
+        lo, hi = bounds or (None, None)
+        if type(x) is not int or lo is not None and x < lo or hi is not None and x > hi:
+            bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+            raise ContractError(f"{name} must be an int{bound}, got {x!r}")
 
 
-def _check_mdeg(v, n: int, prefix: str = "") -> None:
-    """The one multidegree rule: n plain ints >= 0 (see _check_int), else
-    ContractError, with _length_mismatch's message for a wrong length."""
+def _check_mdeg(v, n: int, name: str = "") -> None:
+    """The one multidegree rule: n plain ints >= 0 (see _check_ints), else
+    ContractError, with _length_mismatch's message for a wrong length.  A
+    name, such as "generator", leads the message."""
     if len(v) != n:
-        _length_mismatch(n, len(v), prefix)
+        _length_mismatch(n, len(v), f"{name} {tuple(v)}: " if name else "")
     if not all(type(e) is int and e >= 0 for e in v):
-        raise ContractError(f"{prefix}exponents must be ints >= 0, got {tuple(v)!r}")
+        raise ContractError(f"{name} exponents must be ints >= 0, got {tuple(v)!r}".lstrip())
 
 
 class IdealSyntaxError(ValueError):
@@ -247,7 +250,7 @@ class MonomialIdeal(_Frozen):
         vecs = []
         for g in gens:
             v = tuple(g)
-            _check_mdeg(v, ring.n, f"generator {v}: ")
+            _check_mdeg(v, ring.n, "generator")
             if not any(v):
                 raise ValueError("unit ideal rejected (generator 1)")
             vecs.append(v)

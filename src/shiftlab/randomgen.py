@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from operator import le
 
-from .monomials import MonomialIdeal, Ring, _check_int
+from .monomials import MonomialIdeal, Ring, _check_ints
 
 _VAR_POOL = "abcdefghijklmnopqrstuvwxyz"
 
@@ -15,11 +15,8 @@ def _check_draw(n, m, maxexp, retries, count=0) -> None:
     pool), m >= 0, maxexp >= 1, retries >= 1 and count >= 0, all ints.  With
     maxexp = 0 or n < 1 every draw is the zero vector and the antichain loop
     never ends."""
-    _check_int(n, "n", 1, len(_VAR_POOL))
-    _check_int(m, "m", 0)
-    _check_int(maxexp, "maxexp", 1)
-    _check_int(retries, "retries", 1)
-    _check_int(count, "count", 0)
+    _check_ints(("n", n, 1, len(_VAR_POOL)), ("m", m, 0, None), ("maxexp", maxexp, 1, None),
+                ("retries", retries, 1, None), ("count", count, 0, None))
 
 
 def random_ideal(
@@ -83,10 +80,8 @@ def random_corpus(seed: int, count: int, max_n: int = 6, max_m: int = 8, maxexp:
     redrawn, and m = 1 always succeeds, so the loop ends.  count >= 0,
     2 <= max_n <= 26, max_m >= 1 and maxexp >= 1 must be ints; they are
     checked before any draw and raise ``ValueError`` otherwise."""
-    _check_int(count, "count", 0)
-    _check_int(max_n, "max_n", 2, len(_VAR_POOL))
-    _check_int(max_m, "max_m", 1)
-    _check_int(maxexp, "maxexp", 1)
+    _check_ints(("count", count, 0, None), ("max_n", max_n, 2, len(_VAR_POOL)),
+                ("max_m", max_m, 1, None), ("maxexp", maxexp, 1, None))
     rng = random.Random(seed)
     out = []
     while len(out) < count:

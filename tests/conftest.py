@@ -11,14 +11,12 @@ of the minimalized Taylor complexes, over QQ, GF(32003) and GF(2).
 """
 
 import hashlib
-import os
 import random
 import time
 from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import settings
 
 from shiftlab import (
     MonomialIdeal,
@@ -42,12 +40,6 @@ from shiftlab import (
     verify_complex,
 )
 from shiftlab.randomgen import random_corpus
-
-# HYPOTHESIS_PROFILE=ci (set in .github/workflows/tests.yml) prints the
-# reproduction blob of a failing property test, so a CI failure can be
-# replayed locally with @reproduce_failure; examples and seeds are unchanged
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 500

@@ -91,6 +91,13 @@ def test_multidegree_rule_at_every_entry_point(call, bad):
         assert str(exc.value).endswith(f"exponents must be ints >= 0, got {bad!r}")
 
 
+def test_a_named_multidegree_is_shown_once():
+    with pytest.raises(ContractError, match=r"^generator exponents must be ints >= 0, got \(2\.0, 1\)$"):
+        MonomialIdeal(RING2, [(1, 0), (2.0, 1)])
+    with pytest.raises(ContractError, match=r"^dump basis mdegs \(1, 1, 0\): length mismatch: 2 vs 3$"):
+        complex_from_json(_dump_with_basis_mdeg((1, 1, 0)))
+
+
 def test_valid_multidegrees_pass_every_entry_point():
     for name, call in MDEG_ENTRY_POINTS.items():
         if name != "complex_from_json":  # its basis mdeg below is the dump's own
