@@ -81,7 +81,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .complexes import GENERATOR_CAP, ShiftProfile, _check_columns, _columns, _lattice, scarf_complex
+from .complexes import (GENERATOR_CAP, ShiftProfile, _check_columns, _column_scan, _columns, _facet_index,
+                        _lattice, scarf_complex)
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -101,7 +102,7 @@ def rank_exact(M, field=QQ) -> int:
     lines: dict[int, dict] = {}
     index: dict[int, set[int]] = defaultdict(set)
     M = tuple(M)
-    _check_columns((M,), p)
+    _check_columns(_column_scan((M,)), p)
     for j, col in enumerate(M):
         if line := {r: y for r, x in col if (y := x % p if p else x)}:
             lines[j] = line
@@ -195,7 +196,7 @@ def strand_matrices(faces: list[int]):
     mats = {}
     for s, level in by_size.items():
         if below := by_size.get(s - 1):
-            mats[s] = _columns(level, dict(zip(below, range(len(below)))))
+            mats[s] = _columns(level, _facet_index(below))
     return dict(by_size), mats
 
 

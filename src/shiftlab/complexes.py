@@ -10,6 +10,15 @@ single-term sparse entries closed under all the operations here.  Taylor
 faces grow past their last member, Scarf faces come off the lcm lattice
 (_lattice), and _face_complex assembles both; no 2^m table is built.  Their
 columns, and the Betti strands', come from _columns, the one facet rule.
+
+A complex cannot change, so its entries may be shared, and the builders of
+large complexes hand out one ``(row, coeff)`` tuple per distinct entry, not
+one per place it occurs.  _columns gives each row of a face level its two
+signed entries, which every column dropping that facet reuses;
+restrict_complex reads every restriction of a complex off one table of
+entries kept with its index; and complex_from_json shares equal entries of
+a dump.  Only minimalize, whose minimal output is small, makes one per
+entry.
 """
 
 from __future__ import annotations
@@ -86,14 +95,19 @@ class FreeComplex(_Frozen):
     A complex is immutable all the way down: ``modules`` is a tuple of
     tuples of immutable basis elements, ``diffs`` a tuple of tuples of
     column tuples of ``(row, coeff)`` entries, and no field can be assigned
-    or deleted.  So the shape stays as checked and the index
-    restrict_complex keeps on the complex never goes stale.  The entries are
-    kept as given, unchecked (a Taylor complex on 14 generators has 114688),
-    so they must be tuples, as every builder makes them: a list entry would
-    stay mutable.  Pickle and copy carry the modules and columns only.
+    or deleted.  So the shape stays as checked, and what is kept on the
+    complex on first use never goes stale: the index restrict_complex reads
+    (``_index``) and the scan the column rule reads (``_scan``).  The
+    entries are kept as given, unchecked (a Taylor complex on 14 generators
+    has 114688), so they must be tuples, as every builder makes them: a list
+    entry would stay mutable.  Being immutable, one entry tuple may stand in
+    many columns and in many complexes: entries are shared between the
+    columns of a complex and between the restrictions of one complex (see
+    the module docstring).  Pickle and copy carry the modules and columns
+    only.
     """
 
-    __slots__ = ("modules", "diffs", "_index")
+    __slots__ = ("modules", "diffs", "_index", "_scan")
 
     def __init__(self, modules, diffs):
         if not modules:
@@ -114,6 +128,7 @@ class FreeComplex(_Frozen):
         _set(self, "modules", modules[:top])
         _set(self, "diffs", tuple(tuple(map(tuple, d)) for d in diffs[:top]))
         _set(self, "_index", None)
+        _set(self, "_scan", None)
 
     @property
     def length(self) -> int:
@@ -160,18 +175,25 @@ def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
     return lattice
 
 
+def _facet_index(masks) -> dict[int, tuple]:
+    """The facets _columns reads: the j-th bitmask of masks -> the two
+    entries ((j, 1), (j, -1)) of row j, which every column shares."""
+    return {mask: ((j, 1), (j, -1)) for j, mask in enumerate(masks)}
+
+
 def _columns(level, index: dict) -> list[tuple[tuple[int, int], ...]]:
-    """One boundary column per face bitmask in level: the (index[facet],
-    (-1)^k) of dropping its k-th smallest member (k from 0), smallest first,
-    over the facets that index holds."""
+    """One boundary column per face bitmask in level: the entry (j, (-1)^k)
+    of dropping its k-th smallest member (k from 0), smallest first, over
+    the facets that index (_facet_index) holds; k's parity picks which of
+    the facet's two entries."""
     cols = []
     for mask in level:
-        col, sign, rest = [], 1, mask
+        col, k, rest = [], 0, mask
         while rest:
             low = rest & -rest
-            if (row := index.get(mask ^ low)) is not None:
-                col.append((row, sign))
-            sign, rest = -sign, rest ^ low
+            if (pair := index.get(mask ^ low)) is not None:
+                col.append(pair[k])
+            k, rest = k ^ 1, rest ^ low
         cols.append(tuple(col))
     return cols
 
@@ -182,14 +204,15 @@ def _face_complex(levels) -> FreeComplex:
     Columns come from _columns; a missing facet raises ValueError."""
     modules, diffs, index = [], [], {}
     for s, level in enumerate(levels):
-        cols = _columns([mask for mask, _, _ in level], index)
+        masks = [mask for mask, _, _ in level]
+        cols = _columns(masks, index)
         for (mask, face, _), col in zip(level, cols):
             if len(col) < s:
                 facet = next(f for i in face if (f := mask ^ 1 << i) not in index)
                 raise ValueError(f"a size-{s} face has no facet {facet:#b} one size down")
         modules.append([BasisElement(face, mdeg) for _, face, mdeg in level])
         diffs.append(cols if s else [])
-        index = {mask: j for j, (mask, _, _) in enumerate(level)}
+        index = _facet_index(masks)
     return FreeComplex(modules, diffs)
 
 
@@ -236,12 +259,16 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits -> 0/1 flags for compress
 
 
-def _restriction_index(modules: tuple) -> tuple:
-    """(n, levels) for restrict_complex: n is the length of every basis
-    multidegree (None if there are none), and levels[a][v] the pair (E, P) of
-    module a and variable v, with E the sorted distinct exponents of x_v and
-    P[i] the bitmask of the basis elements whose x_v exponent is at most
-    E[i - 1] (P[0] = 0)."""
+def _restriction_index(modules: tuple, diffs: tuple) -> tuple:
+    """(n, levels, codes) for restrict_complex: n is the length of every
+    basis multidegree (None if there are none); levels[a][v] the pair (E, P)
+    of module a and variable v, with E the sorted distinct exponents of x_v
+    and P[i] the bitmask of the basis elements whose x_v exponent is at most
+    E[i - 1] (P[0] = 0); and codes[a] the columns of d_a (none for a = 0)
+    with each entry (row, c) held as (row, entries), where entries[i] is the
+    entry (i, c).  That entry table has one list per coefficient of d_a,
+    keyed by type and value, so that 1 and Fraction(1) stay apart, and one
+    tuple in it per row of module a-1."""
     n = next((len(be.mdeg) for mod in modules for be in mod), None)
     levels = []
     for mod in modules:
@@ -257,7 +284,18 @@ def _restriction_index(modules: tuple) -> tuple:
                 prefix.append(prefix[-1] | groups[e])
             level.append((exps, prefix))
         levels.append(level)
-    return n, levels
+    codes = [()]
+    for below, cols in zip(modules, diffs[1:]):
+        table, coded = {}, []
+        for col in cols:
+            code = []
+            for row, c in col:
+                if (entries := table.get(key := (type(c), c))) is None:
+                    entries = table[key] = [(i, c) for i in range(len(below))]
+                code.append((row, entries))
+            coded.append(tuple(code))
+        codes.append(coded)
+    return n, levels, codes
 
 
 def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
@@ -267,16 +305,18 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     a row of smaller multidegree, which is retained too.  Restriction of a
     minimal complex is minimal (no entries are created).
 
-    The first call on F indexes its modules (see _restriction_index) and
-    keeps the index on F; F cannot change, so the index never goes stale.
-    Each call then finds a module's kept elements, in basis order, as the
-    AND over the variables v of the prefix masks
-    P[bisect_right(E, alpha[v])].  The build costs more than testing every
-    element once, so this pays off on a complex restricted many times.
+    The first call on F indexes it (see _restriction_index) and keeps the
+    index on F; F cannot change, so the index never goes stale.  Each call
+    then finds a module's kept elements, in basis order, as the AND over the
+    variables v of the prefix masks P[bisect_right(E, alpha[v])], and takes
+    each kept entry (row, c), renumbered to (i, c), from the index's entry
+    table: every restriction of F shares those tuples, and each keeps the
+    coefficient objects of F's type.  The build costs more than testing
+    every element once, so this pays off on a complex restricted many times.
     """
     if F._index is None:
-        _set(F, "_index", _restriction_index(F.modules))
-    n, levels = F._index
+        _set(F, "_index", _restriction_index(F.modules, F.diffs))
+    n, levels, codes = F._index
     _check_mdeg(alpha, len(alpha) if n is None else n)
     modules, diffs, remap = [], [], None
     for a, (mod, level) in enumerate(zip(F.modules, levels)):
@@ -288,8 +328,8 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
         flags = bin(mask)[:1:-1].encode().translate(_BITS)
         modules.append(tuple(compress(mod, flags)))
         try:
-            diffs.append([tuple([(remap[row], coeff) for row, coeff in col])
-                          for col in compress(F.diffs[a], flags)] if a else [])
+            diffs.append([tuple([entries[remap[row]] for row, entries in col])
+                          for col in compress(codes[a], flags)] if a else [])
         except KeyError:
             raise ValueError(
                 "restriction not closed: input complex is not homogeneous"
@@ -318,24 +358,43 @@ class VerifyReport(_Record):
         return f"complex INVALID at {self.location}: {self.problem}"
 
 
-def _repeated_row(levels, p: int) -> tuple | None:
-    """The one column rule of every boundary matrix, over levels of columns
-    in the ``FreeComplex.diffs`` format: each coeff an int, or over QQ (p =
-    0) an int or a Fraction, else ContractError; and each row once in a
-    column.  Returns a repeat's (level, column, row), or None if none."""
-    allowed = {int} if p else {int, Fraction}
-    if bad := {type(c) for cols in levels for col in cols for _, c in col} - allowed:
-        names = lambda types: " or ".join(sorted(t.__name__ for t in types))
-        raise ContractError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
+def _column_scan(levels) -> tuple[frozenset, tuple | None]:
+    """What the column rule reads of levels of columns in the
+    ``FreeComplex.diffs`` format, in one pass whatever the field: the set of
+    coefficient types, and the (level, column, row) of the first row that a
+    column repeats, or None."""
+    types = frozenset({type(c) for cols in levels for col in cols for _, c in col})
     for a, cols in enumerate(levels):
         if sum(map(len, map(dict, cols))) != sum(map(len, cols)):  # a dict keeps one entry per row
             j, col = next((j, col) for j, col in enumerate(cols) if len(dict(col)) != len(col))
-            return a, j, next(r for k, (r, _) in enumerate(col) if r in dict(col[:k]))
+            return types, (a, j, next(r for k, (r, _) in enumerate(col) if r in dict(col[:k])))
+    return types, None
 
 
-def _check_columns(levels, p: int) -> None:
+def _scanned(F: FreeComplex) -> tuple:
+    """The _column_scan of F's columns, made on first use and kept on F
+    (F cannot change), so each complex is scanned once."""
+    if F._scan is None:
+        _set(F, "_scan", _column_scan(F.diffs))
+    return F._scan
+
+
+def _repeated_row(scan: tuple, p: int) -> tuple | None:
+    """The one column rule of every boundary matrix, read off a _column_scan
+    of its columns: each coeff an int, or over QQ (p = 0) an int or a
+    Fraction, else ContractError; and each row once in a column.  Returns a
+    repeat's (level, column, row), or None if none."""
+    types, at = scan
+    allowed = {int} if p else {int, Fraction}
+    if bad := types - allowed:
+        names = lambda types: " or ".join(sorted(t.__name__ for t in types))
+        raise ContractError(f"coefficients in characteristic {p} must be {names(allowed)}, not {names(bad)}")
+    return at
+
+
+def _check_columns(scan: tuple, p: int) -> None:
     """The column rule (_repeated_row) as an error: a repeat raises ContractError."""
-    if at := _repeated_row(levels, p):
+    if at := _repeated_row(scan, p):
         raise ContractError("column %d repeats row %d" % at[1:])
 
 
@@ -348,7 +407,7 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
     p = characteristic(field)
-    if at := _repeated_row(F.diffs, p):
+    if at := _repeated_row(_scanned(F), p):
         return VerifyReport(False, "column repeats a row", at)
     for a in range(1, len(F.modules)):
         below = [be.mdeg for be in F.modules[a - 1]]
@@ -418,7 +477,7 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     non-unit pivot c brings in a Fraction, as Fraction(1, c).
     """
     p = characteristic(field)
-    _check_columns(F.diffs, p)
+    _check_columns(_scanned(F), p)
     dead = [set() for _ in F.modules]  # the cancelled elements of each module
     cols = [[]]  # cols[a][f]: the live entries {row: coeff} of column f of d_a
     for a in range(1, len(F.modules)):
@@ -532,7 +591,7 @@ def complex_from_json(obj: dict) -> FreeComplex:
         [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
         for mod in obj["modules"]
     ]
-    diffs = []
+    diffs, shared = [], {}  # shared: (row, coeff text) -> its one entry
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []
         for ent in level:
@@ -546,12 +605,12 @@ def complex_from_json(obj: dict) -> FreeComplex:
                     raise ValueError(f"coeff {text!r} is not n or n/d")
             except ValueError as exc:
                 raise type(exc)(f"dump entry {(a, j, row)}: {exc}") from None
-            coeff = Fraction(text)
-            if coeff.denominator == 1:
-                coeff = int(coeff)
-            cols[j].append((row, coeff))
+            if (entry := shared.get((row, text))) is None:
+                coeff = Fraction(text)
+                entry = shared[row, text] = (row, int(coeff) if coeff.denominator == 1 else coeff)
+            cols[j].append(entry)
         diffs.append(cols)
-    _check_columns(diffs, 0)
+    _check_columns(_column_scan(diffs), 0)
     return FreeComplex(modules, diffs)
 
 

@@ -36,6 +36,7 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
+import shiftlab.betti
 import shiftlab.complexes
 from shiftlab.betti import _classify, _equal_masks, _lattice
 from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
@@ -232,10 +233,14 @@ def reference_face_complex(I, scarf):
 
 
 def test_grown_faces_match_the_table_builder(corpus, ex1, ex2, rp2):
-    # squarefree (the path, rp2) and heavy-exponent ideals as well as the corpus
+    # squarefree (the path, rp2) and heavy-exponent ideals as well as the corpus;
+    # the oracle makes one tuple per entry, a builder one per row and sign
     for I in [*lattice_ideals(corpus, ex1, ex2), rp2]:
         for build, scarf in ((taylor_complex, False), (scarf_complex, True)):
-            assert dumps_complex(build(I)) == dumps_complex(reference_face_complex(I, scarf)), I
+            F, R = build(I), reference_face_complex(I, scarf)
+            assert F.diffs == R.diffs and dumps_complex(F) == dumps_complex(R), I
+            for a in range(1, len(F.modules)):
+                assert len({id(e) for col in F.diffs[a] for e in col}) <= 2 * len(F.modules[a - 1])
 
 
 def test_every_facet_of_a_scarf_face_is_a_scarf_face(corpus, ex1, ex2, rp2):
@@ -322,10 +327,23 @@ def restrict_oracle(F, alpha):
     return tuple(modules), tuple(diffs)
 
 
-def assert_restricts_like_oracle(F, alphas):
+def assert_restricts_like_oracle(F, alphas) -> dict:
+    """Returns id -> entry over the distinct entry objects of the
+    restrictions; holding the entries keeps their ids from being reused."""
+    entries = {}
     for alpha in alphas:
         R = restrict_complex(F, alpha)
         assert (R.modules, R.diffs) == restrict_oracle(F, alpha), alpha
+        entries.update((id(e), e) for level in R.diffs for col in level for e in col)
+    return entries
+
+
+def entry_table_size(F) -> int:
+    """The sum over a of |module a-1| times the number of coefficients of
+    d_a, told apart by type and value: at most this many distinct entries
+    stand in all restrictions of F."""
+    return sum(len(F.modules[a - 1]) * len({(type(c), c) for col in F.diffs[a] for _, c in col})
+               for a in range(1, len(F.modules)))
 
 
 def probe_alphas(I, F):
@@ -357,7 +375,7 @@ def test_restrict_matches_the_filter_oracle(ex1, ex2, name, kind):
     examples = {"ex1": ex1, "ex2": ex2}
     I = examples[name] if name in examples else load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))
     F = built_complex(I, kind)
-    assert_restricts_like_oracle(F, probe_alphas(I, F))
+    assert len(assert_restricts_like_oracle(F, probe_alphas(I, F))) <= entry_table_size(F)
 
 
 def test_restrict_matches_the_filter_oracle_on_corpus_pairs(restriction_results):
@@ -370,12 +388,27 @@ def test_restrict_indexes_a_complex_once(ex1, monkeypatch):
     # the bench resolve pin: ex1's minimal resolution below its 1251 lattice elements
     build, calls = shiftlab.complexes._restriction_index, []
     monkeypatch.setattr(shiftlab.complexes, "_restriction_index",
-                        lambda modules: calls.append(modules) or build(modules))
+                        lambda modules, diffs: calls.append(modules) or build(modules, diffs))
     M = minimalize(taylor_complex(ex1), QQ)
     restricted = [restrict_complex(M, alpha) for alpha in lcm_lattice(ex1)]
     assert len(restricted) == 1251
     assert sum(sum(R.ranks()) for R in restricted) == 67684
     assert calls == [M.modules]
+
+
+def test_restriction_keeps_each_coefficient_object_type():
+    # 1 and Fraction(1) are equal and hash alike, so a table of entries keyed
+    # by value alone would turn one into the other; row 0 (x^2) drops below x
+    F = line_complex([[2, 0, 0], [1, 1]],
+                     [[], [[(1, 1), (2, Fraction(1))], [(1, Fraction(1)), (2, 1)]]])
+    for alpha in ((1,), (2,)):
+        R = restrict_complex(F, alpha)
+        assert (R.modules, R.diffs) == restrict_oracle(F, alpha)
+        assert [[type(c) for _, c in col] for col in R.diffs[1]] == [[int, Fraction], [Fraction, int]]
+    # a row above its column is dropped while the column stays
+    G = line_complex([[0, 2], [1]], [[], [[(0, 1), (1, Fraction(1))]]])
+    with pytest.raises(ValueError, match="^restriction not closed: input complex is not homogeneous$"):
+        restrict_complex(G, (1,))
 
 
 def test_free_complex_modules_cannot_be_reassigned(ex2):
@@ -390,13 +423,16 @@ def test_free_complex_modules_cannot_be_reassigned(ex2):
 
 
 def test_free_complex_pickles_and_copies_without_its_index(ex2):
+    # nor the column rule's scan: both are kept on first use, never carried
     alpha = (3, 2, 2, 2, 2, 0, 2)
     F = minimalize(taylor_complex(ex2))
     before = pickle.dumps(F)
     R = restrict_complex(F, alpha)
+    assert verify_complex(F).ok and F._index is not None and F._scan is not None
     assert pickle.dumps(F) == before
     for back in (pickle.loads(before), copy.copy(F), copy.deepcopy(F)):
         assert (back.modules, back.diffs) == (F.modules, F.diffs)
+        assert back._index is None and back._scan is None
         S = restrict_complex(back, alpha)
         assert (S.modules, S.diffs) == (R.modules, R.diffs)
     with pytest.raises(TypeError):
@@ -408,7 +444,7 @@ def assert_immutable_all_the_way_down(F):
     assert type(F.diffs) is tuple
     assert all(type(level) is tuple and all(type(col) is tuple for col in level)
                for level in F.diffs)
-    for name in ("modules", "diffs", "_index"):
+    for name in ("modules", "diffs", "_index", "_scan"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(F, name, ())
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
@@ -820,6 +856,23 @@ def test_repeated_row_is_refused_or_reported(field):
         verify_complex(G, field)
 
 
+def test_column_rule_scans_a_complex_once(ex1, monkeypatch):
+    # two minimalize calls and a verify read one scan of the Taylor columns;
+    # rank_exact and complex_from_json scan the raw columns they are given
+    scan, calls = shiftlab.complexes._column_scan, []
+    for module in (shiftlab.complexes, shiftlab.betti):
+        monkeypatch.setattr(module, "_column_scan", lambda levels: calls.append(levels) or scan(levels))
+    gf = PrimeField(32003)
+    T = taylor_complex(ex1)
+    Mq, Mp = minimalize(T, QQ), minimalize(T, gf)
+    assert verify_complex(T).ok and verify_complex(T, gf).ok
+    assert len(calls) == 1 and calls[0] is T.diffs
+    assert Mq.ranks() == Mp.ranks()
+    assert rank_exact(T.diffs[2], QQ) == rank_exact(T.diffs[2], gf) == 11  # exact at module 1
+    assert complex_from_json(json.loads(dumps_complex(Mq))).diffs == Mq.diffs
+    assert len(calls) == 4
+
+
 def test_dump_with_two_entries_for_one_col_and_row_is_refused():
     obj = json.loads(dumps_complex(taylor_complex(KOSZUL2)))
     level = obj["differentials"][1]
@@ -830,6 +883,14 @@ def test_dump_with_two_entries_for_one_col_and_row_is_refused():
 
 
 # --- dump format ---------------------------------------------------------------------
+
+def test_loaded_taylor_complex_shares_its_entries(ex1):
+    T = taylor_complex(ex1)
+    back = complex_from_json(json.loads(dumps_complex(T)))
+    assert (back.modules, back.diffs) == (T.modules, T.diffs)
+    ids = lambda F: {id(e) for level in F.diffs for col in level for e in col}
+    assert len(ids(back)) <= len(ids(T)) <= 2 * sum(T.ranks())
+
 
 def test_complex_json_roundtrip(ex2):
     M = minimalize(taylor_complex(ex2))
