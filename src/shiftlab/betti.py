@@ -3,17 +3,19 @@
 Every Betti multidegree of S/I is the lcm of a set of generators
 (Gasharov-Peeva-Welker, Math. Res. Lett. 6, 1999), so the engine walks the
 lcm lattice.  complexes._lattice builds it by join closure, one generator
-at a time, and carries at each alpha the bitmask G_alpha of the generators
-<= alpha and the number of generator subsets whose lcm is alpha; time and
-memory follow the lattice, not the 2^m subsets.
+at a time (per key while the lattice is small, per exponent column past
+complexes.SMALL_LATTICE elements), and carries at each alpha the bitmask
+G_alpha of the generators <= alpha and the number of generator subsets
+whose lcm is alpha; time and memory follow the lattice, not the 2^m
+subsets.
 
 Most strands are read off without building anything.  The Taylor strand at
 alpha, the generator subsets whose lcm is exactly alpha, is the set of
 subsets of G_alpha that meet every R_v = {i in G_alpha : g_i[v] = alpha_v},
 v in supp alpha (the lcm-lattice reading of Gasharov-Peeva-Welker); a
 subset meets every R_v iff it meets the inclusion-minimal ones.  With one
-table eq[v][e], the generators whose x_v exponent is e, built per call in
-n*m steps, R_v = G_alpha & eq[v][alpha_v].  Let U be the union of the
+table eq[v][e], the generators whose x_v exponent is e, built in n*m
+steps, R_v = G_alpha & eq[v][alpha_v].  Let U be the union of the
 minimal R_v.
 
 - U != G_alpha: a generator i outside U is in no minimal R_v, and
@@ -37,7 +39,11 @@ minimal R_v.
 A cone has an even number of faces and a sphere an odd one, the product of
 the 2^|B_i| - 1.  A stratum of one face is the sphere of singleton blocks,
 and one of two faces, {G_alpha - {i}, G_alpha}, the cone on i, so both are
-classified from the carried size alone.
+classified from the carried size alone, and eq is built only for the first
+stratum of three or more faces (most corpus strata have one or two).  The
+verdicts are read in that order: the size, then the union of all R_v (a
+generator of G_alpha outside it is outside U too, so the strand is a cone
+before any R_v is compared), then the minimal R_v.
 
 The Lyubeznik complex L (Lyubeznik, "A new explicit finite free resolution
 of ideals generated by monomials in an R-sequence", JPAA 51, 1988) is the
@@ -212,22 +218,23 @@ def _equal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
 CONE = -1  # _classify's verdict for a strand with no homology
 
 
-def _classify(eq: list[dict[int, int]], alpha: tuple, top: int, size: int) -> int | None:
+def _classify(eq: list[dict[int, int]], alpha: tuple, top: int) -> int | None:
     """Read the Taylor strand at alpha off its minimal R_v (see the module
     docstring).  Its faces are the subsets of top = G_alpha that meet every
-    R_v, and size counts them.  Returns CONE, the k of a sphere
-    (b_{k,alpha} = 1 and no other), or None when the strand must be built.
-    A 1-face stratum is the sphere whose blocks are all singletons (alpha = 0
-    included, with k = 0), and a 2-face stratum {G_alpha - {i}, G_alpha} the
-    cone on i, so neither reads the R_v."""
-    if size < 3:
-        return top.bit_count() if size == 1 else CONE
-    reqs = sorted({top & masks[a] for masks, a in zip(eq, alpha) if a}, key=int.bit_count)
+    R_v.  Returns CONE, the k of a sphere (b_{k,alpha} = 1 and no other), or
+    None when the strand must be built.  A generator in no R_v is in no
+    minimal one, so when the union of all R_v misses part of G_alpha the
+    strand is a cone before any R_v is sorted or compared.  The reading
+    holds at every alpha, but multigraded_betti calls it only on strata of
+    three or more faces."""
+    reqs = {top & masks[a] for masks, a in zip(eq, alpha) if a}
+    if reduce(or_, reqs, 0) != top:
+        return CONE
     minimal: list[int] = []
-    for r in reqs:  # by size, so a strict subset of r is met before r
+    for r in sorted(reqs, key=int.bit_count):  # by size, so a strict subset of r is met before r
         if not any(s & r == s for s in minimal):
             minimal.append(r)
-    if reduce(or_, minimal) != top:
+    if reduce(or_, minimal, 0) != top:
         return CONE
     return len(minimal) if sum(map(int.bit_count, minimal)) == top.bit_count() else None
 
@@ -325,20 +332,27 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
 def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
-    ``_classify`` reads every cone and sphere strand off its minimal R_v
+    A stratum of one or two faces is read off its carried size, and
+    ``_classify`` reads every larger cone and sphere strand off its R_v
     (see the module docstring), unbuilt, and marks every other alpha with
-    None.  There the smaller of the Lyubeznik strand and K^alpha(I) is
+    None; the eq table it reads is built only when a stratum needs it.
+    There the smaller of the Lyubeznik strand and K^alpha(I) is
     ranked, the Lyubeznik strand when it has at most 2^|supp alpha| faces.
     Lyubeznik faces are counted first and enumerated only for the strands
     ranked.  With shift 0 for Lyubeznik and 1 for Koszul, the face-size-s
     homology n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
     lattice = _lattice(I, cap)
-    eq = _equal_masks(I)
+    eq = None  # built for the first stratum of three or more faces
     entries: dict[tuple, int] = {}
     built = []
     for alpha, (top, size) in lattice.items():
-        verdict = _classify(eq, alpha, top, size)
+        if size < 3:  # one face: the sphere of singleton blocks; two: a cone
+            verdict = top.bit_count() if size == 1 else CONE
+        else:
+            if eq is None:
+                eq = _equal_masks(I)
+            verdict = _classify(eq, alpha, top)
         if verdict is None:
             built.append(alpha)
         elif verdict != CONE:

@@ -77,7 +77,8 @@ class InequalityReport(_Record):
 def _shift_at(t: ShiftProfile, a: int) -> int | None:
     """t_a, or None when a is negative or past the projective dimension
     (module a vanishes)."""
-    return t[a] if 0 <= a <= t.projdim else None
+    s = t.shifts
+    return s[a] if 0 <= a < len(s) else None
 
 
 def _holds(lhs, rhs) -> bool:
@@ -94,10 +95,11 @@ def check_subadditivity_profile(t: ShiftProfile) -> list[InequalityReport]:
     This is the open question for minimal resolutions; violations are
     reported, never raised.
     """
-    out = []
-    for a in range(1, t.projdim + 1):
-        for b in range(a, t.projdim - a + 1):
-            lhs, rhs = t[a + b], t[a] + t[b]
+    s, out = t.shifts, []
+    pd = len(s) - 1
+    for a in range(1, pd + 1):
+        for b in range(a, pd - a + 1):
+            lhs, rhs = s[a + b], s[a] + s[b]
             out.append(
                 InequalityReport(
                     "subadditivity", {"a": a, "b": b}, lhs, rhs, _holds(lhs, rhs)
@@ -108,10 +110,10 @@ def check_subadditivity_profile(t: ShiftProfile) -> list[InequalityReport]:
 
 def check_consecutive(I: MonomialIdeal, field=QQ, *, profile=None) -> list[InequalityReport]:
     """t_a(I) <= t_{a-1}(I) + t_1(I) for a = 1..p (a proved fact)."""
-    t = profile if profile is not None else shifts(I, field)
+    s = (profile if profile is not None else shifts(I, field)).shifts
     out = []
-    for a in range(1, t.projdim + 1):
-        lhs, rhs = t[a], t[a - 1] + t[1]
+    for a in range(1, len(s)):
+        lhs, rhs = s[a], s[a - 1] + s[1]
         out.append(
             InequalityReport("consecutive", {"a": a}, lhs, rhs, _holds(lhs, rhs))
         )
@@ -120,11 +122,11 @@ def check_consecutive(I: MonomialIdeal, field=QQ, *, profile=None) -> list[Inequ
 
 def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     """t_p(I) <= t_{p-1}(I) + t_1(I) at the projective dimension p."""
-    t = profile if profile is not None else shifts(I, field)
-    p = t.projdim
+    s = (profile if profile is not None else shifts(I, field)).shifts
+    p = len(s) - 1
     if p == 0:
         raise ValueError("zero ideal: no top shift to bound")
-    lhs, rhs = t[p], t[p - 1] + t[1]
+    lhs, rhs = s[p], s[p - 1] + s[1]
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
@@ -150,30 +152,37 @@ def _covering_pair(I, alpha, beta, field, profile, table):
     that of I.  One Betti table of I (the given one, or else computed here)
     serves all three: by the restriction lemma, S/I restricted below alpha
     has the Betti numbers of S/I at the multidegrees <= alpha, and none
-    elsewhere."""
+    elsewhere.  p and q are found in one pass over the entries, each
+    multidegree compared only at an index past the largest found so far;
+    both start at 0, the index of b_0 at multidegree 0, which is <= both."""
     alpha, beta = tuple(alpha), tuple(beta)
     if not is_covering_pair(I, alpha, beta):
         raise CoveringPairError(f"({alpha}, {beta}) is not a covering pair")
     table = _table_of(I, field, table)
-    p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
+    p = q = 0
+    for a, mu in table.entries:
+        if a > p and all(map(le, mu, alpha)):
+            p = a
+        if a > q and all(map(le, mu, beta)):
+            q = a
     t = profile if profile is not None else table.shift_profile()
     return alpha, beta, p, q, t
 
 
-def _best_splits(t: ShiftProfile, a: int, lo: int, hi: int):
-    """max of t_i + t_{a-i} over i in [lo, hi], skipping splits where either
-    index falls outside the profile; returns (value or None, all arg-max splits)."""
+def _best_splits(s: tuple, a: int, lo: int, hi: int):
+    """max of t_i + t_{a-i} over i in [lo, hi], over the splits where both
+    indices lie in the shift tuple s = (t_0, ..., t_p); returns (value or
+    None, all arg-max splits).  Those are the i in
+    [max(lo, 0, a - p), min(hi, p, a)], so no other i is visited."""
+    pd = len(s) - 1
     best = None
     splits = []
-    for i in range(max(lo, 0), hi + 1):
-        j = a - i
-        if j < 0 or i > t.projdim or j > t.projdim:
-            continue
-        v = t[i] + t[j]
+    for i in range(max(lo, 0, a - pd), min(hi, pd, a) + 1):
+        v = s[i] + s[a - i]
         if best is None or v > best:
-            best, splits = v, [(i, j)]
+            best, splits = v, [(i, a - i)]
         elif v == best:
-            splits.append((i, j))
+            splits.append((i, a - i))
     return best, splits
 
 
@@ -186,25 +195,27 @@ def check_covering(
     alpha and beta.  ``table``, if given, must be the Betti table of I
     over ``field``."""
     alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
+    s = t.shifts
+    pd = len(s) - 1
     reports = [
         InequalityReport(
             "covering-projdim",
             {"p": p, "q": q},
-            t.projdim,
+            pd,
             p + q,
-            _holds(t.projdim, p + q),
+            _holds(pd, p + q),
             {"alpha": alpha, "beta": beta},
         )
     ]
-    for a in range(t.projdim + 1):
-        rhs, splits = _best_splits(t, a, a - q, min(p, a))
+    for a, lhs in enumerate(s):
+        rhs, splits = _best_splits(s, a, a - q, min(p, a))
         reports.append(
             InequalityReport(
                 "covering-shift",
                 {"a": a, "p": p, "q": q},
-                t[a],
+                lhs,
                 rhs,
-                _holds(t[a], rhs),
+                _holds(lhs, rhs),
                 {"alpha": alpha, "beta": beta, "splits": splits},
             )
         )
@@ -222,7 +233,7 @@ def check_range(
     if not 0 <= a <= p + q:
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
     s = p + q - a
-    rhs, splits = _best_splits(t, a, p - s, p)
+    rhs, splits = _best_splits(t.shifts, a, p - s, p)
     lhs = _shift_at(t, a)
     return InequalityReport(
         "range",
@@ -275,7 +286,7 @@ def check_general(
     rest = [g for g in I.gens if not (len(support(g)) == 1 and support(g)[0] < p)]
     beta = reduce(join, rest, I.ring.zero())
     t = profile if profile is not None else shifts(I, field)
-    inner, splits = _best_splits(t, a, lo, hi)
+    inner, splits = _best_splits(t.shifts, a, lo, hi)
     tail = _shift_at(t, a - 1)
     side = None if tail is None else t[1] + tail
     options = [v for v in (side, inner) if v is not None]
@@ -339,7 +350,11 @@ def find_covering_pairs(
     Each candidate carries the bitmask of the generators below it, read off
     the lattice's join closure (or, for Betti-support candidates, computed
     once each); a pair covers I when the partner's mask holds every
-    generator the first one misses.  ``table`` is as in check_covering.
+    generator the first one misses.  Turned around, each generator k has
+    the bitset of the candidates above it, and a candidate's partners are
+    the AND of those bitsets over the generators it misses, cut to the
+    candidates from it on; their set bits are read in order.  ``table`` is
+    as in check_covering.
     """
     if at is None:
         lattice = _lattice(I, cap)
@@ -349,11 +364,24 @@ def find_covering_pairs(
         _check_ints(("at", at))
         candidates = _table_of(I, field, table, cap).support_at(at)
         masks = [generators_below(I, c) for c in candidates]
-    full = (1 << I.m) - 1
+    if not candidates:
+        return []
+    # bit j of holders[k]: candidate j is above generator k
+    holders = [int("".join(["1" if mask >> k & 1 else "0" for mask in reversed(masks)]), 2)
+               for k in range(I.m)]
+    everyone, full = (1 << len(candidates)) - 1, (1 << I.m) - 1
     pairs = []
     for i, (a, mask) in enumerate(zip(candidates, masks)):
-        need = full & ~mask
-        pairs += [(a, b) for b, mb in zip(candidates[i:], masks[i:]) if mb & need == need]
+        partners, need = everyone, full & ~mask
+        while need and partners:
+            low = need & -need
+            partners &= holders[low.bit_length() - 1]
+            need ^= low
+        partners >>= i  # bit j: candidate i + j
+        while partners:
+            low = partners & -partners
+            pairs.append((a, candidates[i + low.bit_length() - 1]))
+            partners ^= low
     return pairs
 
 

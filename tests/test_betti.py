@@ -538,6 +538,29 @@ def test_only_unclassified_strands_are_built(name, built, ranked, monkeypatch):
     assert calls == {"strand_matrices": built, "rank_exact": ranked}
 
 
+@pytest.mark.parametrize("name", ["KOSZUL2", "principal", "ex2", "ex1", "S13", "S14"])
+def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
+    # a stratum of one or two faces is read off the size _lattice carries:
+    # eq is built for the first stratum of three or more faces, so at most
+    # once per Betti call and never when there is none (KOSZUL2 and a
+    # principal ideal), and _classify reads those strata and no other
+    ideals = {"KOSZUL2": KOSZUL2, "principal": MonomialIdeal(RING2, [(2, 1)]), "ex1": ex1, "ex2": ex2}
+    I = ideals[name] if name in ideals else load_ideal(str(STRESS / f"{name}.ideal"))
+    tables, classified = [], []
+    equal_masks, classify = shiftlab.betti._equal_masks, shiftlab.betti._classify
+    monkeypatch.setattr(shiftlab.betti, "_equal_masks", lambda I: tables.append(I) or equal_masks(I))
+    monkeypatch.setattr(shiftlab.betti, "_classify",
+                        lambda eq, alpha, top: classified.append(alpha) or classify(eq, alpha, top))
+    large = sorted(alpha for alpha, (_, size) in _lattice(I, I.m).items() if size >= 3)
+    assert bool(large) == (name not in ("KOSZUL2", "principal"))
+    for field in (QQ, PrimeField(2)):
+        tables.clear()
+        classified.clear()
+        multigraded_betti(I, field)
+        assert tables == ([I] if large else [])
+        assert sorted(classified) == large
+
+
 @pytest.mark.parametrize("p, totals", [(0, (1, 10, 15, 6)), (3, (1, 10, 15, 6)),
                                        (2, (1, 10, 15, 7, 1))])
 def test_rp2_betti_depends_on_the_field(rp2, p, totals):
@@ -559,7 +582,7 @@ def test_rp2_betti_depends_on_the_field(rp2, p, totals):
 def verdict_of(eq, alpha, faces):
     """_classify's verdict on a stratum given as its sorted faces: CONE, the
     k of a sphere, or None where the strand must be built."""
-    return _classify(eq, alpha, faces[-1], len(faces))
+    return _classify(eq, alpha, faces[-1])
 
 
 def w22():

@@ -4,6 +4,8 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations_with_replacement, product
+from operator import le
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +29,12 @@ from shiftlab import (
     find_covering_pairs,
     general_windows,
     lcm_lattice,
+    load_ideal,
     multigraded_betti,
     restrict_ideal,
 )
 from shiftlab.checks import (
+    InequalityReport,
     SymbolicBound,
     _expansions,
     _minimal,
@@ -42,6 +46,8 @@ from shiftlab.golden import EX1_ALPHA, EX1_BETA, EX2_COVER_A, EX2_COVER_B
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
+
+BENCH_IDEALS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
 EX2_A = (3, 2, 2, 2, 2, 0, 2)
 EX2_B = (2, 2, 3, 2, 2, 2, 0)
@@ -175,6 +181,73 @@ def test_covering_profile_from_the_same_table(ex2, ex2_table):
     for a in range(prof.projdim + 1):
         assert check_range(ex2, EX2_A, EX2_B, a) == check_range(ex2, EX2_A, EX2_B, a,
                                                                 profile=prof)
+
+
+def reference_splits(t, a, lo, hi):
+    """The split loop as first written: every i in [max(lo, 0), hi], skipping
+    those where either index falls outside the profile, read through
+    t.projdim and t[i].  The oracle for _best_splits."""
+    best, splits = None, []
+    for i in range(max(lo, 0), hi + 1):
+        j = a - i
+        if j < 0 or i > t.projdim or j > t.projdim:
+            continue
+        v = t[i] + t[j]
+        if best is None or v > best:
+            best, splits = v, [(i, j)]
+        elif v == best:
+            splits.append((i, j))
+    return best, splits
+
+
+def reference_holds(lhs, rhs):
+    return lhs is None or (rhs is not None and lhs <= rhs)
+
+
+def reference_covering_dicts(table, t, alpha, beta) -> tuple[list, list]:
+    """The to_dict() of check_covering's reports and of check_range's at
+    every a in [0, p + q], built with two passes for p and q (one per
+    multidegree) and reference_splits."""
+    p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
+    cover = {"alpha": alpha, "beta": beta}
+    covering = [InequalityReport("covering-projdim", {"p": p, "q": q}, t.projdim, p + q,
+                                 reference_holds(t.projdim, p + q), cover)]
+    for a in range(t.projdim + 1):
+        rhs, splits = reference_splits(t, a, a - q, min(p, a))
+        covering.append(InequalityReport("covering-shift", {"a": a, "p": p, "q": q}, t[a], rhs,
+                                         reference_holds(t[a], rhs), {**cover, "splits": splits}))
+    ranges = []
+    for a in range(p + q + 1):
+        s = p + q - a
+        rhs, splits = reference_splits(t, a, p - s, p)
+        lhs = t[a] if a <= t.projdim else None
+        ranges.append(InequalityReport("range", {"a": a, "p": p, "q": q, "s": s}, lhs, rhs,
+                                       reference_holds(lhs, rhs), {**cover, "splits": splits}))
+    return [r.to_dict() for r in covering], [r.to_dict() for r in ranges]
+
+
+def test_covering_and_range_match_the_reference_loops(corpus_results, ex1, ex1_table, ex2, ex2_table):
+    # the first three pairs of every corpus ideal, ex1 and ex2, each checked
+    # with and without table= and profile=; on ex2 also against profiles
+    # shorter and longer than its own, whose splits fall off either end
+    cases = [(rec["ideal"], rec["table_q"]) for rec in corpus_results["rows"]]
+    cases += [(ex1, ex1_table), (ex2, ex2_table)]
+    checked = 0
+    for I, table in cases:
+        own = table.shift_profile()
+        profiles = [own, ShiftProfile((0,)), ShiftProfile((0, 3)),
+                    ShiftProfile(tuple(range(0, 24, 3)))] if I is ex2 else [own]
+        for alpha, beta in find_covering_pairs(I)[:3]:
+            for t in profiles:
+                covering, ranges = reference_covering_dicts(table, t, alpha, beta)
+                for kw in ({"table": table, "profile": t}, {"profile": t}, {"table": table}, {})[
+                        :4 if t is own else 2]:
+                    got = [r.to_dict() for r in check_covering(I, alpha, beta, **kw)]
+                    assert got == covering, (I, alpha, beta, kw)
+                    got = [check_range(I, alpha, beta, a, **kw).to_dict() for a in range(len(ranges))]
+                    assert got == ranges, (I, alpha, beta, kw)
+                    checked += 1
+    assert checked == 4 * (1328 + 3 + 3) + 3 * 3 * 2
 
 
 def test_covering_and_range_take_a_table(ex1, ex1_table, ex2, ex2_table):
@@ -314,12 +387,12 @@ def test_find_pairs_example2(ex2, ex2_table):
 
 def brute_force_covering_pairs(I, candidates):
     """The pair-by-pair search, straight from the definition: the oracle that
-    the bitmask search in find_covering_pairs is checked against."""
-    return [
-        (a, b)
-        for a, b in combinations_with_replacement(candidates, 2)
-        if all(divides(g, a) or divides(g, b) for g in I.gens)
-    ]
+    the bitset search in find_covering_pairs is checked against.  Which
+    generators divide a candidate is asked once per candidate, so a pair
+    covers I when the two sets hold every generator."""
+    below = {c: frozenset(i for i, g in enumerate(I.gens) if divides(g, c)) for c in candidates}
+    every = frozenset(range(I.m))
+    return [(a, b) for a, b in combinations_with_replacement(candidates, 2) if below[a] | below[b] == every]
 
 
 def assert_search_matches_oracle(I, table):
@@ -338,9 +411,16 @@ def test_find_pairs_matches_oracle_corpus(corpus_results):
         assert_search_matches_oracle(rec["ideal"], rec["table_q"])
 
 
+def test_find_pairs_matches_oracle_on_large_lattices(ex1, ex1_table):
+    # ex1 (1251 lattice elements, 16179 pairs) and S13 (284 elements) hold
+    # many candidates in each generator's bitset
+    S13 = load_ideal(str(BENCH_IDEALS / "S13.ideal"))
+    for I, table in ((ex1, ex1_table), (S13, multigraded_betti(S13))):
+        assert_search_matches_oracle(I, table)
+
+
 def test_find_pairs_example1_pinned(ex1):
-    # the pair-by-pair oracle takes seconds on ex1's 1251-element lattice, so
-    # the search is held to the count and digest it gave
+    # the count and digest the search gave before the bitset search
     pairs = find_covering_pairs(ex1)
     text = "\n".join(map(repr, pairs)).encode()
     assert len(pairs) == 16179

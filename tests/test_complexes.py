@@ -39,7 +39,7 @@ from shiftlab import (
 import shiftlab.betti
 import shiftlab.complexes
 from shiftlab.betti import _classify, _equal_masks, _lattice
-from shiftlab.complexes import BasisElement, CapExceededError, FreeComplex
+from shiftlab.complexes import SMALL_LATTICE, BasisElement, CapExceededError, FreeComplex
 from test_betti import minimal_requirements, taylor_faces
 
 RING2 = Ring(["x", "y"])
@@ -133,10 +133,22 @@ def reference_strata(I) -> dict:
 
 
 def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
-    # G_alpha is the largest mask with lcm alpha, and size the number of them
+    # G_alpha is the largest mask with lcm alpha, and size the number of them.
+    # A step joins per key while the lattice has at most SMALL_LATTICE
+    # elements and per column past that, so an ideal reaches the column
+    # joins iff the lattice of all its generators but the last is larger.
+    # Per key only: 256 corpus ideals (the 252 with m <= 3 and 4 of the 67
+    # with m = 4) and the edge ideals with m = 0 and 1.  Both: the other 244
+    # corpus ideals (m = 4 to 8), ex1, ex2, S13, S14 and the edge ideals with
+    # m = 12 to 14.
+    both = []
     for I in lattice_ideals(corpus, ex1, ex2):
         expected = {alpha: (max(masks), len(masks)) for alpha, masks in reference_strata(I).items()}
         assert _lattice(I, I.m) == expected, I
+        if I.m and len(_lattice(MonomialIdeal(I.ring, I.gens[:-1]), I.m)) > SMALL_LATTICE:
+            both.append(I)
+    assert len(both) == 244 + 4 + 3
+    assert [I.m for I in both[-7:]] == [12, 5, 13, 14, 12, 13, 14]
 
 
 def test_taylor_faces_match_the_stratum(corpus, ex1, ex2):
@@ -149,7 +161,7 @@ def test_taylor_faces_match_the_stratum(corpus, ex1, ex2):
         for alpha, faces in reference_strata(I).items():
             minimal = minimal_requirements(I, alpha, faces[-1])
             assert taylor_faces(faces[-1], minimal) == faces, (I, alpha)
-            built += _classify(eq, alpha, faces[-1], len(faces)) is None
+            built += _classify(eq, alpha, faces[-1]) is None
     assert built > 0
 
 
