@@ -87,8 +87,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .complexes import (GENERATOR_CAP, ShiftProfile, _check_columns, _column_scan, _columns, _facet_index,
-                        _lattice, scarf_complex)
+from .complexes import (GENERATOR_CAP, CapExceededError, ShiftProfile, _check_columns, _column_scan,
+                        _columns, _facet_index, _lattice, scarf_complex)
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -139,9 +139,9 @@ def rank_exact(M, field=QQ) -> int:
     return rank
 
 
-def lcm_lattice(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> list[tuple]:
+def lcm_lattice(I: MonomialIdeal) -> list[tuple]:
     """All distinct lcms of nonempty generator subsets, sorted lexicographically."""
-    return sorted(alpha for alpha, (mask, _) in _lattice(I, cap).items() if mask)
+    return sorted(alpha for alpha, (mask, _) in _lattice(I).items() if mask)
 
 
 class BettiTable:
@@ -329,20 +329,21 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     return grown
 
 
-def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> BettiTable:
+def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
     A stratum of one or two faces is read off its carried size, and
-    ``_classify`` reads every larger cone and sphere strand off its R_v
-    (see the module docstring), unbuilt, and marks every other alpha with
-    None; the eq table it reads is built only when a stratum needs it.
-    There the smaller of the Lyubeznik strand and K^alpha(I) is
-    ranked, the Lyubeznik strand when it has at most 2^|supp alpha| faces.
-    Lyubeznik faces are counted first and enumerated only for the strands
-    ranked.  With shift 0 for Lyubeznik and 1 for Koszul, the face-size-s
-    homology n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
+    ``_classify`` reads every larger cone and sphere strand off its R_v (see
+    the module docstring), unbuilt, and marks every other alpha with None;
+    the eq table it reads is built only when a stratum needs it.  There the
+    smaller of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik
+    strand when it has at most 2^|supp alpha| faces.  Lyubeznik faces are
+    counted first and enumerated only for the strands ranked, if those have
+    at most 2^GENERATOR_CAP faces in all (else CapExceededError).  With
+    shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
+    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
-    lattice = _lattice(I, cap)
+    lattice = _lattice(I)
     eq = None  # built for the first stratum of three or more faces
     entries: dict[tuple, int] = {}
     built = []
@@ -360,7 +361,10 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     if not built:
         return BettiTable(I.ring, entries)
     pushes = _lyubeznik_pushes(I, lattice, built)
-    small = {alpha for alpha in built if pushes.get(alpha, (0,))[0] <= 1 << sum(map(bool, alpha))}
+    most = {alpha: min(pushes.get(alpha, (0,))[0], 1 << sum(map(bool, alpha))) for alpha in built}
+    if (total := sum(most.values())) > 1 << GENERATOR_CAP:
+        raise CapExceededError(f"{total} strand faces to rank pass the limit 2^{GENERATOR_CAP}")
+    small = {alpha for alpha, n in most.items() if n == pushes.get(alpha, (0,))[0]}
     lyubeznik = _lyubeznik_faces(pushes, small)
     for alpha in built:
         if alpha in small:
@@ -375,21 +379,19 @@ def multigraded_betti(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> B
     return BettiTable(I.ring, entries)
 
 
-def shifts(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> ShiftProfile:
+def shifts(I: MonomialIdeal, field=QQ) -> ShiftProfile:
     """Maximal shifts t_a(I) of the minimal resolution of S/I (t_0 = 0)."""
-    return multigraded_betti(I, field, cap).shift_profile()
+    return multigraded_betti(I, field).shift_profile()
 
 
-def projdim(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> int:
-    return multigraded_betti(I, field, cap).projdim
+def projdim(I: MonomialIdeal, field=QQ) -> int:
+    return multigraded_betti(I, field).projdim
 
 
-def scarf_is_resolution(I: MonomialIdeal, field=QQ, cap: int = GENERATOR_CAP) -> bool:
+def scarf_is_resolution(I: MonomialIdeal, field=QQ) -> bool:
     """Whether the Scarf complex is already the minimal resolution of S/I
     (its ranks match the Betti numbers; true for generic ideals)."""
-    ranks = scarf_complex(I, cap).ranks()
-    totals = multigraded_betti(I, field, cap).totals()
-    return tuple(ranks) == tuple(totals)
+    return scarf_complex(I).ranks() == multigraded_betti(I, field).totals()
 
 
 # ---------------------------------------------------------------------------

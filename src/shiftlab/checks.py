@@ -14,7 +14,7 @@ from itertools import product
 from operator import ge, le, or_
 
 from .betti import multigraded_betti, shifts
-from .complexes import GENERATOR_CAP, ShiftProfile, _lattice
+from .complexes import ShiftProfile, _lattice
 from .fields import QQ
 from .monomials import (
     MonomialIdeal,
@@ -130,18 +130,19 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
 
 
-def _table_of(I: MonomialIdeal, field, table, cap: int = GENERATOR_CAP):
+def _table_of(I: MonomialIdeal, field, table):
     """The Betti table of I over field: ``table`` when given, else computed.
-    A given table must be one of S/I: its ring must be I's, and its
-    multidegrees at index 1 exactly I's generators (``ValueError``
-    otherwise).  That does not pin the field, which the caller vouches for."""
+    A given table must be one of S/I, over I's ring and with no entries at
+    index 0 and 1 but b_0 = 1 at 0 and b_1 = 1 at each generator (else
+    ValueError).  That does not pin the field, which the caller vouches for."""
     if table is None:
-        return multigraded_betti(I, field, cap)
+        return multigraded_betti(I, field)
     if table.ring != I.ring:
         raise ValueError(f"table= is over {table.ring}, the ideal over {I.ring}")
-    if set(table.support_at(1)) != set(I.gens):
-        raise ValueError("table= is not a Betti table of this ideal: "
-                         "its index-1 multidegrees are not the generators")
+    low = {(0, I.ring.zero()): 1, **{(1, g): 1 for g in I.gens}}  # b_0 and b_1 of S/I
+    if {k: r for k, r in table.entries.items() if k[0] < 2} != low:
+        raise ValueError("table= is not a Betti table of this ideal: its entries at index 0 "
+                         "and 1 are not b_0 = 1 at 0 and b_1 = 1 at each generator")
     return table
 
 
@@ -337,9 +338,8 @@ def check_multiple(
     )
 
 
-def find_covering_pairs(
-    I: MonomialIdeal, at: int | None = None, field=QQ, cap: int = GENERATOR_CAP, *, table=None
-) -> list[tuple[tuple, tuple]]:
+def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
+                        table=None) -> list[tuple[tuple, tuple]]:
     """All unordered candidate pairs (alpha, beta) that cover I.
 
     Candidates default to the whole lcm lattice; with ``at`` given they are
@@ -357,12 +357,12 @@ def find_covering_pairs(
     as in check_covering.
     """
     if at is None:
-        lattice = _lattice(I, cap)
+        lattice = _lattice(I)
         candidates = sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
         masks = [lattice[c][0] for c in candidates]
     else:
         _check_ints(("at", at))
-        candidates = _table_of(I, field, table, cap).support_at(at)
+        candidates = _table_of(I, field, table).support_at(at)
         masks = [generators_below(I, c) for c in candidates]
     if not candidates:
         return []

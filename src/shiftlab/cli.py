@@ -2,8 +2,8 @@
 
 Subcommands: betti, shifts, check, random, verify-paper, dump.  Exit codes:
 0 ok, 1 a proved inequality failed (implementation bug), 2 unreadable or
-malformed ideal input, 3 generator cap exceeded, 4 bad arguments or a pair
-that does not cover the ideal.
+malformed ideal input, 3 a size limit exceeded (CapExceededError), 4 bad
+arguments or a pair that does not cover the ideal.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _COMMON = {
     "field": {"default": "q", "help": "q (rationals) or p:<prime>"},
     "format": {"default": "text", "choices": ["text", "json"]},
     "cap": {"type": ascii_int, "default": GENERATOR_CAP,
-            "help": "generator count cap for 2^m constructions"},
+            "help": "generator count cap for the 2^m Taylor complex"},
 }
 
 
@@ -98,12 +98,12 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("betti", help="Betti table of S/I")
     b.add_argument("ideal")
-    _add_common(b, "field", "format", "cap")
+    _add_common(b, "field", "format")
     b.set_defaults(func=cmd_betti)
 
     s = sub.add_parser("shifts", help="maximal shifts t_0..t_p")
     s.add_argument("ideal")
-    _add_common(s, "field", "format", "cap")
+    _add_common(s, "field", "format")
     s.set_defaults(func=cmd_shifts)
 
     c = sub.add_parser("check", help="run inequality checks")
@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
     c.add_argument("--p", type=_signed_int, help="window parameter p (general)")
     c.add_argument("--cover", action="append", default=[],
                    help="a:e1,e2,... (multiple; repeatable)")
-    _add_common(c, "field", "format", "cap")
+    _add_common(c, "field", "format")
     c.set_defaults(func=cmd_check)
 
     r = sub.add_parser("random", help="probe random ideals, one JSON line each")
@@ -126,7 +126,7 @@ def build_parser() -> _Parser:
     r.add_argument("--maxexp", type=ascii_int, required=True)
     r.add_argument("--count", type=ascii_int, required=True)
     r.add_argument("--out", help="append ledger lines here instead of stdout")
-    _add_common(r, "field", "cap")
+    _add_common(r, "field")
     r.set_defaults(func=cmd_random)
 
     v = sub.add_parser("verify-paper",
@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
 def cmd_betti(args) -> int:
     I = load_ideal(args.ideal)
     field = field_from_spec(args.field)
-    table = multigraded_betti(I, field, args.cap)
+    table = multigraded_betti(I, field)
     if args.format == "json":
         print(json.dumps({
             "vars": list(I.ring.names),
@@ -169,7 +169,7 @@ def cmd_betti(args) -> int:
 def cmd_shifts(args) -> int:
     I = load_ideal(args.ideal)
     field = field_from_spec(args.field)
-    table = multigraded_betti(I, field, args.cap)
+    table = multigraded_betti(I, field)
     prof = table.shift_profile()
     if args.format == "json":
         print(json.dumps({
@@ -199,7 +199,7 @@ def _emit_reports(reports, fmt) -> int:
 def cmd_check(args) -> int:
     I = load_ideal(args.ideal)
     field = field_from_spec(args.field)
-    table = multigraded_betti(I, field, args.cap)
+    table = multigraded_betti(I, field)
     prof = table.shift_profile()
     which = args.which
     reports = []
@@ -250,9 +250,9 @@ def cmd_random(args) -> int:
                 print(json.dumps(base, sort_keys=True), file=sink)
                 continue
             try:
-                table = multigraded_betti(I, field, args.cap)
-            except CapExceededError:
-                base["skipped"] = "generator cap exceeded"
+                table = multigraded_betti(I, field)
+            except CapExceededError as exc:
+                base["skipped"] = str(exc)
                 print(json.dumps(base, sort_keys=True), file=sink)
                 continue
             prof = table.shift_profile()
@@ -302,12 +302,9 @@ def cmd_verify_paper(args) -> int:
 def cmd_dump(args) -> int:
     I = load_ideal(args.ideal)
     field = field_from_spec(args.field)
-    if args.kind == "taylor":
-        F = taylor_complex(I, args.cap)
-    elif args.kind == "scarf":
-        F = scarf_complex(I, args.cap)
-    else:
-        F = minimalize(taylor_complex(I, args.cap), field)
+    F = scarf_complex(I) if args.kind == "scarf" else taylor_complex(I, args.cap)
+    if args.kind == "minimal":
+        F = minimalize(F, field)
     obj = complex_to_json(F)
     obj["kind"] = args.kind
     print(json.dumps(obj, sort_keys=True))

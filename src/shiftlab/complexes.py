@@ -35,11 +35,11 @@ from .fields import QQ, characteristic, eliminate
 from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
                         _length_mismatch, _Record, _set, total_degree)
 
-GENERATOR_CAP = 22  # 2^22 Taylor faces; both bundled worked examples need <= 12
+GENERATOR_CAP = 22  # the Taylor cap's default; 2^22 also bounds lattices and strand faces ranked
 
 
 class CapExceededError(RuntimeError):
-    """Too many generators for a 2^m-sized construction."""
+    """Past a size limit: the Taylor cap, or 2^GENERATOR_CAP lattice elements or strand faces."""
 
 
 class BasisElement(_Record):
@@ -144,12 +144,6 @@ class FreeComplex(_Frozen):
         return FreeComplex, (self.modules, self.diffs)
 
 
-def _check_cap(I: MonomialIdeal, cap: int) -> None:
-    """Refuse a 2^m-sized construction on more than ``cap`` generators."""
-    if I.m > cap:
-        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
-
-
 # The largest lattice _lattice still joins one key at a time.  One step
 # (the joins and the dict update) was timed per key and per column on 8
 # random lattices of L keys per (n, L), best of 25, on a shared 2-core Xeon
@@ -161,7 +155,7 @@ def _check_cap(I: MonomialIdeal, cap: int) -> None:
 SMALL_LATTICE = 6
 
 
-def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
+def _lattice(I: MonomialIdeal) -> dict[tuple, tuple[int, int]]:
     """The lcm lattice by join closure, 0 included: alpha -> (G_alpha, size),
     with G_alpha the bitmask of the generators <= alpha and size the number
     of generator subsets whose lcm is alpha.
@@ -177,10 +171,13 @@ def _lattice(I: MonomialIdeal, cap: int) -> dict[tuple, tuple[int, int]]:
     While the lattice has at most SMALL_LATTICE elements a step joins g_i
     to one key at a time; past that it joins one exponent column per
     variable, and one zip turns the columns back into keys, which costs a
-    fixed transposition per step but less per element."""
-    _check_cap(I, cap)
+    fixed transposition per step but less per element.  A step at most
+    doubles it; CapExceededError refuses it from over 2^(GENERATOR_CAP - 1)."""
     lattice = {I.ring.zero(): (0, 1)}
     for i, g in enumerate(I.gens):
+        if 2 * len(lattice) > 1 << GENERATOR_CAP:
+            raise CapExceededError(f"lcm lattice of {len(lattice)} elements after {i} of {I.m} "
+                                   f"generators could pass the limit 2^{GENERATOR_CAP}")
         bit = 1 << i
         if len(lattice) <= SMALL_LATTICE:
             for key, (mask, size) in list(lattice.items()):
@@ -247,7 +244,9 @@ def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     lcm(F)/lcm(F minus that member).  The result resolves S/I.  Each face
     grows by every generator i past its last member, with lcm the join of
     its own with g_i, taken once per distinct pair (1259 joins for S14)."""
-    _check_cap(I, cap)
+    _check_ints(("cap", cap, 0, None))
+    if I.m > cap:
+        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
 
     def levels():  # one at a time, so the assembler holds no more than two
         level, joined = [(0, (), I.ring.zero())], {}
@@ -264,7 +263,7 @@ def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     return _face_complex(levels())
 
 
-def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
+def scarf_complex(I: MonomialIdeal) -> FreeComplex:
     """The Scarf complex: the Taylor faces whose lcm no other subset attains,
     with the Taylor differential restricted to them, each size in
     lexicographic order.  They are the lattice elements alpha of stratum
@@ -272,7 +271,7 @@ def scarf_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     G_alpha, so G_alpha has lcm alpha too and is that subset.  A facet of a
     Scarf face is Scarf, so _face_complex finds every boundary term."""
     levels = [[] for _ in range(I.m + 1)]
-    for alpha, (mask, size) in _lattice(I, cap).items():
+    for alpha, (mask, size) in _lattice(I).items():
         if size == 1:
             levels[mask.bit_count()].append((mask, tuple(i for i in range(I.m) if mask >> i & 1), alpha))
     return _face_complex(sorted(level, key=itemgetter(1)) for level in levels)

@@ -287,9 +287,10 @@ def test_lattice_principal():
     assert lcm_lattice(MonomialIdeal(RING2, [(2, 1)])) == [(2, 1)]
 
 
-def test_lattice_cap():
-    with pytest.raises(CapExceededError):
-        lcm_lattice(KOSZUL2, cap=1)
+def test_lattice_cap(monkeypatch):
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 1)
+    with pytest.raises(CapExceededError, match=r"lcm lattice of 2 elements after 1 of 2"):
+        lcm_lattice(KOSZUL2)
 
 
 # --- Betti tables ----------------------------------------------------------------
@@ -478,7 +479,7 @@ def check_lyubeznik_faces(I):
     # with every lattice element wanted, the pushes reach the lcms of the
     # rooted subsets in sorted order and count them, and the faces grown
     # along them are those subsets
-    lattice, rooted = _lattice(I, I.m), rooted_faces(I)
+    lattice, rooted = _lattice(I), rooted_faces(I)
     pushes = _lyubeznik_pushes(I, lattice, lattice)
     assert list(pushes) == sorted(rooted), I
     assert {alpha: n for alpha, (n, _) in pushes.items()} == {
@@ -551,7 +552,7 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
     monkeypatch.setattr(shiftlab.betti, "_equal_masks", lambda I: tables.append(I) or equal_masks(I))
     monkeypatch.setattr(shiftlab.betti, "_classify",
                         lambda eq, alpha, top: classified.append(alpha) or classify(eq, alpha, top))
-    large = sorted(alpha for alpha, (_, size) in _lattice(I, I.m).items() if size >= 3)
+    large = sorted(alpha for alpha, (_, size) in _lattice(I).items() if size >= 3)
     assert bool(large) == (name not in ("KOSZUL2", "principal"))
     for field in (QQ, PrimeField(2)):
         tables.clear()
@@ -633,7 +634,7 @@ def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
     # the Taylor strand and K^alpha(I) in about 2 ms.  No strand the engine
     # ranks may exceed 2^n = 8 faces, however many Lyubeznik faces alpha has.
     I, sizes, real = staircase(k), [], shiftlab.betti.strand_matrices
-    pushes = _lyubeznik_pushes(I, _lattice(I, I.m), [(1, k, k)])
+    pushes = _lyubeznik_pushes(I, _lattice(I), [(1, k, k)])
     assert pushes[(1, k, k)][0] >= 2 ** (k - 1)
     monkeypatch.setattr(shiftlab.betti, "strand_matrices",
                         lambda faces: sizes.append(len(faces)) or real(faces))

@@ -11,6 +11,7 @@ import pytest
 
 import shiftlab.checks
 from shiftlab import (
+    BettiTable,
     CoveringPairError,
     MonomialIdeal,
     PrimeField,
@@ -276,9 +277,25 @@ def test_a_table_of_another_ideal_is_refused(caller, ex1_table, ex2, ex2_table):
     }[caller]
     call(ex2_table)
     restricted = multigraded_betti(restrict_ideal(ex2, EX2_A))
-    for table, message in ((ex1_table, "table= is over"), (restricted, "not a Betti table")):
+    # nor is a table whose entries at index 0 and 1 are not b_0 = 1 at 0 and
+    # b_1 = 1 at each generator
+    zero, entries = ex2.ring.zero(), ex2_table.entries
+    no_b0 = {k: r for k, r in entries.items() if k != (0, zero)}
+    for table, message in ((ex1_table, "table= is over"), (restricted, "not a Betti table"),
+                           *((BettiTable(ex2.ring, bad), "entries at index 0 and 1") for bad in (
+                               no_b0, {**no_b0, (0, zero): 2}, {**entries, (0, EX2_A): 1},
+                               {**entries, (1, ex2.gens[0]): 2}))):
         with pytest.raises(ValueError, match=message):
             call(table)
+
+
+def test_a_table_without_b0_is_refused(ex2, ex2_table):
+    # taken as ex2's, this table once gave a report with q = 0 at beta = 0
+    top = tuple(map(max, zip(*ex2.gens)))
+    zero = ex2.ring.zero()
+    no_b0 = BettiTable(ex2.ring, {k: r for k, r in ex2_table.entries.items() if k != (0, zero)})
+    with pytest.raises(ValueError, match="entries at index 0 and 1 are not b_0 = 1 at 0"):
+        check_covering(ex2, top, zero, table=no_b0)
 
 
 def test_range_matches_covering(ex2, ex2_table):

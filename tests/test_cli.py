@@ -3,14 +3,18 @@ import hashlib
 import json
 import re
 import shutil
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import shiftlab.betti
 import shiftlab.checks
 import shiftlab.cli
-from shiftlab import complex_from_json, verify_complex
+import shiftlab.complexes
+from shiftlab import (CapExceededError, complex_from_json, lcm_lattice, load_ideal, multigraded_betti,
+                      scarf_complex, verify_complex)
 from shiftlab.cli import build_parser, main
 
 FIXDIR = resources.files("shiftlab") / "data"
@@ -100,19 +104,19 @@ def test_check_covering_example1(capsys):
 
 
 @pytest.mark.parametrize("which, extra", [("covering", ()), ("range", ("--at", "7"))])
-def test_check_covering_builds_one_table_with_cap(capsys, monkeypatch, which, extra):
-    caps = []
+def test_check_covering_builds_one_table(capsys, monkeypatch, which, extra):
+    calls = []
     real = shiftlab.cli.multigraded_betti
 
-    def counted(I, field, cap=None):
-        caps.append(cap)
-        return real(I, field) if cap is None else real(I, field, cap)
+    def counted(I, field):
+        calls.append(I)
+        return real(I, field)
 
     monkeypatch.setattr(shiftlab.cli, "multigraded_betti", counted)
     monkeypatch.setattr(shiftlab.checks, "multigraded_betti", counted)
     rc, _, _ = run(capsys, "check", EX1, which, "--alpha", "5,5,5,5,0,0,0",
-                   "--beta", "3,3,2,2,6,5,6", *extra, "--cap", "20")
-    assert rc == 0 and caps == [20]
+                   "--beta", "3,3,2,2,6,5,6", *extra)
+    assert rc == 0 and len(calls) == 1
 
 
 def test_check_range_example2(capsys):
@@ -179,9 +183,11 @@ def test_check_missing_args_exit4(capsys):
     rc, out, err = run(capsys, "check", EX2, "range", *pair, "--at", "-1")
     assert rc == 4 and out == "" and "a=-1" in err
     # numeric options are ASCII digits too (a full-width one, an underscore)
-    for opt in (["--at", "\uff11"], ["--at", "1_0"], ["--at", "+1"], ["--cap", "2_2"]):
+    for opt in (["--at", "\uff11"], ["--at", "1_0"], ["--at", "+1"]):
         rc, out, err = run(capsys, "check", EX2, "range", *pair, *opt)
         assert rc == 4 and out == "" and opt[0] in err, opt
+    rc, out, err = run(capsys, "dump", EX2, "--cap", "2_2")
+    assert rc == 4 and out == "" and "--cap" in err
     rc, out, _ = run(capsys, "check", EX2, "general", "--at", "5", "--p", "\uff12")
     assert rc == 4 and out == ""
 
@@ -216,14 +222,18 @@ def test_random_ledger_pinned(capsys):
         "50c9b44ffc2c32541e578977698af14ca1e4e9aeb225072a82b2b0a0db883911")
 
 
-def test_random_cap_skips(capsys):
+def test_random_cap_skips(capsys, monkeypatch):
+    # the lattice limit at 2^3: 5 generators, and at most 8 lattice elements
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 3)
     rc, out, _ = run(capsys, "random", "--seed", "1", "--n", "4", "--m", "5",
-                     "--maxexp", "3", "--count", "3", "--cap", "3")
+                     "--maxexp", "3", "--count", "3")
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert rc == 0 and [r["index"] for r in recs] == [0, 1, 2]
     for rec in recs:
-        assert rec == {"seed": 1, "index": rec["index"], "n": 4, "m": 5,
-                       "maxexp": 3, "skipped": "generator cap exceeded"}
+        skipped = rec.pop("skipped")
+        assert rec == {"seed": 1, "index": rec["index"], "n": 4, "m": 5, "maxexp": 3}
+        assert re.fullmatch(r"lcm lattice of \d+ elements after [34] of 5 generators "
+                            r"could pass the limit 2\^3", skipped), skipped
 
 
 def test_random_empty(capsys):
@@ -355,22 +365,72 @@ def test_deep_json_exit2_without_traceback(tmp_path):
     assert "bad JSON" in proc.stderr
 
 
-def test_cap_exceeded_exit3(tmp_path, capsys):
+def _y_times_square_22(tmp_path):
+    """y*(x, y)^22: 23 generators, one more than the cap, on an lcm lattice
+    of 277 elements."""
     big = tmp_path / "big.ideal"
     lines = ["vars: x y"] + [f"x^{23 - k}*y^{k}" for k in range(1, 23)] + ["y^23"]
     big.write_text("\n".join(lines) + "\n")
-    rc, _, _ = run(capsys, "betti", str(big))
-    assert rc == 3
+    return big
 
 
-@pytest.mark.parametrize("kind", ["taylor", "scarf"])
+def test_cap_exceeded_exit3(tmp_path, capsys):
+    # the cap bounds the 2^m Taylor complex only: past it Betti, shifts and
+    # Scarf run on the lattice, and dump --complex taylor|minimal exits 3
+    big = _y_times_square_22(tmp_path)
+    I = load_ideal(str(big))
+    assert len(lcm_lattice(I)) == 276
+    assert multigraded_betti(I).totals() == scarf_complex(I).ranks() == (1, 23, 22)
+    rc, out, _ = run(capsys, "betti", str(big))
+    assert rc == 0 and "coarse: 1 23 22" in out
+    rc, out, _ = run(capsys, "shifts", str(big))
+    assert rc == 0 and out.splitlines()[-1] == "0 23 24"
+    rc, out, _ = run(capsys, "dump", str(big), "--complex", "scarf")
+    assert rc == 0 and complex_from_json(json.loads(out)).ranks() == (1, 23, 22)
+
+
+@pytest.mark.parametrize("kind", ["taylor", "minimal"])
 def test_dump_cap_exceeded_exit3(tmp_path, capsys, kind):
     # the face builder checks the cap itself, with no lcm table to do it
-    big = tmp_path / "big.ideal"
-    lines = ["vars: x y"] + [f"x^{23 - k}*y^{k}" for k in range(1, 23)] + ["y^23"]
-    big.write_text("\n".join(lines) + "\n")
+    big = _y_times_square_22(tmp_path)
     rc, out, err = run(capsys, "dump", str(big), "--complex", kind)
     assert rc == 3 and out == "" and "23 generators exceeds cap 22" in err
+
+
+def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
+    # the complete intersection on 6 variables has 2^6 lattice elements: at
+    # 2^5 the lattice limit refuses it (the library: test_complexes.py)
+    ci6 = tmp_path / "ci6.ideal"
+    ci6.write_text("vars: a b c d e f\na\nb\nc\nd\ne\nf\n")
+    rc, out, _ = run(capsys, "betti", str(ci6))
+    assert rc == 0 and "coarse: 1 6 15 20 15 6 1" in out
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 5)
+    rc, out, err = run(capsys, "betti", str(ci6))
+    assert rc == 3 and out == ""
+    assert "lcm lattice of 32 elements after 5 of 6 generators could pass the limit 2^5" in err
+
+
+def test_face_limit_exit3(tmp_path, capsys, monkeypatch):
+    # this ideal ranks strands of 8 = 2^3 faces in all: the face limit
+    # admits it at 2^3 and refuses it at 2^2, before any face is grown
+    path = tmp_path / "eight.ideal"
+    path.write_text("vars: x y z\nx^4*y^3*z^2\nx^3*y^2*z^3\nx^2*y^3*z^3\nx^4*y*z^3\nx*y^4*z^2\n")
+    I = load_ideal(str(path))
+    grown = Counter()
+    for name in ("_lyubeznik_faces", "_koszul_faces"):
+        real = getattr(shiftlab.betti, name)
+        monkeypatch.setattr(shiftlab.betti, name,
+                            lambda *args, name=name, real=real: grown.update([name]) or real(*args))
+    monkeypatch.setattr(shiftlab.betti, "GENERATOR_CAP", 3)
+    assert multigraded_betti(I).totals() == (1, 5, 5, 1)
+    assert grown["_lyubeznik_faces"] == 1
+    grown.clear()
+    monkeypatch.setattr(shiftlab.betti, "GENERATOR_CAP", 2)
+    with pytest.raises(CapExceededError, match="8 strand faces to rank pass the limit 2\\^2"):
+        multigraded_betti(I)
+    rc, out, err = run(capsys, "betti", str(path))
+    assert rc == 3 and out == "" and "8 strand faces to rank pass the limit 2^2" in err
+    assert not grown
 
 
 def test_bad_field_exit4(capsys):
@@ -391,7 +451,10 @@ def test_bad_usage_exit4(capsys):
     ["verify-paper", "--cap", "5"],
     ["random", *[x for kv in RANDOM_OK.items() for x in kv], "--format", "text"],
     ["dump", KOSZUL, "--format", "text"],
-], ids=["verify-paper-field", "verify-paper-cap", "random-format", "dump-format"])
+    ["betti", KOSZUL, "--cap", "5"],
+    ["random", *[x for kv in RANDOM_OK.items() for x in kv], "--cap", "5"],
+], ids=["verify-paper-field", "verify-paper-cap", "random-format", "dump-format", "betti-cap",
+        "random-cap"])
 def test_unread_options_exit4(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 4 and out == "" and "unrecognized arguments" in err
@@ -523,15 +586,13 @@ def test_verify_paper_reports_raising_checks(tmp_path, capsys):
     assert len(ex2) == 10 and all(line.startswith("[PASS]") for line in ex2)
 
 
-def test_verify_paper_shared_table_raise_fails_its_rows(tmp_path, capsys):
-    # 23 generators exceed the cap, so the shared Betti table of ex1 raises:
-    # every row that reads it fails, the rows that do not still run
-    for name in ("example1.ideal", "example2.ideal", "koszul2.ideal"):
-        shutil.copy(str(FIXDIR / name), tmp_path / name)
-    gens = "\n".join(f"a^{k}*x^{24 - k}" for k in range(1, 24))
-    (tmp_path / "example1.ideal").write_text(f"vars: x y z u v w a\n{gens}\n")
-    rc, out, _ = run(capsys, "verify-paper", "--fixtures", str(tmp_path))
-    failed = {line.split(":")[0] for line in out.splitlines() if "exceeds cap" in line}
+def test_verify_paper_shared_table_raise_fails_its_rows(capsys, monkeypatch):
+    # ex1's lattice of 1252 elements passes the lowered lattice limit, so
+    # the shared Betti table of ex1 raises: every row that reads it fails,
+    # the rows that do not still run
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 10)
+    rc, out, _ = run(capsys, "verify-paper")
+    failed = {line.split(":")[0] for line in out.splitlines() if "limit 2^10" in line}
     assert rc == 1
     assert failed == {"[FAIL] ex1 projective dimension",
                       "[FAIL] ex1 t_7 <= max{t_2 + t_5, t_3 + t_4}"}

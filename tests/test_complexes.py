@@ -20,6 +20,7 @@ from shiftlab import (
     complex_from_json,
     divides,
     dumps_complex,
+    find_covering_pairs,
     is_minimal,
     join,
     lcm_lattice,
@@ -144,8 +145,8 @@ def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
     both = []
     for I in lattice_ideals(corpus, ex1, ex2):
         expected = {alpha: (max(masks), len(masks)) for alpha, masks in reference_strata(I).items()}
-        assert _lattice(I, I.m) == expected, I
-        if I.m and len(_lattice(MonomialIdeal(I.ring, I.gens[:-1]), I.m)) > SMALL_LATTICE:
+        assert _lattice(I) == expected, I
+        if I.m and len(_lattice(MonomialIdeal(I.ring, I.gens[:-1]))) > SMALL_LATTICE:
             both.append(I)
     assert len(both) == 244 + 4 + 3
     assert [I.m for I in both[-7:]] == [12, 5, 13, 14, 12, 13, 14]
@@ -165,10 +166,24 @@ def test_taylor_faces_match_the_stratum(corpus, ex1, ex2):
     assert built > 0
 
 
-def test_lattice_checks_the_cap():
-    I = edge_ideals()[3]
-    with pytest.raises(CapExceededError, match=f"{I.m} generators exceeds cap {I.m - 1}"):
-        _lattice(I, I.m - 1)
+# the complete intersection x_0, ..., x_5: its lattice doubles at every step
+CI6 = MonomialIdeal(Ring([f"x{i}" for i in range(6)]),
+                    [tuple(int(i == j) for j in range(6)) for i in range(6)])
+
+
+def test_lattice_checks_the_cap(monkeypatch):
+    # a step may double the lattice, so it is refused before one that could
+    # pass 2^GENERATOR_CAP: 2^6 elements pass at 6, and at 5 the last step is
+    # refused
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 6)
+    assert len(_lattice(CI6)) == 64
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 5)
+    with pytest.raises(CapExceededError,
+                       match=r"lcm lattice of 32 elements after 5 of 6 generators could pass the limit 2\^5"):
+        _lattice(CI6)
+    for build in (lcm_lattice, scarf_complex, multigraded_betti, find_covering_pairs):
+        with pytest.raises(CapExceededError, match="could pass the limit"):
+            build(CI6)
 
 
 # --- Scarf -------------------------------------------------------------------

@@ -138,6 +138,7 @@ INT_ENTRY_POINTS = {
     "star_shift_bound": ("a", lambda x: star_shift_bound(*[taylor_complex(KOSZUL2)] * 2, x)),
     "complex_from_json-col": ("col", lambda x: _dump_entry("col", x)),
     "complex_from_json-row": ("row", lambda x: _dump_entry("row", x)),
+    "taylor_complex": ("cap", lambda x: taylor_complex(KOSZUL2, x)),
 }
 
 BAD_INTS = {"float": 2.0, "bool": True, "IntEnum": Small.TWO}
@@ -150,3 +151,11 @@ def test_integer_rule_at_every_entry_point(name, call, bad):
         call(bad)
     assert type(exc.value) is ContractError
     assert f"{name} must be an int" in str(exc.value) and str(exc.value).endswith(f", got {bad!r}")
+
+
+def test_taylor_cap_is_at_least_0():
+    # cap=True once read as 1 (a CapExceededError on 2 generators) and
+    # cap=2.5 ran
+    with pytest.raises(ContractError, match=r"cap must be an int >= 0, got -1"):
+        taylor_complex(KOSZUL2, -1)
+    assert taylor_complex(KOSZUL2, 2).ranks() == (1, 2, 1)

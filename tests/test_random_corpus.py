@@ -218,7 +218,7 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
     fields, memo, dense, lattices = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges"), {}
     for I, alpha, faces in built:
         if I not in lattices:
-            lattices[I] = _lattice(I, I.m)
+            lattices[I] = _lattice(I)
         top = lattices[I][alpha][0]
         taylor = taylor_faces(top, minimal_requirements(I, alpha, top))
         assert set(faces) <= set(taylor), (I, alpha)
