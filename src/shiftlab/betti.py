@@ -87,8 +87,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .complexes import (GENERATOR_CAP, CapExceededError, ShiftProfile, _check_columns, _column_scan,
-                        _columns, _facet_index, _lattice, scarf_complex)
+from .complexes import (ShiftProfile, _check_columns, _check_size, _column_scan, _columns,
+                        _facet_index, _lattice, scarf_complex)
 from .fields import QQ, characteristic, eliminate
 from .monomials import MonomialIdeal, total_degree
 
@@ -339,7 +339,7 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     smaller of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik
     strand when it has at most 2^|supp alpha| faces.  Lyubeznik faces are
     counted first and enumerated only for the strands ranked, if those have
-    at most 2^GENERATOR_CAP faces in all (else CapExceededError).  With
+    at most 2^22 faces in all (else _check_size raises).  With
     shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
     n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
@@ -362,8 +362,7 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
         return BettiTable(I.ring, entries)
     pushes = _lyubeznik_pushes(I, lattice, built)
     most = {alpha: min(pushes.get(alpha, (0,))[0], 1 << sum(map(bool, alpha))) for alpha in built}
-    if (total := sum(most.values())) > 1 << GENERATOR_CAP:
-        raise CapExceededError(f"{total} strand faces to rank pass the limit 2^{GENERATOR_CAP}")
+    _check_size(sum(most.values()), "{} strand faces to rank pass")
     small = {alpha for alpha, n in most.items() if n == pushes.get(alpha, (0,))[0]}
     lyubeznik = _lyubeznik_faces(pushes, small)
     for alpha in built:

@@ -24,7 +24,6 @@ from .checks import (
 )
 from .complexes import (
     CapExceededError,
-    GENERATOR_CAP,
     complex_to_json,
     minimalize,
     scarf_complex,
@@ -56,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _signed_int(text: str) -> int:
     """A seed or an index: ASCII digits after an optional '-', so that a
-    negative index reaches the check that names it.  Counts, exponents and
-    the cap are plain ascii_int."""
+    negative index reaches the check that names it.  Counts and exponents
+    are plain ascii_int."""
     return ascii_int(text, signed=True)
 
 
@@ -79,8 +78,6 @@ def _cover(text: str) -> tuple[tuple[int, ...], int]:
 _COMMON = {
     "field": {"default": "q", "help": "q (rationals) or p:<prime>"},
     "format": {"default": "text", "choices": ["text", "json"]},
-    "cap": {"type": ascii_int, "default": GENERATOR_CAP,
-            "help": "generator count cap for the 2^m Taylor complex"},
 }
 
 
@@ -139,7 +136,7 @@ def build_parser() -> _Parser:
     d.add_argument("ideal")
     d.add_argument("--complex", dest="kind", default="taylor",
                    choices=["taylor", "scarf", "minimal"])
-    _add_common(d, "field", "cap")
+    _add_common(d, "field")
     d.set_defaults(func=cmd_dump)
     return p
 
@@ -302,7 +299,7 @@ def cmd_verify_paper(args) -> int:
 def cmd_dump(args) -> int:
     I = load_ideal(args.ideal)
     field = field_from_spec(args.field)
-    F = scarf_complex(I) if args.kind == "scarf" else taylor_complex(I, args.cap)
+    F = scarf_complex(I) if args.kind == "scarf" else taylor_complex(I)
     if args.kind == "minimal":
         F = minimalize(F, field)
     obj = complex_to_json(F)

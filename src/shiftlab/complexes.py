@@ -35,19 +35,28 @@ from .fields import QQ, characteristic, eliminate
 from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
                         _length_mismatch, _Record, _set, total_degree)
 
-GENERATOR_CAP = 22  # the Taylor cap's default; 2^22 also bounds lattices and strand faces ranked
+GENERATOR_CAP = 22  # the one size limit, 2^22: Taylor faces, lattice elements, strand faces ranked
 
 
 class CapExceededError(RuntimeError):
-    """Past a size limit: the Taylor cap, or 2^GENERATOR_CAP lattice elements or strand faces."""
+    """Over 2^GENERATOR_CAP Taylor faces, lattice elements or strand faces to rank."""
+
+
+def _check_size(count: int, what: str, *args) -> None:
+    """The one size limit: a count above 2^GENERATOR_CAP raises CapExceededError,
+    whose message, what.format(count, *args), is made only then."""
+    if count > 1 << GENERATOR_CAP:
+        raise CapExceededError(f"{what.format(count, *args)} the limit 2^{GENERATOR_CAP}")
 
 
 class BasisElement(_Record):
-    """One free summand: a label (face tuple or opaque id) and its multidegree."""
+    """One free summand: a label (face tuple or opaque id) and its multidegree,
+    checked here, where a complex's multidegrees are made (and then reused)."""
 
     __slots__ = ("label", "mdeg")
 
     def __init__(self, label: tuple, mdeg: tuple):
+        _check_mdeg(mdeg, len(mdeg))
         _set(self, "label", label)
         _set(self, "mdeg", mdeg)
 
@@ -172,12 +181,11 @@ def _lattice(I: MonomialIdeal) -> dict[tuple, tuple[int, int]]:
     to one key at a time; past that it joins one exponent column per
     variable, and one zip turns the columns back into keys, which costs a
     fixed transposition per step but less per element.  A step at most
-    doubles it; CapExceededError refuses it from over 2^(GENERATOR_CAP - 1)."""
+    doubles it, so _check_size refuses it from over 2^(GENERATOR_CAP - 1)."""
     lattice = {I.ring.zero(): (0, 1)}
     for i, g in enumerate(I.gens):
-        if 2 * len(lattice) > 1 << GENERATOR_CAP:
-            raise CapExceededError(f"lcm lattice of {len(lattice)} elements after {i} of {I.m} "
-                                   f"generators could pass the limit 2^{GENERATOR_CAP}")
+        _check_size(2 * len(lattice), "lcm lattice of {1} elements after {2} of {3} generators "
+                    "could pass", len(lattice), i, I.m)
         bit = 1 << i
         if len(lattice) <= SMALL_LATTICE:
             for key, (mask, size) in list(lattice.items()):
@@ -235,7 +243,7 @@ def _face_complex(levels) -> FreeComplex:
     return FreeComplex(modules, diffs)
 
 
-def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
+def taylor_complex(I: MonomialIdeal) -> FreeComplex:
     """The Taylor complex of I: module a has one basis element per a-subset
     of the generators, with multidegree the lcm of its members.
 
@@ -243,10 +251,9 @@ def taylor_complex(I: MonomialIdeal, cap: int = GENERATOR_CAP) -> FreeComplex:
     k-th smallest index carries sign (-1)^(k-1) and monomial
     lcm(F)/lcm(F minus that member).  The result resolves S/I.  Each face
     grows by every generator i past its last member, with lcm the join of
-    its own with g_i, taken once per distinct pair (1259 joins for S14)."""
-    _check_ints(("cap", cap, 0, None))
-    if I.m > cap:
-        raise CapExceededError(f"{I.m} generators exceeds cap {cap}")
+    its own with g_i, taken once per distinct pair (1259 joins for S14),
+    after its 2^m faces pass _check_size."""
+    _check_size(1 << I.m, "Taylor complex of {} faces passes")
 
     def levels():  # one at a time, so the assembler holds no more than two
         level, joined = [(0, (), I.ring.zero())], {}

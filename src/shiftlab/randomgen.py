@@ -8,22 +8,20 @@ from operator import le
 from .monomials import MonomialIdeal, Ring, _check_ints
 
 _VAR_POOL = "abcdefghijklmnopqrstuvwxyz"
+_RETRIES = 200  # draws per ideal before random_ideal returns None
 
 
-def _check_draw(n, m, maxexp, retries, count=0) -> None:
+def _check_draw(n, m, maxexp, count=0) -> None:
     """The draw contract, checked before any draw: 1 <= n <= 26 (the variable
-    pool), m >= 0, maxexp >= 1, retries >= 1 and count >= 0, all ints.  With
-    maxexp = 0 or n < 1 every draw is the zero vector and the antichain loop
-    never ends."""
+    pool), m >= 0, maxexp >= 1 and count >= 0, all ints.  With maxexp = 0 or
+    n < 1 every draw is the zero vector and the antichain loop never ends."""
     _check_ints(("n", n, 1, len(_VAR_POOL)), ("m", m, 0, None), ("maxexp", maxexp, 1, None),
-                ("retries", retries, 1, None), ("count", count, 0, None))
+                ("count", count, 0, None))
 
 
-def random_ideal(
-    rng: random.Random, n: int, m: int, maxexp: int, retries: int = 200
-) -> MonomialIdeal | None:
+def random_ideal(rng: random.Random, n: int, m: int, maxexp: int) -> MonomialIdeal | None:
     """One ideal with exactly m minimal generators in n variables, exponents
-    in [0, maxexp], or None when ``retries`` draws never produce an
+    in [0, maxexp], or None when _RETRIES (200) draws never produce an
     m-element antichain (e.g. m larger than the box allows).
 
     Each draw is m nonzero vectors; it is kept when minimalizing them keeps
@@ -39,10 +37,10 @@ def random_ideal(
     takes the same words, so seeds give the same ideals as before.  A subclass of
     ``random.Random`` that overrides ``random()`` but not ``getrandbits()``
     has a ``randrange`` built on ``random()``, so its stream differs here."""
-    _check_draw(n, m, maxexp, retries)
+    _check_draw(n, m, maxexp)
     ring = Ring(_VAR_POOL[:n])
     bits, k = rng.getrandbits, (maxexp + 1).bit_length()
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         vecs = []
         while len(vecs) < m:
             v = []
@@ -61,14 +59,12 @@ def random_ideal(
     return None
 
 
-def random_ideal_stream(
-    seed: int, count: int, n: int, m: int, maxexp: int, retries: int = 200
-):
+def random_ideal_stream(seed: int, count: int, n: int, m: int, maxexp: int):
     """Deterministic stream of (index, ideal-or-None); one rng drives all draws.
     Bad parameters raise ValueError here, before the stream is iterated."""
-    _check_draw(n, m, maxexp, retries, count)
+    _check_draw(n, m, maxexp, count)
     rng = random.Random(seed)
-    return ((index, random_ideal(rng, n, m, maxexp, retries)) for index in range(count))
+    return ((index, random_ideal(rng, n, m, maxexp)) for index in range(count))
 
 
 def random_corpus(seed: int, count: int, max_n: int = 6, max_m: int = 8, maxexp: int = 4):
@@ -76,7 +72,7 @@ def random_corpus(seed: int, count: int, max_n: int = 6, max_m: int = 8, maxexp:
     [1, max_m], or from [1, min(max_m, 5)] when n = 2 (5 is the width of the
     2-variable box only at the default maxexp = 4).  No other (n, m) is
     capped: one whose box has no m-antichain, or whose antichains are rarely
-    drawn, returns None from ``random_ideal`` after its retries and is
+    drawn, returns None from ``random_ideal`` after its 200 draws and is
     redrawn, and m = 1 always succeeds, so the loop ends.  count >= 0,
     2 <= max_n <= 26, max_m >= 1 and maxexp >= 1 must be ints; they are
     checked before any draw and raise ``ValueError`` otherwise."""

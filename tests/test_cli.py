@@ -14,7 +14,7 @@ import shiftlab.checks
 import shiftlab.cli
 import shiftlab.complexes
 from shiftlab import (CapExceededError, complex_from_json, lcm_lattice, load_ideal, multigraded_betti,
-                      scarf_complex, verify_complex)
+                      scarf_complex, taylor_complex, verify_complex)
 from shiftlab.cli import build_parser, main
 
 FIXDIR = resources.files("shiftlab") / "data"
@@ -186,8 +186,8 @@ def test_check_missing_args_exit4(capsys):
     for opt in (["--at", "\uff11"], ["--at", "1_0"], ["--at", "+1"]):
         rc, out, err = run(capsys, "check", EX2, "range", *pair, *opt)
         assert rc == 4 and out == "" and opt[0] in err, opt
-    rc, out, err = run(capsys, "dump", EX2, "--cap", "2_2")
-    assert rc == 4 and out == "" and "--cap" in err
+    rc, out, err = run(capsys, "check", EX2, "general", "--at", "5", "--p", "2_2")
+    assert rc == 4 and out == "" and "--p" in err
     rc, out, _ = run(capsys, "check", EX2, "general", "--at", "5", "--p", "\uff12")
     assert rc == 4 and out == ""
 
@@ -255,7 +255,7 @@ RANDOM_OK = {"--seed": "1", "--n": "3", "--m": "2", "--maxexp": "2", "--count": 
     ("--seed", "1_0"),
     ("--seed", "\uff11"),
     ("--count", "1_0"),
-    ("--cap", "2_2"),
+    ("--maxexp", "2_2"),
 ])
 def test_random_bad_args_exit4(capsys, opt, value):
     args = {**RANDOM_OK, opt: value}
@@ -366,8 +366,8 @@ def test_deep_json_exit2_without_traceback(tmp_path):
 
 
 def _y_times_square_22(tmp_path):
-    """y*(x, y)^22: 23 generators, one more than the cap, on an lcm lattice
-    of 277 elements."""
+    """y*(x, y)^22: 23 generators, 2^23 Taylor faces, on an lcm lattice of
+    277 elements."""
     big = tmp_path / "big.ideal"
     lines = ["vars: x y"] + [f"x^{23 - k}*y^{k}" for k in range(1, 23)] + ["y^23"]
     big.write_text("\n".join(lines) + "\n")
@@ -375,8 +375,8 @@ def _y_times_square_22(tmp_path):
 
 
 def test_cap_exceeded_exit3(tmp_path, capsys):
-    # the cap bounds the 2^m Taylor complex only: past it Betti, shifts and
-    # Scarf run on the lattice, and dump --complex taylor|minimal exits 3
+    # past 2^22 Taylor faces, Betti, shifts and Scarf still run on the
+    # lattice, and dump --complex taylor|minimal exits 3
     big = _y_times_square_22(tmp_path)
     I = load_ideal(str(big))
     assert len(lcm_lattice(I)) == 276
@@ -391,10 +391,34 @@ def test_cap_exceeded_exit3(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["taylor", "minimal"])
 def test_dump_cap_exceeded_exit3(tmp_path, capsys, kind):
-    # the face builder checks the cap itself, with no lcm table to do it
+    # the Taylor complex checks its 2^m faces before any face is built
     big = _y_times_square_22(tmp_path)
     rc, out, err = run(capsys, "dump", str(big), "--complex", kind)
-    assert rc == 3 and out == "" and "23 generators exceeds cap 22" in err
+    assert rc == 3 and out == ""
+    assert "Taylor complex of 8388608 faces passes the limit 2^22" in err
+
+
+def test_taylor_limit_boundary(tmp_path, capsys, monkeypatch):
+    # at 2^3, 3 generators (8 faces) are admitted and 4 (16) are refused,
+    # through the library and dump, before _face_complex is called
+    three, four = tmp_path / "three.ideal", tmp_path / "four.ideal"
+    three.write_text("vars: a b c d\na\nb\nc\n")
+    four.write_text("vars: a b c d\na\nb\nc\nd\n")
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 3)
+    assert taylor_complex(load_ideal(str(three))).ranks() == (1, 3, 3, 1)
+    for kind in ("taylor", "minimal"):
+        rc, out, _ = run(capsys, "dump", str(three), "--complex", kind)
+        assert rc == 0 and complex_from_json(json.loads(out)).ranks() == (1, 3, 3, 1)
+    calls = Counter()
+    real = shiftlab.complexes._face_complex
+    monkeypatch.setattr(shiftlab.complexes, "_face_complex",
+                        lambda levels: calls.update(["built"]) or real(levels))
+    with pytest.raises(CapExceededError, match=r"^Taylor complex of 16 faces passes the limit 2\^3$"):
+        taylor_complex(load_ideal(str(four)))
+    for kind in ("taylor", "minimal"):
+        rc, out, err = run(capsys, "dump", str(four), "--complex", kind)
+        assert rc == 3 and out == "" and "Taylor complex of 16 faces passes the limit 2^3" in err
+    assert not calls
 
 
 def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
@@ -411,25 +435,28 @@ def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
 
 
 def test_face_limit_exit3(tmp_path, capsys, monkeypatch):
-    # this ideal ranks strands of 8 = 2^3 faces in all: the face limit
-    # admits it at 2^3 and refuses it at 2^2, before any face is grown
-    path = tmp_path / "eight.ideal"
-    path.write_text("vars: x y z\nx^4*y^3*z^2\nx^3*y^2*z^3\nx^2*y^3*z^3\nx^4*y*z^3\nx*y^4*z^2\n")
+    # an edge ideal on 7 vertices: its strands rank 512 = 2^9 faces in all,
+    # and its lattice has at most 107 elements before a generator step, so
+    # the lattice limit admits it at 2^8 and the face limit refuses it there,
+    # before any face is grown
+    edges = "a*b a*c a*d a*e a*f a*g b*e b*f c*d c*f c*g d*e d*f e*f e*g f*g".split()
+    path = tmp_path / "edges7.ideal"
+    path.write_text("\n".join(["vars: a b c d e f g", *edges]) + "\n")
     I = load_ideal(str(path))
     grown = Counter()
     for name in ("_lyubeznik_faces", "_koszul_faces"):
         real = getattr(shiftlab.betti, name)
         monkeypatch.setattr(shiftlab.betti, name,
                             lambda *args, name=name, real=real: grown.update([name]) or real(*args))
-    monkeypatch.setattr(shiftlab.betti, "GENERATOR_CAP", 3)
-    assert multigraded_betti(I).totals() == (1, 5, 5, 1)
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 9)
+    assert multigraded_betti(I).totals() == (1, 16, 46, 59, 40, 14, 2)
     assert grown["_lyubeznik_faces"] == 1
     grown.clear()
-    monkeypatch.setattr(shiftlab.betti, "GENERATOR_CAP", 2)
-    with pytest.raises(CapExceededError, match="8 strand faces to rank pass the limit 2\\^2"):
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 8)
+    with pytest.raises(CapExceededError, match="^512 strand faces to rank pass the limit 2\\^8$"):
         multigraded_betti(I)
     rc, out, err = run(capsys, "betti", str(path))
-    assert rc == 3 and out == "" and "8 strand faces to rank pass the limit 2^2" in err
+    assert rc == 3 and out == "" and "512 strand faces to rank pass the limit 2^8" in err
     assert not grown
 
 
@@ -446,15 +473,16 @@ def test_bad_usage_exit4(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # each of these options was accepted and never read
+    # each of these options was accepted and never read; dump --cap is gone
     ["verify-paper", "--field", "p:3"],
     ["verify-paper", "--cap", "5"],
     ["random", *[x for kv in RANDOM_OK.items() for x in kv], "--format", "text"],
     ["dump", KOSZUL, "--format", "text"],
     ["betti", KOSZUL, "--cap", "5"],
     ["random", *[x for kv in RANDOM_OK.items() for x in kv], "--cap", "5"],
+    ["dump", KOSZUL, "--cap", "5"],
 ], ids=["verify-paper-field", "verify-paper-cap", "random-format", "dump-format", "betti-cap",
-        "random-cap"])
+        "random-cap", "dump-cap"])
 def test_unread_options_exit4(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 4 and out == "" and "unrecognized arguments" in err

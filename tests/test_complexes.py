@@ -40,7 +40,8 @@ from shiftlab import (
 import shiftlab.betti
 import shiftlab.complexes
 from shiftlab.betti import _classify, _equal_masks, _lattice
-from shiftlab.complexes import SMALL_LATTICE, BasisElement, CapExceededError, FreeComplex
+from shiftlab.complexes import (GENERATOR_CAP, SMALL_LATTICE, BasisElement, CapExceededError, FreeComplex,
+                                _check_size)
 from test_betti import minimal_requirements, taylor_faces
 
 RING2 = Ring(["x", "y"])
@@ -81,9 +82,22 @@ def test_taylor_zero_ideal():
     assert F.ranks() == (1,)
 
 
-def test_taylor_cap():
-    with pytest.raises(CapExceededError):
+def test_taylor_cap(monkeypatch):
+    # the Taylor complex takes no size option: its 2^m faces meet the one limit
+    with pytest.raises(TypeError):
         taylor_complex(KOSZUL2, cap=1)
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 1)
+    with pytest.raises(CapExceededError, match=r"^Taylor complex of 4 faces passes the limit 2\^1$"):
+        taylor_complex(KOSZUL2)
+
+
+def test_size_check_formats_its_message_only_when_it_raises(monkeypatch):
+    # "{9}" names no argument, so formatting it would raise IndexError; a
+    # count at the limit is admitted
+    _check_size(1 << GENERATOR_CAP, "{9}")
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 2)
+    with pytest.raises(CapExceededError, match=r"^5 faces of 3 pass the limit 2\^2$"):
+        _check_size(5, "{} faces of {} pass", 3)
 
 
 # --- the lcm lattice and its strata ------------------------------------------------

@@ -10,7 +10,9 @@ from enum import IntEnum
 import pytest
 
 from shiftlab import (
+    BasisElement,
     ContractError,
+    FreeComplex,
     MonomialIdeal,
     PrimeField,
     Ring,
@@ -98,6 +100,15 @@ def test_a_named_multidegree_is_shown_once():
         complex_from_json(_dump_with_basis_mdeg((1, 1, 0)))
 
 
+@pytest.mark.parametrize("bad", [(0.5,), (True,), (-1,)], ids=repr)
+def test_basis_element_checks_its_multidegree(bad):
+    # a FreeComplex on such multidegrees was built, verified and restricted
+    with pytest.raises(ContractError, match=re.escape(f"exponents must be ints >= 0, got {bad!r}")):
+        BasisElement((), bad)
+    with pytest.raises(ContractError):
+        FreeComplex([[BasisElement((), (0,))], [BasisElement((0,), bad)]], [[], [[(0, 1)]]])
+
+
 def test_valid_multidegrees_pass_every_entry_point():
     for name, call in MDEG_ENTRY_POINTS.items():
         if name != "complex_from_json":  # its basis mdeg below is the dump's own
@@ -138,7 +149,6 @@ INT_ENTRY_POINTS = {
     "star_shift_bound": ("a", lambda x: star_shift_bound(*[taylor_complex(KOSZUL2)] * 2, x)),
     "complex_from_json-col": ("col", lambda x: _dump_entry("col", x)),
     "complex_from_json-row": ("row", lambda x: _dump_entry("row", x)),
-    "taylor_complex": ("cap", lambda x: taylor_complex(KOSZUL2, x)),
 }
 
 BAD_INTS = {"float": 2.0, "bool": True, "IntEnum": Small.TWO}
@@ -151,11 +161,3 @@ def test_integer_rule_at_every_entry_point(name, call, bad):
         call(bad)
     assert type(exc.value) is ContractError
     assert f"{name} must be an int" in str(exc.value) and str(exc.value).endswith(f", got {bad!r}")
-
-
-def test_taylor_cap_is_at_least_0():
-    # cap=True once read as 1 (a CapExceededError on 2 generators) and
-    # cap=2.5 ran
-    with pytest.raises(ContractError, match=r"cap must be an int >= 0, got -1"):
-        taylor_complex(KOSZUL2, -1)
-    assert taylor_complex(KOSZUL2, 2).ranks() == (1, 2, 1)

@@ -26,7 +26,6 @@ BAD = [
     dict(n=-1, m=2, maxexp=2),
     dict(n=27, m=2, maxexp=2),  # past the 26-letter variable pool
     dict(n=3, m=-1, maxexp=2),
-    dict(n=3, m=2, maxexp=2, retries=0),
     dict(n=3.0, m=2, maxexp=2),
     dict(n=3, m=True, maxexp=2),
 ]

@@ -54,7 +54,8 @@ def test_equality_is_by_type_and_fields(cls, fields, args, text):
     assert cls(*copy.deepcopy(args)) == r
     if cls is not Ring:  # Ring's one field is validated names
         alt = list(args)
-        alt[-1] = 11 if cls is PrimeField else "different"  # a prime's field is a prime
+        # a prime's field is a prime, and a basis element's mdeg a multidegree
+        alt[-1] = {PrimeField: 11, BasisElement: (1, 2, 4)}.get(cls, "different")
         assert cls(*alt) != r
 
 
