@@ -84,13 +84,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from operator import or_
 
 from .complexes import (ShiftProfile, _check_columns, _check_size, _column_scan, _columns,
                         _facet_index, _lattice, scarf_complex)
 from .fields import QQ, characteristic, eliminate
-from .monomials import MonomialIdeal, total_degree
+from .monomials import MonomialIdeal
 
 
 def rank_exact(M, field=QQ) -> int:
@@ -98,11 +97,10 @@ def rank_exact(M, field=QQ) -> int:
     columns in the ``FreeComplex.diffs`` format, a sequence of (row, coeff)
     pairs each.  Columns keep the column rule (complexes._repeated_row), or
     ContractError: no row twice, each coeff an int (or over QQ a Fraction), read mod
-    p over GF(p).  One sparse elimination serves both fields.  It pivots on
-    the lightest live column, in the row with the fewest live entries among
-    that column's units (±1 over QQ, any nonzero over GF(p)), or among all
-    its entries when it has none, and clears that row with
-    ``fields.eliminate``.  The argument is never modified.
+    p over GF(p).  One sparse elimination serves both fields.  It takes the
+    live columns in turn and pivots on the column's first ±1 entry over QQ
+    (any entry when it has none) and on any entry over GF(p), and clears
+    that row with ``fields.eliminate``.  The argument is never modified.
     """
     p = characteristic(field)
     lines: dict[int, dict] = {}
@@ -114,27 +112,15 @@ def rank_exact(M, field=QQ) -> int:
             lines[j] = line
             for r in line:
                 index[r].add(j)
-    nrows = len(index)  # the rank is at most this: fill-in opens no new row
-    heap = [(len(line), j) for j, line in lines.items()]
-    heapify(heap)
     rank = 0
     while lines:
-        n, j = heappop(heap)
-        piv = lines.get(j)
-        if piv is None or len(piv) != n:
-            continue  # a stale heap entry
-        del lines[j]
+        j, piv = lines.popitem()
         rank += 1
-        if not lines or rank == nrows:
-            break
         for r in piv:
             index[r].discard(j)
-        units = piv if p else [r for r, x in piv.items() if x == 1 or x == -1]
-        c = min(units or piv, key=lambda r: len(index[r]))
+        c = next((r for r, x in piv.items() if p or x == 1 or x == -1), next(iter(piv)))
         for k in eliminate(piv, c, lines, index, p):
-            if size := len(lines[k]):
-                heappush(heap, (size, k))
-            else:
+            if not lines[k]:
                 del lines[k]
     return rank
 
@@ -168,7 +154,7 @@ class BettiTable:
         """Project to total degree: (a, d) -> sum of ranks."""
         out: dict[tuple[int, int], int] = defaultdict(int)
         for (a, mdeg), r in self.entries.items():
-            out[(a, total_degree(mdeg))] += r
+            out[(a, sum(mdeg))] += r
         return dict(out)
 
     def support_at(self, a: int) -> list[tuple]:
@@ -177,7 +163,7 @@ class BettiTable:
     def shift_profile(self) -> ShiftProfile:
         shifts = [0] * (self.projdim + 1)
         for (a, mdeg), _ in self.entries.items():
-            shifts[a] = max(shifts[a], total_degree(mdeg))
+            shifts[a] = max(shifts[a], sum(mdeg))
         return ShiftProfile(tuple(shifts))
 
     def __eq__(self, other):

@@ -33,7 +33,7 @@ from operator import itemgetter, le
 
 from .fields import QQ, characteristic, eliminate
 from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
-                        _length_mismatch, _Record, _set, total_degree)
+                        _length_mismatch, _Record, _set)
 
 GENERATOR_CAP = 22  # the one size limit, 2^22: Taylor faces, lattice elements, strand faces ranked
 
@@ -62,7 +62,7 @@ class BasisElement(_Record):
 
     @property
     def degree(self) -> int:
-        return total_degree(self.mdeg)
+        return sum(self.mdeg)
 
 
 class ShiftProfile(_Record):
@@ -613,12 +613,16 @@ def complex_from_json(obj: dict) -> FreeComplex:
     basis = [be for mod in obj["modules"] for be in mod]
     if any(type(be.get("label")) is not list or type(be.get("mdeg")) is not list for be in basis):
         raise ValueError("dump basis labels and basis mdegs must be lists")
-    for be in basis:
-        _check_mdeg(be["mdeg"], len(basis[0]["mdeg"]), "dump basis mdegs")
-    modules = [
-        [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
-        for mod in obj["modules"]
-    ]
+    for be in basis:  # the lengths here; BasisElement checks the values
+        if (k := len(be["mdeg"])) != (n := len(basis[0]["mdeg"])):
+            _length_mismatch(n, k, f"dump basis mdegs {tuple(be['mdeg'])}: ")
+    try:
+        modules = [
+            [BasisElement(tuple(be["label"]), tuple(be["mdeg"])) for be in mod]
+            for mod in obj["modules"]
+        ]
+    except ContractError as exc:
+        raise ContractError(f"dump basis mdegs {exc}") from None
     diffs, shared = [], {}  # shared: (row, coeff text) -> its one entry
     for a, level in enumerate(obj["differentials"]):
         cols = [[] for _ in modules[a]] if a else []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from importlib import resources
 
 from .betti import multigraded_betti
 from .checks import check_multiple, find_covering_pairs
@@ -25,7 +24,6 @@ from .monomials import (
     is_covering_pair,
     height,
     load_ideal,
-    loads_ideal,
     parse_monomial,
     restrict_ideal,
     total_degree,
@@ -59,11 +57,11 @@ CROSSCHECK_PRIME = 32003
 
 
 def load_fixture(name: str, fixtures_dir: str | None = None) -> MonomialIdeal:
-    """The fixture ``name`` from ``fixtures_dir`` through load_ideal, the one
-    reader of ideal files, or else the copy bundled with the package."""
-    if fixtures_dir is not None:
-        return load_ideal(os.path.join(fixtures_dir, name))
-    return loads_ideal((resources.files("shiftlab") / "data" / name).read_text(encoding="utf-8"))
+    """The fixture ``name`` from ``fixtures_dir``, or else the copy bundled
+    with the package, through load_ideal, the one reader of ideal files."""
+    if fixtures_dir is None:
+        fixtures_dir = os.path.join(os.path.dirname(__file__), "data")
+    return load_ideal(os.path.join(fixtures_dir, name))
 
 
 def example1(fixtures_dir: str | None = None) -> MonomialIdeal:

@@ -216,11 +216,13 @@ def join(a: Multidegree, b: Multidegree) -> Multidegree:
 
 
 def total_degree(a: Multidegree) -> int:
+    _check_mdeg(a, len(a))
     return sum(a)
 
 
 def support(a: Multidegree) -> tuple[int, ...]:
     """Indices of the variables that occur in the monomial."""
+    _check_mdeg(a, len(a))
     return tuple(i for i, e in enumerate(a) if e)
 
 

@@ -175,6 +175,14 @@ def dense_rank(M, field=QQ) -> int:
     return _rank_bareiss(rows)
 
 
+def column_orders(cols, rng) -> list[list]:
+    """cols as given, reversed and shuffled by rng: rank_exact takes the live
+    columns in turn, so its pivots follow the column order."""
+    shuffled = list(cols)
+    rng.shuffle(shuffled)
+    return [list(cols), cols[::-1], shuffled]
+
+
 def _low_rank_product(rng, entries):
     """An m x n integer matrix A·B through an inner size k, so the rank is
     often below both dimensions."""
@@ -197,16 +205,17 @@ def test_rank_random_vs_rational_elimination():
 def test_rank_int_and_fraction_entries_agree():
     # low-rank products with many zeros, so that pivots grow, columns are
     # skipped and the rank is often below both dimensions; over QQ the same
-    # matrix with Fraction entries has the same rank, and over GF(3) it is
-    # refused
+    # matrix with Fraction entries has the same rank in every column order,
+    # and over GF(3) it is refused
     import random
 
-    rng = random.Random(11)
+    rng, order_rng = random.Random(11), random.Random(12)
     for _ in range(150):
         M = _low_rank_product(rng, (0, 0, 0, 1, -1, 2, -3))
-        assert rank_exact(columns(M)) == _rank_by_fraction_elimination(M), M
+        rank = _rank_by_fraction_elimination(M)
         fractions = columns([[Fraction(x) for x in row] for row in M])
-        assert rank_exact(fractions) == rank_exact(columns(M)), M
+        for cols in column_orders(columns(M), order_rng) + column_orders(fractions, order_rng):
+            assert rank_exact(cols) == rank, (M, cols)
         with pytest.raises(TypeError):
             rank_exact(fractions, PrimeField(3))
 
@@ -225,14 +234,16 @@ def test_rank_matches_dense_oracle(field):
     # no ±1 among the factors' entries, so over QQ most pivots are not units
     # and take the Fraction(1, v) inverse; 32003 and -64006 put entries >= p
     # and negative multiples of p into the products.  rank_exact and
-    # minimalize share one elimination step: both must match the oracle.
+    # minimalize share one elimination step: both must match the oracle,
+    # rank_exact in every column order.
     import random
 
-    rng = random.Random(20261018)
+    rng, order_rng = random.Random(20261018), random.Random(20261019)
     for _ in range(400):
         M = _low_rank_product(rng, (0, 0, 0, 2, -3, 4, 6, 32003, -64006))
         rank, d1 = dense_rank(M, field), columns(M)
-        assert rank_exact(d1, field) == rank, M
+        for cols in column_orders(d1, order_rng):
+            assert rank_exact(cols, field) == rank, (M, cols)
         F = _one_degree_complex(d1, len(M))
         Mn = minimalize(F, field)
         assert sum(F.ranks()) - sum(Mn.ranks()) == 2 * rank, M

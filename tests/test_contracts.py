@@ -35,8 +35,12 @@ from shiftlab import (
     restrict_complex,
     restrict_ideal,
     star_shift_bound,
+    support,
     taylor_complex,
+    total_degree,
 )
+import shiftlab.complexes
+from shiftlab.golden import example2
 from shiftlab.monomials import generators_below
 
 RING2 = Ring(["x", "y"])
@@ -100,11 +104,25 @@ def test_a_named_multidegree_is_shown_once():
         complex_from_json(_dump_with_basis_mdeg((1, 1, 0)))
 
 
+def test_a_loaded_dump_checks_each_multidegree_once(monkeypatch):
+    # the dump's own loop checks the lengths only; BasisElement checks the
+    # values, once for each of the 32 basis elements of ex2's Taylor complex
+    calls, real = [], shiftlab.complexes._check_mdeg
+    monkeypatch.setattr(shiftlab.complexes, "_check_mdeg", lambda *a: calls.append(a) or real(*a))
+    text = dumps_complex(taylor_complex(example2()))
+    calls.clear()
+    complex_from_json(json.loads(text))
+    assert len(calls) == 32
+
+
 @pytest.mark.parametrize("bad", [(0.5,), (True,), (-1,)], ids=repr)
 def test_basis_element_checks_its_multidegree(bad):
-    # a FreeComplex on such multidegrees was built, verified and restricted
-    with pytest.raises(ContractError, match=re.escape(f"exponents must be ints >= 0, got {bad!r}")):
-        BasisElement((), bad)
+    # a FreeComplex on such multidegrees was built, verified and restricted;
+    # total_degree and support, which read the length off the argument too,
+    # gave 0.5 and (0,) on the first two
+    for call in (lambda v: BasisElement((), v), total_degree, support):
+        with pytest.raises(ContractError, match=re.escape(f"exponents must be ints >= 0, got {bad!r}")):
+            call(bad)
     with pytest.raises(ContractError):
         FreeComplex([[BasisElement((), (0,))], [BasisElement((0,), bad)]], [[], [[(0, 1)]]])
 

@@ -233,6 +233,22 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
         assert [{s + 1: d for s, d in h.items()} for h in koszul] == homology, (I, alpha)
 
 
+@pytest.mark.parametrize("name, non_units", [("corpus", 0), ("ex1", 0), ("ex2", 0), ("S13", 0),
+                                             ("S14", 0), ("rp2", 1)])
+def test_rank_pivots_over_qq_are_units(name, non_units, corpus, ex1, ex2, rp2, monkeypatch):
+    # over QQ rank_exact pivots on a ±1 entry whenever its column has one; on
+    # these ideals every column has one, so every elimination is unimodular
+    # and the rank is the same mod every prime, except for the one non-unit
+    # pivot of RP^2, whose table over GF(2) differs
+    pivots, real = [], shiftlab.betti.eliminate
+    monkeypatch.setattr(shiftlab.betti, "eliminate",
+                        lambda piv, c, *rest: pivots.append(piv[c]) or real(piv, c, *rest))
+    for I in [rp2] if name == "rp2" else _ideals(name, corpus, ex1, ex2):
+        multigraded_betti(I, QQ)
+    assert pivots
+    assert sum(v not in (1, -1) for v in pivots) == non_units
+
+
 def _verdicts(I) -> list[tuple]:
     """(alpha, stratum, verdict of _classify) at every alpha of the lcm lattice."""
     eq = _equal_masks(I)
