@@ -23,7 +23,6 @@ entry.
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 from bisect import bisect_right
@@ -95,18 +94,23 @@ class ShiftProfile(_Record):
 class FreeComplex(_Frozen):
     """Finite complex of multigraded free modules with sparse differentials.
 
-    The constructor is the one place a complex is checked: module 0, one
-    differential slot per module (``diffs[0]`` empty), one column per basis
-    element, and basis multidegrees of one length (else ``length mismatch:
-    n vs k``, the two shortest).  It drops trailing empty modules (module 0
-    stays) and stores each column as a tuple (a tuple is kept, not copied).
+    The constructor is the one place the shape of a complex is checked:
+    module 0, one differential slot per module (``diffs[0]`` empty), one
+    column per basis element, and basis multidegrees of one length (else
+    ``length mismatch: n vs k``, the two shortest).  It drops trailing empty
+    modules (module 0 stays) and stores each column as a tuple (a tuple is
+    kept, not copied).  The rows the entries name are checked once per
+    complex, with the column rule, in the scan kept on it (``_scan``):
+    minimalize and is_minimal raise on a row that is no index of the module
+    one level down (_check_rows); verify_complex reports a row out of range
+    from its own pass.
 
     A complex is immutable all the way down: ``modules`` is a tuple of
     tuples of immutable basis elements, ``diffs`` a tuple of tuples of
     column tuples of ``(row, coeff)`` entries, and no field can be assigned
     or deleted.  So the shape stays as checked, and what is kept on the
     complex on first use never goes stale: the index restrict_complex reads
-    (``_index``) and the scan the column rule reads (``_scan``).  The
+    (``_index``) and the scan the column and row rules read (``_scan``).  The
     entries are kept as given, unchecked (a Taylor complex on 14 generators
     has 114688), so they must be tuples, as every builder makes them: a list
     entry would stay mutable.  Being immutable, one entry tuple may stand in
@@ -400,11 +404,25 @@ def _column_scan(levels) -> tuple[frozenset, tuple | None]:
 
 
 def _scanned(F: FreeComplex) -> tuple:
-    """The _column_scan of F's columns, made on first use and kept on F
-    (F cannot change), so each complex is scanned once."""
+    """What the column and row rules read of F, made on first use and kept
+    on F (F cannot change), so each complex is scanned once: the
+    _column_scan of its columns, and the (level, column, row) of the first
+    entry of a d_a whose row is no index of module a-1, or None."""
     if F._scan is None:
-        _set(F, "_scan", _column_scan(F.diffs))
+        stray = ((a, j, row) for a, n in enumerate(map(len, F.modules[:-1]), 1)
+                 for j, col in enumerate(F.diffs[a])
+                 for row, _ in col if type(row) is not int or not 0 <= row < n)
+        _set(F, "_scan", (_column_scan(F.diffs), next(stray, None)))
     return F._scan
+
+
+def _check_rows(F: FreeComplex) -> None:
+    """The row rule of a complex, read off its scan (_scanned): each row of
+    d_a an int in range(len(module a-1)), else ContractError naming the
+    level, column and row."""
+    if at := _scanned(F)[1]:
+        raise ContractError("level %d column %d has row %r, not an int in range(%d)"
+                            % (*at, len(F.modules[at[0] - 1])))
 
 
 def _repeated_row(scan: tuple, p: int) -> tuple | None:
@@ -435,7 +453,7 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
     p = characteristic(field)
-    if at := _repeated_row(_scanned(F), p):
+    if at := _repeated_row(_scanned(F)[0], p):
         return VerifyReport(False, "column repeats a row", at)
     for a in range(1, len(F.modules)):
         below = [be.mdeg for be in F.modules[a - 1]]
@@ -468,7 +486,10 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
 
 
 def is_minimal(F: FreeComplex) -> bool:
-    """Minimal means no nonzero entry joins a row and column of equal multidegree."""
+    """Minimal means no nonzero entry joins a row and column of equal
+    multidegree.  The rows must keep the row rule (_check_rows), else
+    ContractError."""
+    _check_rows(F)
     return not any(
         coeff != 0 and F.modules[a - 1][row].mdeg == F.modules[a][j].mdeg
         for a in range(1, len(F.modules))
@@ -498,41 +519,41 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     Homology is unchanged; on a resolution the output is minimal, so its
     ranks are the Betti numbers.
 
-    Pivots are taken smallest (level, row, column) first, which makes the
-    output deterministic; surviving basis elements keep their input labels.
-    The columns must keep the column rule (_repeated_row), else
-    ContractError; over GF(p) coefficients are read mod p.  Over QQ only a
-    non-unit pivot c brings in a Fraction, as Fraction(1, c).
+    F must be homogeneous, as every builder makes it and verify_complex
+    checks.  Each level is then one pass over its rows in increasing order,
+    pivoting at row g on its smallest column f of equal multidegree, if
+    any.  That leaves no pivot behind, because a pivot made by cancelling
+    (g, f) sits at some (g2, f2) with mdeg(g2) <= mdeg(f) = mdeg(g) <=
+    mdeg(f2), all equal, so (g2, f) was a pivot too and g2 > g.
+
+    The pivots follow (level, row, column) order, which makes the output
+    deterministic; surviving basis elements keep their input labels.  The
+    rows must keep the row rule (_check_rows) and the columns the column
+    rule (_repeated_row), else ContractError; over GF(p) coefficients are
+    read mod p.  Over QQ only a non-unit pivot c brings in a Fraction, as
+    Fraction(1, c).
     """
     p = characteristic(field)
-    _check_columns(_scanned(F), p)
+    _check_rows(F)
+    _check_columns(_scanned(F)[0], p)
     dead = [set() for _ in F.modules]  # the cancelled elements of each module
     cols = [[]]  # cols[a][f]: the live entries {row: coeff} of column f of d_a
     for a in range(1, len(F.modules)):
-        gone, below, here = dead[a - 1], F.modules[a - 1], F.modules[a]
-        level, rows, heap = [{} for _ in here], {}, []
+        gone, below, here = dead[a - 1], F.modules[a - 1], [be.mdeg for be in F.modules[a]]
+        level, rows = [{} for _ in here], {}
         for f, col in enumerate(F.diffs[a]):
             for g, coeff in col:
                 c = coeff % p if p else coeff
                 if c and g not in gone:
                     level[f][g] = c
                     rows.setdefault(g, set()).add(f)
-                    if below[g].mdeg == here[f].mdeg:
-                        heap.append((g, f))
-        heapq.heapify(heap)
-        while heap:
-            g, f = heapq.heappop(heap)
-            if g not in level[f]:  # cancelled, or eliminated since it was pushed
+        for g in sorted(rows):  # no pivot is left behind: see the docstring
+            if (f := min((j for j in rows[g] if here[j] == below[g].mdeg), default=None)) is None:
                 continue
             pivot, level[f] = level[f], {}
             for g2 in pivot:
                 rows[g2].discard(f)
-            changed = eliminate(pivot, g, level, rows, p)
-            for g2 in pivot:  # the pivot's few other entries outside the many changed columns
-                mdeg = below[g2].mdeg
-                for f2 in changed:
-                    if here[f2].mdeg == mdeg:
-                        heapq.heappush(heap, (g2, f2))
+            eliminate(pivot, g, level, rows, p)
             dead[a].add(f)
             gone.add(g)
         cols.append(level)

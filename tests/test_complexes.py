@@ -1,7 +1,10 @@
 import copy
 import hashlib
+import heapq
 import json
 import pickle
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (
+    ContractError,
     MonomialIdeal,
     QQ,
     PrimeField,
@@ -42,7 +46,8 @@ import shiftlab.complexes
 from shiftlab.betti import _classify, _equal_masks, _lattice
 from shiftlab.complexes import (GENERATOR_CAP, SMALL_LATTICE, BasisElement, CapExceededError, FreeComplex,
                                 _check_size)
-from test_betti import minimal_requirements, taylor_faces
+from shiftlab.fields import characteristic, eliminate
+from test_betti import _low_rank_product, _one_degree_complex, columns, minimal_requirements, taylor_faces
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -591,6 +596,32 @@ def test_verify_detects_row_out_of_range(row):
     assert rep.location == (2, 0, row)
 
 
+@pytest.mark.parametrize("row", [-1, 2, 1.0, True], ids=repr)
+def test_minimalize_and_is_minimal_refuse_a_row_out_of_range(row):
+    # module 1 of KOSZUL2's Taylor complex has 2 elements: -1 and 2 are no
+    # index of it, nor are 1.0 and True, though each equals 1
+    F = taylor_complex(KOSZUL2)
+    F = with_entry(F, 2, 0, 1, (row, F.diffs[2][0][1][1]))
+    message = rf"^level 2 column 0 has row {re.escape(repr(row))}, not an int in range\(2\)$"
+    for field in (QQ, PrimeField(3)):
+        with pytest.raises(ContractError, match=message):
+            minimalize(F, field)
+    with pytest.raises(ContractError, match=message):
+        is_minimal(F)
+
+
+def test_minimalize_refuses_a_negative_row():
+    # d1(f) = 1 * row -1, with f and e1 of multidegree x: minimalize once
+    # cancelled f through below[-1] = e1, kept e1 and returned ranks (2,),
+    # which changed the homology; is_minimal read row -1 as e1 too
+    F = line_complex([[0, 1], [1]], [[], [[(-1, 1)]]])
+    rep = verify_complex(F)
+    assert (rep.ok, rep.problem, rep.location) == (False, "row index out of range", (1, 0, -1))
+    for routine in (minimalize, is_minimal):
+        with pytest.raises(ContractError, match=r"^level 1 column 0 has row -1, not an int in range\(2\)$"):
+            routine(F)
+
+
 def verify_oracle(F, p=0):
     """verify_complex before its row multidegrees were hoisted: divides per
     entry, d∘d by indexing; the checks and their order are the same.  A
@@ -852,13 +883,22 @@ def test_float_and_bool_coefficients_raise(coeff, field):
             routine(F, field)
 
 
-def test_minimalize_non_unit_pivot():
-    # d1(f0) = 2e0 + x e1, d1(f1) = 4e0 + 2x e1, d2(h) = 2f0 - f1: the first
-    # pivot is the equal-degree entry 2, which no corpus ideal reaches
-    F = line_complex(
+def non_unit_pivot_complex():
+    """d1(f0) = 2e0 + x e1, d1(f1) = 4e0 + 2x e1, d2(h) = 2f0 - f1."""
+    return line_complex(
         [[1, 0], [1, 1], [1]],
         [[], [[(0, 2), (1, 1)], [(0, 4), (1, 2)]], [[(0, 2), (1, -1)]]],
     )
+
+
+def fraction_pivot_complex():
+    """d1(f0) = 2e0 + x e1, d1(f1) = e0."""
+    return line_complex([[1, 0], [1, 1]], [[], [[(0, 2), (1, 1)], [(0, 1)]]])
+
+
+def test_minimalize_non_unit_pivot():
+    # the first pivot is the equal-degree entry 2, which no corpus ideal reaches
+    F = non_unit_pivot_complex()
     assert verify_complex(F, QQ).ok
     M = minimalize(F, QQ)  # cancels (e0, f0) with Fraction(1, 2), then (f1, h)
     assert M.ranks() == (1,) and [be.label for be in M.modules[0]] == [(0, 1)]
@@ -871,14 +911,157 @@ def test_minimalize_non_unit_pivot():
 
 
 def test_minimalize_non_unit_pivot_leaves_fraction():
-    # d1(f0) = 2e0 + x e1, d1(f1) = e0: cancelling (e0, f0) leaves
-    # d1(f1) = -1/2 x e1, which survives a dump round trip
-    F = line_complex([[1, 0], [1, 1]], [[], [[(0, 2), (1, 1)], [(0, 1)]]])
+    # cancelling (e0, f0) leaves d1(f1) = -1/2 x e1, which survives a dump
+    # round trip
+    F = fraction_pivot_complex()
     M = minimalize(F, QQ)
     assert M.diffs[1] == (((0, Fraction(-1, 2)),),) and coeff_types(M) == {Fraction}
     assert complex_from_json(json.loads(dumps_complex(M))).diffs == M.diffs
     M2 = minimalize(F, PrimeField(2))
     assert M2.ranks() == (1, 1) and M2.diffs[1] == (((0, 1),),)
+
+
+# --- the heap oracle of minimalize ----------------------------------------------------
+
+def heap_minimalize(F, field=QQ):
+    """minimalize as it was before its one pass per level over the rows: a
+    heap of the unit entries, popped smallest (row, column) first, skipping
+    stale ones and pushing the units each elimination leaves in the changed
+    columns.  Returns the complex and its pivots in the order popped, each
+    as (level, row, column, created), where created says the unit was not
+    in the level's first heap.  F must keep the row and column rules."""
+    p = characteristic(field)
+    dead = [set() for _ in F.modules]
+    cols = [[]]
+    pivots = []
+    for a in range(1, len(F.modules)):
+        gone, below, here = dead[a - 1], F.modules[a - 1], F.modules[a]
+        level, rows, heap = [{} for _ in here], {}, []
+        for f, col in enumerate(F.diffs[a]):
+            for g, coeff in col:
+                c = coeff % p if p else coeff
+                if c and g not in gone:
+                    level[f][g] = c
+                    rows.setdefault(g, set()).add(f)
+                    if below[g].mdeg == here[f].mdeg:
+                        heap.append((g, f))
+        first = set(heap)
+        heapq.heapify(heap)
+        while heap:
+            g, f = heapq.heappop(heap)
+            if g not in level[f]:
+                continue
+            pivots.append((a, g, f, (g, f) not in first))
+            pivot, level[f] = level[f], {}
+            for g2 in pivot:
+                rows[g2].discard(f)
+            changed = eliminate(pivot, g, level, rows, p)
+            for g2 in pivot:
+                mdeg = below[g2].mdeg
+                for f2 in changed:
+                    if here[f2].mdeg == mdeg:
+                        heapq.heappush(heap, (g2, f2))
+            dead[a].add(f)
+            gone.add(g)
+        cols.append(level)
+    modules, diffs, index = [], [], {}
+    for a, mod in enumerate(F.modules):
+        alive = [j for j in range(len(mod)) if j not in dead[a]]
+        modules.append([mod[j] for j in alive])
+        diffs.append([tuple([(index[g], cols[a][j][g]) for g in sorted(cols[a][j])])
+                      for j in alive] if a else [])
+        index = {j: i for i, j in enumerate(alive)}
+    return FreeComplex(modules, diffs), pivots
+
+
+def created_unit_complex():
+    """d1(f0) = e0 + e1 and d1(f1) = e0 + x e2, with e2 of multidegree 1 and
+    the rest of multidegree x.  Row 1's one unit is in column f0, the pivot
+    column of row 0, whose elimination makes d1(f1) = -e1 + x e2: row 1 is
+    left with the unit that step created."""
+    return line_complex([[1, 1, 0], [1, 1]], [[], [[(0, 1), (1, 1)], [(0, 1), (2, 1)]]])
+
+
+def assert_minimalize_matches_heap_oracle(F, field) -> list:
+    """minimalize(F, field) equals the heap oracle's complex, coefficient
+    types included (1 == Fraction(1)), and within each level the oracle's
+    pivots come in strictly increasing row order.  Returns those pivots."""
+    M = minimalize(F, field)
+    O, pivots = heap_minimalize(F, field)
+    assert (M.modules, M.diffs) == (O.modules, O.diffs)
+    types = lambda F: [[[type(c) for _, c in col] for col in level] for level in F.diffs]
+    assert types(M) == types(O)
+    for a in range(1, len(F.modules)):
+        rows = [g for level, g, _, _ in pivots if level == a]
+        assert rows == sorted(set(rows)), (a, rows)
+    return pivots
+
+
+GF2, GF3, GF32003 = PrimeField(2), PrimeField(3), PrimeField(32003)
+
+
+def heap_oracle_inputs(name, corpus, ex1, ex2, rp2):
+    """(complex, field) pairs of one group of the heap-oracle test."""
+    fields = (QQ, GF2, GF3, GF32003)
+    if name == "corpus":
+        return [(taylor_complex(I), field) for I in corpus for field in fields]
+    if name in ("ex1", "ex2", "S13", "S14"):
+        I = {"ex1": ex1, "ex2": ex2}.get(name) or load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))
+        T = taylor_complex(I)
+        return [(T, field) for field in (fields if name in ("ex1", "ex2") else (QQ, GF32003))]
+    if name == "rp2":
+        return [(taylor_complex(rp2), field) for field in (QQ, GF2)]
+    if name == "scarf":
+        return [(scarf_complex(I), field) for I in (*corpus, ex1, ex2) for field in (QQ, GF2)]
+    if name == "restricted":
+        # ex2 below every lattice element, ex1 and each corpus ideal below a seeded one
+        rng, pairs = random.Random(20261020), [(ex2, alpha) for alpha in lcm_lattice(ex2)]
+        pairs += [(I, rng.choice(lattice)) for I in (ex1, *corpus) if (lattice := lcm_lattice(I))]
+        return [(restrict_complex(taylor_complex(I), alpha), field)
+                for I, alpha in pairs for field in (QQ, GF2)]
+    if name == "one_degree":
+        # the matrices of test_betti.py's test_rank_matches_dense_oracle
+        pairs = []
+        for field in fields:
+            rng = random.Random(20261018)
+            for _ in range(400):
+                M = _low_rank_product(rng, (0, 0, 0, 2, -3, 4, 6, 32003, -64006))
+                pairs.append((_one_degree_complex(columns(M), len(M)), field))
+        return pairs
+    hand_built = (non_unit_pivot_complex(), fraction_pivot_complex(), created_unit_complex())
+    return [(F, field) for F in hand_built for field in fields]
+
+
+# group -> (the heap oracle's pivots, those on units an elimination created),
+# summed over the group's complexes and fields.  A Scarf complex is minimal
+# already: no facet of a Scarf face has its lcm.
+HEAP_ORACLE_PIVOTS = {
+    "corpus": (28380, 1924), "ex1": (6608, 440), "ex2": (24, 0), "S13": (8066, 458),
+    "S14": (16212, 408), "rp2": (991, 152), "scarf": (0, 0), "restricted": (1222, 58),
+    "one_degree": (3860, 361), "hand_built": (19, 4),
+}
+
+
+@pytest.mark.parametrize("name", HEAP_ORACLE_PIVOTS)
+def test_minimalize_matches_the_heap_oracle(name, corpus, ex1, ex2, rp2):
+    # one pass over the rows of each level in increasing order makes the
+    # heap's pivots in the heap's order, so the output is the same complex.
+    # The pivots on created units show that the docstring's argument is
+    # exercised, not only its base case.
+    pivots = [pivot for F, field in heap_oracle_inputs(name, corpus, ex1, ex2, rp2)
+              for pivot in assert_minimalize_matches_heap_oracle(F, field)]
+    assert (len(pivots), sum(pivot[3] for pivot in pivots)) == HEAP_ORACLE_PIVOTS[name]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF32003], ids=str)
+def test_minimalize_cancels_a_unit_that_an_elimination_creates(field):
+    F = created_unit_complex()
+    assert verify_complex(F, field).ok
+    assert heap_minimalize(F, field)[1] == [(1, 0, 0, False), (1, 1, 1, True)]
+    assert_minimalize_matches_heap_oracle(F, field)
+    M = minimalize(F, field)
+    assert M.ranks() == (1,) and [be.label for be in M.modules[0]] == [(0, 2)]
+    assert M.diffs == ((),) and is_minimal(M) and verify_complex(M, field).ok
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
