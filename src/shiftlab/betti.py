@@ -3,11 +3,16 @@
 Every Betti multidegree of S/I is the lcm of a set of generators
 (Gasharov-Peeva-Welker, Math. Res. Lett. 6, 1999), so the engine walks the
 lcm lattice.  complexes._lattice builds it by join closure, one generator
-at a time (per key while the lattice is small, per exponent column past
-complexes.SMALL_LATTICE elements), and carries at each alpha the bitmask
-G_alpha of the generators <= alpha and the number of generator subsets
-whose lcm is alpha; time and memory follow the lattice, not the 2^m
-subsets.
+at a time, and carries at each alpha the bitmask G_alpha of the generators
+<= alpha and the number of generator subsets whose lcm is alpha; time and
+memory follow the lattice, not the 2^m subsets.  Inside the engine every
+multidegree is one packed int, a W-byte field per variable whose top bit,
+the guard bit, is 0 (see _lattice); the lattice and _lyubeznik_pushes join
+with its one SWAR max, and sorted ints are sorted tuples.  Tuples are made
+only where a multidegree leaves the engine: the table keys written, the
+alpha that _classify reads (strata of three or more faces) and
+_koszul_faces reads with its support, the Scarf basis, lcm_lattice and the
+covering-pair candidates.
 
 Most strands are read off without building anything.  The Taylor strand at
 alpha, the generator subsets whose lcm is exactly alpha, is the set of
@@ -127,7 +132,8 @@ def rank_exact(M, field=QQ) -> int:
 
 def lcm_lattice(I: MonomialIdeal) -> list[tuple]:
     """All distinct lcms of nonempty generator subsets, sorted lexicographically."""
-    return sorted(alpha for alpha, (mask, _) in _lattice(I).items() if mask)
+    lattice, _, _, unpack = _lattice(I)
+    return [unpack(key) for key in sorted(lattice) if lattice[key][0]]
 
 
 class BettiTable:
@@ -244,7 +250,7 @@ def _koszul_faces(gens, alpha: tuple) -> list[int]:
     return sorted(faces)
 
 
-def _lyubeznik_pushes(I: MonomialIdeal, lattice: dict, wanted) -> dict:
+def _lyubeznik_pushes(lattice: dict, gens: list, join, wanted) -> dict:
     """beta -> (the number of Lyubeznik faces with lcm beta, the pushes
     (alpha, 1 << i) out of beta), in sorted order, for every element reached
     below some alpha in wanted.
@@ -257,14 +263,14 @@ def _lyubeznik_pushes(I: MonomialIdeal, lattice: dict, wanted) -> dict:
     min G_(beta v g_i) = i, one join per pair.  A push goes only into an
     element below some wanted alpha, that is, whose G lies in that alpha's
     G.  Each element reached keeps the inclusion-maximal wanted G above it,
-    and only their members are tried as i."""
-    zero, gens = I.ring.zero(), I.gens
-    count = {zero: 1}  # the empty face, the one face of lcm 0
+    and only their members are tried as i.  Elements are packed: lattice,
+    gens and join come from _lattice."""
+    count = {0: 1}  # the empty face, the one face of lcm 0
     maximal: list[int] = []  # an element is below a wanted one iff below a maximal one
     for top in sorted((lattice[alpha][0] for alpha in wanted), key=int.bit_count, reverse=True):
         if not any(top & t == top for t in maximal):
             maximal.append(top)
-    above = {zero: maximal}
+    above = {0: maximal}
     pushes = {}
     for beta in sorted(lattice):
         if (n := count.get(beta)) is None:
@@ -276,7 +282,7 @@ def _lyubeznik_pushes(I: MonomialIdeal, lattice: dict, wanted) -> dict:
         while reach:
             bit = reach & -reach
             reach ^= bit
-            alpha = tuple([x if x >= e else e for x, e in zip(beta, gens[bit.bit_length() - 1])])
+            alpha = join(beta, gens[bit.bit_length() - 1])
             top = lattice[alpha][0]
             if top & (bit - 1):
                 continue  # an earlier generator divides alpha: i is not min G_alpha
@@ -329,31 +335,30 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
     n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
-    lattice = _lattice(I)
+    lattice, gens, join, unpack = _lattice(I)
     eq = None  # built for the first stratum of three or more faces
     entries: dict[tuple, int] = {}
-    built = []
-    for alpha, (top, size) in lattice.items():
-        if size < 3:  # one face: the sphere of singleton blocks; two: a cone
-            verdict = top.bit_count() if size == 1 else CONE
-        else:
-            if eq is None:
-                eq = _equal_masks(I)
-            verdict = _classify(eq, alpha, top)
+    built = {}  # packed alpha -> alpha
+    for key, (top, size) in lattice.items():
+        if size == 2:  # {G_alpha - {i}, G_alpha}: the cone on i
+            continue
+        alpha = unpack(key)
+        # one face: the sphere of singleton blocks; three or more need n >= 1, so eq is not empty
+        verdict = top.bit_count() if size == 1 else _classify(eq := eq or _equal_masks(I), alpha, top)
         if verdict is None:
-            built.append(alpha)
+            built[key] = alpha
         elif verdict != CONE:
             entries[(verdict, alpha)] = 1
     if not built:
         return BettiTable(I.ring, entries)
-    pushes = _lyubeznik_pushes(I, lattice, built)
-    most = {alpha: min(pushes.get(alpha, (0,))[0], 1 << sum(map(bool, alpha))) for alpha in built}
+    pushes = _lyubeznik_pushes(lattice, gens, join, built)
+    most = {key: min(pushes.get(key, (0,))[0], 1 << sum(map(bool, alpha))) for key, alpha in built.items()}
     _check_size(sum(most.values()), "{} strand faces to rank pass")
-    small = {alpha for alpha, n in most.items() if n == pushes.get(alpha, (0,))[0]}
+    small = {key for key, n in most.items() if n == pushes.get(key, (0,))[0]}
     lyubeznik = _lyubeznik_faces(pushes, small)
-    for alpha in built:
-        if alpha in small:
-            faces, shift = lyubeznik.get(alpha, []), 0
+    for key, alpha in built.items():
+        if key in small:
+            faces, shift = lyubeznik.get(key, []), 0
         else:
             faces, shift = _koszul_faces(I.gens, alpha), 1
         by_size, mats = strand_matrices(faces)

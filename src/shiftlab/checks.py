@@ -357,9 +357,9 @@ def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
     as in check_covering.
     """
     if at is None:
-        lattice = _lattice(I)
-        candidates = sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
-        masks = [lattice[c][0] for c in candidates]
+        lattice, _, _, unpack = _lattice(I)
+        keys = sorted(key for key, (mask, _) in lattice.items() if mask)
+        candidates, masks = list(map(unpack, keys)), [lattice[key][0] for key in keys]
     else:
         _check_ints(("at", at))
         candidates = _table_of(I, field, table).support_at(at)

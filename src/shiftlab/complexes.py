@@ -10,6 +10,10 @@ single-term sparse entries closed under all the operations here.  Taylor
 faces grow past their last member, Scarf faces come off the lcm lattice
 (_lattice), and _face_complex assembles both; no 2^m table is built.  Their
 columns, and the Betti strands', come from _columns, the one facet rule.
+The lattice keeps its multidegrees packed, one int each with a W-byte
+field per variable and a 0 guard bit atop each field, joined by one SWAR
+max; _lattice hands out the packing with it, and the Scarf basis unpacks
+to tuples only the multidegrees of its faces.
 
 A complex cannot change, so its entries may be shared, and the builders of
 large complexes hand out one ``(row, coeff)`` tuple per distinct entry, not
@@ -101,9 +105,9 @@ class FreeComplex(_Frozen):
     modules (module 0 stays) and stores each column as a tuple (a tuple is
     kept, not copied).  The rows the entries name are checked once per
     complex, with the column rule, in the scan kept on it (``_scan``):
-    minimalize and is_minimal raise on a row that is no index of the module
-    one level down (_check_rows); verify_complex reports a row out of range
-    from its own pass.
+    minimalize, is_minimal, restrict_complex and complex_to_json raise on a
+    row that is no index of the module one level down (_check_rows);
+    verify_complex reports one from its own pass.
 
     A complex is immutable all the way down: ``modules`` is a tuple of
     tuples of immutable basis elements, ``diffs`` a tuple of tuples of
@@ -157,21 +161,26 @@ class FreeComplex(_Frozen):
         return FreeComplex, (self.modules, self.diffs)
 
 
-# The largest lattice _lattice still joins one key at a time.  One step
-# (the joins and the dict update) was timed per key and per column on 8
-# random lattices of L keys per (n, L), best of 25, on a shared 2-core Xeon
-# VM with Python 3.11.  Per key was the faster up to L = 6 at n = 6 and 8
-# (6.42 against 6.43 us and 7.19 against 7.50 us) and up to L = 8 at n = 14
-# (11.49 against 11.92 us); per column was the faster from L = 7 at n = 6
-# and 8, and from L = 4 at n = 3.  At L = 32 per column takes 53-67 % of
-# the per-key time.
-SMALL_LATTICE = 6
+def _lattice(I: MonomialIdeal) -> tuple:
+    """The lcm lattice by join closure, 0 included, with its packing:
+    (lattice, gens, join, unpack).  lattice maps packed alpha -> (G_alpha,
+    size), with G_alpha the bitmask of the generators <= alpha and size the
+    number of generator subsets whose lcm is alpha; gens are the generators
+    packed, join(x, y) = x v y of two packed multidegrees, and unpack(key)
+    the tuple of one.  Keys stay packed: callers unpack only what
+    leaves the engine.
 
-
-def _lattice(I: MonomialIdeal) -> dict[tuple, tuple[int, int]]:
-    """The lcm lattice by join closure, 0 included: alpha -> (G_alpha, size),
-    with G_alpha the bitmask of the generators <= alpha and size the number
-    of generator subsets whose lcm is alpha.
+    A packed multidegree is one int with a W-byte field per variable,
+    variable 0 most significant, where W = e.bit_length() // 8 + 1 for the
+    largest generator exponent e, so the top bit of every field, its guard
+    bit, is 0 in every packed value.  Packing is monotone and lexicographic:
+    sorted ints are sorted tuples.  For W = 1 packing a generator is
+    int.from_bytes(bytes(g)) and unpacking tuple(key.to_bytes()), one C
+    call each; wider fields are packed by bytes and unpacked by shifts.
+    The join is one SWAR max: with H the guard bits and s = 8W - 1,
+    ge = ((x | H) - y) & H holds the guard bit of each field where x is at
+    least y (no field borrows from the next), and ge - (ge >> s) fills
+    those fields, the ones x v y takes from x.
 
     Generator i joins every element found from the generators before it:
     the subsets holding i and lcm alpha' are those with i added to the
@@ -179,31 +188,31 @@ def _lattice(I: MonomialIdeal) -> dict[tuple, tuple[int, int]]:
     sizes add, and G_alpha' is the union of those G_alpha with bit i (the
     lcm of the earlier generators <= alpha' is one such alpha).  Every
     element found is in the final lattice, so time and memory follow it,
-    not 2^m.
+    not 2^m.  A step at most doubles it, so _check_size refuses it from over
+    2^(GENERATOR_CAP - 1)."""
+    n = I.ring.n
+    w = (max(map(max, I.gens)) if I.gens else 0).bit_length() // 8 + 1
+    s = 8 * w - 1
+    guards = int.from_bytes((1 << s).to_bytes(w, "big") * n, "big")
 
-    While the lattice has at most SMALL_LATTICE elements a step joins g_i
-    to one key at a time; past that it joins one exponent column per
-    variable, and one zip turns the columns back into keys, which costs a
-    fixed transposition per step but less per element.  A step at most
-    doubles it, so _check_size refuses it from over 2^(GENERATOR_CAP - 1)."""
-    lattice = {I.ring.zero(): (0, 1)}
-    for i, g in enumerate(I.gens):
+    join = lambda x, y: y ^ ((x ^ y) & ((ge := ((x | guards) - y) & guards) - (ge >> s)))  # one SWAR max
+    if w == 1:
+        gens = [int.from_bytes(bytes(g), "big") for g in I.gens]
+        unpack = lambda key: tuple(key.to_bytes(n, "big"))
+    else:
+        gens = [int.from_bytes(b"".join([e.to_bytes(w, "big") for e in g]), "big") for g in I.gens]
+        unpack = lambda key: tuple([key >> k & (1 << s) - 1 for k in range(8 * w * (n - 1), -1, -8 * w)])
+
+    lattice = {0: (0, 1)}
+    for i, g in enumerate(gens):
         _check_size(2 * len(lattice), "lcm lattice of {1} elements after {2} of {3} generators "
-                    "could pass", len(lattice), i, I.m)
+                    "could pass", len(lattice), i, len(gens))
         bit = 1 << i
-        if len(lattice) <= SMALL_LATTICE:
-            for key, (mask, size) in list(lattice.items()):
-                top = tuple([x if x >= e else e for x, e in zip(key, g)])
-                had, count = lattice.get(top, (0, 0))
-                lattice[top] = (had | mask | bit, count + size)
-            continue
-        old = list(lattice.values())
-        joined = zip(*[[x if x >= e else e for x in col] if e else col
-                       for col, e in zip(zip(*lattice), g)])
-        for top, (mask, size) in zip(joined, old):
+        for key, (mask, size) in list(lattice.items()):
+            top = join(key, g)
             had, count = lattice.get(top, (0, 0))
             lattice[top] = (had | mask | bit, count + size)
-    return lattice
+    return lattice, gens, join, unpack
 
 
 def _facet_index(masks) -> dict[int, tuple]:
@@ -282,9 +291,11 @@ def scarf_complex(I: MonomialIdeal) -> FreeComplex:
     G_alpha, so G_alpha has lcm alpha too and is that subset.  A facet of a
     Scarf face is Scarf, so _face_complex finds every boundary term."""
     levels = [[] for _ in range(I.m + 1)]
-    for alpha, (mask, size) in _lattice(I).items():
+    lattice, _, _, unpack = _lattice(I)
+    for key, (mask, size) in lattice.items():
         if size == 1:
-            levels[mask.bit_count()].append((mask, tuple(i for i in range(I.m) if mask >> i & 1), alpha))
+            face = tuple(i for i in range(I.m) if mask >> i & 1)
+            levels[mask.bit_count()].append((mask, face, unpack(key)))
     return _face_complex(sorted(level, key=itemgetter(1)) for level in levels)
 
 
@@ -337,8 +348,9 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     a row of smaller multidegree, which is retained too.  Restriction of a
     minimal complex is minimal (no entries are created).
 
-    The first call on F indexes it (see _restriction_index) and keeps the
-    index on F; F cannot change, so the index never goes stale.  Each call
+    The first call on F checks its rows (_check_rows: else ContractError)
+    and indexes it (see _restriction_index), and keeps the index on F; F
+    cannot change, so the index never goes stale.  Each call
     then finds a module's kept elements, in basis order, as the AND over the
     variables v of the prefix masks P[bisect_right(E, alpha[v])], and takes
     each kept entry (row, c), renumbered to (i, c), from the index's entry
@@ -347,6 +359,7 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
     every element once, so this pays off on a complex restricted many times.
     """
     if F._index is None:
+        _check_rows(F)
         _set(F, "_index", _restriction_index(F.modules, F.diffs))
     n, levels, codes = F._index
     _check_mdeg(alpha, len(alpha) if n is None else n)
@@ -407,12 +420,18 @@ def _scanned(F: FreeComplex) -> tuple:
     """What the column and row rules read of F, made on first use and kept
     on F (F cannot change), so each complex is scanned once: the
     _column_scan of its columns, and the (level, column, row) of the first
-    entry of a d_a whose row is no index of module a-1, or None."""
+    entry of a d_a whose row is no index of module a-1, or None.  The row
+    rule is read first, and the column scan never hashes a row that is not
+    an int: each stands for itself, a repeat of nothing."""
     if F._scan is None:
-        stray = ((a, j, row) for a, n in enumerate(map(len, F.modules[:-1]), 1)
-                 for j, col in enumerate(F.diffs[a])
-                 for row, _ in col if type(row) is not int or not 0 <= row < n)
-        _set(F, "_scan", (_column_scan(F.diffs), next(stray, None)))
+        strays = [(a, j, row) for a, n in enumerate(map(len, F.modules[:-1]), 1)
+                  for j, col in enumerate(F.diffs[a])
+                  for row, _ in col if type(row) is not int or not 0 <= row < n]
+        diffs = F.diffs
+        if any(type(row) is not int for _, _, row in strays):
+            diffs = [[[(r if type(r) is int else object(), c) for r, c in col] for col in level]
+                     for level in diffs]
+        _set(F, "_scan", (_column_scan(diffs), strays[0] if strays else None))
     return F._scan
 
 
@@ -445,23 +464,27 @@ def _check_columns(scan: tuple, p: int) -> None:
 
 
 def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
-    """Check the column rule (_repeated_row), multigraded homogeneity of
-    every entry and that consecutive differentials compose to zero.
-    Failures are reported, not raised, a repeated row first; a coefficient
-    outside the column rule raises ContractError, whatever else is wrong.
+    """Check the column rule (_repeated_row), the row rule (_check_rows),
+    multigraded homogeneity of every entry and that consecutive
+    differentials compose to zero.  Failures are reported, not raised, a
+    repeated row first, then in entry order a row that is not an int, out
+    of range or not homogeneous; a coefficient outside the column rule
+    raises ContractError, whatever else is wrong.
 
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
     """
     p = characteristic(field)
-    if at := _repeated_row(_scanned(F)[0], p):
+    scan, stray = _scanned(F)  # stray: the first row off the row rule, else None and no row is
+    if at := _repeated_row(scan, p):
         return VerifyReport(False, "column repeats a row", at)
     for a in range(1, len(F.modules)):
         below = [be.mdeg for be in F.modules[a - 1]]
         for j, (col, be) in enumerate(zip(F.diffs[a], F.modules[a])):
             top = be.mdeg
             for row, _ in col:
-                if not 0 <= row < len(below):
-                    return VerifyReport(False, "row index out of range", (a, j, row))
+                if stray and (type(row) is not int or not 0 <= row < len(below)):
+                    problem = "row index out of range" if type(row) is int else "row is not an int"
+                    return VerifyReport(False, problem, (a, j, row))
                 # divides(below[row], top), inlined: FreeComplex checked the lengths
                 if not all(map(le, below[row], top)):
                     return VerifyReport(
@@ -603,6 +626,8 @@ def _entry_mdeg(modules: list, a: int, j: int, row: int) -> list:
 
 
 def complex_to_json(F: FreeComplex) -> dict:
+    """The dump of F; its rows must keep the row rule (_check_rows), else ContractError."""
+    _check_rows(F)
     return {
         "modules": [
             [{"label": list(be.label), "mdeg": list(be.mdeg)} for be in mod]

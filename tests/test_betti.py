@@ -304,6 +304,132 @@ def test_lattice_cap(monkeypatch):
         lcm_lattice(KOSZUL2)
 
 
+# The engine before multidegrees were packed, kept as the oracle of the
+# packed one: the lattice on exponent tuples, one key at a time while it had
+# at most TUPLE_SMALL_LATTICE elements and one exponent column per variable
+# past that, and the Lyubeznik count with a tuple join per push.
+TUPLE_SMALL_LATTICE = 6
+
+
+def tuple_lattice(I) -> dict:
+    """alpha -> (G_alpha, size) on exponent tuples, 0 included."""
+    lattice = {I.ring.zero(): (0, 1)}
+    for i, g in enumerate(I.gens):
+        bit = 1 << i
+        if len(lattice) <= TUPLE_SMALL_LATTICE:
+            for key, (mask, size) in list(lattice.items()):
+                top = tuple([x if x >= e else e for x, e in zip(key, g)])
+                had, count = lattice.get(top, (0, 0))
+                lattice[top] = (had | mask | bit, count + size)
+            continue
+        old = list(lattice.values())
+        joined = zip(*[[x if x >= e else e for x in col] if e else col
+                       for col, e in zip(zip(*lattice), g)])
+        for top, (mask, size) in zip(joined, old):
+            had, count = lattice.get(top, (0, 0))
+            lattice[top] = (had | mask | bit, count + size)
+    return lattice
+
+
+def tuple_lyubeznik_pushes(I, lattice: dict, wanted) -> dict:
+    """_lyubeznik_pushes on a tuple_lattice, with a tuple join per push."""
+    zero, gens = I.ring.zero(), I.gens
+    count = {zero: 1}
+    maximal = []
+    for top in sorted((lattice[alpha][0] for alpha in wanted), key=int.bit_count, reverse=True):
+        if not any(top & t == top for t in maximal):
+            maximal.append(top)
+    above = {zero: maximal}
+    pushes = {}
+    for beta in sorted(lattice):
+        if (n := count.get(beta)) is None:
+            continue
+        low = lattice[beta][0]
+        ups = above.pop(beta)
+        reach = reduce(lambda a, b: a | b, ups, 0) & ((low & -low) - 1 if low else -1)
+        out = []
+        while reach:
+            bit = reach & -reach
+            reach ^= bit
+            alpha = tuple([x if x >= e else e for x, e in zip(beta, gens[bit.bit_length() - 1])])
+            top = lattice[alpha][0]
+            if top & (bit - 1):
+                continue
+            if (tops := above.get(alpha)) is None:
+                tops = above[alpha] = [t for t in ups if top & t == top]
+            if tops:
+                count[alpha] = count.get(alpha, 0) + n
+                out.append((alpha, bit))
+        pushes[beta] = n, out
+    return pushes
+
+
+def unpacked_lattice(I) -> dict:
+    """_lattice(I) with its keys unpacked to tuples, in its order."""
+    lattice, _, _, unpack = _lattice(I)
+    return {unpack(key): value for key, value in lattice.items()}
+
+
+def unpacked_pushes(I, wanted) -> dict:
+    """_lyubeznik_pushes on _lattice(I) for the tuples in wanted, with every
+    multidegree unpacked to a tuple, in its order."""
+    lattice, gens, packed_join, unpack = _lattice(I)
+    tuples = {key: unpack(key) for key in lattice}
+    keys = {alpha: key for key, alpha in tuples.items()}
+    pushes = _lyubeznik_pushes(lattice, gens, packed_join, [keys[alpha] for alpha in wanted])
+    return {tuples[beta]: (n, [(tuples[alpha], bit) for alpha, bit in out])
+            for beta, (n, out) in pushes.items()}
+
+
+def check_against_the_tuple_engine(I):
+    # the same lattice in the same order, and the same Lyubeznik counts and
+    # pushes, wanting every element or every third
+    lattice = tuple_lattice(I)
+    assert list(unpacked_lattice(I).items()) == list(lattice.items()), I
+    assert lcm_lattice(I) == sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
+    for wanted in (list(lattice), sorted(lattice)[1::3]):
+        assert unpacked_pushes(I, wanted) == tuple_lyubeznik_pushes(I, lattice, wanted), I
+
+
+# exponents that need 1, 2, 3 and 9 bytes a variable once packed: W = 2
+# past 127, W = 3 past 32767, W = 9 for 2^64 + 1
+WIDE = [
+    ("127", [(127, 1, 0), (0, 127, 2), (3, 0, 127), (126, 127, 1)], 1),
+    ("128", [(128, 1, 0), (0, 127, 2), (3, 0, 128), (127, 128, 1)], 2),
+    ("x200", [(200, 3, 0), (5, 300, 0), (0, 2, 70000), (130, 0, 9)], 3),
+    ("2^64+1", [(2**64 + 1, 1, 0), (0, 5, 2), (3, 0, 2**20), (2**64, 7, 7), (1, 2**64 + 1, 1)], 9),
+]
+# and n = 1, the zero ideal and a principal ideal
+PACKED = [(name, Ring(["x", "y", "z"]), gens, w) for name, gens, w in WIDE] + [
+    ("n1", Ring(["x"]), [(5,)], 1),
+    ("n1-wide", Ring(["x"]), [(2**40,)], 6),
+    ("zero", RING2, [], 1),
+    ("principal", Ring(["x", "y", "z"]), [(2, 0, 300)], 2),
+]
+
+
+def packed_width(I) -> int:
+    """W, the bytes a variable takes once packed."""
+    return max((e for g in I.gens for e in g), default=0).bit_length() // 8 + 1
+
+
+@pytest.mark.parametrize("name, ring, gens, w", PACKED, ids=[name for name, *_ in PACKED])
+def test_packing_widths_and_edge_cases(name, ring, gens, w):
+    # the packed generators are the big-endian W-byte fields of their
+    # exponents; the engine agrees with the tuple one, and each Betti table
+    # with the minimalized Taylor complex, in three fields
+    I = MonomialIdeal(ring, gens)
+    assert packed_width(I) == w
+    assert _lattice(I)[1] == [int.from_bytes(b"".join(e.to_bytes(w, "big") for e in g), "big")
+                              for g in I.gens]
+    check_against_the_tuple_engine(I)
+    T = taylor_complex(I)
+    for field in (QQ, PrimeField(2), PrimeField(32003)):
+        minimal = minimalize(T, field)
+        assert Counter((a, be.mdeg) for a, mod in enumerate(minimal.modules) for be in mod) == \
+            multigraded_betti(I, field).entries, (name, field)
+
+
 # --- Betti tables ----------------------------------------------------------------
 
 def test_koszul_table_exact():
@@ -490,28 +616,30 @@ def check_lyubeznik_faces(I):
     # with every lattice element wanted, the pushes reach the lcms of the
     # rooted subsets in sorted order and count them, and the faces grown
     # along them are those subsets
-    lattice, rooted = _lattice(I), rooted_faces(I)
-    pushes = _lyubeznik_pushes(I, lattice, lattice)
-    assert list(pushes) == sorted(rooted), I
-    assert {alpha: n for alpha, (n, _) in pushes.items()} == {
+    (lattice, gens, packed_join, unpack), rooted = _lattice(I), rooted_faces(I)
+    tuples = {key: unpack(key) for key in lattice}
+    pushes = _lyubeznik_pushes(lattice, gens, packed_join, lattice)
+    assert [tuples[beta] for beta in pushes] == sorted(rooted), I
+    assert {tuples[beta]: n for beta, (n, _) in pushes.items()} == {
         alpha: len(faces) for alpha, faces in rooted.items()}, I
-    grown = {alpha: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, set(lattice)).items()}
+    grown = {tuples[alpha]: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, set(lattice)).items()}
     assert grown == rooted, I
     # a simplicial complex, each face rooted at min G of its lcm
     every = {face for faces in grown.values() for face in faces}
+    tops = {tuples[key]: mask for key, (mask, _) in lattice.items()}
     for alpha, faces in grown.items():
-        top = lattice[alpha][0]
+        top = tops[alpha]
         for face in faces:
             assert all(face ^ 1 << i in every for i in range(I.m) if face >> i & 1), (I, face)
             assert face & -face == top & -top, (I, face)
     # wanting fewer elements prunes the pushes but not the counts or the
     # faces at those
     part = set(sorted(lattice)[1::3])
-    pushes = _lyubeznik_pushes(I, lattice, part)
-    assert {alpha: pushes[alpha][0] for alpha in part if alpha in pushes} == {
-        alpha: len(rooted[alpha]) for alpha in part if alpha in rooted}, I
-    assert {alpha: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, part).items()} == {
-        alpha: rooted[alpha] for alpha in part if alpha in rooted}, I
+    pushes = _lyubeznik_pushes(lattice, gens, packed_join, part)
+    assert {tuples[key]: pushes[key][0] for key in part if key in pushes} == {
+        tuples[key]: len(rooted[tuples[key]]) for key in part if tuples[key] in rooted}, I
+    assert {tuples[key]: sorted(faces) for key, faces in _lyubeznik_faces(pushes, part).items()} == {
+        tuples[key]: rooted[tuples[key]] for key in part if tuples[key] in rooted}, I
 
 
 @settings(max_examples=100, deadline=None)
@@ -563,7 +691,7 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
     monkeypatch.setattr(shiftlab.betti, "_equal_masks", lambda I: tables.append(I) or equal_masks(I))
     monkeypatch.setattr(shiftlab.betti, "_classify",
                         lambda eq, alpha, top: classified.append(alpha) or classify(eq, alpha, top))
-    large = sorted(alpha for alpha, (_, size) in _lattice(I).items() if size >= 3)
+    large = sorted(alpha for alpha, (_, size) in unpacked_lattice(I).items() if size >= 3)
     assert bool(large) == (name not in ("KOSZUL2", "principal"))
     for field in (QQ, PrimeField(2)):
         tables.clear()
@@ -645,7 +773,7 @@ def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
     # the Taylor strand and K^alpha(I) in about 2 ms.  No strand the engine
     # ranks may exceed 2^n = 8 faces, however many Lyubeznik faces alpha has.
     I, sizes, real = staircase(k), [], shiftlab.betti.strand_matrices
-    pushes = _lyubeznik_pushes(I, _lattice(I), [(1, k, k)])
+    pushes = unpacked_pushes(I, [(1, k, k)])
     assert pushes[(1, k, k)][0] >= 2 ** (k - 1)
     monkeypatch.setattr(shiftlab.betti, "strand_matrices",
                         lambda faces: sizes.append(len(faces)) or real(faces))

@@ -421,6 +421,17 @@ def test_taylor_limit_boundary(tmp_path, capsys, monkeypatch):
     assert not calls
 
 
+def test_wide_exponents(tmp_path, capsys):
+    # the ideal the CI workflow gives the installed script: its multidegrees
+    # pack into fields of 3 bytes a variable
+    path = tmp_path / "wide.ideal"
+    path.write_text("vars: x y z\nx^200*y^3\nx^5*y^300\ny^2*z^70000\nx^130*z^9\n")
+    rc, out, _ = run(capsys, "shifts", str(path))
+    assert rc == 0 and out.splitlines()[-1] == "0 70002 70305 70430"
+    rc, out, _ = run(capsys, "betti", str(path))
+    assert rc == 0 and "coarse: 1 4 5 2" in out.splitlines()
+
+
 def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
     # the complete intersection on 6 variables has 2^6 lattice elements: at
     # 2^5 the lattice limit refuses it (the library: test_complexes.py)

@@ -22,6 +22,7 @@ from shiftlab import (
     PrimeField,
     Ring,
     complex_from_json,
+    complex_to_json,
     divides,
     dumps_complex,
     find_covering_pairs,
@@ -44,10 +45,10 @@ from shiftlab import (
 import shiftlab.betti
 import shiftlab.complexes
 from shiftlab.betti import _classify, _equal_masks, _lattice
-from shiftlab.complexes import (GENERATOR_CAP, SMALL_LATTICE, BasisElement, CapExceededError, FreeComplex,
-                                _check_size)
+from shiftlab.complexes import GENERATOR_CAP, BasisElement, CapExceededError, FreeComplex, _check_size
 from shiftlab.fields import characteristic, eliminate
-from test_betti import _low_rank_product, _one_degree_complex, columns, minimal_requirements, taylor_faces
+from test_betti import (WIDE, _low_rank_product, _one_degree_complex, check_against_the_tuple_engine, columns,
+                        minimal_requirements, packed_width, staircase, taylor_faces, unpacked_lattice, w22)
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -154,21 +155,28 @@ def reference_strata(I) -> dict:
 
 def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
     # G_alpha is the largest mask with lcm alpha, and size the number of them.
-    # A step joins per key while the lattice has at most SMALL_LATTICE
-    # elements and per column past that, so an ideal reaches the column
-    # joins iff the lattice of all its generators but the last is larger.
-    # Per key only: 256 corpus ideals (the 252 with m <= 3 and 4 of the 67
-    # with m = 4) and the edge ideals with m = 0 and 1.  Both: the other 244
-    # corpus ideals (m = 4 to 8), ex1, ex2, S13, S14 and the edge ideals with
-    # m = 12 to 14.
-    both = []
-    for I in lattice_ideals(corpus, ex1, ex2):
+    # Multidegrees are packed W bytes a variable: W = 1 for the corpus, ex1,
+    # ex2, S13, S14, the path and empty edge ideals and the 127 ideal of
+    # WIDE, W = 2 for the other three edge ideals and the 128 ideal, and
+    # W = 3 and 9 for the last two of WIDE.
+    wide = [MonomialIdeal(Ring(["x", "y", "z"]), gens) for _, gens, _ in WIDE]
+    widths = Counter()
+    for I in [*lattice_ideals(corpus, ex1, ex2), *wide]:
         expected = {alpha: (max(masks), len(masks)) for alpha, masks in reference_strata(I).items()}
-        assert _lattice(I) == expected, I
-        if I.m and len(_lattice(MonomialIdeal(I.ring, I.gens[:-1]))) > SMALL_LATTICE:
-            both.append(I)
-    assert len(both) == 244 + 4 + 3
-    assert [I.m for I in both[-7:]] == [12, 5, 13, 14, 12, 13, 14]
+        assert unpacked_lattice(I) == expected, I
+        widths[packed_width(I)] += 1
+    assert widths == {1: len(corpus) + 4 + 2 + 1, 2: 3 + 1, 3: 1, 9: 1}
+
+
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14", "rp2", "staircase", "W22", "edges"])
+def test_packed_engine_matches_the_tuple_engine(name, corpus, ex1, ex2, rp2):
+    # the packed lattice, in its order, and the Lyubeznik counts and pushes
+    # equal those of the engine on exponent tuples (test_betti.py)
+    named = {"corpus": corpus, "ex1": [ex1], "ex2": [ex2], "rp2": [rp2], "staircase": [staircase(20)],
+             "W22": [w22()], "edges": edge_ideals()}
+    ideals = named.get(name) or [load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))]
+    for I in ideals:
+        check_against_the_tuple_engine(I)
 
 
 def test_taylor_faces_match_the_stratum(corpus, ex1, ex2):
@@ -195,7 +203,7 @@ def test_lattice_checks_the_cap(monkeypatch):
     # pass 2^GENERATOR_CAP: 2^6 elements pass at 6, and at 5 the last step is
     # refused
     monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 6)
-    assert len(_lattice(CI6)) == 64
+    assert len(_lattice(CI6)[0]) == 64
     monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 5)
     with pytest.raises(CapExceededError,
                        match=r"lcm lattice of 32 elements after 5 of 6 generators could pass the limit 2\^5"):
@@ -620,6 +628,36 @@ def test_minimalize_refuses_a_negative_row():
     for routine in (minimalize, is_minimal):
         with pytest.raises(ContractError, match=r"^level 1 column 0 has row -1, not an int in range\(2\)$"):
             routine(F)
+
+
+@pytest.mark.parametrize("row", [True, 1.0, [1], -1, 2], ids=repr)
+def test_every_reader_of_rows_keeps_the_row_rule(row):
+    # d1(f) = 1 * row r, with e0, e1 of multidegree 1, x and f of x.  True
+    # once verified as row 1, 1.0 raised a bare TypeError and [1] an
+    # unhashable-type one from the column scan; the dump wrote true and -1,
+    # which its loader refuses, and an IndexError at 2; restriction kept True
+    # and 1.0 and called -1 and 2 not homogeneous
+    F = line_complex([[0, 1], [1]], [[], [[(row, 1)]]])
+    rep = verify_complex(F)
+    problem = "row index out of range" if type(row) is int else "row is not an int"
+    assert (rep.ok, rep.problem, rep.location) == (False, problem, (1, 0, row))
+    assert str(rep) == f"complex INVALID at (1, 0, {row!r}): {problem}"
+    message = rf"^level 1 column 0 has row {re.escape(repr(row))}, not an int in range\(2\)$"
+    for routine in (dumps_complex, complex_to_json, lambda F: restrict_complex(F, (1,)),
+                    minimalize, is_minimal):
+        with pytest.raises(ContractError, match=message):
+            routine(F)
+
+
+def test_a_repeat_is_reported_before_a_row_that_is_no_int():
+    # the column scan never hashes a row that is not an int, and still finds
+    # a repeat in another column first
+    F = line_complex([[0, 1], [1, 1]], [[], [[([1], 1)], [(0, 1), (0, -1)]]])
+    rep = verify_complex(F)
+    assert (rep.ok, rep.problem, rep.location) == (False, "column repeats a row", (1, 1, 0))
+    G = line_complex([[0, 1], [1, 1]], [[], [[(True, 1)], [(1, 1)]]])
+    rep = verify_complex(G)
+    assert (rep.ok, rep.problem, rep.location) == (False, "row is not an int", (1, 0, True))
 
 
 def verify_oracle(F, p=0):
@@ -1082,7 +1120,8 @@ def test_repeated_row_is_refused_or_reported(field):
 
 def test_column_rule_scans_a_complex_once(ex1, monkeypatch):
     # two minimalize calls and a verify read one scan of the Taylor columns;
-    # rank_exact and complex_from_json scan the raw columns they are given
+    # rank_exact and complex_from_json scan the raw columns they are given,
+    # and dumps_complex reads the row rule off the one scan of Mq
     scan, calls = shiftlab.complexes._column_scan, []
     for module in (shiftlab.complexes, shiftlab.betti):
         monkeypatch.setattr(module, "_column_scan", lambda levels: calls.append(levels) or scan(levels))
@@ -1094,7 +1133,9 @@ def test_column_rule_scans_a_complex_once(ex1, monkeypatch):
     assert Mq.ranks() == Mp.ranks()
     assert rank_exact(T.diffs[2], QQ) == rank_exact(T.diffs[2], gf) == 11  # exact at module 1
     assert complex_from_json(json.loads(dumps_complex(Mq))).diffs == Mq.diffs
-    assert len(calls) == 4
+    assert len(calls) == 5 and calls[3] is Mq.diffs
+    dumps_complex(Mq)
+    assert len(calls) == 5
 
 
 def test_dump_with_two_entries_for_one_col_and_row_is_refused():

@@ -213,13 +213,13 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
     ideals = {"rp2": [rp2], "edges": edge_ideals()}.get(name) or _ideals(name, corpus, ex1, ex2)
     for I in ideals:
         multigraded_betti(I, QQ)
-        built += [(I, alpha, faces) for alpha, faces in grown.pop().items()] if grown else []
+        if grown:  # keyed by packed multidegrees
+            lattice, _, _, unpack = _lattice(I)
+            strands = grown.pop()
+            built += [(I, unpack(key), lattice[key][0], faces) for key, faces in strands.items()]
     assert built
-    fields, memo, dense, lattices = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges"), {}
-    for I, alpha, faces in built:
-        if I not in lattices:
-            lattices[I] = _lattice(I)
-        top = lattices[I][alpha][0]
+    fields, memo, dense = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges")
+    for I, alpha, top, faces in built:
         taylor = taylor_faces(top, minimal_requirements(I, alpha, top))
         assert set(faces) <= set(taylor), (I, alpha)
         homology = _homology(faces, fields, memo, dense)
