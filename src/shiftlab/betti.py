@@ -389,16 +389,18 @@ def scarf_is_resolution(I: MonomialIdeal, field=QQ) -> bool:
 
 
 def format_betti_grid(table: BettiTable) -> str:
-    """Macaulay2-style grid: column a, row d - a, cell = coarse rank."""
+    """Macaulay2-style grid: column a, row d - a, cell = coarse rank.  Only
+    the rows that hold an entry are printed, under labels as wide as the
+    widest of them."""
     coarse = table.coarse()
-    p = table.projdim
-    depth = max(d - a for a, d in coarse)
-    header = "      " + "".join(f"{a:>6}" for a in range(p + 1))
-    lines = [header]
-    for r in range(depth + 1):
-        cells = [coarse.get((a, r + a), "") or "." for a in range(p + 1)]
-        lines.append(f"{r:>5}:" + "".join(f"{c:>6}" for c in cells))
-    lines.append("total:" + "".join(f"{t:>6}" for t in table.totals()))
+    cols = range(table.projdim + 1)
+    rows = sorted({d - a for a, d in coarse})
+    w = max(6, len(f"{rows[-1]}:"))
+    lines = [" " * w + "".join(f"{a:>6}" for a in cols)]
+    for r in rows:
+        cells = [coarse.get((a, r + a), ".") for a in cols]
+        lines.append(f"{r}:".rjust(w) + "".join(f"{c:>6}" for c in cells))
+    lines.append("total:".rjust(w) + "".join(f"{t:>6}" for t in table.totals()))
     return "\n".join(lines)
 
 

@@ -2,9 +2,10 @@
 
 Each check builds InequalityReport records: the instance parameters, both
 sides of the inequality, whether it holds, and the multidegrees or index
-splits that witness the bound.  The consecutive/top/covering/range/multiple
-checks are proved facts, so a ``holds=False`` report from any of them on
-valid input signals an implementation bug, not mathematics.
+splits that witness the bound.  The consecutive, top, covering, range,
+general and multiple checks are proved facts, so a ``holds=False`` report
+from any of them on valid input signals an implementation bug, not
+mathematics; only subadditivity is an open question.
 """
 
 from __future__ import annotations

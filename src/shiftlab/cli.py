@@ -43,6 +43,11 @@ EXIT_ARGS = 4
 PROVEN = {"consecutive", "top", "covering-projdim", "covering-shift", "range",
           "general", "multiple"}
 
+# The options each check kind reads besides --field and --format.
+NEEDS = {"all": (), "subadditivity": (), "consecutive": (), "top": (),
+         "covering": ("alpha", "beta"), "range": ("alpha", "beta", "at"),
+         "general": ("at", "p"), "multiple": ("cover",)}
+
 
 class CLIUsageError(Exception):
     pass
@@ -105,14 +110,12 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("check", help="run inequality checks")
     c.add_argument("ideal")
-    c.add_argument("which", choices=["all", "subadditivity", "consecutive", "top",
-                                     "covering", "range", "general", "multiple"])
+    c.add_argument("which", choices=list(NEEDS))
     c.add_argument("--alpha", help="exponent vector e1,e2,...")
     c.add_argument("--beta", help="exponent vector e1,e2,...")
     c.add_argument("--at", type=_signed_int, help="homological index a (range/general)")
     c.add_argument("--p", type=_signed_int, help="window parameter p (general)")
-    c.add_argument("--cover", action="append", default=[],
-                   help="a:e1,e2,... (multiple; repeatable)")
+    c.add_argument("--cover", action="append", help="a:e1,e2,... (multiple; repeatable)")
     _add_common(c, "field", "format")
     c.set_defaults(func=cmd_check)
 
@@ -141,9 +144,13 @@ def build_parser() -> _Parser:
     return p
 
 
+def _load(args):
+    """The ideal and the field that betti, shifts, check and dump read."""
+    return load_ideal(args.ideal), field_from_spec(args.field)
+
+
 def cmd_betti(args) -> int:
-    I = load_ideal(args.ideal)
-    field = field_from_spec(args.field)
+    I, field = _load(args)
     table = multigraded_betti(I, field)
     if args.format == "json":
         print(json.dumps({
@@ -164,8 +171,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_shifts(args) -> int:
-    I = load_ideal(args.ideal)
-    field = field_from_spec(args.field)
+    I, field = _load(args)
     table = multigraded_betti(I, field)
     prof = table.shift_profile()
     if args.format == "json":
@@ -193,41 +199,38 @@ def _emit_reports(reports, fmt) -> int:
     return EXIT_PROVEN_FAIL if bad else EXIT_OK
 
 
+def _profile_reports(I, field, prof) -> list:
+    """The subadditivity, consecutive and top reports of a shift profile."""
+    reports = check_subadditivity_profile(prof) + check_consecutive(I, field, profile=prof)
+    if prof.projdim >= 1:
+        reports.append(check_top(I, field, profile=prof))
+    return reports
+
+
 def cmd_check(args) -> int:
-    I = load_ideal(args.ideal)
-    field = field_from_spec(args.field)
+    I, field = _load(args)
+    which = args.which
+    for opt in ("alpha", "beta", "at", "p", "cover"):
+        given = getattr(args, opt) is not None
+        if given != (opt in NEEDS[which]):
+            raise CLIUsageError(f"{which} {'does not read' if given else 'needs'} --{opt}")
+    alpha, beta = (None if v is None else _vec(v) for v in (args.alpha, args.beta))
+    covers = [_cover(c) for c in args.cover or ()]
     table = multigraded_betti(I, field)
     prof = table.shift_profile()
-    which = args.which
-    reports = []
-    if which in ("all", "subadditivity"):
-        reports += check_subadditivity_profile(prof)
-    if which in ("all", "consecutive"):
-        reports += check_consecutive(I, field, profile=prof)
-    if which in ("all", "top") and prof.projdim >= 1:
-        reports.append(check_top(I, field, profile=prof))
-    if which in ("covering", "range"):
-        if args.alpha is None or args.beta is None:
-            raise CLIUsageError(f"{which} needs --alpha and --beta")
-        alpha, beta = _vec(args.alpha), _vec(args.beta)
-        if which == "covering":
-            reports += check_covering(I, alpha, beta, field, table=table)
-        else:
-            if args.at is None:
-                raise CLIUsageError("range needs --at")
-            reports.append(check_range(I, alpha, beta, args.at, field, table=table))
-    if which == "general":
-        if args.at is None or args.p is None:
-            raise CLIUsageError("general needs --at and --p")
+    if which == "covering":
+        reports = check_covering(I, alpha, beta, field, table=table)
+    elif which == "range":
+        reports = [check_range(I, alpha, beta, args.at, field, table=table)]
+    elif which == "general":
         try:
-            reports.append(check_general(I, args.at, args.p, field, profile=prof))
+            reports = [check_general(I, args.at, args.p, field, profile=prof)]
         except ValueError as exc:
             raise CLIUsageError(f"general preconditions: {exc}") from None
-    if which == "multiple":
-        if not args.cover:
-            raise CLIUsageError("multiple needs at least one --cover")
-        covers = [_cover(c) for c in args.cover]
-        reports.append(check_multiple(I, covers, field, table=table))
+    elif which == "multiple":
+        reports = [check_multiple(I, covers, field, table=table)]
+    else:
+        reports = [r for r in _profile_reports(I, field, prof) if which in ("all", r.name)]
     return _emit_reports(reports, args.format)
 
 
@@ -253,10 +256,9 @@ def cmd_random(args) -> int:
                 print(json.dumps(base, sort_keys=True), file=sink)
                 continue
             prof = table.shift_profile()
-            open_reports = check_subadditivity_profile(prof)
-            proven = check_consecutive(I, field, profile=prof)
-            if prof.projdim >= 1:
-                proven.append(check_top(I, field, profile=prof))
+            reports = _profile_reports(I, field, prof)
+            open_reports = [r for r in reports if r.name not in PROVEN]
+            proven = [r for r in reports if r.name in PROVEN]
             base.update({
                 "gens": [list(g) for g in I.gens],
                 "shifts": list(prof.shifts),
@@ -297,8 +299,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    I = load_ideal(args.ideal)
-    field = field_from_spec(args.field)
+    I, field = _load(args)
     F = scarf_complex(I) if args.kind == "scarf" else taylor_complex(I)
     if args.kind == "minimal":
         F = minimalize(F, field)

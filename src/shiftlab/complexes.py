@@ -598,8 +598,6 @@ def star_shift_bound(Fa: FreeComplex, Fb: FreeComplex, a: int) -> int | None:
     the join of its factors, so its degree is at most the sum).  Returns
     None when no split exists (a negative or beyond both lengths)."""
     _check_ints(("a", a))
-    if a < 0:
-        return None
     ta = shifts_of_complex(Fa)
     tb = shifts_of_complex(Fb)
     lo = max(0, a - tb.projdim)

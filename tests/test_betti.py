@@ -767,6 +767,29 @@ def staircase(k: int) -> MonomialIdeal:
     return MonomialIdeal(ring, [(1, i, k - i) for i in range(k + 1)] + [(0, k, k)])
 
 
+def test_betti_table_ignores_generator_order(corpus, ex1, rp2):
+    # the lattice masks, the Lyubeznik faces and every built strand depend on
+    # the order of the generators; the table must not
+    rng = random.Random(2)
+
+    def permuted(I):
+        gens = list(I.gens)
+        rng.shuffle(gens)
+        return MonomialIdeal(I.ring, gens)
+
+    named = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
+    named += [ex1, rp2, edge_ideal(12, 18), staircase(11)]
+    cases = [(I, [permuted(I)]) for I in corpus]
+    cases += [(I, [permuted(I) for _ in range(3)]) for I in named]
+    assert all(J.gens != I.gens for I, perms in cases[-len(named):] for J in perms)
+    for field in (QQ, PrimeField(2), PrimeField(32003)):
+        for I, perms in cases:
+            table = multigraded_betti(I, field)
+            assert all(multigraded_betti(J, field) == table for J in perms), (I, field)
+    e14, gf = edge_ideal(14, 20), PrimeField(32003)
+    assert multigraded_betti(permuted(e14), gf) == multigraded_betti(e14, gf)
+
+
 @pytest.mark.parametrize("k, totals", [(11, (1, 13, 12)), (20, (1, 22, 21))])
 def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
     # totals pinned from the engine at af7d60d, which ranked the smaller of
@@ -849,3 +872,38 @@ def test_grid_and_records(ex2_table):
     recs = betti_records(ex2_table)
     assert {"a": 0, "mdeg": [0] * 7, "rank": 1} in recs
     assert sum(r["rank"] for r in recs if r["a"] == 2) == 8
+
+
+def test_grid_prints_only_the_rows_that_hold_an_entry(ex2_table):
+    # ex2 has no entry with d - a in 1..4, so those rows are left out
+    assert format_betti_grid(ex2_table).splitlines() == [
+        "           0     1     2     3     4",
+        "    0:     1     .     .     .     .",
+        "    5:     .     2     .     .     .",
+        "    6:     .     2     .     .     .",
+        "    7:     .     .     1     .     .",
+        "    8:     .     .     1     .     .",
+        "    9:     .     .     2     1     .",
+        "   10:     .     1     1     .     .",
+        "   11:     .     .     3     1     .",
+        "   12:     .     .     .     3     1",
+        "total:     1     5     8     5     1",
+    ]
+
+
+def test_grid_of_wide_exponents():
+    # one row per d - a that holds an entry, not one per d - a up to 70427
+    wide = MonomialIdeal(Ring(["x", "y", "z"]),
+                         [(200, 3, 0), (5, 300, 0), (0, 2, 70000), (130, 0, 9)])
+    lines = format_betti_grid(multigraded_betti(wide, QQ)).splitlines()
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "0", "138", "202", "210", "304", "437", "498", "506",
+        "70001", "70130", "70303", "70427", "total"]
+    assert lines[-2] == "70427:     .     .     .     1"
+    # a label of seven characters widens the label column of every line
+    lines = format_betti_grid(multigraded_betti(MonomialIdeal(RING2, [(200000, 0), (0, 1)]),
+                                                QQ)).splitlines()
+    assert lines == ["            0     1     2",
+                     "     0:     1     1     .",
+                     "199999:     .     1     1",
+                     " total:     1     2     1"]

@@ -361,6 +361,11 @@ def test_general_preconditions_listed(zero_dim_7_8):
     with pytest.raises(ValueError) as exc:
         check_general(zero_dim_7_8, 5, 9)
     assert str(exc.value) == "a=5 is below (m+4)/2=6.0; p=9 outside [5, 3]"
+    # without x7^3 the ideal is not zero-dimensional; n, m, a and p still fit
+    I = MonomialIdeal(zero_dim_7_8.ring, [g for g in zero_dim_7_8.gens if g[6] == 0])
+    with pytest.raises(ValueError) as exc:
+        check_general(I, 6, 4)
+    assert str(exc.value) == "some variable has no pure-power generator (dim S/I > 0)"
 
 
 # --- multi-cover -------------------------------------------------------------------
@@ -374,6 +379,11 @@ def test_multiple_single_cover_tight():
     tab = multigraded_betti(KOSZUL2)
     r = check_multiple(KOSZUL2, [((1, 1), 2)], table=tab)
     assert r.lhs == r.rhs == 2 and r.holds
+
+
+def test_multiple_rejects_an_empty_cover_list(ex2, ex2_table):
+    with pytest.raises(ValueError, match="empty cover list"):
+        check_multiple(ex2, [], table=ex2_table)
 
 
 def test_multiple_rejects_bad_support(ex2, ex2_table):
@@ -722,3 +732,9 @@ def test_symbolic_bounds_evaluate(zero_dim_7_8):
     for bound in derive_symbolic_bounds(7, 8, 6):
         rep = bound.evaluate(prof)
         assert rep.holds, str(bound)
+
+
+@pytest.mark.parametrize("a", [1, 0, -1])
+def test_symbolic_bounds_need_a_at_least_two(a):
+    with pytest.raises(ValueError, match="need a >= 2"):
+        derive_symbolic_bounds(8, 9, a)

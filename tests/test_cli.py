@@ -13,9 +13,10 @@ import shiftlab.betti
 import shiftlab.checks
 import shiftlab.cli
 import shiftlab.complexes
-from shiftlab import (CapExceededError, complex_from_json, lcm_lattice, load_ideal, multigraded_betti,
-                      scarf_complex, taylor_complex, verify_complex)
-from shiftlab.cli import build_parser, main
+from shiftlab import (CapExceededError, InequalityReport, complex_from_json, lcm_lattice,
+                      load_ideal, multigraded_betti, scarf_complex, taylor_complex,
+                      verify_complex)
+from shiftlab.cli import NEEDS, build_parser, main
 
 FIXDIR = resources.files("shiftlab") / "data"
 EX1 = str(FIXDIR / "example1.ideal")
@@ -192,6 +193,62 @@ def test_check_missing_args_exit4(capsys):
     assert rc == 4 and out == ""
 
 
+# one value of each option that a check kind may read, valid for EX2
+CHECK_OPTS = {"alpha": "3,2,2,2,2,0,2", "beta": "2,2,3,2,2,2,0", "at": "4", "p": "2",
+              "cover": "2:3,2,2,2,2,0,2"}
+
+
+def no_betti(monkeypatch):
+    """Record each Betti table the CLI asks for, and build none."""
+    calls = []
+    monkeypatch.setattr(shiftlab.cli, "multigraded_betti", lambda *args: calls.append(args))
+    return calls
+
+
+def check_argv(kind, opts):
+    return ["check", EX2, kind, *[x for opt in opts for x in (f"--{opt}", CHECK_OPTS[opt])]]
+
+
+@pytest.mark.parametrize("kind, opts, message", [
+    (kind, [*NEEDS[kind], extra], f"{kind} does not read --{extra}")
+    for kind in NEEDS for extra in CHECK_OPTS if extra not in NEEDS[kind]
+] + [
+    (kind, [opt for opt in NEEDS[kind] if opt != missing], f"{kind} needs --{missing}")
+    for kind in NEEDS for missing in NEEDS[kind]
+])
+def test_check_reads_only_its_own_options(capsys, monkeypatch, kind, opts, message):
+    calls = no_betti(monkeypatch)
+    rc, out, err = run(capsys, *check_argv(kind, opts))
+    assert rc == 4 and out == "" and err == f"shiftlab: {message}\n" and calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["covering", "--alpha", "1_0", "--beta", "2,2,3,2,2,2,0"],
+    ["multiple", "--cover", "2_0:3,2,2,2,2,0,2"],
+])
+def test_check_parses_vectors_and_covers_before_the_table(capsys, monkeypatch, argv):
+    calls = no_betti(monkeypatch)
+    rc, out, err = run(capsys, "check", EX2, *argv)
+    assert rc == 4 and out == "" and err.startswith("shiftlab: bad ") and calls == []
+
+
+def test_check_reads_the_ideal_before_its_options(tmp_path, capsys):
+    bad = tmp_path / "bad.ideal"
+    bad.write_text("vars: x y\nq^2\n")
+    rc, out, err = run(capsys, "check", str(bad), "top", "--alpha", "1,2")
+    assert rc == 2 and out == "" and "cannot read ideal" in err
+
+
+@pytest.mark.parametrize("kind", ["all", "top"])
+def test_check_exits_1_when_a_proved_inequality_fails(capsys, monkeypatch, kind):
+    def broken_top(I, field, *, profile):
+        return InequalityReport("top", {"p": 4}, 17, 16, False)
+
+    monkeypatch.setattr(shiftlab.cli, "check_top", broken_top)
+    rc, out, _ = run(capsys, "check", EX2, kind)
+    assert rc == 1 and out.splitlines()[-1] == "top [p=4]: 17 <= 16 -> VIOLATION"
+
+
 # --- random ------------------------------------------------------------------------
 
 def test_random_ledger(capsys):
@@ -234,6 +291,30 @@ def test_random_cap_skips(capsys, monkeypatch):
         assert rec == {"seed": 1, "index": rec["index"], "n": 4, "m": 5, "maxexp": 3}
         assert re.fullmatch(r"lcm lattice of \d+ elements after [34] of 5 generators "
                             r"could pass the limit 2\^3", skipped), skipped
+
+
+def test_random_stops_at_a_failed_proved_inequality(capsys, monkeypatch):
+    # the third ideal checked gets a false consecutive report: its ledger
+    # line is the last, and one BUG line names the seed and its index
+    real, calls = shiftlab.cli.check_consecutive, []
+
+    def consecutive(I, field, *, profile):
+        calls.append(I)
+        reports = real(I, field, profile=profile)
+        if len(calls) == 3:
+            r = reports[0]
+            reports[0] = InequalityReport(r.name, r.params, r.rhs + 1, r.rhs, False)
+        return reports
+
+    monkeypatch.setattr(shiftlab.cli, "check_consecutive", consecutive)
+    rc, out, err = run(capsys, "random", "--seed", "1", "--n", "4", "--m", "5",
+                       "--maxexp", "3", "--count", "100")
+    records = [json.loads(line) for line in out.splitlines()]
+    last = records[-1]
+    assert rc == 1 and len(calls) == 3
+    assert [r["proven_ok"] for r in records if "skipped" not in r] == [True, True, False]
+    assert re.fullmatch(rf"BUG: proved inequality failed on seed=1 index={last['index']}: "
+                        r"consecutive \[a=1\]: \d+ <= \d+ -> VIOLATION\n", err), err
 
 
 def test_random_empty(capsys):

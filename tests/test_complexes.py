@@ -867,6 +867,7 @@ def test_star_shift_bound_trivial():
     F = taylor_complex(KOSZUL2)
     assert star_shift_bound(F, F, 0) == 0
     assert star_shift_bound(F, F, 5) is None
+    assert star_shift_bound(F, F, -1) is None  # no split i + j = a with i, j >= 0
     assert star_shift_bound(F, F, 2) == max(2 + 0, 1 + 1)
 
 

@@ -5,7 +5,7 @@ cannot change once built."""
 import pytest
 
 from shiftlab import QQ, PrimeField
-from shiftlab.fields import _is_prime, characteristic
+from shiftlab.fields import _is_prime, characteristic, field_from_spec
 
 
 def miller_rabin(p):
@@ -81,3 +81,14 @@ def test_fields_cannot_be_changed():
     with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
         QQ.p = 3
     assert not hasattr(QQ, "p") and characteristic(QQ) == 0
+
+
+def test_only_fields_have_a_characteristic():
+    with pytest.raises(TypeError, match="not a coefficient field"):
+        characteristic(object())
+
+
+def test_field_spec_is_q_or_a_prime():
+    assert field_from_spec(" QQ ") is QQ and field_from_spec("p:7") == PrimeField(7)
+    with pytest.raises(ValueError, match="unknown field spec 'r'"):
+        field_from_spec("r")
