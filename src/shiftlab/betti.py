@@ -76,13 +76,33 @@ where the count is at most 2^|supp alpha|, and K^alpha(I) elsewhere, so no
 strand has more than 2^n faces.  _lyubeznik_faces then grows the faces of
 the Lyubeznik strands to be ranked, and only the faces that lie in them.
 
+L depends on the generator order, a choice Novik reads as a rooting map
+("Lyubeznik's resolution and rooted complexes", J. Algebraic Combin. 16,
+2002): a face survives when no earlier generator divides the lcm of its
+tail, so generators below many lcms should come first.  Once the strata
+are classified and some alpha is to be built, _rooting scores each
+generator by how many built alpha hold it in G_alpha and sorts them most
+first, ties in the given order, and _relabel rewrites the lattice's
+G_alpha and the packed generators in that order, once, before the pushes
+are counted.  Every element below a built alpha has its G inside the union
+of the built G_alpha, so only those generators enter a counted face, and
+the relabelling is skipped when the order keeps their relative order.  The
+order cannot change a table: L resolves S/I in every order, so each strand
+has the homology Tor_a(S/I, k)_alpha whatever the order, and the entries
+stay keyed by alpha.  Classification, K^alpha and the other readers of
+_lattice (scarf_complex, lcm_lattice, the covering pairs) keep the given
+order.  What the order moves is the number of faces, which the face limit
+reads in the chosen order; it is no bound, and adds 4 faces on each of
+three corpus ideals.
+
 strand_matrices reads each strand off complexes._columns, the Taylor
 complex's facet rule, as ±1 columns, and one rank loop serves both kinds
 and both fields: rank_exact clears each pivot with fields.eliminate, as
 minimalize does.  Over QQ the 500-ideal test corpus builds 211 of its 7982
-strands, one of them K^alpha, with 698 faces, and makes 176 rank calls;
-S13 builds 10 of its 285 strands and S14 33 of its 353 (bench/ideals),
-all Lyubeznik, with 8 and 56 rank calls.
+strands, all Lyubeznik, with 542 faces, and makes 132 rank calls (698
+faces, one strand K^alpha, and 176 calls in the given order); S13 builds
+10 of its 285 strands and S14 33 of its 353 (bench/ideals), all
+Lyubeznik, with 4 and 28 rank calls (8 and 56).
 """
 
 from __future__ import annotations
@@ -321,6 +341,51 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     return grown
 
 
+def _rooting(lattice: dict, built, m: int) -> list[int] | None:
+    """The generator order the Lyubeznik strands are rooted in: the m
+    generators by how many built alpha have them in G_alpha, most first,
+    ties in the given order.  None when that order keeps the relative order
+    of the generators in the union of the built G_alpha, the only ones that
+    can enter a face counted below a built alpha, so relabelling would
+    change no count and no face."""
+    score, union = [0] * m, 0
+    for key in built:
+        top = lattice[key][0]
+        union |= top
+        while top:
+            low = top & -top
+            score[low.bit_length() - 1] += 1
+            top ^= low
+    order = sorted(range(m), key=score.__getitem__, reverse=True)  # stable, so ties keep their order
+    kept = [i for i in order if union >> i & 1]
+    return None if kept == sorted(kept) else order
+
+
+def _relabel(lattice: dict, gens: list, order: list[int]) -> tuple[dict, list]:
+    """The lattice and packed generators (_lattice) of the ideal whose j-th
+    generator is g_order[j]: its keys and sizes, with each G_alpha mapped
+    bit by bit, a byte at a time, through one lookup table per 8 generators
+    built by doubling."""
+    moved = [0] * len(order)
+    for j, i in enumerate(order):
+        moved[i] = 1 << j
+    tables = []
+    for start in range(0, len(order), 8):
+        table = [0]
+        for bit in moved[start:start + 8]:
+            table += [t | bit for t in table]
+        tables.append(table)
+
+    def relabel(mask):
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return {key: (relabel(top), size) for key, (top, size) in lattice.items()}, [gens[i] for i in order]
+
+
 def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
@@ -329,9 +394,10 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     the module docstring), unbuilt, and marks every other alpha with None;
     the eq table it reads is built only when a stratum needs it.  There the
     smaller of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik
-    strand when it has at most 2^|supp alpha| faces.  Lyubeznik faces are
-    counted first and enumerated only for the strands ranked, if those have
-    at most 2^22 faces in all (else _check_size raises).  With
+    strand when it has at most 2^|supp alpha| faces, in the generator order
+    _rooting picks from the built alpha.  Lyubeznik faces are counted first
+    and enumerated only for the strands ranked, if those have at most 2^22
+    faces in all (else _check_size raises).  With
     shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
     n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
     """
@@ -351,6 +417,8 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
             entries[(verdict, alpha)] = 1
     if not built:
         return BettiTable(I.ring, entries)
+    if (order := _rooting(lattice, built, I.m)) is not None:
+        lattice, gens = _relabel(lattice, gens, order)
     pushes = _lyubeznik_pushes(lattice, gens, join, built)
     most = {key: min(pushes.get(key, (0,))[0], 1 << sum(map(bool, alpha))) for key, alpha in built.items()}
     _check_size(sum(most.values()), "{} strand faces to rank pass")

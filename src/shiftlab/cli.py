@@ -139,13 +139,13 @@ def build_parser() -> _Parser:
     d.add_argument("ideal")
     d.add_argument("--complex", dest="kind", default="taylor",
                    choices=["taylor", "scarf", "minimal"])
-    _add_common(d, "field")
+    d.add_argument("--field", help="q (rationals, the default) or p:<prime>; --complex minimal only")
     d.set_defaults(func=cmd_dump)
     return p
 
 
 def _load(args):
-    """The ideal and the field that betti, shifts, check and dump read."""
+    """The ideal and the field that betti, shifts and check read."""
     return load_ideal(args.ideal), field_from_spec(args.field)
 
 
@@ -299,7 +299,10 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    I, field = _load(args)
+    I = load_ideal(args.ideal)
+    if args.field is not None and args.kind != "minimal":
+        raise CLIUsageError(f"dump --complex {args.kind} does not read --field")
+    field = field_from_spec(args.field or "q")
     F = scarf_complex(I) if args.kind == "scarf" else taylor_complex(I)
     if args.kind == "minimal":
         F = minimalize(F, field)

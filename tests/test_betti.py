@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,8 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-from shiftlab.betti import _classify, _equal_masks, _lattice, _lyubeznik_faces, _lyubeznik_pushes
+from shiftlab.betti import (_classify, _equal_masks, _lattice, _lyubeznik_faces, _lyubeznik_pushes,
+                            _relabel, _rooting)
 from shiftlab.complexes import CapExceededError
 
 RING2 = Ring(["x", "y"])
@@ -653,17 +655,71 @@ def test_lyubeznik_faces_match_the_definition_on_the_corpus(corpus, ex2):
         check_lyubeznik_faces(I)
 
 
+def check_rooting(I) -> bool | None:
+    """Check the order multigraded_betti roots its Lyubeznik strands in, and
+    its relabelling, against the reordered ideal; whether it relabelled,
+    None when it built no strand.  The order is rebuilt here from its
+    definition: the generators by how many built alpha have them in
+    G_alpha, most first, ties in the given order."""
+    calls = []
+    with mock.patch.object(shiftlab.betti, "_rooting",
+                           lambda *args: calls.append((args, _rooting(*args))) or calls[-1][1]):
+        multigraded_betti(I, QQ)
+    if not calls:
+        return None
+    [((lattice, built, m), chosen)] = calls
+    assert m == I.m and built
+    tops = [lattice[key][0] for key in built]
+    order = sorted(range(m), key=lambda i: -sum(top >> i & 1 for top in tops))
+    union = reduce(lambda a, b: a | b, tops)
+    kept = [i for i in order if union >> i & 1]
+    assert chosen == (None if kept == sorted(kept) else order), I
+    # the relabelled lattice is, key for key, that of the reordered ideal,
+    # whose pushes and faces check_lyubeznik_faces compares with rooted_faces
+    J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
+    lattice, gens, packed_join, _ = _lattice(I)
+    relabelled = _relabel(lattice, gens, order)
+    assert relabelled == _lattice(J)[:2], I
+    check_lyubeznik_faces(J)
+    if chosen is None:
+        # only the union's generators enter a face counted below a built
+        # alpha, so the given order counts what the chosen one would
+        given = _lyubeznik_pushes(lattice, gens, packed_join, built)
+        rooted = _lyubeznik_pushes(*relabelled, packed_join, built)
+        assert {key: given[key][0] for key in built if key in given} == {
+            key: rooted[key][0] for key in built if key in rooted}, I
+    return chosen is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_ideals())
+def test_rooting_matches_the_reordered_ideal(I):
+    check_rooting(I)
+
+
+def test_rooting_matches_the_reordered_ideal_on_the_corpus(corpus, ex1, ex2):
+    verdicts = Counter(check_rooting(I) for I in [*corpus, ex2])
+    # 88 of them build a strand (87 corpus ideals and ex2); the order moves
+    # a generator of the union in 47 and keeps the given order in 41, 9 of
+    # them because it is the given order outright
+    assert verdicts == {None: 413, True: 47, False: 41}
+    # m <= 8 there, so one lookup table; ex1, S13 and S14 need two
+    stress = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
+    assert [check_rooting(I) for I in [ex1, *stress]] == [True] * 3
+
+
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
 
-@pytest.mark.parametrize("name, built, ranked", [("S13", 10, 8), ("S14", 33, 56)],
+@pytest.mark.parametrize("name, built, ranked", [("S13", 10, 4), ("S14", 33, 28)],
                          ids=["S13-10", "S14-33"])
 def test_only_unclassified_strands_are_built(name, built, ranked, monkeypatch):
     # S13 and S14 have 285 and 353 strata (alpha = 0 included); every other
     # one is read off as a cone or a sphere and must not be built.  Each
     # built strand is ranked one level at a time, through rank_exact, which
     # is where bench/tracing.py counts it.  A level is ranked only when it
-    # and the level below hold faces.
+    # and the level below hold faces, so the counts follow the rooted order
+    # (8 and 56 in the given order).
     calls = Counter()
 
     def counted(fn):
@@ -786,8 +842,37 @@ def test_betti_table_ignores_generator_order(corpus, ex1, rp2):
         for I, perms in cases:
             table = multigraded_betti(I, field)
             assert all(multigraded_betti(J, field) == table for J in perms), (I, field)
-    e14, gf = edge_ideal(14, 20), PrimeField(32003)
-    assert multigraded_betti(permuted(e14), gf) == multigraded_betti(e14, gf)
+    gf = PrimeField(32003)
+    for I in (edge_ideal(14, 20), edge_ideal(16, 22), w22()):
+        assert multigraded_betti(permuted(I), gf) == multigraded_betti(I, gf), I
+
+
+@pytest.mark.parametrize("name, faces, built, koszul", [
+    ("S13", 18, 10, 0), ("S14", 83, 33, 0), ("ex1", 173, 98, 0), ("E14", 4270, 2374, 0),
+    ("W22", 256, 213, 0), ("corpus", 542, 211, 0), ("staircase", 8, 1, 1)])
+def test_faces_to_rank_in_the_rooted_order(name, faces, built, koszul, corpus, ex1, monkeypatch):
+    # the count the face limit reads, summed over the built alpha of
+    # min(Lyubeznik faces, 2^|supp alpha|) in the rooted order, then the
+    # built alpha and those of them that take K^alpha(I).  In the given
+    # order the faces were 36, 229, 239, 27234, 1654 and 699 (one K^alpha
+    # on the corpus).  The order is no bound: it adds 4 faces on each of
+    # three corpus ideals, and on the staircase, whose one built alpha holds
+    # every generator, all score alike, so the given order is kept and
+    # K^alpha(I), 8 faces, still stands in for over 2^10 Lyubeznik faces.
+    ideals = {"ex1": [ex1], "E14": [edge_ideal(14, 20)], "W22": [w22()], "corpus": corpus,
+              "staircase": [staircase(11)]}
+    counts = Counter()
+    check, matrices, koszul_faces = (shiftlab.betti._check_size, shiftlab.betti.strand_matrices,
+                                     shiftlab.betti._koszul_faces)
+    monkeypatch.setattr(shiftlab.betti, "_check_size",
+                        lambda count, *args: counts.update(faces=count) or check(count, *args))
+    monkeypatch.setattr(shiftlab.betti, "strand_matrices",
+                        lambda faces: counts.update(["built"]) or matrices(faces))
+    monkeypatch.setattr(shiftlab.betti, "_koszul_faces",
+                        lambda *args: counts.update(["koszul"]) or koszul_faces(*args))
+    for I in ideals.get(name) or [load_ideal(str(STRESS / f"{name}.ideal"))]:
+        multigraded_betti(I, PrimeField(32003))
+    assert (counts["faces"], counts["built"], counts["koszul"]) == (faces, built, koszul)
 
 
 @pytest.mark.parametrize("k, totals", [(11, (1, 13, 12)), (20, (1, 22, 21))])

@@ -5,6 +5,7 @@ import re
 import shutil
 from collections import Counter
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -527,28 +528,28 @@ def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
 
 
 def test_face_limit_exit3(tmp_path, capsys, monkeypatch):
-    # an edge ideal on 7 vertices: its strands rank 512 = 2^9 faces in all,
-    # and its lattice has at most 107 elements before a generator step, so
-    # the lattice limit admits it at 2^8 and the face limit refuses it there,
-    # before any face is grown
-    edges = "a*b a*c a*d a*e a*f a*g b*e b*f c*d c*f c*g d*e d*f e*f e*g f*g".split()
-    path = tmp_path / "edges7.ideal"
-    path.write_text("\n".join(["vars: a b c d e f g", *edges]) + "\n")
+    # the edge ideal of the complete graph on 6 vertices: its strands rank
+    # 216 faces in all, and its lattice has at most 57 elements before a
+    # generator step, so the lattice limit admits it at 2^7 and the face
+    # limit refuses it there, before any face is grown
+    edges = [a + "*" + b for a, b in combinations("abcdef", 2)]
+    path = tmp_path / "k6.ideal"
+    path.write_text("\n".join(["vars: a b c d e f", *edges]) + "\n")
     I = load_ideal(str(path))
     grown = Counter()
     for name in ("_lyubeznik_faces", "_koszul_faces"):
         real = getattr(shiftlab.betti, name)
         monkeypatch.setattr(shiftlab.betti, name,
                             lambda *args, name=name, real=real: grown.update([name]) or real(*args))
-    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 9)
-    assert multigraded_betti(I).totals() == (1, 16, 46, 59, 40, 14, 2)
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 8)
+    assert multigraded_betti(I).totals() == (1, 15, 40, 45, 24, 5)
     assert grown["_lyubeznik_faces"] == 1
     grown.clear()
-    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 8)
-    with pytest.raises(CapExceededError, match="^512 strand faces to rank pass the limit 2\\^8$"):
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 7)
+    with pytest.raises(CapExceededError, match="^216 strand faces to rank pass the limit 2\\^7$"):
         multigraded_betti(I)
     rc, out, err = run(capsys, "betti", str(path))
-    assert rc == 3 and out == "" and "512 strand faces to rank pass the limit 2^8" in err
+    assert rc == 3 and out == "" and "216 strand faces to rank pass the limit 2^7" in err
     assert not grown
 
 
@@ -613,6 +614,24 @@ def test_dump_roundtrip(capsys, kind, ranks):
     F = complex_from_json(obj)
     assert F.ranks() == ranks
     assert verify_complex(F).ok
+
+
+def test_dump_reads_field_only_for_the_minimal_complex(capsys):
+    # --field picks the field minimalize works over, so only --complex
+    # minimal reads it; the Taylor and Scarf complexes were once dumped
+    # with the option silently ignored
+    for kind in ("taylor", "scarf"):
+        rc, out, err = run(capsys, "dump", EX2, "--complex", kind, "--field", "p:3")
+        assert rc == 4 and out == "" and f"dump --complex {kind} does not read --field" in err
+    rc, out, err = run(capsys, "dump", EX2, "--field", "q")
+    assert rc == 4 and out == "" and "dump --complex taylor does not read --field" in err
+    rc, out, _ = run(capsys, "dump", "missing.ideal", "--field", "p:3")
+    assert rc == 2 and out == ""
+    rc, out, err = run(capsys, "dump", EX2, "--complex", "minimal", "--field", "p:10")
+    assert rc == 4 and out == "" and "prime" in err
+    for field in ("q", "p:3"):
+        rc, out, _ = run(capsys, "dump", EX2, "--complex", "minimal", "--field", field)
+        assert rc == 0 and complex_from_json(json.loads(out)).ranks() == (1, 5, 8, 5, 1)
 
 
 # --- verify-paper -------------------------------------------------------------------------
