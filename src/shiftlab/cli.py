@@ -229,6 +229,8 @@ def cmd_check(args) -> int:
             raise CLIUsageError(f"general preconditions: {exc}") from None
     elif which == "multiple":
         reports = [check_multiple(I, covers, field, table=table)]
+    elif which == "top":  # the zero ideal has no top shift: ValueError, exit 4
+        reports = [check_top(I, field, profile=prof)]
     else:
         reports = [r for r in _profile_reports(I, field, prof) if which in ("all", r.name)]
     return _emit_reports(reports, args.format)

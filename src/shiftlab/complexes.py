@@ -163,12 +163,12 @@ class FreeComplex(_Frozen):
 
 def _lattice(I: MonomialIdeal) -> tuple:
     """The lcm lattice by join closure, 0 included, with its packing:
-    (lattice, gens, join, unpack).  lattice maps packed alpha -> (G_alpha,
+    (lattice, gens, guards, unpack).  lattice maps packed alpha -> (G_alpha,
     size), with G_alpha the bitmask of the generators <= alpha and size the
     number of generator subsets whose lcm is alpha; gens are the generators
-    packed, join(x, y) = x v y of two packed multidegrees, and unpack(key)
-    the tuple of one.  Keys stay packed: callers unpack only what
-    leaves the engine.
+    packed, guards the guard bits H of the join below, and unpack(key) the
+    tuple of one.  Keys stay packed: callers unpack only what leaves the
+    engine.
 
     A packed multidegree is one int with a W-byte field per variable,
     variable 0 most significant, where W = e.bit_length() // 8 + 1 for the
@@ -177,10 +177,12 @@ def _lattice(I: MonomialIdeal) -> tuple:
     sorted ints are sorted tuples.  For W = 1 packing a generator is
     int.from_bytes(bytes(g)) and unpacking tuple(key.to_bytes()), one C
     call each; wider fields are packed by bytes and unpacked by shifts.
-    The join is one SWAR max: with H the guard bits and s = 8W - 1,
-    ge = ((x | H) - y) & H holds the guard bit of each field where x is at
-    least y (no field borrows from the next), and ge - (ge >> s) fills
-    those fields, the ones x v y takes from x.
+    The join is one SWAR max, written out where it is taken (here and in
+    betti._lyubeznik_pushes): with H the guard bits and s = 8W - 1, the
+    place of H's lowest bit, ge = ((x | H) - y) & H holds the guard bit of
+    each field where x is at least y (no field borrows from the next), and
+    x v y = y ^ ((x ^ y) & (ge - (ge >> s))) takes from x the fields that
+    ge - (ge >> s) fills.
 
     Generator i joins every element found from the generators before it:
     the subsets holding i and lcm alpha' are those with i added to the
@@ -189,13 +191,11 @@ def _lattice(I: MonomialIdeal) -> tuple:
     lcm of the earlier generators <= alpha' is one such alpha).  Every
     element found is in the final lattice, so time and memory follow it,
     not 2^m.  A step at most doubles it, so _check_size refuses it from over
-    2^(GENERATOR_CAP - 1)."""
+    2^(GENERATOR_CAP - 1), which the first GENERATOR_CAP steps cannot pass."""
     n = I.ring.n
     w = (max(map(max, I.gens)) if I.gens else 0).bit_length() // 8 + 1
     s = 8 * w - 1
     guards = int.from_bytes((1 << s).to_bytes(w, "big") * n, "big")
-
-    join = lambda x, y: y ^ ((x ^ y) & ((ge := ((x | guards) - y) & guards) - (ge >> s)))  # one SWAR max
     if w == 1:
         gens = [int.from_bytes(bytes(g), "big") for g in I.gens]
         unpack = lambda key: tuple(key.to_bytes(n, "big"))
@@ -205,14 +205,15 @@ def _lattice(I: MonomialIdeal) -> tuple:
 
     lattice = {0: (0, 1)}
     for i, g in enumerate(gens):
-        _check_size(2 * len(lattice), "lcm lattice of {1} elements after {2} of {3} generators "
-                    "could pass", len(lattice), i, len(gens))
+        if i >= GENERATOR_CAP:  # before step i the lattice has at most 2^i elements
+            _check_size(2 * len(lattice), "lcm lattice of {1} elements after {2} of {3} generators "
+                        "could pass", len(lattice), i, len(gens))
         bit = 1 << i
         for key, (mask, size) in list(lattice.items()):
-            top = join(key, g)
+            top = g ^ ((key ^ g) & ((ge := ((key | guards) - g) & guards) - (ge >> s)))
             had, count = lattice.get(top, (0, 0))
             lattice[top] = (had | mask | bit, count + size)
-    return lattice, gens, join, unpack
+    return lattice, gens, guards, unpack
 
 
 def _facet_index(masks) -> dict[int, tuple]:

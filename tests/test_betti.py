@@ -375,10 +375,10 @@ def unpacked_lattice(I) -> dict:
 def unpacked_pushes(I, wanted) -> dict:
     """_lyubeznik_pushes on _lattice(I) for the tuples in wanted, with every
     multidegree unpacked to a tuple, in its order."""
-    lattice, gens, packed_join, unpack = _lattice(I)
+    lattice, gens, guards, unpack = _lattice(I)
     tuples = {key: unpack(key) for key in lattice}
     keys = {alpha: key for key, alpha in tuples.items()}
-    pushes = _lyubeznik_pushes(lattice, gens, packed_join, [keys[alpha] for alpha in wanted])
+    pushes = _lyubeznik_pushes(lattice, gens, guards, [keys[alpha] for alpha in wanted])
     return {tuples[beta]: (n, [(tuples[alpha], bit) for alpha, bit in out])
             for beta, (n, out) in pushes.items()}
 
@@ -394,10 +394,13 @@ def check_against_the_tuple_engine(I):
 
 
 # exponents that need 1, 2, 3 and 9 bytes a variable once packed: W = 2
-# past 127, W = 3 past 32767, W = 9 for 2^64 + 1
+# past 127, W = 3 past 32767, W = 9 for 2^64 + 1; both sides of the first
+# two boundaries, where the guard bit moves
 WIDE = [
     ("127", [(127, 1, 0), (0, 127, 2), (3, 0, 127), (126, 127, 1)], 1),
     ("128", [(128, 1, 0), (0, 127, 2), (3, 0, 128), (127, 128, 1)], 2),
+    ("32767", [(32767, 1, 0), (0, 32767, 2), (3, 0, 32767), (32766, 32767, 1)], 2),
+    ("32768", [(32768, 1, 0), (0, 32767, 2), (3, 0, 32768), (32767, 32768, 1)], 3),
     ("x200", [(200, 3, 0), (5, 300, 0), (0, 2, 70000), (130, 0, 9)], 3),
     ("2^64+1", [(2**64 + 1, 1, 0), (0, 5, 2), (3, 0, 2**20), (2**64, 7, 7), (1, 2**64 + 1, 1)], 9),
 ]
@@ -618,9 +621,9 @@ def check_lyubeznik_faces(I):
     # with every lattice element wanted, the pushes reach the lcms of the
     # rooted subsets in sorted order and count them, and the faces grown
     # along them are those subsets
-    (lattice, gens, packed_join, unpack), rooted = _lattice(I), rooted_faces(I)
+    (lattice, gens, guards, unpack), rooted = _lattice(I), rooted_faces(I)
     tuples = {key: unpack(key) for key in lattice}
-    pushes = _lyubeznik_pushes(lattice, gens, packed_join, lattice)
+    pushes = _lyubeznik_pushes(lattice, gens, guards, lattice)
     assert [tuples[beta] for beta in pushes] == sorted(rooted), I
     assert {tuples[beta]: n for beta, (n, _) in pushes.items()} == {
         alpha: len(faces) for alpha, faces in rooted.items()}, I
@@ -637,7 +640,7 @@ def check_lyubeznik_faces(I):
     # wanting fewer elements prunes the pushes but not the counts or the
     # faces at those
     part = set(sorted(lattice)[1::3])
-    pushes = _lyubeznik_pushes(lattice, gens, packed_join, part)
+    pushes = _lyubeznik_pushes(lattice, gens, guards, part)
     assert {tuples[key]: pushes[key][0] for key in part if key in pushes} == {
         tuples[key]: len(rooted[tuples[key]]) for key in part if tuples[key] in rooted}, I
     assert {tuples[key]: sorted(faces) for key, faces in _lyubeznik_faces(pushes, part).items()} == {
@@ -677,15 +680,15 @@ def check_rooting(I) -> bool | None:
     # the relabelled lattice is, key for key, that of the reordered ideal,
     # whose pushes and faces check_lyubeznik_faces compares with rooted_faces
     J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
-    lattice, gens, packed_join, _ = _lattice(I)
+    lattice, gens, guards, _ = _lattice(I)
     relabelled = _relabel(lattice, gens, order)
     assert relabelled == _lattice(J)[:2], I
     check_lyubeznik_faces(J)
     if chosen is None:
         # only the union's generators enter a face counted below a built
         # alpha, so the given order counts what the chosen one would
-        given = _lyubeznik_pushes(lattice, gens, packed_join, built)
-        rooted = _lyubeznik_pushes(*relabelled, packed_join, built)
+        given = _lyubeznik_pushes(lattice, gens, guards, built)
+        rooted = _lyubeznik_pushes(*relabelled, guards, built)
         assert {key: given[key][0] for key in built if key in given} == {
             key: rooted[key][0] for key in built if key in rooted}, I
     return chosen is not None
@@ -703,9 +706,23 @@ def test_rooting_matches_the_reordered_ideal_on_the_corpus(corpus, ex1, ex2):
     # a generator of the union in 47 and keeps the given order in 41, 9 of
     # them because it is the given order outright
     assert verdicts == {None: 413, True: 47, False: 41}
-    # m <= 8 there, so one lookup table; ex1, S13 and S14 need two
+    # m <= 8 there, so the second of _relabel's two lookup tables is empty;
+    # ex1, S13 and S14 fill both
     stress = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
     assert [check_rooting(I) for I in [ex1, *stress]] == [True] * 3
+
+
+@pytest.mark.parametrize("tables", [3, 4], ids=["W22", "E18"])
+def test_relabel_past_two_tables(tables):
+    # past 16 generators each further lookup table takes one more pass: W22
+    # (m = 22) needs three and the edge ideal on 18 vertices (m = 26) four.
+    # The relabelled lattice is, key for key, that of the reordered ideal.
+    I = w22() if tables == 3 else edge_ideal(18, 26)
+    assert (I.m + 7) // 8 == tables
+    order = list(range(I.m))
+    random.Random(3).shuffle(order)
+    J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
+    assert _relabel(*_lattice(I)[:2], order) == _lattice(J)[:2]
 
 
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"

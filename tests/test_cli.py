@@ -156,6 +156,13 @@ def test_zero_ideal_through_cli(tmp_path, capsys):
     assert rc == 0 and "coarse: 1" in out
     rc, out, _ = run(capsys, "check", str(empty), "all")
     assert rc == 0
+    # all leaves top out on the zero ideal; asked for by name it is refused,
+    # as check_top refuses it
+    rc, out, err = run(capsys, "check", str(empty), "top")
+    assert (rc, out) == (4, "") and "zero ideal: no top shift to bound" in err
+    for kind in ("subadditivity", "consecutive"):
+        rc, _, _ = run(capsys, "check", str(empty), kind)
+        assert rc == 0, kind
 
 
 def test_check_covering_bad_pair_exit4(capsys):

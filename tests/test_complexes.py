@@ -157,15 +157,15 @@ def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
     # G_alpha is the largest mask with lcm alpha, and size the number of them.
     # Multidegrees are packed W bytes a variable: W = 1 for the corpus, ex1,
     # ex2, S13, S14, the path and empty edge ideals and the 127 ideal of
-    # WIDE, W = 2 for the other three edge ideals and the 128 ideal, and
-    # W = 3 and 9 for the last two of WIDE.
+    # WIDE, W = 2 for the other three edge ideals and the 128 and 32767
+    # ideals, and W = 3 for the 32768 and x200 ideals and 9 for the last.
     wide = [MonomialIdeal(Ring(["x", "y", "z"]), gens) for _, gens, _ in WIDE]
     widths = Counter()
     for I in [*lattice_ideals(corpus, ex1, ex2), *wide]:
         expected = {alpha: (max(masks), len(masks)) for alpha, masks in reference_strata(I).items()}
         assert unpacked_lattice(I) == expected, I
         widths[packed_width(I)] += 1
-    assert widths == {1: len(corpus) + 4 + 2 + 1, 2: 3 + 1, 3: 1, 9: 1}
+    assert widths == {1: len(corpus) + 4 + 2 + 1, 2: 3 + 2, 3: 2, 9: 1}
 
 
 @pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14", "rp2", "staircase", "W22", "edges"])
