@@ -61,8 +61,8 @@ and dropping it leaves a face of lcm beta with min G_beta greater than it
 and beta v g_i = alpha.  So the faces at alpha are, over those beta, the
 faces at beta with i = min G_alpha added, plus {i} itself when g_i = alpha
 (beta = 0, whose one face is the empty one).  _lyubeznik_pushes counts
-them up the lattice by this rule, in sorted order, over the elements below
-some alpha to be built.
+them up the whole lattice by this rule, in sorted order, so the count
+reads the lattice and the generator order alone.
 
 A Lyubeznik strand can still have about 2^m faces: on x*y^i*z^(20-i),
 i = 0..20, and y^20*z^20 it has over 2^19 at alpha = (1, 20, 20).  The
@@ -83,16 +83,14 @@ are classified and some alpha is to be built, _rooting scores each
 generator by how many built alpha hold it in G_alpha and sorts them most
 first, ties in the given order, and _relabel rewrites the lattice's
 G_alpha and the packed generators in that order, once, before the pushes
-are counted.  Every element below a built alpha has its G inside the union
-of the built G_alpha, so only those generators enter a counted face, and
-the relabelling is skipped when the order keeps their relative order.  The
-order cannot change a table: L resolves S/I in every order, so each strand
-has the homology Tor_a(S/I, k)_alpha whatever the order, and the entries
-stay keyed by alpha.  Classification, K^alpha and the other readers of
-_lattice (scarf_complex, lcm_lattice, the covering pairs) keep the given
-order.  What the order moves is the number of faces, which the face limit
-reads in the chosen order; it is no bound, and adds 4 faces on each of
-three corpus ideals.
+are counted, unless it is the given order.  The order cannot change a
+table: L resolves S/I in every order, so each strand has the homology
+Tor_a(S/I, k)_alpha whatever the order, and the entries stay keyed by
+alpha.  Classification, K^alpha and the other readers of _lattice
+(scarf_complex, lcm_lattice, the covering pairs) keep the given order.
+What the order moves is the number of faces, which the face limit reads
+in the chosen order; it is no bound, and adds 4 faces on each of three
+corpus ideals.
 
 strand_matrices reads each strand off complexes._columns, the Taylor
 complex's facet rule, as ±1 columns, and one rank loop serves both kinds
@@ -109,8 +107,6 @@ element, took bench stress pass_s 0.0073 -> 0.0060 s (2-core Xeon, 3.11).
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import reduce
-from operator import or_
 
 from .complexes import (ShiftProfile, _check_columns, _check_size, _column_scan, _columns,
                         _facet_index, _lattice, scarf_complex)
@@ -279,49 +275,36 @@ def _koszul_faces(gens, alpha: tuple) -> list[int]:
     return sorted(faces)
 
 
-def _lyubeznik_pushes(lattice: dict, gens: list, guards: int, wanted) -> dict:
+def _lyubeznik_pushes(lattice: dict, gens: list, guards: int) -> dict:
     """beta -> (the number of Lyubeznik faces with lcm beta, the pushes
-    (alpha, 1 << i) out of beta), in sorted order, for every element reached
-    below some alpha in wanted.
+    (alpha, 1 << i) out of beta), in sorted order, for every element reached.
 
     A face at alpha is i = min G_alpha added to a face at some beta with
     min G_beta > i and beta v g_i = alpha (see the module docstring), and
     whether i may be added reads only beta and i.  So the faces are the
     paths from 0 along the pushes, counted here in sorted order, a linear
-    extension of <=: from each beta along each i < min G_beta with
-    min G_(beta v g_i) = i, one SWAR max per pair.  A push goes only into an
-    element below some wanted alpha, that is, whose G lies in that alpha's
-    G.  Each element reached keeps the inclusion-maximal wanted G above it,
-    and only their members are tried as i.  Elements are packed: lattice,
+    extension of <=: from each beta along each i < min G_beta (every i from
+    beta = 0) with min G_(beta v g_i) = i, one SWAR max per pair.  The count
+    reads the lattice and the order alone.  Elements are packed: lattice,
     gens and the guard bits of the max come from _lattice."""
     s = (guards & -guards).bit_length() - 1  # the lowest guard bit: 8W - 1
     count = {0: 1}  # the empty face, the one face of lcm 0
-    maximal: list[int] = []  # an element is below a wanted one iff below a maximal one
-    for top in sorted((lattice[alpha][0] for alpha in wanted), key=int.bit_count, reverse=True):
-        if not any(top & t == top for t in maximal):
-            maximal.append(top)
-    above = {0: maximal}
     pushes = {}
     for beta in sorted(lattice):
         if (n := count.get(beta)) is None:
             continue
         low = lattice[beta][0]
-        ups = above.pop(beta)
-        reach = reduce(or_, ups, 0) & ((low & -low) - 1 if low else -1)
+        reach = (low & -low or 1 << len(gens)) - 1  # the i < min G_beta: all of them at beta = 0
         out = []
         while reach:
             bit = reach & -reach
             reach ^= bit
             g = gens[bit.bit_length() - 1]
             alpha = g ^ ((beta ^ g) & ((ge := ((beta | guards) - g) & guards) - (ge >> s)))
-            top = lattice[alpha][0]
-            if top & (bit - 1):
+            if lattice[alpha][0] & (bit - 1):
                 continue  # an earlier generator divides alpha: i is not min G_alpha
-            if (tops := above.get(alpha)) is None:
-                tops = above[alpha] = [t for t in ups if top & t == top]
-            if tops:
-                count[alpha] = count.get(alpha, 0) + n
-                out.append((alpha, bit))
+            count[alpha] = count.get(alpha, 0) + n
+            out.append((alpha, bit))
         pushes[beta] = n, out
     return pushes
 
@@ -357,21 +340,16 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
 def _rooting(lattice: dict, built, m: int) -> list[int] | None:
     """The generator order the Lyubeznik strands are rooted in: the m
     generators by how many built alpha have them in G_alpha, most first,
-    ties in the given order.  None when that order keeps the relative order
-    of the generators in the union of the built G_alpha, the only ones that
-    can enter a face counted below a built alpha, so relabelling would
-    change no count and no face."""
-    score, union = [0] * m, 0
+    ties in the given order.  None when that is the given order."""
+    score = [0] * m
     for key in built:
         top = lattice[key][0]
-        union |= top
         while top:
             low = top & -top
             score[low.bit_length() - 1] += 1
             top ^= low
     order = sorted(range(m), key=score.__getitem__, reverse=True)  # stable, so ties keep their order
-    kept = [i for i in order if union >> i & 1]
-    return None if kept == sorted(kept) else order
+    return None if order == list(range(m)) else order
 
 
 def _relabel(lattice: dict, gens: list, order: list[int]) -> tuple[dict, list]:
@@ -410,8 +388,10 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     and enumerated only for the strands ranked, if those have at most 2^22
     faces in all (else _check_size raises).  With
     shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
-    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.
+    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.  A field other
+    than QQ or a PrimeField raises TypeError first, for every ideal.
     """
+    characteristic(field)
     lattice, gens, guards, unpack = _lattice(I)
     eq = None  # built for the first stratum of three or more faces
     entries: dict[tuple, int] = {}
@@ -430,7 +410,7 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
         return BettiTable(I.ring, entries)
     if (order := _rooting(lattice, built, I.m)) is not None:
         lattice, gens = _relabel(lattice, gens, order)
-    pushes = _lyubeznik_pushes(lattice, gens, guards, built)
+    pushes = _lyubeznik_pushes(lattice, gens, guards)
     most = {key: min(pushes.get(key, (0,))[0], 1 << sum(map(bool, alpha))) for key, alpha in built.items()}
     _check_size(sum(most.values()), "{} strand faces to rank pass")
     small = {key for key, n in most.items() if n == pushes.get(key, (0,))[0]}
@@ -470,17 +450,16 @@ def scarf_is_resolution(I: MonomialIdeal, field=QQ) -> bool:
 def format_betti_grid(table: BettiTable) -> str:
     """Macaulay2-style grid: column a, row d - a, cell = coarse rank.  Only
     the rows that hold an entry are printed, under labels as wide as the
-    widest of them."""
+    widest of them.  The number columns share one width, 6 or one more than
+    the widest cell, total or header."""
     coarse = table.coarse()
     cols = range(table.projdim + 1)
-    rows = sorted({d - a for a, d in coarse})
-    w = max(6, len(f"{rows[-1]}:"))
-    lines = [" " * w + "".join(f"{a:>6}" for a in cols)]
-    for r in rows:
-        cells = [coarse.get((a, r + a), ".") for a in cols]
-        lines.append(f"{r}:".rjust(w) + "".join(f"{c:>6}" for c in cells))
-    lines.append("total:".rjust(w) + "".join(f"{t:>6}" for t in table.totals()))
-    return "\n".join(lines)
+    lines = [("", cols)]
+    lines += [(f"{r}:", [coarse.get((a, r + a), ".") for a in cols]) for r in sorted({d - a for a, d in coarse})]
+    lines.append(("total:", table.totals()))
+    w = max(len(label) for label, _ in lines)
+    c = max(6, 1 + max(len(str(x)) for _, cells in lines for x in cells))
+    return "\n".join(label.rjust(w) + "".join(f"{x:>{c}}" for x in cells) for label, cells in lines)
 
 
 def betti_records(table: BettiTable) -> list[dict]:

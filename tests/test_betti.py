@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import shiftlab.betti
 from shiftlab import (
     BasisElement,
+    BettiTable,
     FreeComplex,
     MonomialIdeal,
     PrimeField,
@@ -21,6 +22,7 @@ from shiftlab import (
     Ring,
     betti_records,
     divides,
+    find_covering_pairs,
     format_betti_grid,
     is_minimal,
     join,
@@ -333,35 +335,25 @@ def tuple_lattice(I) -> dict:
     return lattice
 
 
-def tuple_lyubeznik_pushes(I, lattice: dict, wanted) -> dict:
+def tuple_lyubeznik_pushes(I, lattice: dict) -> dict:
     """_lyubeznik_pushes on a tuple_lattice, with a tuple join per push."""
     zero, gens = I.ring.zero(), I.gens
     count = {zero: 1}
-    maximal = []
-    for top in sorted((lattice[alpha][0] for alpha in wanted), key=int.bit_count, reverse=True):
-        if not any(top & t == top for t in maximal):
-            maximal.append(top)
-    above = {zero: maximal}
     pushes = {}
     for beta in sorted(lattice):
         if (n := count.get(beta)) is None:
             continue
         low = lattice[beta][0]
-        ups = above.pop(beta)
-        reach = reduce(lambda a, b: a | b, ups, 0) & ((low & -low) - 1 if low else -1)
+        reach = (low & -low or 1 << len(gens)) - 1
         out = []
         while reach:
             bit = reach & -reach
             reach ^= bit
             alpha = tuple([x if x >= e else e for x, e in zip(beta, gens[bit.bit_length() - 1])])
-            top = lattice[alpha][0]
-            if top & (bit - 1):
+            if lattice[alpha][0] & (bit - 1):
                 continue
-            if (tops := above.get(alpha)) is None:
-                tops = above[alpha] = [t for t in ups if top & t == top]
-            if tops:
-                count[alpha] = count.get(alpha, 0) + n
-                out.append((alpha, bit))
+            count[alpha] = count.get(alpha, 0) + n
+            out.append((alpha, bit))
         pushes[beta] = n, out
     return pushes
 
@@ -372,25 +364,23 @@ def unpacked_lattice(I) -> dict:
     return {unpack(key): value for key, value in lattice.items()}
 
 
-def unpacked_pushes(I, wanted) -> dict:
-    """_lyubeznik_pushes on _lattice(I) for the tuples in wanted, with every
-    multidegree unpacked to a tuple, in its order."""
+def unpacked_pushes(I) -> dict:
+    """_lyubeznik_pushes on _lattice(I), with every multidegree unpacked to
+    a tuple, in its order."""
     lattice, gens, guards, unpack = _lattice(I)
     tuples = {key: unpack(key) for key in lattice}
-    keys = {alpha: key for key, alpha in tuples.items()}
-    pushes = _lyubeznik_pushes(lattice, gens, guards, [keys[alpha] for alpha in wanted])
+    pushes = _lyubeznik_pushes(lattice, gens, guards)
     return {tuples[beta]: (n, [(tuples[alpha], bit) for alpha, bit in out])
             for beta, (n, out) in pushes.items()}
 
 
 def check_against_the_tuple_engine(I):
     # the same lattice in the same order, and the same Lyubeznik counts and
-    # pushes, wanting every element or every third
+    # pushes
     lattice = tuple_lattice(I)
     assert list(unpacked_lattice(I).items()) == list(lattice.items()), I
     assert lcm_lattice(I) == sorted(alpha for alpha, (mask, _) in lattice.items() if mask)
-    for wanted in (list(lattice), sorted(lattice)[1::3]):
-        assert unpacked_pushes(I, wanted) == tuple_lyubeznik_pushes(I, lattice, wanted), I
+    assert unpacked_pushes(I) == tuple_lyubeznik_pushes(I, lattice), I
 
 
 # exponents that need 1, 2, 3 and 9 bytes a variable once packed: W = 2
@@ -469,6 +459,23 @@ def test_zero_ideal_table():
     assert tab.entries == {(0, (0, 0)): 1}
     assert tuple(tab.shift_profile()) == (0,)
     assert tab.projdim == 0
+
+
+def test_betti_refuses_a_non_field_for_every_ideal(ex2):
+    # the field is checked before the lattice is walked, so an ideal whose
+    # strands are all read off unbuilt, such as (xy, yz), and the zero ideal
+    # refuse it as ex2 does, and so do the callers of the Betti table
+    R3 = Ring(["x", "y", "z"])
+    read_off = MonomialIdeal(R3, [(1, 1, 0), (0, 1, 1)])
+    for I in (read_off, MonomialIdeal(R3, []), ex2):
+        for field in ("nonsense", 7, None):
+            with pytest.raises(TypeError, match="not a coefficient field"):
+                multigraded_betti(I, field)
+    with pytest.raises(TypeError, match="not a coefficient field"):
+        shifts(read_off, 7)
+    with pytest.raises(TypeError, match="not a coefficient field"):
+        find_covering_pairs(read_off, at=1, field="bad")
+    assert multigraded_betti(read_off, PrimeField(2)).totals() == (1, 2, 1)
 
 
 def test_strand_euler_characteristic(ex2):
@@ -618,12 +625,12 @@ def rooted_faces(I) -> dict:
 
 
 def check_lyubeznik_faces(I):
-    # with every lattice element wanted, the pushes reach the lcms of the
-    # rooted subsets in sorted order and count them, and the faces grown
-    # along them are those subsets
+    # the pushes reach the lcms of the rooted subsets in sorted order and
+    # count them, and the faces grown along them to every lattice element
+    # are those subsets
     (lattice, gens, guards, unpack), rooted = _lattice(I), rooted_faces(I)
     tuples = {key: unpack(key) for key in lattice}
-    pushes = _lyubeznik_pushes(lattice, gens, guards, lattice)
+    pushes = _lyubeznik_pushes(lattice, gens, guards)
     assert [tuples[beta] for beta in pushes] == sorted(rooted), I
     assert {tuples[beta]: n for beta, (n, _) in pushes.items()} == {
         alpha: len(faces) for alpha, faces in rooted.items()}, I
@@ -637,12 +644,8 @@ def check_lyubeznik_faces(I):
         for face in faces:
             assert all(face ^ 1 << i in every for i in range(I.m) if face >> i & 1), (I, face)
             assert face & -face == top & -top, (I, face)
-    # wanting fewer elements prunes the pushes but not the counts or the
-    # faces at those
+    # growing faces to fewer elements leaves the faces at those
     part = set(sorted(lattice)[1::3])
-    pushes = _lyubeznik_pushes(lattice, gens, guards, part)
-    assert {tuples[key]: pushes[key][0] for key in part if key in pushes} == {
-        tuples[key]: len(rooted[tuples[key]]) for key in part if tuples[key] in rooted}, I
     assert {tuples[key]: sorted(faces) for key, faces in _lyubeznik_faces(pushes, part).items()} == {
         tuples[key]: rooted[tuples[key]] for key in part if tuples[key] in rooted}, I
 
@@ -674,23 +677,12 @@ def check_rooting(I) -> bool | None:
     assert m == I.m and built
     tops = [lattice[key][0] for key in built]
     order = sorted(range(m), key=lambda i: -sum(top >> i & 1 for top in tops))
-    union = reduce(lambda a, b: a | b, tops)
-    kept = [i for i in order if union >> i & 1]
-    assert chosen == (None if kept == sorted(kept) else order), I
+    assert chosen == (None if order == list(range(m)) else order), I
     # the relabelled lattice is, key for key, that of the reordered ideal,
     # whose pushes and faces check_lyubeznik_faces compares with rooted_faces
     J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
-    lattice, gens, guards, _ = _lattice(I)
-    relabelled = _relabel(lattice, gens, order)
-    assert relabelled == _lattice(J)[:2], I
+    assert _relabel(*_lattice(I)[:2], order) == _lattice(J)[:2], I
     check_lyubeznik_faces(J)
-    if chosen is None:
-        # only the union's generators enter a face counted below a built
-        # alpha, so the given order counts what the chosen one would
-        given = _lyubeznik_pushes(lattice, gens, guards, built)
-        rooted = _lyubeznik_pushes(*relabelled, guards, built)
-        assert {key: given[key][0] for key in built if key in given} == {
-            key: rooted[key][0] for key in built if key in rooted}, I
     return chosen is not None
 
 
@@ -702,10 +694,9 @@ def test_rooting_matches_the_reordered_ideal(I):
 
 def test_rooting_matches_the_reordered_ideal_on_the_corpus(corpus, ex1, ex2):
     verdicts = Counter(check_rooting(I) for I in [*corpus, ex2])
-    # 88 of them build a strand (87 corpus ideals and ex2); the order moves
-    # a generator of the union in 47 and keeps the given order in 41, 9 of
-    # them because it is the given order outright
-    assert verdicts == {None: 413, True: 47, False: 41}
+    # 88 of them build a strand (87 corpus ideals and ex2); the order is
+    # the given order in 9 and moves a generator in the other 79
+    assert verdicts == {None: 413, True: 79, False: 9}
     # m <= 8 there, so the second of _relabel's two lookup tables is empty;
     # ex1, S13 and S14 fill both
     stress = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
@@ -898,7 +889,7 @@ def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
     # the Taylor strand and K^alpha(I) in about 2 ms.  No strand the engine
     # ranks may exceed 2^n = 8 faces, however many Lyubeznik faces alpha has.
     I, sizes, real = staircase(k), [], shiftlab.betti.strand_matrices
-    pushes = unpacked_pushes(I, [(1, k, k)])
+    pushes = unpacked_pushes(I)
     assert pushes[(1, k, k)][0] >= 2 ** (k - 1)
     monkeypatch.setattr(shiftlab.betti, "strand_matrices",
                         lambda faces: sizes.append(len(faces)) or real(faces))
@@ -990,6 +981,25 @@ def test_grid_prints_only_the_rows_that_hold_an_entry(ex2_table):
         "   11:     .     .     3     1     .",
         "   12:     .     .     .     3     1",
         "total:     1     5     8     5     1",
+    ]
+
+
+def test_grid_columns_fit_cells_of_six_digits_and_more():
+    # every column is as wide as the widest cell, total or header plus one,
+    # 6 at least, so cells of six or more digits stay apart
+    table = BettiTable(RING2, {(0, (0, 0)): 1, (1, (1, 0)): 123456, (2, (1, 1)): 654321})
+    assert format_betti_grid(table).splitlines() == [
+        "            0      1      2",
+        "    0:      1 123456 654321",
+        "total:      1 123456 654321",
+    ]
+    # a five-digit cell keeps the width of 6
+    table = BettiTable(RING2, {(0, (0, 0)): 1, (1, (2, 0)): 12345})
+    assert format_betti_grid(table).splitlines() == [
+        "           0     1",
+        "    0:     1     .",
+        "    1:     . 12345",
+        "total:     1 12345",
     ]
 
 
