@@ -38,7 +38,8 @@ minimal R_v.
   sphere: b_{k,alpha} = 1 and every other b_{.,alpha} is 0, over every
   field.  A 1-face stratum is the case of singleton blocks, and alpha = 0
   the case k = 0.
-- Otherwise a strand is built and ranked: the Lyubeznik strand at alpha,
+- Otherwise the strand is read off its Lyubeznik counts when its faces
+  have one size, or else built and ranked: the Lyubeznik strand at alpha,
   or K^alpha(I) where that is smaller (below).
 
 A cone has an even number of faces and a sphere an odd one, the product of
@@ -47,7 +48,10 @@ and one of two faces, {G_alpha - {i}, G_alpha}, the cone on i, so both are
 classified from the carried size alone, and eq is built only for the first
 stratum of three or more faces (most corpus strata have one or two).  The
 verdicts are read in that order: the size, then the minimal R_v and their
-union U, found in one pass over the R_v by size (_classify).
+union U, found in one pass over the R_v by size (_classify).  _classify
+reads the strata of three or more faces in lattice order only until the
+first it leaves to be built; every later one is left open for the
+Lyubeznik counts below, and goes to _classify only if they cannot read it.
 
 The Lyubeznik complex L (Lyubeznik, "A new explicit finite free resolution
 of ideals generated by monomials in an R-sequence", JPAA 51, 1988) is the
@@ -62,10 +66,25 @@ and beta v g_i = alpha.  So the faces at alpha are, over those beta, the
 faces at beta with i = min G_alpha added, plus {i} itself when g_i = alpha
 (beta = 0, whose one face is the empty one).  _lyubeznik_pushes counts
 them up the whole lattice by this rule, in sorted order, so the count
-reads the lattice and the generator order alone.
+reads the lattice and the generator order alone.  It counts them by size,
+in one int per alpha, the sum of n_s * 2^((m+1)s): field s, m + 1 bits
+wide, holds the n_s faces of size s, and no field carries into the next
+since a stratum has at most 2^m faces.  A push shifts beta's count one
+field up.  The counts are made only once some stratum must be built.
+
+A strand whose faces all have one size s has no boundary, so its homology
+is b_{s,alpha} = n_s; with no faces it has none.  So each open or built
+stratum whose count has one nonzero field, or none, is read off it, with
+no face grown and no rank call; only the other open strata go to _classify,
+and only the other built ones are ranked.  The counts also give each
+strand's Euler characteristic, sum (-1)^s n_s, which the table's entries
+at alpha must have (the tests check it at every alpha; the ranks cancel in
+it, so it checks the counts and the read-offs, not rank_exact).
 
 A Lyubeznik strand can still have about 2^m faces: on x*y^i*z^(20-i),
-i = 0..20, and y^20*z^20 it has over 2^19 at alpha = (1, 20, 20).  The
+i = 0..20, and y^20*z^20 it has over 2^19 at alpha = (1, 20, 20) in the
+given order (one face, read off its count, in the rooted order below), and
+with y^20*z^10 in place of y^20*z^20 it has 513 at (1, 20, 10) in both.  The
 upper Koszul complex K^alpha(I) = {squarefree tau <= alpha :
 x^(alpha - tau) in I}, faces being variable subsets, has at most
 2^|supp alpha|, and for a >= 1 b_{a,alpha}(S/I) = dim H~_{a-2}(K^alpha(I))
@@ -78,30 +97,31 @@ the Lyubeznik strands to be ranked, and only the faces that lie in them.
 L depends on the generator order, a choice Novik reads as a rooting map
 ("Lyubeznik's resolution and rooted complexes", J. Algebraic Combin. 16,
 2002): a face survives when no earlier generator divides the lcm of its
-tail, so generators below many lcms should come first.  Once the strata
-are classified and some alpha is to be built, _rooting scores each
-generator by how many built alpha hold it in G_alpha and sorts them most
-first, ties in the given order, and _relabel rewrites the lattice's
-G_alpha and the packed generators in that order, once, before the pushes
-are counted, unless it is the given order.  The order cannot change a
-table: L resolves S/I in every order, so each strand has the homology
-Tor_a(S/I, k)_alpha whatever the order, and the entries stay keyed by
-alpha.  Classification, K^alpha and the other readers of _lattice
+tail, so generators below many lcms should come first.  Once some alpha
+is to be built, _rooting scores each generator by how many strata of three
+or more faces hold it in G_alpha (the open ones are not classified yet, so
+it reads them all) and sorts them most first, ties in the given order, and
+_relabel rewrites the lattice's G_alpha and the packed generators in that
+order, once, before the pushes are counted, unless it is the given order.
+The order cannot change a table: L resolves S/I in every order, so each
+strand has the homology Tor_a(S/I, k)_alpha whatever the order, and the
+entries stay keyed by alpha.  Classification, K^alpha and the other readers of _lattice
 (scarf_complex, lcm_lattice, the covering pairs) keep the given order.
-What the order moves is the number of faces, which the face limit reads
-in the chosen order; it is no bound, and adds 4 faces on each of three
-corpus ideals.
+What the order moves is the number of faces, and so which strata are read
+off their counts and how many faces the face limit reads; it is no bound,
+and ranks more faces than the given order on six corpus ideals.
 
 strand_matrices reads each strand off complexes._columns, the Taylor
 complex's facet rule, as ±1 columns, and one rank loop serves both kinds
 and both fields: rank_exact clears each pivot with fields.eliminate, as
-minimalize does.  Over QQ the 500-ideal test corpus builds 211 of its 7982
-strands, all Lyubeznik, with 542 faces, and makes 132 rank calls (698
-faces, one strand K^alpha, and 176 calls in the given order); S13 builds
-10 of its 285 strands and S14 33 of its 353 (bench/ideals), all
-Lyubeznik, with 4 and 28 rank calls (8 and 56).  Writing out the joins,
-_classify's scan and _relabel's lookups in their loops, no call per pair or
-element, took bench stress pass_s 0.0073 -> 0.0060 s (2-core Xeon, 3.11).
+minimalize does.  Over QQ the 500-ideal test corpus builds 77 of its 7982
+strands, all Lyubeznik, with 262 faces, and makes 85 rank calls (211
+strands, 542 faces and 132 calls before the counts by size); S13 builds 2
+of its 285 strands and S14 21 of its 353 (bench/ideals), all Lyubeznik,
+with 2 and 26 rank calls (10 and 33 strands, 4 and 28 calls).  _classify
+runs 26 and 50 times on them, where it ran on all 143 and 182 strata of
+three or more faces.  Reading one-size strands off the counts took bench
+stress pass_s 0.0056 -> 0.0051 s (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -159,6 +179,8 @@ class BettiTable:
     __slots__ = ("ring", "entries")
 
     def __init__(self, ring, entries: dict):
+        if not entries:
+            raise ValueError("a Betti table of S/I has b_0 = 1, so it has entries")
         self.ring = ring
         self.entries = dict(entries)
 
@@ -185,8 +207,9 @@ class BettiTable:
 
     def shift_profile(self) -> ShiftProfile:
         shifts = [0] * (self.projdim + 1)
-        for (a, mdeg), _ in self.entries.items():
-            shifts[a] = max(shifts[a], sum(mdeg))
+        for a, mdeg in self.entries:
+            if (d := sum(mdeg)) > shifts[a]:
+                shifts[a] = d
         return ShiftProfile(tuple(shifts))
 
     def __eq__(self, other):
@@ -276,23 +299,29 @@ def _koszul_faces(gens, alpha: tuple) -> list[int]:
 
 
 def _lyubeznik_pushes(lattice: dict, gens: list, guards: int) -> dict:
-    """beta -> (the number of Lyubeznik faces with lcm beta, the pushes
+    """beta -> (the Lyubeznik faces with lcm beta counted by size, the pushes
     (alpha, 1 << i) out of beta), in sorted order, for every element reached.
 
-    A face at alpha is i = min G_alpha added to a face at some beta with
-    min G_beta > i and beta v g_i = alpha (see the module docstring), and
-    whether i may be added reads only beta and i.  So the faces are the
-    paths from 0 along the pushes, counted here in sorted order, a linear
-    extension of <=: from each beta along each i < min G_beta (every i from
-    beta = 0) with min G_(beta v g_i) = i, one SWAR max per pair.  The count
-    reads the lattice and the order alone.  Elements are packed: lattice,
-    gens and the guard bits of the max come from _lattice."""
+    The count is one int, the sum of n_s << (m + 1)s over the face sizes s,
+    so field s, m + 1 bits wide, holds n_s; a stratum has at most 2^m faces,
+    so no field carries into the next, and the total is the count mod
+    2^(m + 1) - 1.  A face at alpha is i = min G_alpha added to a face at
+    some beta with min G_beta > i and beta v g_i = alpha (see the module
+    docstring), and whether i may be added reads only beta and i.  So the
+    faces are the paths from 0 along the pushes, counted here in sorted
+    order, a linear extension of <=: from each beta along each i < min G_beta
+    (every i from beta = 0) with min G_(beta v g_i) = i, one SWAR max per
+    pair, adding beta's count shifted one field up.  The count reads the
+    lattice and the order alone.  Elements are packed: lattice, gens and the
+    guard bits of the max come from _lattice."""
     s = (guards & -guards).bit_length() - 1  # the lowest guard bit: 8W - 1
-    count = {0: 1}  # the empty face, the one face of lcm 0
+    width = len(gens) + 1
+    count = {0: 1}  # the empty face, the one face of lcm 0, of size 0
     pushes = {}
     for beta in sorted(lattice):
         if (n := count.get(beta)) is None:
             continue
+        up = n << width  # beta's faces with one generator added
         low = lattice[beta][0]
         reach = (low & -low or 1 << len(gens)) - 1  # the i < min G_beta: all of them at beta = 0
         out = []
@@ -303,7 +332,7 @@ def _lyubeznik_pushes(lattice: dict, gens: list, guards: int) -> dict:
             alpha = g ^ ((beta ^ g) & ((ge := ((beta | guards) - g) & guards) - (ge >> s)))
             if lattice[alpha][0] & (bit - 1):
                 continue  # an earlier generator divides alpha: i is not min G_alpha
-            count[alpha] = count.get(alpha, 0) + n
+            count[alpha] = count.get(alpha, 0) + up
             out.append((alpha, bit))
         pushes[beta] = n, out
     return pushes
@@ -337,13 +366,15 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     return grown
 
 
-def _rooting(lattice: dict, built, m: int) -> list[int] | None:
+def _rooting(lattice: dict, m: int) -> list[int] | None:
     """The generator order the Lyubeznik strands are rooted in: the m
-    generators by how many built alpha have them in G_alpha, most first,
-    ties in the given order.  None when that is the given order."""
+    generators by how many strata of three or more faces have them in
+    G_alpha, most first, ties in the given order.  None when that is the
+    given order."""
     score = [0] * m
-    for key in built:
-        top = lattice[key][0]
+    for top, size in lattice.values():
+        if size < 3:
+            continue
         while top:
             low = top & -top
             score[low.bit_length() - 1] += 1
@@ -378,46 +409,64 @@ def _relabel(lattice: dict, gens: list, order: list[int]) -> tuple[dict, list]:
 def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     """Betti table of S/I: homology dimensions of every lcm-lattice strand.
 
-    A stratum of one or two faces is read off its carried size, and
-    ``_classify`` reads every larger cone and sphere strand off its R_v (see
-    the module docstring), unbuilt, and marks every other alpha with None;
-    the eq table it reads is built only when a stratum needs it.  There the
-    smaller of the Lyubeznik strand and K^alpha(I) is ranked, the Lyubeznik
-    strand when it has at most 2^|supp alpha| faces, in the generator order
-    _rooting picks from the built alpha.  Lyubeznik faces are counted first
-    and enumerated only for the strands ranked, if those have at most 2^22
-    faces in all (else _check_size raises).  With
-    shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
-    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.  A field other
-    than QQ or a PrimeField raises TypeError first, for every ideal.
+    A stratum of one or two faces is read off its carried size.  In lattice
+    order ``_classify`` reads each larger cone and sphere strand off its R_v
+    (see the module docstring), unbuilt, until the first stratum it leaves
+    to be built; the eq table it reads is built only when a stratum needs
+    it.  If there is none, the table is complete.  Else the Lyubeznik faces
+    are counted by size, in the generator order _rooting picks from the
+    strata of three or more faces, and every stratum from that one on whose
+    faces all have one size s, or that has none, is read off: b_{s,alpha} =
+    n_s.  ``_classify`` reads the other strata left open, and the rest are
+    built: the smaller of the Lyubeznik strand and K^alpha(I) is ranked, the
+    Lyubeznik strand when it has at most 2^|supp alpha| faces.  Its faces
+    are enumerated only for the strands ranked, if those have at most 2^22
+    faces in all (else _check_size raises).  With shift 0 for Lyubeznik and
+    1 for Koszul, the face-size-s homology n_s - rank(d_s) - rank(d_{s+1})
+    is b_{s+shift,alpha}.  A field other than QQ or a PrimeField raises
+    TypeError first, for every ideal.
     """
     characteristic(field)
     lattice, gens, guards, unpack = _lattice(I)
     eq = None  # built for the first stratum of three or more faces
     entries: dict[tuple, int] = {}
-    built = {}  # packed alpha -> alpha
+    strata = {}  # packed alpha -> (alpha, G_alpha, or None once classified), from the first to build on
     for key, (top, size) in lattice.items():
         if size == 2:  # {G_alpha - {i}, G_alpha}: the cone on i
             continue
         alpha = unpack(key)
-        # one face: the sphere of singleton blocks; three or more need n >= 1, so eq is not empty
-        verdict = top.bit_count() if size == 1 else _classify(eq := eq or _equal_masks(I), alpha, top)
-        if verdict is None:
-            built[key] = alpha
+        if size == 1:  # the sphere of singleton blocks
+            entries[(top.bit_count(), alpha)] = 1
+        elif strata:  # left open: the counts may read it off
+            strata[key] = alpha, top
+        elif (verdict := _classify(eq := eq or _equal_masks(I), alpha, top)) is None:
+            strata[key] = alpha, None
         elif verdict != CONE:
             entries[(verdict, alpha)] = 1
-    if not built:
+    if not strata:
         return BettiTable(I.ring, entries)
-    if (order := _rooting(lattice, built, I.m)) is not None:
+    if (order := _rooting(lattice, I.m)) is not None:
         lattice, gens = _relabel(lattice, gens, order)
     pushes = _lyubeznik_pushes(lattice, gens, guards)
-    most = {key: min(pushes.get(key, (0,))[0], 1 << sum(map(bool, alpha))) for key, alpha in built.items()}
+    width = I.m + 1
+    built = {}  # packed alpha -> (alpha, the number of its Lyubeznik faces)
+    for key, (alpha, top) in strata.items():
+        n = pushes.get(key, (0,))[0]
+        s = max(n.bit_length() - 1, 0) // width  # the largest face size
+        if not n & (1 << s * width) - 1:  # faces of size s alone, or none: no boundary
+            if n:
+                entries[(s, alpha)] = n >> s * width
+        elif top is None or (verdict := _classify(eq, alpha, top)) is None:
+            built[key] = alpha, n % ((1 << width) - 1)  # the sum of its fields: 2^width is 1 mod this
+        elif verdict != CONE:
+            entries[(verdict, alpha)] = 1
+    most = {key: min(n, 1 << sum(map(bool, alpha))) for key, (alpha, n) in built.items()}
     _check_size(sum(most.values()), "{} strand faces to rank pass")
-    small = {key for key, n in most.items() if n == pushes.get(key, (0,))[0]}
+    small = {key for key, (_, n) in built.items() if n == most[key]}
     lyubeznik = _lyubeznik_faces(pushes, small)
-    for key, alpha in built.items():
+    for key, (alpha, _) in built.items():
         if key in small:
-            faces, shift = lyubeznik.get(key, []), 0
+            faces, shift = lyubeznik[key], 0
         else:
             faces, shift = _koszul_faces(I.gens, alpha), 1
         by_size, mats = strand_matrices(faces)

@@ -16,7 +16,7 @@ from operator import ge, le, or_
 
 from .betti import multigraded_betti, shifts
 from .complexes import ShiftProfile, _lattice
-from .fields import QQ
+from .fields import QQ, characteristic
 from .monomials import (
     MonomialIdeal,
     _check_ints,
@@ -133,9 +133,12 @@ def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
 
 def _table_of(I: MonomialIdeal, field, table):
     """The Betti table of I over field: ``table`` when given, else computed.
-    A given table must be one of S/I, over I's ring and with no entries at
-    index 0 and 1 but b_0 = 1 at 0 and b_1 = 1 at each generator (else
-    ValueError).  That does not pin the field, which the caller vouches for."""
+    A field other than QQ or a PrimeField raises TypeError first, table or
+    not.  A given table must be one of S/I, over I's ring and with no
+    entries at index 0 and 1 but b_0 = 1 at 0 and b_1 = 1 at each generator
+    (else ValueError).  That does not pin the field, which the caller
+    vouches for."""
+    characteristic(field)
     if table is None:
         return multigraded_betti(I, field)
     if table.ring != I.ring:
@@ -367,9 +370,12 @@ def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
         masks = [generators_below(I, c) for c in candidates]
     if not candidates:
         return []
-    # bit j of holders[k]: candidate j is above generator k
-    holders = [int("".join(["1" if mask >> k & 1 else "0" for mask in reversed(masks)]), 2)
-               for k in range(I.m)]
+    holders = [0] * I.m  # bit j of holders[k]: candidate j is above generator k
+    for j, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << j
+            mask ^= low
     everyone, full = (1 << len(candidates)) - 1, (1 << I.m) - 1
     pairs = []
     for i, (a, mask) in enumerate(zip(candidates, masks)):

@@ -309,7 +309,9 @@ def generators_below(I: MonomialIdeal, alpha: Multidegree) -> int:
 def is_covering_pair(I: MonomialIdeal, alpha: Multidegree, beta: Multidegree) -> bool:
     """True iff I equals the sum of its restrictions below alpha and beta,
     i.e. every minimal generator is <= alpha or <= beta."""
-    return generators_below(I, alpha) | generators_below(I, beta) == (1 << I.m) - 1
+    _check_mdeg(alpha, I.ring.n)
+    _check_mdeg(beta, I.ring.n)
+    return all(all(map(le, g, alpha)) or all(map(le, g, beta)) for g in I.gens)
 
 
 def height(I: MonomialIdeal) -> int:

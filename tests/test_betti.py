@@ -336,9 +336,10 @@ def tuple_lattice(I) -> dict:
 
 
 def tuple_lyubeznik_pushes(I, lattice: dict) -> dict:
-    """_lyubeznik_pushes on a tuple_lattice, with a tuple join per push."""
+    """_lyubeznik_pushes on a tuple_lattice, with a tuple join per push and
+    each count a tuple (n_0, ..., n_m) of the faces by size."""
     zero, gens = I.ring.zero(), I.gens
-    count = {zero: 1}
+    count = {zero: (1,) + (0,) * I.m}
     pushes = {}
     for beta in sorted(lattice):
         if (n := count.get(beta)) is None:
@@ -352,10 +353,17 @@ def tuple_lyubeznik_pushes(I, lattice: dict) -> dict:
             alpha = tuple([x if x >= e else e for x, e in zip(beta, gens[bit.bit_length() - 1])])
             if lattice[alpha][0] & (bit - 1):
                 continue
-            count[alpha] = count.get(alpha, 0) + n
+            had = count.get(alpha, (0,) * (I.m + 1))
+            count[alpha] = (had[0], *[x + y for x, y in zip(had[1:], n)])  # one generator more
             out.append((alpha, bit))
         pushes[beta] = n, out
     return pushes
+
+
+def face_sizes(n: int, m: int) -> tuple:
+    """(n_0, ..., n_m): the faces by size in one _lyubeznik_pushes count,
+    field s of m + 1 bits holding n_s."""
+    return tuple(n >> (m + 1) * s & (1 << m + 1) - 1 for s in range(m + 1))
 
 
 def unpacked_lattice(I) -> dict:
@@ -366,11 +374,11 @@ def unpacked_lattice(I) -> dict:
 
 def unpacked_pushes(I) -> dict:
     """_lyubeznik_pushes on _lattice(I), with every multidegree unpacked to
-    a tuple, in its order."""
+    a tuple and every count to its faces by size, in its order."""
     lattice, gens, guards, unpack = _lattice(I)
     tuples = {key: unpack(key) for key in lattice}
     pushes = _lyubeznik_pushes(lattice, gens, guards)
-    return {tuples[beta]: (n, [(tuples[alpha], bit) for alpha, bit in out])
+    return {tuples[beta]: (face_sizes(n, I.m), [(tuples[alpha], bit) for alpha, bit in out])
             for beta, (n, out) in pushes.items()}
 
 
@@ -491,6 +499,30 @@ def test_strand_euler_characteristic(ex2):
         lhs = sum((-1) ** a * tab.entries.get((a, alpha), 0) for a in range(len(gens) + 1))
         rhs = sum((-1) ** r for r in rs)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["corpus", "S13", "S14", "E14"])
+def test_lyubeznik_counts_give_each_strand_its_euler_characteristic(name, corpus):
+    # the counts by size of _lyubeznik_pushes give the Euler characteristic
+    # sum (-1)^s n_s of the Lyubeznik strand at every lattice element, which
+    # the order of the generators cannot move, and so the alternating sum of
+    # the table's entries there.  That checks the counts, the strands read
+    # off them and _classify's verdicts, but not rank_exact: in the sum of
+    # (-1)^s (n_s - r_s - r_(s+1)) over s the ranks cancel
+    ideals = {"corpus": corpus, "E14": [edge_ideal(14, 20)]}.get(name) or [
+        load_ideal(str(STRESS / f"{name}.ideal"))]
+    fields = (PrimeField(32003),) if name == "E14" else (QQ, PrimeField(32003))
+    for I in ideals:
+        lattice, gens, guards, unpack = _lattice(I)
+        pushes = _lyubeznik_pushes(lattice, gens, guards)
+        counts = {unpack(key): face_sizes(pushes[key][0], I.m) if key in pushes else () for key in lattice}
+        for field in fields:
+            euler = Counter()
+            for (a, alpha), r in multigraded_betti(I, field).entries.items():
+                euler[alpha] += (-1) ** a * r
+            assert euler.keys() <= counts.keys(), (I, field)
+            for alpha, by_size in counts.items():
+                assert sum((-1) ** s * n for s, n in enumerate(by_size)) == euler[alpha], (I, field, alpha)
 
 
 def dense_strand_matrices(faces: list[int]):
@@ -632,8 +664,9 @@ def check_lyubeznik_faces(I):
     tuples = {key: unpack(key) for key in lattice}
     pushes = _lyubeznik_pushes(lattice, gens, guards)
     assert [tuples[beta] for beta in pushes] == sorted(rooted), I
-    assert {tuples[beta]: n for beta, (n, _) in pushes.items()} == {
-        alpha: len(faces) for alpha, faces in rooted.items()}, I
+    assert {tuples[beta]: face_sizes(n, I.m) for beta, (n, _) in pushes.items()} == {
+        alpha: tuple(map(Counter(map(int.bit_count, faces)).__getitem__, range(I.m + 1)))
+        for alpha, faces in rooted.items()}, I
     grown = {tuples[alpha]: sorted(faces) for alpha, faces in _lyubeznik_faces(pushes, set(lattice)).items()}
     assert grown == rooted, I
     # a simplicial complex, each face rooted at min G of its lcm
@@ -664,18 +697,18 @@ def test_lyubeznik_faces_match_the_definition_on_the_corpus(corpus, ex2):
 def check_rooting(I) -> bool | None:
     """Check the order multigraded_betti roots its Lyubeznik strands in, and
     its relabelling, against the reordered ideal; whether it relabelled,
-    None when it built no strand.  The order is rebuilt here from its
-    definition: the generators by how many built alpha have them in
-    G_alpha, most first, ties in the given order."""
+    None when no stratum was left to the counts.  The order is rebuilt here
+    from its definition: the generators by how many strata of three or more
+    faces have them in G_alpha, most first, ties in the given order."""
     calls = []
     with mock.patch.object(shiftlab.betti, "_rooting",
                            lambda *args: calls.append((args, _rooting(*args))) or calls[-1][1]):
         multigraded_betti(I, QQ)
     if not calls:
         return None
-    [((lattice, built, m), chosen)] = calls
-    assert m == I.m and built
-    tops = [lattice[key][0] for key in built]
+    [((lattice, m), chosen)] = calls
+    assert m == I.m
+    tops = [top for top, size in lattice.values() if size >= 3]
     order = sorted(range(m), key=lambda i: -sum(top >> i & 1 for top in tops))
     assert chosen == (None if order == list(range(m)) else order), I
     # the relabelled lattice is, key for key, that of the reordered ideal,
@@ -694,9 +727,9 @@ def test_rooting_matches_the_reordered_ideal(I):
 
 def test_rooting_matches_the_reordered_ideal_on_the_corpus(corpus, ex1, ex2):
     verdicts = Counter(check_rooting(I) for I in [*corpus, ex2])
-    # 88 of them build a strand (87 corpus ideals and ex2); the order is
-    # the given order in 9 and moves a generator in the other 79
-    assert verdicts == {None: 413, True: 79, False: 9}
+    # 88 of them leave a stratum to the counts (87 corpus ideals and ex2);
+    # the order is the given order in 2 and moves a generator in the other 86
+    assert verdicts == {None: 413, True: 86, False: 2}
     # m <= 8 there, so the second of _relabel's two lookup tables is empty;
     # ex1, S13 and S14 fill both
     stress = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
@@ -719,15 +752,17 @@ def test_relabel_past_two_tables(tables):
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"
 
 
-@pytest.mark.parametrize("name, built, ranked", [("S13", 10, 4), ("S14", 33, 28)],
-                         ids=["S13-10", "S14-33"])
+@pytest.mark.parametrize("name, built, ranked", [("S13", 2, 2), ("S14", 21, 26)],
+                         ids=["S13", "S14"])
 def test_only_unclassified_strands_are_built(name, built, ranked, monkeypatch):
     # S13 and S14 have 285 and 353 strata (alpha = 0 included); every other
-    # one is read off as a cone or a sphere and must not be built.  Each
-    # built strand is ranked one level at a time, through rank_exact, which
-    # is where bench/tracing.py counts it.  A level is ranked only when it
-    # and the level below hold faces, so the counts follow the rooted order
-    # (8 and 56 in the given order).
+    # one is read off as a cone or a sphere, or off its Lyubeznik faces when
+    # they all have one size, and must not be built.  Each built strand is
+    # ranked one level at a time, through rank_exact, which is where
+    # bench/tracing.py counts it.  A level is ranked only when it and the
+    # level below hold faces, so the counts follow the rooted order.  Before
+    # the counts by size, 10 and 33 strands were built, with 4 and 28 rank
+    # calls.
     calls = Counter()
 
     def counted(fn):
@@ -747,7 +782,10 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
     # a stratum of one or two faces is read off the size _lattice carries:
     # eq is built for the first stratum of three or more faces, so at most
     # once per Betti call and never when there is none (KOSZUL2 and a
-    # principal ideal), and _classify reads those strata and no other
+    # principal ideal).  _classify reads only those strata, each at most
+    # once and in lattice order: every one up to the first it leaves to be
+    # built, and after it only those whose Lyubeznik faces are not all of
+    # one size.  Before the counts by size it read all 4, 365, 143 and 182.
     ideals = {"KOSZUL2": KOSZUL2, "principal": MonomialIdeal(RING2, [(2, 1)]), "ex1": ex1, "ex2": ex2}
     I = ideals[name] if name in ideals else load_ideal(str(STRESS / f"{name}.ideal"))
     tables, classified = [], []
@@ -755,14 +793,16 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
     monkeypatch.setattr(shiftlab.betti, "_equal_masks", lambda I: tables.append(I) or equal_masks(I))
     monkeypatch.setattr(shiftlab.betti, "_classify",
                         lambda eq, alpha, top: classified.append(alpha) or classify(eq, alpha, top))
-    large = sorted(alpha for alpha, (_, size) in unpacked_lattice(I).items() if size >= 3)
+    large = [alpha for alpha, (_, size) in unpacked_lattice(I).items() if size >= 3]
     assert bool(large) == (name not in ("KOSZUL2", "principal"))
     for field in (QQ, PrimeField(2)):
         tables.clear()
         classified.clear()
         multigraded_betti(I, field)
         assert tables == ([I] if large else [])
-        assert sorted(classified) == large
+        seen = set(classified)
+        assert classified == [alpha for alpha in large if alpha in seen]
+        assert len(classified) == {"ex2": 4, "ex1": 56, "S13": 26, "S14": 50}.get(name, 0)
 
 
 @pytest.mark.parametrize("p, totals", [(0, (1, 10, 15, 6)), (3, (1, 10, 15, 6)),
@@ -822,13 +862,14 @@ def test_edge_ideal_totals(n, m, field, totals):
     assert multigraded_betti(edge_ideal(n, m), field).totals() == totals
 
 
-def staircase(k: int) -> MonomialIdeal:
-    """x*y^i*z^(k-i) for i = 0..k, then y^k*z^k.  At alpha = (1, k, k) the
-    minimal R_v overlap, so the strand is built, and every {0} u S u {k}
-    with S in {1..k-1} is a Lyubeznik face there: 2^(k-1) faces and more,
-    where K^alpha(I) has at most 2^3."""
+def staircase(k: int, last: int | None = None) -> MonomialIdeal:
+    """x*y^i*z^(k-i) for i = 0..k, then y^k*z^last (last = k by default).
+    At alpha = (1, k, last) the minimal R_v overlap, so _classify leaves the
+    strand to be built.  For last = k every {0} u S u {k} with S in
+    {1..k-1} is a Lyubeznik face there in the given order: 2^(k-1) faces
+    and more, where K^alpha(I) has at most 2^3."""
     ring = Ring(["x", "y", "z"])
-    return MonomialIdeal(ring, [(1, i, k - i) for i in range(k + 1)] + [(0, k, k)])
+    return MonomialIdeal(ring, [(1, i, k - i) for i in range(k + 1)] + [(0, k, k if last is None else last)])
 
 
 def test_betti_table_ignores_generator_order(corpus, ex1, rp2):
@@ -856,19 +897,20 @@ def test_betti_table_ignores_generator_order(corpus, ex1, rp2):
 
 
 @pytest.mark.parametrize("name, faces, built, koszul", [
-    ("S13", 18, 10, 0), ("S14", 83, 33, 0), ("ex1", 173, 98, 0), ("E14", 4270, 2374, 0),
-    ("W22", 256, 213, 0), ("corpus", 542, 211, 0), ("staircase", 8, 1, 1)])
+    ("S13", 4, 2, 0), ("S14", 77, 21, 0), ("ex1", 72, 24, 0), ("E14", 1933, 450, 0),
+    ("W22", 171, 44, 0), ("corpus", 262, 77, 0), ("staircase", 8, 1, 1)])
 def test_faces_to_rank_in_the_rooted_order(name, faces, built, koszul, corpus, ex1, monkeypatch):
-    # the count the face limit reads, summed over the built alpha of
+    # the count the face limit reads, summed over the ranked alpha of
     # min(Lyubeznik faces, 2^|supp alpha|) in the rooted order, then the
-    # built alpha and those of them that take K^alpha(I).  In the given
-    # order the faces were 36, 229, 239, 27234, 1654 and 699 (one K^alpha
-    # on the corpus).  The order is no bound: it adds 4 faces on each of
-    # three corpus ideals, and on the staircase, whose one built alpha holds
-    # every generator, all score alike, so the given order is kept and
-    # K^alpha(I), 8 faces, still stands in for over 2^10 Lyubeznik faces.
+    # ranked alpha and those of them that take K^alpha(I); a stratum whose
+    # Lyubeznik faces have one size is read off its count and adds nothing.
+    # In the given order the faces are 32, 225, 169, 26578, 1614 and 600
+    # (one K^alpha on the corpus).  The order is no bound: it ranks more
+    # faces on six corpus ideals.  At alpha = (1, 20, 10) of the staircase
+    # with y^20*z^10 in place of y^20*z^20, K^alpha(I), counted as 2^3
+    # faces, still stands in for the 513 of the Lyubeznik strand.
     ideals = {"ex1": [ex1], "E14": [edge_ideal(14, 20)], "W22": [w22()], "corpus": corpus,
-              "staircase": [staircase(11)]}
+              "staircase": [staircase(20, 10)]}
     counts = Counter()
     check, matrices, koszul_faces = (shiftlab.betti._check_size, shiftlab.betti.strand_matrices,
                                      shiftlab.betti._koszul_faces)
@@ -886,27 +928,43 @@ def test_faces_to_rank_in_the_rooted_order(name, faces, built, koszul, corpus, e
 @pytest.mark.parametrize("k, totals", [(11, (1, 13, 12)), (20, (1, 22, 21))])
 def test_staircase_strands_stay_within_two_to_the_n(k, totals, monkeypatch):
     # totals pinned from the engine at af7d60d, which ranked the smaller of
-    # the Taylor strand and K^alpha(I) in about 2 ms.  No strand the engine
-    # ranks may exceed 2^n = 8 faces, however many Lyubeznik faces alpha has.
-    I, sizes, real = staircase(k), [], shiftlab.betti.strand_matrices
-    pushes = unpacked_pushes(I)
-    assert pushes[(1, k, k)][0] >= 2 ** (k - 1)
+    # the Taylor strand and K^alpha(I) in about 2 ms; y^k*z^(k // 2) in place
+    # of y^k*z^k leaves them as they are.  In the given order the Lyubeznik
+    # strand at alpha = (1, k, last) has 2^(last - 1) faces and more, of
+    # several sizes.  In the rooted order those of staircase(k) have one
+    # size, so its count gives the entry and no strand is built; with
+    # y^k*z^(k // 2) the strand is still ranked, as K^alpha(I).  No strand
+    # the engine ranks may exceed 2^n = 8 faces.
+    real, koszul_faces = shiftlab.betti.strand_matrices, shiftlab.betti._koszul_faces
+    sizes, alphas = [], []
     monkeypatch.setattr(shiftlab.betti, "strand_matrices",
                         lambda faces: sizes.append(len(faces)) or real(faces))
-    start = time.perf_counter()
-    assert multigraded_betti(I, QQ).totals() == totals
-    assert time.perf_counter() - start < 2
-    assert sizes and max(sizes) <= 8
-    # nor are the 2^(k-1) faces grown on the way: faces travel only towards
-    # an alpha whose Lyubeznik strand is ranked (growing them all traces
-    # about 34 MB at k = 20, against 0.25 MB)
-    tracemalloc.start()
-    try:
-        multigraded_betti(I, QQ)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    monkeypatch.setattr(shiftlab.betti, "_koszul_faces",
+                        lambda gens, alpha: alphas.append(alpha) or koszul_faces(gens, alpha))
+    for last in (k, k // 2):
+        I = staircase(k, last)
+        by_size = unpacked_pushes(I)[(1, k, last)][0]
+        assert sum(by_size) >= 2 ** (last - 1) and sum(map(bool, by_size)) > 1
+        sizes.clear()
+        alphas.clear()
+        start = time.perf_counter()
+        assert multigraded_betti(I, QQ).totals() == totals
+        assert time.perf_counter() - start < 2
+        if last == k:
+            assert sizes == alphas == []
+        else:
+            assert alphas == [(1, k, last)]
+            assert sizes and max(sizes) <= 8
+        # nor are the 2^(last - 1) faces grown on the way: faces travel only
+        # towards an alpha whose Lyubeznik strand is ranked (growing them all
+        # traces about 34 MB for staircase(20), against 0.1 MB)
+        tracemalloc.start()
+        try:
+            multigraded_betti(I, QQ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_betti_memory_follows_the_lattice():
@@ -982,6 +1040,15 @@ def test_grid_prints_only_the_rows_that_hold_an_entry(ex2_table):
         "   12:     .     .     .     3     1",
         "total:     1     5     8     5     1",
     ]
+
+
+def test_an_empty_table_is_refused():
+    # b_0 = 1 in every table of S/I, so an empty one is no Betti table; it
+    # once got as far as format_betti_grid and totals(), which raised
+    # "max() arg is an empty sequence"
+    for entries in ({}, []):
+        with pytest.raises(ValueError, match="b_0 = 1"):
+            BettiTable(RING2, entries)
 
 
 def test_grid_columns_fit_cells_of_six_digits_and_more():

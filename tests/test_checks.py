@@ -289,6 +289,26 @@ def test_a_table_of_another_ideal_is_refused(caller, ex1_table, ex2, ex2_table):
             call(table)
 
 
+def test_a_given_table_does_not_waive_the_field():
+    # a check that takes table= refuses a non-field as one that computes
+    # the table does; (xy, yz) once gave a covering pair and four reports
+    # that hold over field="bad"
+    R3 = Ring(["x", "y", "z"])
+    I = MonomialIdeal(R3, [(1, 1, 0), (0, 1, 1)])
+    T = multigraded_betti(I)
+    a, b = (0, 1, 1), (1, 1, 0)
+    assert find_covering_pairs(I, at=1, table=T) == [(a, b)]
+    assert len(check_covering(I, a, b, table=T)) == 4
+    calls = [lambda f: find_covering_pairs(I, at=1, field=f, table=T),
+             lambda f: check_covering(I, a, b, field=f, table=T),
+             lambda f: check_range(I, a, b, 1, field=f, table=T),
+             lambda f: check_multiple(I, [(a, 1), (b, 1)], field=f, table=T)]
+    for call in calls:
+        for field in ("bad", 7, None):
+            with pytest.raises(TypeError, match="not a coefficient field"):
+                call(field)
+
+
 def test_a_table_without_b0_is_refused(ex2, ex2_table):
     # taken as ex2's, this table once gave a report with q = 0 at beta = 0
     top = tuple(map(max, zip(*ex2.gens)))

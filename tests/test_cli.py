@@ -536,7 +536,7 @@ def test_lattice_limit_exit3(tmp_path, capsys, monkeypatch):
 
 def test_face_limit_exit3(tmp_path, capsys, monkeypatch):
     # the edge ideal of the complete graph on 6 vertices: its strands rank
-    # 216 faces in all, and its lattice has at most 57 elements before a
+    # 176 faces in all, and its lattice has at most 57 elements before a
     # generator step, so the lattice limit admits it at 2^7 and the face
     # limit refuses it there, before any face is grown
     edges = [a + "*" + b for a, b in combinations("abcdef", 2)]
@@ -553,10 +553,10 @@ def test_face_limit_exit3(tmp_path, capsys, monkeypatch):
     assert grown["_lyubeznik_faces"] == 1
     grown.clear()
     monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 7)
-    with pytest.raises(CapExceededError, match="^216 strand faces to rank pass the limit 2\\^7$"):
+    with pytest.raises(CapExceededError, match="^176 strand faces to rank pass the limit 2\\^7$"):
         multigraded_betti(I)
     rc, out, err = run(capsys, "betti", str(path))
-    assert rc == 3 and out == "" and "216 strand faces to rank pass the limit 2^7" in err
+    assert rc == 3 and out == "" and "176 strand faces to rank pass the limit 2^7" in err
     assert not grown
 
 

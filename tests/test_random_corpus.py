@@ -226,9 +226,9 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
             for key, faces in grown.pop().items():
                 faces = [sum(1 << i for j, i in enumerate(order) if face >> j & 1) for face in faces]
                 built.append((I, unpack(key), lattice[key][0], faces))
-    # the order moves a generator on 78 corpus ideals, S13, S14, ex1 and the
+    # the order moves a generator on 85 corpus ideals, S13, S14, ex1 and the
     # path ideal; RP^2's generators all score alike
-    assert built and relabelled == {"corpus": 78, "rp2": 0}.get(name, 1)
+    assert built and relabelled == {"corpus": 85, "rp2": 0}.get(name, 1)
     fields, memo, dense = (QQ, PrimeField(2), GF), {}, name not in ("S14", "edges")
     for I, alpha, top, faces in built:
         taylor = taylor_faces(top, minimal_requirements(I, alpha, top))
