@@ -5,14 +5,18 @@ Every Betti multidegree of S/I is the lcm of a set of generators
 lcm lattice.  complexes._lattice builds it by join closure, one generator
 at a time, and carries at each alpha the bitmask G_alpha of the generators
 <= alpha and the number of generator subsets whose lcm is alpha; time and
-memory follow the lattice, not the 2^m subsets.  Inside the engine every
-multidegree is one packed int, a W-byte field per variable whose top bit,
-the guard bit, is 0 (see _lattice); the lattice and _lyubeznik_pushes join
-with one SWAR max written out in their loops, no call per pair, and sorted
-ints are sorted tuples.  Tuples are made only where a multidegree leaves
-the engine: the table keys written, the alpha that _classify reads (strata
-of three or more faces) and _koszul_faces reads with its support, the
-Scarf basis, lcm_lattice and the covering-pair candidates.
+memory follow the lattice, not the 2^m subsets.  From 12 generators on it
+adds them by decreasing exponent overlap with the others, which keeps the
+early lattices small (222447 joins -> 46974 for 26 edges on 18 vertices);
+each keeps its own bit, so only the lattice's insertion order moves.
+Inside the engine every multidegree is one packed int, a W-byte field per
+variable whose top bit, the guard bit, is 0 (see _lattice); the lattice
+and _lyubeznik_pushes join with one SWAR max written out in their loops,
+no call per pair, and sorted ints are sorted tuples.  Tuples are made only
+where a multidegree leaves the engine: the table keys written, the alpha
+that _classify reads (strata of three or more faces) and _koszul_faces
+reads with its support, the Scarf basis, lcm_lattice and the
+covering-pair candidates.
 
 Most strands are read off without building anything.  The Taylor strand at
 alpha, the generator subsets whose lcm is exactly alpha, is the set of
@@ -100,7 +104,8 @@ L depends on the generator order, a choice Novik reads as a rooting map
 tail, so generators below many lcms should come first.  Once some alpha
 is to be built, _rooting scores each generator by how many strata of three
 or more faces hold it in G_alpha (the open ones are not classified yet, so
-it reads them all) and sorts them most first, ties in the given order, and
+it reads them all), eight generators at a time in 24-bit lanes of one sum,
+and sorts them most first, ties in the given order, and
 _relabel rewrites the lattice's G_alpha and the packed generators in that
 order, once, before the pushes are counted, unless it is the given order.
 The order cannot change a table: L resolves S/I in every order, so each
@@ -119,14 +124,17 @@ strands, all Lyubeznik, with 262 faces, and makes 85 rank calls (211
 strands, 542 faces and 132 calls before the counts by size); S13 builds 2
 of its 285 strands and S14 21 of its 353 (bench/ideals), all Lyubeznik,
 with 2 and 26 rank calls (10 and 33 strands, 4 and 28 calls).  _classify
-runs 26 and 50 times on them, where it ran on all 143 and 182 strata of
-three or more faces.  Reading one-size strands off the counts took bench
-stress pass_s 0.0056 -> 0.0051 s (2-core Xeon, Python 3.11).
+runs 17 and 55 times on them (26 and 50 with the lattice in the given
+order, which sets the order the strata are read in), where it ran on all
+143 and 182 strata of three or more faces.  Reading one-size strands off
+the counts took bench stress pass_s 0.0056 -> 0.0051 s (2-core Xeon,
+Python 3.11).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 
 from .complexes import (ShiftProfile, _check_columns, _check_size, _column_scan, _columns,
                         _facet_index, _lattice, scarf_complex)
@@ -170,7 +178,7 @@ def rank_exact(M, field=QQ) -> int:
 def lcm_lattice(I: MonomialIdeal) -> list[tuple]:
     """All distinct lcms of nonempty generator subsets, sorted lexicographically."""
     lattice, _, _, unpack = _lattice(I)
-    return [unpack(key) for key in sorted(lattice) if lattice[key][0]]
+    return list(map(unpack, sorted(lattice)[1:]))  # past 0, the lcm of the empty subset alone
 
 
 class BettiTable:
@@ -258,11 +266,13 @@ def _classify(eq: list[dict[int, int]], alpha: tuple, top: int) -> int | None:
     first, keeps the minimal ones and their union, the cover: an R_v (never
     empty) disjoint from the cover is minimal outright, and only one that
     meets it is compared with the kept sets.  A cone unless the cover is
-    G_alpha, else a sphere when no minimal R_v met it.  The reading holds
-    at every alpha; multigraded_betti calls it on strata of three or more
-    faces."""
+    G_alpha, else a sphere when no minimal R_v met it.  An R_v equal to a
+    kept one meets the cover and contains it, so it is skipped with no set
+    to drop it.  The reading holds at every alpha, 0 included;
+    multigraded_betti calls it on strata of three or more faces."""
     minimal, cover, met = [], 0, False
-    for r in sorted({top & masks[a] for masks, a in zip(eq, alpha) if a}, key=int.bit_count):
+    requirements = map(top.__and__, map(dict.__getitem__, compress(eq, alpha), filter(None, alpha)))
+    for r in sorted(requirements, key=int.bit_count):
         if r & cover:  # a kept subset of r is met before r, being no larger
             for s in minimal:
                 if s & r == s:
@@ -345,7 +355,9 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     reached.  The pushes out of beta read only beta, so each face there
     extends to a distinct face at that alpha, and beta holds no more faces
     than it.  Each push extends all of beta's faces in one list
-    comprehension."""
+    comprehension.  With nothing wanted no push is walked."""
+    if not wanted:
+        return {}
     useful = set(wanted)
     for beta, (_, out) in reversed(pushes.items()):
         for alpha, _ in out:
@@ -366,19 +378,24 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     return grown
 
 
+_LANES = [0]  # _LANES[b]: bit j of the byte b spread to bit 24j, built by doubling
+for _lane in range(8):
+    _LANES += [t | 1 << 24 * _lane for t in _LANES]
+
+
 def _rooting(lattice: dict, m: int) -> list[int] | None:
     """The generator order the Lyubeznik strands are rooted in: the m
     generators by how many strata of three or more faces have them in
     G_alpha, most first, ties in the given order.  None when that is the
-    given order."""
-    score = [0] * m
-    for top, size in lattice.values():
-        if size < 3:
-            continue
-        while top:
-            low = top & -top
-            score[low.bit_length() - 1] += 1
-            top ^= low
+    given order.  The scores are summed a byte of generators at a time:
+    _LANES spreads the byte's 8 bits into 24-bit lanes, and one sum over
+    the strata adds 8 scores at once.  A score is at most |L| <= 2^22, so
+    no lane carries into the next."""
+    tops = [top for top, size in lattice.values() if size >= 3]
+    score = []
+    for shift in range(0, m, 8):
+        lanes = sum([_LANES[top >> shift & 255] for top in tops])
+        score += [lanes >> 24 * j & 0xFFFFFF for j in range(min(8, m - shift))]
     order = sorted(range(m), key=score.__getitem__, reverse=True)  # stable, so ties keep their order
     return None if order == list(range(m)) else order
 

@@ -362,7 +362,7 @@ def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
     """
     if at is None:
         lattice, _, _, unpack = _lattice(I)
-        keys = sorted(key for key, (mask, _) in lattice.items() if mask)
+        keys = sorted(lattice)[1:]  # past 0, the lcm of the empty subset alone
         candidates, masks = list(map(unpack, keys)), [lattice[key][0] for key in keys]
     else:
         _check_ints(("at", at))

@@ -32,13 +32,14 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, le
+from operator import itemgetter, le, mul
 
 from .fields import QQ, characteristic, eliminate
 from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
                         _length_mismatch, _Record, _set)
 
 GENERATOR_CAP = 22  # the one size limit, 2^22: Taylor faces, lattice elements, strand faces ranked
+CLOSURE_ORDER_FROM = 12  # _lattice adds the generators by exponent overlap from this many on
 
 
 class CapExceededError(RuntimeError):
@@ -184,15 +185,31 @@ def _lattice(I: MonomialIdeal) -> tuple:
     x v y = y ^ ((x ^ y) & (ge - (ge >> s))) takes from x the fields that
     ge - (ge >> s) fills.
 
-    Generator i joins every element found from the generators before it:
-    the subsets holding i and lcm alpha' are those with i added to the
+    Generator i joins every element found from the generators added before
+    it: the subsets holding i and lcm alpha' are those with i added to the
     subsets of lcm alpha, over the alpha that g_i joins to alpha'.  So the
     sizes add, and G_alpha' is the union of those G_alpha with bit i (the
     lcm of the earlier generators <= alpha' is one such alpha).  Every
     element found is in the final lattice, so time and memory follow it,
     not 2^m.  A step at most doubles it, so _check_size refuses it from over
-    2^(GENERATOR_CAP - 1), which the first GENERATOR_CAP steps cannot pass."""
-    n = I.ring.n
+    2^(GENERATOR_CAP - 1), which the first GENERATOR_CAP steps cannot pass.
+
+    A step takes one join per element found so far, sum_i |L_(i-1)| in all,
+    so the order the generators are added in matters, though each keeps its
+    own bit i and the lattice is the same mapping in every order; only its
+    insertion order moves.  From CLOSURE_ORDER_FROM generators on, they are
+    added by decreasing overlap sum_v g_v * c_v with the column sums c_v of
+    the exponents (a stable sort: ties in the given order), so generators
+    that share much exponent with the others go first.  On the ideals
+    measured that keeps the early lattices small: a seeded edge ideal of 26
+    edges on 18 vertices takes 46974 joins against 222447 in the given
+    order, S14 1121 against 1259.  Below the gate the sort costs more than
+    it saves: _lattice in this order over the given one, over 20 random
+    ideals each (two runs), took 1.15, 1.06-1.07, 0.97-1.02, 0.91 and 0.94
+    of the time at m = 6, 8, 10, 12 and 14 (n = 6, exponents up to 5), and
+    1.21, 1.12-1.17, 0.98-1.04, 0.97-0.98 and 0.94 for squarefree ideals in
+    10 variables."""
+    n, m = I.ring.n, I.m
     w = (max(map(max, I.gens)) if I.gens else 0).bit_length() // 8 + 1
     s = 8 * w - 1
     guards = int.from_bytes((1 << s).to_bytes(w, "big") * n, "big")
@@ -202,13 +219,17 @@ def _lattice(I: MonomialIdeal) -> tuple:
     else:
         gens = [int.from_bytes(b"".join([e.to_bytes(w, "big") for e in g]), "big") for g in I.gens]
         unpack = lambda key: tuple([key >> k & (1 << s) - 1 for k in range(8 * w * (n - 1), -1, -8 * w)])
+    order = range(m)
+    if m >= CLOSURE_ORDER_FROM:
+        columns = [sum(col) for col in zip(*I.gens)]
+        order = sorted(order, key=lambda i: sum(map(mul, I.gens[i], columns)), reverse=True)
 
     lattice = {0: (0, 1)}
-    for i, g in enumerate(gens):
-        if i >= GENERATOR_CAP:  # before step i the lattice has at most 2^i elements
+    for step, i in enumerate(order):
+        if step >= GENERATOR_CAP:  # before this step the lattice has at most 2^step elements
             _check_size(2 * len(lattice), "lcm lattice of {1} elements after {2} of {3} generators "
-                        "could pass", len(lattice), i, len(gens))
-        bit = 1 << i
+                        "could pass", len(lattice), step, m)
+        g, bit = gens[i], 1 << i
         for key, (mask, size) in list(lattice.items()):
             top = g ^ ((key ^ g) & ((ge := ((key | guards) - g) & guards) - (ge >> s)))
             had, count = lattice.get(top, (0, 0))

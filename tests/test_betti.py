@@ -306,6 +306,16 @@ def test_lattice_cap(monkeypatch):
     monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 1)
     with pytest.raises(CapExceededError, match=r"lcm lattice of 2 elements after 1 of 2"):
         lcm_lattice(KOSZUL2)
+    # from 12 generators on the cap counts the generators added in the
+    # closure order: after 6 of E14's the lattice has 36 elements, where the
+    # first 6 given ones have 64
+    I = edge_ideal(14, 20)
+    added = [I.gens[i] for i in closure_order(I)[:6]]
+    assert len(tuple_lattice(MonomialIdeal(I.ring, added))) == 36
+    assert len(tuple_lattice(MonomialIdeal(I.ring, I.gens[:6]))) == 64
+    monkeypatch.setattr(shiftlab.complexes, "GENERATOR_CAP", 6)
+    with pytest.raises(CapExceededError, match=r"lcm lattice of 36 elements after 6 of 20 generators"):
+        lcm_lattice(I)
 
 
 # The engine before multidegrees were packed, kept as the oracle of the
@@ -315,11 +325,23 @@ def test_lattice_cap(monkeypatch):
 TUPLE_SMALL_LATTICE = 6
 
 
+def closure_order(I) -> list[int]:
+    """The order _lattice adds the generators in: the given one below 12
+    generators, and from 12 on by decreasing sum_v g_v * c_v, with c_v the
+    sum of the x_v exponents over all generators, ties in the given order."""
+    if I.m < 12:
+        return list(range(I.m))
+    columns = [sum(g[v] for g in I.gens) for v in range(I.ring.n)]
+    overlap = [sum(e * c for e, c in zip(g, columns)) for g in I.gens]
+    return sorted(range(I.m), key=lambda i: (-overlap[i], i))
+
+
 def tuple_lattice(I) -> dict:
-    """alpha -> (G_alpha, size) on exponent tuples, 0 included."""
+    """alpha -> (G_alpha, size) on exponent tuples, 0 included, with the
+    generators added in closure_order, each keeping its own bit."""
     lattice = {I.ring.zero(): (0, 1)}
-    for i, g in enumerate(I.gens):
-        bit = 1 << i
+    for i in closure_order(I):
+        g, bit = I.gens[i], 1 << i
         if len(lattice) <= TUPLE_SMALL_LATTICE:
             for key, (mask, size) in list(lattice.items()):
                 top = tuple([x if x >= e else e for x, e in zip(key, g)])
@@ -694,16 +716,18 @@ def test_lyubeznik_faces_match_the_definition_on_the_corpus(corpus, ex2):
         check_lyubeznik_faces(I)
 
 
-def check_rooting(I) -> bool | None:
+def check_rooting(I, field=QQ, faces=True) -> bool | None:
     """Check the order multigraded_betti roots its Lyubeznik strands in, and
-    its relabelling, against the reordered ideal; whether it relabelled,
-    None when no stratum was left to the counts.  The order is rebuilt here
-    from its definition: the generators by how many strata of three or more
-    faces have them in G_alpha, most first, ties in the given order."""
+    its relabelling, against the reordered ideal, and with faces its
+    Lyubeznik faces against rooted_faces (2^m subsets); whether it
+    relabelled, None when no stratum was left to the counts.  The order is
+    rebuilt here from its definition, bit by bit: the generators by how
+    many strata of three or more faces have them in G_alpha, most first,
+    ties in the given order."""
     calls = []
     with mock.patch.object(shiftlab.betti, "_rooting",
                            lambda *args: calls.append((args, _rooting(*args))) or calls[-1][1]):
-        multigraded_betti(I, QQ)
+        multigraded_betti(I, field)
     if not calls:
         return None
     [((lattice, m), chosen)] = calls
@@ -715,7 +739,8 @@ def check_rooting(I) -> bool | None:
     # whose pushes and faces check_lyubeznik_faces compares with rooted_faces
     J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
     assert _relabel(*_lattice(I)[:2], order) == _lattice(J)[:2], I
-    check_lyubeznik_faces(J)
+    if faces:
+        check_lyubeznik_faces(J)
     return chosen is not None
 
 
@@ -734,6 +759,17 @@ def test_rooting_matches_the_reordered_ideal_on_the_corpus(corpus, ex1, ex2):
     # ex1, S13 and S14 fill both
     stress = [load_ideal(str(STRESS / f"{name}.ideal")) for name in ("S13", "S14")]
     assert [check_rooting(I) for I in [ex1, *stress]] == [True] * 3
+
+
+@pytest.mark.parametrize("lanes", [3, 4], ids=["W22", "E18"])
+def test_rooting_scores_past_two_bytes(lanes):
+    # _rooting sums the scores of 8 generators at once, one byte of G_alpha
+    # at a time: W22 (m = 22) takes three bytes and the edge ideal on 18
+    # vertices (m = 26) four, against two at most on the other ideals
+    # check_rooting reads.  On both the rooting order moves a generator.
+    I = w22() if lanes == 3 else edge_ideal(18, 26)
+    assert (I.m + 7) // 8 == lanes
+    assert check_rooting(I, PrimeField(32003), faces=False)
 
 
 @pytest.mark.parametrize("tables", [3, 4], ids=["W22", "E18"])
@@ -785,7 +821,8 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
     # principal ideal).  _classify reads only those strata, each at most
     # once and in lattice order: every one up to the first it leaves to be
     # built, and after it only those whose Lyubeznik faces are not all of
-    # one size.  Before the counts by size it read all 4, 365, 143 and 182.
+    # one size.  Before the counts by size it read all 4, 365, 143 and 182;
+    # with the lattice built in the given order, 4, 56, 26 and 50.
     ideals = {"KOSZUL2": KOSZUL2, "principal": MonomialIdeal(RING2, [(2, 1)]), "ex1": ex1, "ex2": ex2}
     I = ideals[name] if name in ideals else load_ideal(str(STRESS / f"{name}.ideal"))
     tables, classified = [], []
@@ -802,7 +839,7 @@ def test_small_strata_are_read_off_their_size(name, ex1, ex2, monkeypatch):
         assert tables == ([I] if large else [])
         seen = set(classified)
         assert classified == [alpha for alpha in large if alpha in seen]
-        assert len(classified) == {"ex2": 4, "ex1": 56, "S13": 26, "S14": 50}.get(name, 0)
+        assert len(classified) == {"ex2": 4, "ex1": 59, "S13": 17, "S14": 55}.get(name, 0)
 
 
 @pytest.mark.parametrize("p, totals", [(0, (1, 10, 15, 6)), (3, (1, 10, 15, 6)),

@@ -48,7 +48,8 @@ from shiftlab.betti import _classify, _equal_masks, _lattice
 from shiftlab.complexes import GENERATOR_CAP, BasisElement, CapExceededError, FreeComplex, _check_size
 from shiftlab.fields import characteristic, eliminate
 from test_betti import (WIDE, _low_rank_product, _one_degree_complex, check_against_the_tuple_engine, columns,
-                        minimal_requirements, packed_width, staircase, taylor_faces, unpacked_lattice, w22)
+                        edge_ideal, minimal_requirements, packed_width, staircase, taylor_faces, unpacked_lattice,
+                        w22)
 
 RING2 = Ring(["x", "y"])
 KOSZUL2 = MonomialIdeal(RING2, [(1, 0), (0, 1)])
@@ -168,12 +169,17 @@ def test_lattice_matches_the_per_mask_recurrence(corpus, ex1, ex2):
     assert widths == {1: len(corpus) + 4 + 2 + 1, 2: 3 + 2, 3: 2, 9: 1}
 
 
-@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14", "rp2", "staircase", "W22", "edges"])
+@pytest.mark.parametrize("name", ["corpus", "ex1", "ex2", "S13", "S14", "rp2", "staircase", "staircase9", "W22",
+                                  "edges", "E14"])
 def test_packed_engine_matches_the_tuple_engine(name, corpus, ex1, ex2, rp2):
     # the packed lattice, in its order, and the Lyubeznik counts and pushes
-    # equal those of the engine on exponent tuples (test_betti.py)
+    # equal those of the engine on exponent tuples (test_betti.py), which
+    # adds the generators in the closure order it derives itself.  The order
+    # moves a generator on ex1, S13, S14, staircase(20), W22, the path ideal
+    # of edge_ideals and E14 (20 edges on 14 vertices), and would on
+    # staircase(9), of 11 generators, were the gate lower
     named = {"corpus": corpus, "ex1": [ex1], "ex2": [ex2], "rp2": [rp2], "staircase": [staircase(20)],
-             "W22": [w22()], "edges": edge_ideals()}
+             "staircase9": [staircase(9)], "W22": [w22()], "edges": edge_ideals(), "E14": [edge_ideal(14, 20)]}
     ideals = named.get(name) or [load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))]
     for I in ideals:
         check_against_the_tuple_engine(I)
