@@ -7,8 +7,8 @@ at a time, and carries at each alpha the bitmask G_alpha of the generators
 <= alpha and the number of generator subsets whose lcm is alpha; time and
 memory follow the lattice, not the 2^m subsets.  From 12 generators on it
 adds them by decreasing exponent overlap with the others, which keeps the
-early lattices small (222447 joins -> 46974 for 26 edges on 18 vertices);
-each keeps its own bit, so only the lattice's insertion order moves.
+early lattices small; each keeps its own bit, so only the lattice's
+insertion order moves.
 Inside the engine every multidegree is one packed int, a W-byte field per
 variable whose top bit, the guard bit, is 0 (see _lattice); the lattice
 and _lyubeznik_pushes join with one SWAR max written out in their loops,
@@ -87,16 +87,18 @@ it, so it checks the counts and the read-offs, not rank_exact).
 
 A Lyubeznik strand can still have about 2^m faces: on x*y^i*z^(20-i),
 i = 0..20, and y^20*z^20 it has over 2^19 at alpha = (1, 20, 20) in the
-given order (one face, read off its count, in the rooted order below), and
-with y^20*z^10 in place of y^20*z^20 it has 513 at (1, 20, 10) in both.  The
+given order (one face in the rooted order below), and with y^20*z^10 in
+place of y^20*z^20 it has 513 at (1, 20, 10) in both orders.  The
 upper Koszul complex K^alpha(I) = {squarefree tau <= alpha :
 x^(alpha - tau) in I}, faces being variable subsets, has at most
 2^|supp alpha|, and for a >= 1 b_{a,alpha}(S/I) = dim H~_{a-2}(K^alpha(I))
 (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), so its
-homology at face size s is b_{s+1,alpha}.  The Lyubeznik strand is ranked
-where the count is at most 2^|supp alpha|, and K^alpha(I) elsewhere, so no
-strand has more than 2^n faces.  _lyubeznik_faces then grows the faces of
-the Lyubeznik strands to be ranked, and only the faces that lie in them.
+homology at face size s is b_{s+1,alpha}.  Each built stratum carries its
+count beside 2^|supp alpha|, and the choice is made there: the Lyubeznik
+strand is ranked where the count is at most that, and K^alpha(I)
+elsewhere, so no strand has more than 2^n faces.  _lyubeznik_faces then
+grows the faces of the Lyubeznik strands to be ranked, and only the faces
+that lie in them.
 
 L depends on the generator order, a choice Novik reads as a rooting map
 ("Lyubeznik's resolution and rooted complexes", J. Algebraic Combin. 16,
@@ -105,30 +107,24 @@ tail, so generators below many lcms should come first.  Once some alpha
 is to be built, _rooting scores each generator by how many strata of three
 or more faces hold it in G_alpha (the open ones are not classified yet, so
 it reads them all), eight generators at a time in 24-bit lanes of one sum,
-and sorts them most first, ties in the given order, and
-_relabel rewrites the lattice's G_alpha and the packed generators in that
-order, once, before the pushes are counted, unless it is the given order.
-The order cannot change a table: L resolves S/I in every order, so each
-strand has the homology Tor_a(S/I, k)_alpha whatever the order, and the
-entries stay keyed by alpha.  Classification, K^alpha and the other readers of _lattice
-(scarf_complex, lcm_lattice, the covering pairs) keep the given order.
-What the order moves is the number of faces, and so which strata are read
-off their counts and how many faces the face limit reads; it is no bound,
-and ranks more faces than the given order on six corpus ideals.
+and sorts them most first, ties in the given order.  _relabel always
+rewrites the lattice's G_alpha and the packed generators in that order,
+once, before the pushes are counted; the given order is one more
+permutation.  The order cannot change a table: L resolves S/I in every
+order, so each strand has the homology Tor_a(S/I, k)_alpha whatever the
+order, and the entries stay keyed by alpha.  Classification, K^alpha and
+the other readers of _lattice (scarf_complex, lcm_lattice, the covering
+pairs) keep the given order.  What the order moves is the number of faces,
+and so which strata are read off their counts and how many faces the face
+limit reads; it is a heuristic, not a bound on the faces ranked.
 
 strand_matrices reads each strand off complexes._columns, the Taylor
 complex's facet rule, as ±1 columns, and one rank loop serves both kinds
 and both fields: rank_exact clears each pivot with fields.eliminate, as
 minimalize does.  Over QQ the 500-ideal test corpus builds 77 of its 7982
-strands, all Lyubeznik, with 262 faces, and makes 85 rank calls (211
-strands, 542 faces and 132 calls before the counts by size); S13 builds 2
-of its 285 strands and S14 21 of its 353 (bench/ideals), all Lyubeznik,
-with 2 and 26 rank calls (10 and 33 strands, 4 and 28 calls).  _classify
-runs 17 and 55 times on them (26 and 50 with the lattice in the given
-order, which sets the order the strata are read in), where it ran on all
-143 and 182 strata of three or more faces.  Reading one-size strands off
-the counts took bench stress pass_s 0.0056 -> 0.0051 s (2-core Xeon,
-Python 3.11).
+strands, all Lyubeznik, with 262 faces, and makes 85 rank calls; S13 builds
+2 of its 285 strands and S14 21 of its 353 (bench/ideals), all Lyubeznik,
+with 2 and 26 rank calls.  _classify runs 17 and 55 times on them.
 """
 
 from __future__ import annotations
@@ -378,44 +374,44 @@ def _lyubeznik_faces(pushes: dict, wanted: set) -> dict[tuple, list[int]]:
     return grown
 
 
-_LANES = [0]  # _LANES[b]: bit j of the byte b spread to bit 24j, built by doubling
-for _lane in range(8):
-    _LANES += [t | 1 << 24 * _lane for t in _LANES]
+def _subset_sums(bits: list[int]) -> list[int]:
+    """table[s]: the sum of bits[j] over the bits j of s, for s < 2^len(bits),
+    built by doubling."""
+    table = [0]
+    for bit in bits:
+        table += [t + bit for t in table]
+    return table
 
 
-def _rooting(lattice: dict, m: int) -> list[int] | None:
+_LANES = _subset_sums([1 << 24 * j for j in range(8)])  # _LANES[b]: bit j of the byte b at bit 24j
+
+
+def _rooting(lattice: dict, m: int) -> list[int]:
     """The generator order the Lyubeznik strands are rooted in: the m
     generators by how many strata of three or more faces have them in
-    G_alpha, most first, ties in the given order.  None when that is the
-    given order.  The scores are summed a byte of generators at a time:
-    _LANES spreads the byte's 8 bits into 24-bit lanes, and one sum over
-    the strata adds 8 scores at once.  A score is at most |L| <= 2^22, so
-    no lane carries into the next."""
+    G_alpha, most first, ties in the given order.  The scores are summed a
+    byte of generators at a time: _LANES spreads the byte's 8 bits into
+    24-bit lanes, and one sum over the strata adds 8 scores at once.  A
+    score is at most |L| <= 2^22, so no lane carries into the next."""
     tops = [top for top, size in lattice.values() if size >= 3]
     score = []
     for shift in range(0, m, 8):
         lanes = sum([_LANES[top >> shift & 255] for top in tops])
         score += [lanes >> 24 * j & 0xFFFFFF for j in range(min(8, m - shift))]
-    order = sorted(range(m), key=score.__getitem__, reverse=True)  # stable, so ties keep their order
-    return None if order == list(range(m)) else order
+    return sorted(range(m), key=score.__getitem__, reverse=True)  # stable, so ties keep their order
 
 
 def _relabel(lattice: dict, gens: list, order: list[int]) -> tuple[dict, list]:
     """The lattice and packed generators (_lattice) of the ideal whose j-th
     generator is g_order[j]: its keys and sizes, with each G_alpha mapped
-    bit by bit, a byte at a time, through one lookup table per 8 generators
-    built by doubling, two at least.  One comprehension reads the first two
-    tables, and each further one (past 16 generators) takes one more pass."""
+    bit by bit, a byte at a time, through one _subset_sums table per 8
+    generators, two at least.  One comprehension reads the first two
+    tables, and each further one (past 16 generators) takes one more pass.
+    The given order is one more permutation."""
     moved = [0] * len(order)
     for j, i in enumerate(order):
         moved[i] = 1 << j
-    tables = []
-    for start in range(0, max(len(order), 16), 8):
-        table = [0]
-        for bit in moved[start:start + 8]:
-            table += [t | bit for t in table]
-        tables.append(table)
-    low, high, *rest = tables
+    low, high, *rest = [_subset_sums(moved[start:start + 8]) for start in range(0, max(len(order), 16), 8)]
     relabelled = {key: (low[top & 255] | high[top >> 8 & 255], size) for key, (top, size) in lattice.items()}
     for shift, table in zip(range(16, len(order), 8), rest):
         relabelled = {key: (out | table[top >> shift & 255], size)
@@ -430,18 +426,19 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
     order ``_classify`` reads each larger cone and sphere strand off its R_v
     (see the module docstring), unbuilt, until the first stratum it leaves
     to be built; the eq table it reads is built only when a stratum needs
-    it.  If there is none, the table is complete.  Else the Lyubeznik faces
-    are counted by size, in the generator order _rooting picks from the
-    strata of three or more faces, and every stratum from that one on whose
-    faces all have one size s, or that has none, is read off: b_{s,alpha} =
-    n_s.  ``_classify`` reads the other strata left open, and the rest are
-    built: the smaller of the Lyubeznik strand and K^alpha(I) is ranked, the
-    Lyubeznik strand when it has at most 2^|supp alpha| faces.  Its faces
-    are enumerated only for the strands ranked, if those have at most 2^22
-    faces in all (else _check_size raises).  With shift 0 for Lyubeznik and
-    1 for Koszul, the face-size-s homology n_s - rank(d_s) - rank(d_{s+1})
-    is b_{s+shift,alpha}.  A field other than QQ or a PrimeField raises
-    TypeError first, for every ideal.
+    it.  If there is none, the table is complete.  Else the lattice is
+    always relabelled into the generator order _rooting picks from the
+    strata of three or more faces, the Lyubeznik faces are counted by size
+    in it, and every stratum from that one on whose faces all have one size
+    s, or that has none, is read off: b_{s,alpha} = n_s.  ``_classify``
+    reads the other strata left open, and the rest are built, each with its
+    count n and k = 2^|supp alpha|: the Lyubeznik strand is ranked when
+    n <= k, else K^alpha(I), which has at most k faces.  The faces are
+    enumerated only for the strands ranked, if those have at most 2^22
+    faces in all, the sum of min(n, k) (else _check_size raises).  With
+    shift 0 for Lyubeznik and 1 for Koszul, the face-size-s homology
+    n_s - rank(d_s) - rank(d_{s+1}) is b_{s+shift,alpha}.  A field other
+    than QQ or a PrimeField raises TypeError first, for every ideal.
     """
     characteristic(field)
     lattice, gens, guards, unpack = _lattice(I)
@@ -462,11 +459,10 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
             entries[(verdict, alpha)] = 1
     if not strata:
         return BettiTable(I.ring, entries)
-    if (order := _rooting(lattice, I.m)) is not None:
-        lattice, gens = _relabel(lattice, gens, order)
+    lattice, gens = _relabel(lattice, gens, _rooting(lattice, I.m))
     pushes = _lyubeznik_pushes(lattice, gens, guards)
     width = I.m + 1
-    built = {}  # packed alpha -> (alpha, the number of its Lyubeznik faces)
+    built = {}  # packed alpha -> (alpha, its Lyubeznik face count, 2^|supp alpha|: K^alpha(I)'s most)
     for key, (alpha, top) in strata.items():
         n = pushes.get(key, (0,))[0]
         s = max(n.bit_length() - 1, 0) // width  # the largest face size
@@ -474,15 +470,14 @@ def multigraded_betti(I: MonomialIdeal, field=QQ) -> BettiTable:
             if n:
                 entries[(s, alpha)] = n >> s * width
         elif top is None or (verdict := _classify(eq, alpha, top)) is None:
-            built[key] = alpha, n % ((1 << width) - 1)  # the sum of its fields: 2^width is 1 mod this
+            # n mod 2^width - 1 is the sum of its fields, as 2^width is 1 mod this
+            built[key] = alpha, n % ((1 << width) - 1), 1 << sum(map(bool, alpha))
         elif verdict != CONE:
             entries[(verdict, alpha)] = 1
-    most = {key: min(n, 1 << sum(map(bool, alpha))) for key, (alpha, n) in built.items()}
-    _check_size(sum(most.values()), "{} strand faces to rank pass")
-    small = {key for key, (_, n) in built.items() if n == most[key]}
-    lyubeznik = _lyubeznik_faces(pushes, small)
-    for key, (alpha, _) in built.items():
-        if key in small:
+    _check_size(sum(min(n, k) for _, n, k in built.values()), "{} strand faces to rank pass")
+    lyubeznik = _lyubeznik_faces(pushes, {key for key, (_, n, k) in built.items() if n <= k})
+    for key, (alpha, _, _) in built.items():
+        if key in lyubeznik:
             faces, shift = lyubeznik[key], 0
         else:
             faces, shift = _koszul_faces(I.gens, alpha), 1

@@ -64,16 +64,16 @@ def load_fixture(name: str, fixtures_dir: str | None = None) -> MonomialIdeal:
     return load_ideal(os.path.join(fixtures_dir, name))
 
 
-def example1(fixtures_dir: str | None = None) -> MonomialIdeal:
-    return load_fixture("example1.ideal", fixtures_dir)
+def example1() -> MonomialIdeal:
+    return load_fixture("example1.ideal")
 
 
-def example2(fixtures_dir: str | None = None) -> MonomialIdeal:
-    return load_fixture("example2.ideal", fixtures_dir)
+def example2() -> MonomialIdeal:
+    return load_fixture("example2.ideal")
 
 
-def koszul2(fixtures_dir: str | None = None) -> MonomialIdeal:
-    return load_fixture("koszul2.ideal", fixtures_dir)
+def koszul2() -> MonomialIdeal:
+    return load_fixture("koszul2.ideal")
 
 
 class GoldenRow(_Record):
@@ -109,8 +109,8 @@ def verify_golden(fixtures_dir: str | None = None) -> list[GoldenRow]:
     Values that several rows share are computed on first use inside a
     row's check, so a raise there fails each row that needs them."""
     rows: list[GoldenRow] = []
-    I2 = example2(fixtures_dir)
-    I1 = example1(fixtures_dir)
+    I2 = load_fixture("example2.ideal", fixtures_dir)
+    I1 = load_fixture("example1.ideal", fixtures_dir)
     t2_q = cache(lambda: multigraded_betti(I2, QQ))
     t1_q = cache(lambda: multigraded_betti(I1, QQ))
 

@@ -39,8 +39,8 @@ from shiftlab import (
     total_degree,
     verify_complex,
 )
-from shiftlab.betti import (_classify, _equal_masks, _lattice, _lyubeznik_faces, _lyubeznik_pushes,
-                            _relabel, _rooting)
+from shiftlab.betti import (_LANES, _classify, _equal_masks, _lattice, _lyubeznik_faces, _lyubeznik_pushes,
+                            _relabel, _rooting, _subset_sums)
 from shiftlab.complexes import CapExceededError
 
 RING2 = Ring(["x", "y"])
@@ -719,11 +719,11 @@ def test_lyubeznik_faces_match_the_definition_on_the_corpus(corpus, ex2):
 def check_rooting(I, field=QQ, faces=True) -> bool | None:
     """Check the order multigraded_betti roots its Lyubeznik strands in, and
     its relabelling, against the reordered ideal, and with faces its
-    Lyubeznik faces against rooted_faces (2^m subsets); whether it
-    relabelled, None when no stratum was left to the counts.  The order is
-    rebuilt here from its definition, bit by bit: the generators by how
-    many strata of three or more faces have them in G_alpha, most first,
-    ties in the given order."""
+    Lyubeznik faces against rooted_faces (2^m subsets); whether the order
+    moves a generator, None when no stratum was left to the counts.  The
+    order is rebuilt here from its definition, bit by bit: the generators
+    by how many strata of three or more faces have them in G_alpha, most
+    first, ties in the given order."""
     calls = []
     with mock.patch.object(shiftlab.betti, "_rooting",
                            lambda *args: calls.append((args, _rooting(*args))) or calls[-1][1]):
@@ -734,14 +734,14 @@ def check_rooting(I, field=QQ, faces=True) -> bool | None:
     assert m == I.m
     tops = [top for top, size in lattice.values() if size >= 3]
     order = sorted(range(m), key=lambda i: -sum(top >> i & 1 for top in tops))
-    assert chosen == (None if order == list(range(m)) else order), I
+    assert chosen == order, I
     # the relabelled lattice is, key for key, that of the reordered ideal,
     # whose pushes and faces check_lyubeznik_faces compares with rooted_faces
     J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
     assert _relabel(*_lattice(I)[:2], order) == _lattice(J)[:2], I
     if faces:
         check_lyubeznik_faces(J)
-    return chosen is not None
+    return chosen != list(range(m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -783,6 +783,16 @@ def test_relabel_past_two_tables(tables):
     random.Random(3).shuffle(order)
     J = MonomialIdeal(I.ring, [I.gens[i] for i in order])
     assert _relabel(*_lattice(I)[:2], order) == _lattice(J)[:2]
+
+
+def test_subset_sums_match_the_definition():
+    # table[s] sums bits[j] over the bits j of s, for 0 to 8 bits (a byte of
+    # generators); _relabel's tables map each generator to its new bit, and
+    # _LANES[b] puts bit j of b at bit 24j
+    for size in range(9):
+        bits = random.Random(size).sample(range(1, 1000), size)
+        assert _subset_sums(bits) == [sum(b for j, b in enumerate(bits) if s >> j & 1) for s in range(1 << size)]
+    assert _LANES == [sum(1 << 24 * j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
 STRESS = Path(__file__).resolve().parent.parent / "bench" / "ideals"

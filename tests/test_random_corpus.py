@@ -221,8 +221,8 @@ def test_lyubeznik_strands_match_taylor_and_koszul(name, corpus, ex1, ex2, rp2, 
         multigraded_betti(I, QQ)
         if grown:  # keyed by packed multidegrees
             lattice, _, _, unpack = _lattice(I)
-            relabelled += bool(orders)
-            order = orders.pop() if orders else range(I.m)  # bit j of a face is generator order[j]
+            order = orders.pop()  # bit j of a face is generator order[j]
+            relabelled += order != list(range(I.m))
             for key, faces in grown.pop().items():
                 faces = [sum(1 << i for j, i in enumerate(order) if face >> j & 1) for face in faces]
                 built.append((I, unpack(key), lattice[key][0], faces))
