@@ -1,11 +1,12 @@
 """Executable inequality checks on maximal-shift profiles.
 
 Each check builds InequalityReport records: the instance parameters, both
-sides of the inequality, whether it holds, and the multidegrees or index
-splits that witness the bound.  The consecutive, top, covering, range,
-general and multiple checks are proved facts, so a ``holds=False`` report
-from any of them on valid input signals an implementation bug, not
-mathematics; only subadditivity is an open question.
+sides of the inequality and the multidegrees or index splits that witness
+the bound.  A report derives ``holds`` from its two sides, so no verdict is
+written by hand.  The consecutive, top, covering, range, general and
+multiple checks are proved facts, and ``PROVEN`` names their reports: a
+failed one on valid input signals an implementation bug, not mathematics.
+Only subadditivity is an open question.
 """
 
 from __future__ import annotations
@@ -32,25 +33,39 @@ from .monomials import (
 )
 
 
+# the names of the proved checks' reports: a failed one on valid input is a bug
+PROVEN = frozenset({"consecutive", "top", "covering-projdim", "covering-shift", "range",
+                    "general", "multiple"})
+
+
 class CoveringPairError(ValueError):
     """The supplied multidegrees do not cover the ideal."""
 
 
 class InequalityReport(_Record):
     """One instance of a check: its ``name`` and ``params``, both sides of
-    the inequality (None where the module vanishes), whether it ``holds``,
-    and the ``witnesses`` of the bound (a new empty dict when not given)."""
+    the inequality (None where the module vanishes) and the ``witnesses`` of
+    the bound (a new empty dict when not given, TypeError when neither a
+    dict nor None).  ``holds`` is read off the sides: true when ``lhs`` is
+    None (nothing to bound), false when only ``rhs`` is, else lhs <= rhs."""
 
-    __slots__ = ("name", "params", "lhs", "rhs", "holds", "witnesses")
+    __slots__ = ("name", "params", "lhs", "rhs", "witnesses")
 
     def __init__(self, name: str, params: dict, lhs: int | None, rhs: int | None,
-                 holds: bool, witnesses: dict | None = None):
+                 witnesses: dict | None = None):
+        if witnesses is None:
+            witnesses = {}
+        elif not isinstance(witnesses, dict):
+            raise TypeError(f"witnesses must be a dict or None, not {witnesses!r}")
         _set(self, "name", name)
         _set(self, "params", params)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-        _set(self, "holds", holds)
-        _set(self, "witnesses", {} if witnesses is None else witnesses)
+        _set(self, "witnesses", witnesses)
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs is None or (self.rhs is not None and self.lhs <= self.rhs)
 
     def to_dict(self) -> dict:
         def clean(v):
@@ -82,14 +97,6 @@ def _shift_at(t: ShiftProfile, a: int) -> int | None:
     return s[a] if 0 <= a < len(s) else None
 
 
-def _holds(lhs, rhs) -> bool:
-    if lhs is None:
-        return True  # the module in question vanishes; nothing to bound
-    if rhs is None:
-        return False
-    return lhs <= rhs
-
-
 def check_subadditivity_profile(t: ShiftProfile) -> list[InequalityReport]:
     """t_{a+b} <= t_a + t_b for all a <= b with a, b >= 1 and a+b <= p.
 
@@ -100,35 +107,24 @@ def check_subadditivity_profile(t: ShiftProfile) -> list[InequalityReport]:
     pd = len(s) - 1
     for a in range(1, pd + 1):
         for b in range(a, pd - a + 1):
-            lhs, rhs = s[a + b], s[a] + s[b]
-            out.append(
-                InequalityReport(
-                    "subadditivity", {"a": a, "b": b}, lhs, rhs, _holds(lhs, rhs)
-                )
-            )
+            out.append(InequalityReport("subadditivity", {"a": a, "b": b}, s[a + b], s[a] + s[b]))
     return out
 
 
 def check_consecutive(I: MonomialIdeal, field=QQ, *, profile=None) -> list[InequalityReport]:
     """t_a(I) <= t_{a-1}(I) + t_1(I) for a = 1..p (a proved fact)."""
-    s = (profile if profile is not None else shifts(I, field)).shifts
-    out = []
-    for a in range(1, len(s)):
-        lhs, rhs = s[a], s[a - 1] + s[1]
-        out.append(
-            InequalityReport("consecutive", {"a": a}, lhs, rhs, _holds(lhs, rhs))
-        )
-    return out
+    s = _profile_of(I, field, profile).shifts
+    return [InequalityReport("consecutive", {"a": a}, s[a], s[a - 1] + s[1])
+            for a in range(1, len(s))]
 
 
 def check_top(I: MonomialIdeal, field=QQ, *, profile=None) -> InequalityReport:
     """t_p(I) <= t_{p-1}(I) + t_1(I) at the projective dimension p."""
-    s = (profile if profile is not None else shifts(I, field)).shifts
+    s = _profile_of(I, field, profile).shifts
     p = len(s) - 1
     if p == 0:
         raise ValueError("zero ideal: no top shift to bound")
-    lhs, rhs = s[p], s[p - 1] + s[1]
-    return InequalityReport("top", {"p": p}, lhs, rhs, _holds(lhs, rhs))
+    return InequalityReport("top", {"p": p}, s[p], s[p - 1] + s[1])
 
 
 def _table_of(I: MonomialIdeal, field, table):
@@ -148,6 +144,14 @@ def _table_of(I: MonomialIdeal, field, table):
         raise ValueError("table= is not a Betti table of this ideal: its entries at index 0 "
                          "and 1 are not b_0 = 1 at 0 and b_1 = 1 at each generator")
     return table
+
+
+def _profile_of(I: MonomialIdeal, field, profile) -> ShiftProfile:
+    """The shift profile of I over field: ``profile`` when given, else
+    computed.  A field other than QQ or a PrimeField raises TypeError
+    first, profile or not; a given profile is the caller's to vouch for."""
+    characteristic(field)
+    return shifts(I, field) if profile is None else profile
 
 
 def _covering_pair(I, alpha, beta, field, profile, table):
@@ -202,28 +206,12 @@ def check_covering(
     alpha, beta, p, q, t = _covering_pair(I, alpha, beta, field, profile, table)
     s = t.shifts
     pd = len(s) - 1
-    reports = [
-        InequalityReport(
-            "covering-projdim",
-            {"p": p, "q": q},
-            pd,
-            p + q,
-            _holds(pd, p + q),
-            {"alpha": alpha, "beta": beta},
-        )
-    ]
+    reports = [InequalityReport("covering-projdim", {"p": p, "q": q}, pd, p + q,
+                                {"alpha": alpha, "beta": beta})]
     for a, lhs in enumerate(s):
         rhs, splits = _best_splits(s, a, a - q, min(p, a))
-        reports.append(
-            InequalityReport(
-                "covering-shift",
-                {"a": a, "p": p, "q": q},
-                lhs,
-                rhs,
-                _holds(lhs, rhs),
-                {"alpha": alpha, "beta": beta, "splits": splits},
-            )
-        )
+        reports.append(InequalityReport("covering-shift", {"a": a, "p": p, "q": q}, lhs, rhs,
+                                        {"alpha": alpha, "beta": beta, "splits": splits}))
     return reports
 
 
@@ -239,15 +227,8 @@ def check_range(
         raise ValueError(f"a={a} is outside [0, p+q={p + q}]")
     s = p + q - a
     rhs, splits = _best_splits(t.shifts, a, p - s, p)
-    lhs = _shift_at(t, a)
-    return InequalityReport(
-        "range",
-        {"a": a, "p": p, "q": q, "s": s},
-        lhs,
-        rhs,
-        _holds(lhs, rhs),
-        {"alpha": alpha, "beta": beta, "splits": splits},
-    )
+    return InequalityReport("range", {"a": a, "p": p, "q": q, "s": s}, _shift_at(t, a), rhs,
+                            {"alpha": alpha, "beta": beta, "splits": splits})
 
 
 def _window_problems(n: int, m: int, a: int) -> list[str]:
@@ -290,21 +271,15 @@ def check_general(
     alpha = tuple(pure[i] if i < p else 0 for i in range(n))
     rest = [g for g in I.gens if not (len(support(g)) == 1 and support(g)[0] < p)]
     beta = reduce(join, rest, I.ring.zero())
-    t = profile if profile is not None else shifts(I, field)
+    t = _profile_of(I, field, profile)
     inner, splits = _best_splits(t.shifts, a, lo, hi)
     tail = _shift_at(t, a - 1)
     side = None if tail is None else t[1] + tail
     options = [v for v in (side, inner) if v is not None]
     rhs = min(options) if options else None
-    lhs = _shift_at(t, a)
     return InequalityReport(
-        "general",
-        {"a": a, "p": p, "m": m, "n": n, "window": (lo, hi)},
-        lhs,
-        rhs,
-        _holds(lhs, rhs),
-        {"alpha": alpha, "beta": beta, "splits": splits, "consecutive_side": side},
-    )
+        "general", {"a": a, "p": p, "m": m, "n": n, "window": (lo, hi)}, _shift_at(t, a), rhs,
+        {"alpha": alpha, "beta": beta, "splits": splits, "consecutive_side": side})
 
 
 def check_multiple(
@@ -330,16 +305,10 @@ def check_multiple(
         raise CoveringPairError(f"generator {g} is below none of the cover multidegrees")
     t = tab.shift_profile()
     total = sum(a for _, a in covers)
-    lhs = _shift_at(t, total)
-    rhs = sum(t[a] for _, a in covers)
     return InequalityReport(
-        "multiple",
-        {"indices": tuple(a for _, a in covers), "total": total},
-        lhs,
-        rhs,
-        _holds(lhs, rhs),
-        {"alphas": tuple(alpha for alpha, _ in covers)},
-    )
+        "multiple", {"indices": tuple(a for _, a in covers), "total": total},
+        _shift_at(t, total), sum(t[a] for _, a in covers),
+        {"alphas": tuple(alpha for alpha, _ in covers)})
 
 
 def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
@@ -358,9 +327,13 @@ def find_covering_pairs(I: MonomialIdeal, at: int | None = None, field=QQ, *,
     the bitset of the candidates above it, and a candidate's partners are
     the AND of those bitsets over the generators it misses, cut to the
     candidates from it on; their set bits are read in order.  ``table`` is
-    as in check_covering.
+    as in check_covering, and read only with ``at`` (else ValueError); the
+    field is checked either way.
     """
     if at is None:
+        characteristic(field)
+        if table is not None:
+            raise ValueError("table= is read only with at=: the lattice search builds no table")
         lattice, _, _, unpack = _lattice(I)
         keys = sorted(lattice)[1:]  # past 0, the lcm of the empty subset alone
         candidates, masks = list(map(unpack, keys)), [lattice[key][0] for key in keys]
@@ -410,16 +383,9 @@ class SymbolicBound(_Record):
         return f"t_{self.target} <= {rhs}"
 
     def evaluate(self, t: ShiftProfile) -> InequalityReport:
-        lhs = _shift_at(t, self.target)
         parts = [_shift_at(t, i) for i in self.terms]
-        rhs = None if None in parts else sum(parts)
-        return InequalityReport(
-            "symbolic",
-            {"target": self.target, "terms": self.terms},
-            lhs,
-            rhs,
-            _holds(lhs, rhs),
-        )
+        return InequalityReport("symbolic", {"target": self.target, "terms": self.terms},
+                                _shift_at(t, self.target), None if None in parts else sum(parts))
 
 
 def _expansions(split: tuple[int, ...], a: int) -> set[tuple[int, ...]]:

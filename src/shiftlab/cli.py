@@ -14,6 +14,7 @@ import sys
 
 from .betti import betti_records, format_betti_grid, multigraded_betti
 from .checks import (
+    PROVEN,
     check_consecutive,
     check_covering,
     check_general,
@@ -39,9 +40,6 @@ EXIT_PROVEN_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_ARGS = 4
-
-PROVEN = {"consecutive", "top", "covering-projdim", "covering-shift", "range",
-          "general", "multiple"}
 
 # The options each check kind reads besides --field and --format.
 NEEDS = {"all": (), "subadditivity": (), "consecutive": (), "top": (),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import signal
 from collections import Counter
@@ -205,26 +206,46 @@ def reference_holds(lhs, rhs):
     return lhs is None or (rhs is not None and lhs <= rhs)
 
 
+def reference_dict(name, params, lhs, rhs, witnesses) -> dict:
+    """A report's to_dict() built without InequalityReport: the verdict from
+    reference_holds, tuples made lists by a JSON round trip."""
+    return json.loads(json.dumps({"name": name, "params": params, "lhs": lhs, "rhs": rhs,
+                                  "holds": reference_holds(lhs, rhs), "witnesses": witnesses}))
+
+
 def reference_covering_dicts(table, t, alpha, beta) -> tuple[list, list]:
     """The to_dict() of check_covering's reports and of check_range's at
     every a in [0, p + q], built with two passes for p and q (one per
     multidegree) and reference_splits."""
     p, q = (max(a for a, mu in table.entries if all(map(le, mu, v))) for v in (alpha, beta))
     cover = {"alpha": alpha, "beta": beta}
-    covering = [InequalityReport("covering-projdim", {"p": p, "q": q}, t.projdim, p + q,
-                                 reference_holds(t.projdim, p + q), cover)]
+    covering = [reference_dict("covering-projdim", {"p": p, "q": q}, t.projdim, p + q, cover)]
     for a in range(t.projdim + 1):
         rhs, splits = reference_splits(t, a, a - q, min(p, a))
-        covering.append(InequalityReport("covering-shift", {"a": a, "p": p, "q": q}, t[a], rhs,
-                                         reference_holds(t[a], rhs), {**cover, "splits": splits}))
+        covering.append(reference_dict("covering-shift", {"a": a, "p": p, "q": q}, t[a], rhs,
+                                       {**cover, "splits": splits}))
     ranges = []
     for a in range(p + q + 1):
         s = p + q - a
         rhs, splits = reference_splits(t, a, p - s, p)
         lhs = t[a] if a <= t.projdim else None
-        ranges.append(InequalityReport("range", {"a": a, "p": p, "q": q, "s": s}, lhs, rhs,
-                                       reference_holds(lhs, rhs), {**cover, "splits": splits}))
-    return [r.to_dict() for r in covering], [r.to_dict() for r in ranges]
+        ranges.append(reference_dict("range", {"a": a, "p": p, "q": q, "s": s}, lhs, rhs,
+                                     {**cover, "splits": splits}))
+    return covering, ranges
+
+
+def test_holds_follows_the_sides():
+    # the verdict is read off lhs and rhs, so no report can print 5 <= 4 -> ok
+    assert not InequalityReport("top", {"p": 2}, 5, 4).holds
+    assert str(InequalityReport("top", {"p": 2}, 5, 4)) == "top [p=2]: 5 <= 4 -> VIOLATION"
+    assert InequalityReport("range", {}, 4, 4).holds
+    assert InequalityReport("range", {}, None, 4).holds  # the module vanishes
+    assert InequalityReport("range", {}, None, None).holds
+    assert not InequalityReport("range", {}, 3, None).holds
+    # a verdict passed where the witnesses go is refused, not stored
+    for witnesses in (True, False, [], "splits"):
+        with pytest.raises(TypeError, match="witnesses must be a dict or None"):
+            InequalityReport("top", {"p": 2}, 5, 4, witnesses)
 
 
 def test_covering_and_range_match_the_reference_loops(corpus_results, ex1, ex1_table, ex2, ex2_table):
@@ -289,24 +310,34 @@ def test_a_table_of_another_ideal_is_refused(caller, ex1_table, ex2, ex2_table):
             call(table)
 
 
-def test_a_given_table_does_not_waive_the_field():
-    # a check that takes table= refuses a non-field as one that computes
-    # the table does; (xy, yz) once gave a covering pair and four reports
-    # that hold over field="bad"
+def test_a_given_table_does_not_waive_the_field(zero_dim_7_8):
+    # a check that takes table= or profile= refuses a non-field as one that
+    # computes the table does; (xy, yz) once gave a covering pair and four
+    # reports that hold over field="bad", and consecutive, top, general and
+    # the lattice search once ran over it too
     R3 = Ring(["x", "y", "z"])
     I = MonomialIdeal(R3, [(1, 1, 0), (0, 1, 1)])
     T = multigraded_betti(I)
+    P, Z = T.shift_profile(), multigraded_betti(zero_dim_7_8).shift_profile()
     a, b = (0, 1, 1), (1, 1, 0)
-    assert find_covering_pairs(I, at=1, table=T) == [(a, b)]
+    assert find_covering_pairs(I, at=1, table=T) == [(a, b)] == find_covering_pairs(I)[:1]
     assert len(check_covering(I, a, b, table=T)) == 4
+    assert check_general(zero_dim_7_8, 6, 4, profile=Z).holds
     calls = [lambda f: find_covering_pairs(I, at=1, field=f, table=T),
+             lambda f: find_covering_pairs(I, field=f),
              lambda f: check_covering(I, a, b, field=f, table=T),
              lambda f: check_range(I, a, b, 1, field=f, table=T),
-             lambda f: check_multiple(I, [(a, 1), (b, 1)], field=f, table=T)]
+             lambda f: check_multiple(I, [(a, 1), (b, 1)], field=f, table=T),
+             lambda f: check_consecutive(I, f, profile=P),
+             lambda f: check_top(I, f, profile=P),
+             lambda f: check_general(zero_dim_7_8, 6, 4, f, profile=Z)]
     for call in calls:
         for field in ("bad", 7, None):
             with pytest.raises(TypeError, match="not a coefficient field"):
                 call(field)
+    # the lattice search builds no table, so one given there is refused
+    with pytest.raises(ValueError, match="table= is read only with at="):
+        find_covering_pairs(I, table=T)
 
 
 def test_a_table_without_b0_is_refused(ex2, ex2_table):

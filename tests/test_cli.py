@@ -250,7 +250,7 @@ def test_check_reads_the_ideal_before_its_options(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["all", "top"])
 def test_check_exits_1_when_a_proved_inequality_fails(capsys, monkeypatch, kind):
     def broken_top(I, field, *, profile):
-        return InequalityReport("top", {"p": 4}, 17, 16, False)
+        return InequalityReport("top", {"p": 4}, 17, 16)
 
     monkeypatch.setattr(shiftlab.cli, "check_top", broken_top)
     rc, out, _ = run(capsys, "check", EX2, kind)
@@ -311,7 +311,7 @@ def test_random_stops_at_a_failed_proved_inequality(capsys, monkeypatch):
         reports = real(I, field, profile=profile)
         if len(calls) == 3:
             r = reports[0]
-            reports[0] = InequalityReport(r.name, r.params, r.rhs + 1, r.rhs, False)
+            reports[0] = InequalityReport(r.name, r.params, r.rhs + 1, r.rhs)
         return reports
 
     monkeypatch.setattr(shiftlab.cli, "check_consecutive", consecutive)

@@ -26,10 +26,10 @@ CASES = [
     (ShiftProfile, ("shifts",), ((0, 2, 3),), "ShiftProfile(shifts=(0, 2, 3))"),
     (VerifyReport, ("ok", "problem", "location"), (False, "row index out of range", (1, 0, 5)),
      "VerifyReport(ok=False, problem='row index out of range', location=(1, 0, 5))"),
-    (InequalityReport, ("name", "params", "lhs", "rhs", "holds", "witnesses"),
-     ("covering", {"alpha": (1, 0)}, None, 5, True, {"pair": ((1, 0), (0, 1))}),
+    (InequalityReport, ("name", "params", "lhs", "rhs", "witnesses"),
+     ("covering", {"alpha": (1, 0)}, None, 5, {"pair": ((1, 0), (0, 1))}),
      "InequalityReport(name='covering', params={'alpha': (1, 0)}, lhs=None, rhs=5, "
-     "holds=True, witnesses={'pair': ((1, 0), (0, 1))})"),
+     "witnesses={'pair': ((1, 0), (0, 1))})"),
     (SymbolicBound, ("target", "terms"), (3, (1, 2)), "SymbolicBound(target=3, terms=(1, 2))"),
     (GoldenRow, ("name", "status", "detail"), ("ex2 betti", "pass", "1 5 8 5 1"),
      "GoldenRow(name='ex2 betti', status='pass', detail='1 5 8 5 1')"),
@@ -54,8 +54,10 @@ def test_equality_is_by_type_and_fields(cls, fields, args, text):
     assert cls(*copy.deepcopy(args)) == r
     if cls is not Ring:  # Ring's one field is validated names
         alt = list(args)
-        # a prime's field is a prime, and a basis element's mdeg a multidegree
-        alt[-1] = {PrimeField: 11, BasisElement: (1, 2, 4)}.get(cls, "different")
+        # a prime's field is a prime, a basis element's mdeg a multidegree
+        # and a report's witnesses a dict
+        alt[-1] = {PrimeField: 11, BasisElement: (1, 2, 4),
+                   InequalityReport: {"pair": ()}}.get(cls, "different")
         assert cls(*alt) != r
 
 
@@ -96,8 +98,8 @@ def test_verify_report_defaults():
 
 
 def test_each_inequality_report_gets_its_own_witnesses():
-    a = InequalityReport("top", {"p": 2}, 3, 4, True)
-    b = InequalityReport("top", {"p": 2}, 3, 4, True)
+    a = InequalityReport("top", {"p": 2}, 3, 4)
+    b = InequalityReport("top", {"p": 2}, 3, 4)
     assert a.witnesses == {} and a.witnesses is not b.witnesses
     a.witnesses["x"] = 1
     assert b.witnesses == {}
