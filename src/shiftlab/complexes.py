@@ -13,7 +13,10 @@ columns, and the Betti strands', come from _columns, the one facet rule.
 The lattice keeps its multidegrees packed, one int each with a W-byte
 field per variable and a 0 guard bit atop each field, joined by one SWAR
 max; _lattice hands out the packing with it, and the Scarf basis unpacks
-to tuples only the multidegrees of its faces.
+to tuples only the multidegrees of its faces.  _pack is the one packing
+rule: W, the guard bits and the packed ints, for the lattice's generators
+and for verify_complex, which tests each entry's homogeneity on the
+packed multidegrees of the complex with one subtraction.
 
 A complex cannot change, so its entries may be shared, and the builders of
 large complexes hand out one ``(row, coeff)`` tuple per distinct entry, not
@@ -32,7 +35,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, le, mul
+from operator import itemgetter, mul
 
 from .fields import QQ, characteristic, eliminate
 from .monomials import (ContractError, MonomialIdeal, _check_ints, _check_mdeg, _Frozen,
@@ -162,6 +165,17 @@ class FreeComplex(_Frozen):
         return FreeComplex, (self.modules, self.diffs)
 
 
+def _pack(mdegs, n: int) -> tuple[list, int, int]:
+    """The packing of mdegs, a sequence of multidegrees of length n (see
+    _lattice): (packed, guards, W), the packed ints in order, their guard
+    bits H and the bytes W of a field, set by the largest exponent."""
+    w = (max(map(max, mdegs)) if mdegs and n else 0).bit_length() // 8 + 1
+    guards = int.from_bytes((1 << 8 * w - 1).to_bytes(w, "big") * n, "big")
+    if w == 1:
+        return [int.from_bytes(bytes(g), "big") for g in mdegs], guards, w
+    return [int.from_bytes(b"".join([e.to_bytes(w, "big") for e in g]), "big") for g in mdegs], guards, w
+
+
 def _lattice(I: MonomialIdeal) -> tuple:
     """The lcm lattice by join closure, 0 included, with its packing:
     (lattice, gens, guards, unpack).  lattice maps packed alpha -> (G_alpha,
@@ -210,14 +224,11 @@ def _lattice(I: MonomialIdeal) -> tuple:
     1.21, 1.12-1.17, 0.98-1.04, 0.97-0.98 and 0.94 for squarefree ideals in
     10 variables."""
     n, m = I.ring.n, I.m
-    w = (max(map(max, I.gens)) if I.gens else 0).bit_length() // 8 + 1
+    gens, guards, w = _pack(I.gens, n)
     s = 8 * w - 1
-    guards = int.from_bytes((1 << s).to_bytes(w, "big") * n, "big")
     if w == 1:
-        gens = [int.from_bytes(bytes(g), "big") for g in I.gens]
         unpack = lambda key: tuple(key.to_bytes(n, "big"))
     else:
-        gens = [int.from_bytes(b"".join([e.to_bytes(w, "big") for e in g]), "big") for g in I.gens]
         unpack = lambda key: tuple([key >> k & (1 << s) - 1 for k in range(8 * w * (n - 1), -1, -8 * w)])
     order = range(m)
     if m >= CLOSURE_ORDER_FROM:
@@ -494,34 +505,43 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     raises ContractError, whatever else is wrong.
 
     Pass the complex's coefficient field: over GF(p) d∘d only vanishes mod p.
+    Homogeneity is read on the multidegrees packed once (_pack): a row is
+    at most its column in every variable when ((top | H) - row) & H is H,
+    the guard bits H, with no field borrowing from the next (see _lattice).
     """
     p = characteristic(field)
     scan, stray = _scanned(F)  # stray: the first row off the row rule, else None and no row is
     if at := _repeated_row(scan, p):
         return VerifyReport(False, "column repeats a row", at)
+    mdegs = [be.mdeg for mod in F.modules for be in mod]
+    packed, guards, _ = _pack(mdegs, len(mdegs[0]) if mdegs else 0)
+    packed = iter(packed)
+    below = [next(packed) for _ in F.modules[0]]
     for a in range(1, len(F.modules)):
-        below = [be.mdeg for be in F.modules[a - 1]]
-        for j, (col, be) in enumerate(zip(F.diffs[a], F.modules[a])):
-            top = be.mdeg
+        here = [next(packed) for _ in F.modules[a]]
+        for j, (col, top) in enumerate(zip(F.diffs[a], here)):
+            top |= guards  # (top - below[row]) & guards keeps a guard bit where top >= row
             for row, _ in col:
                 if stray and (type(row) is not int or not 0 <= row < len(below)):
                     problem = "row index out of range" if type(row) is int else "row is not an int"
                     return VerifyReport(False, problem, (a, j, row))
-                # divides(below[row], top), inlined: FreeComplex checked the lengths
-                if not all(map(le, below[row], top)):
+                if (top - below[row]) & guards != guards:
                     return VerifyReport(
                         False, "entry multidegree breaks homogeneity", (a, j, row)
                     )
+        below = here
     for a in range(2, len(F.modules)):
         prev = F.diffs[a - 1]
         for j, col in enumerate(F.diffs[a]):
             # every d∘d term landing on row2 carries the monomial
             # x^(mdeg(j) - mdeg(row2)), so the row alone keys the sum
             acc: dict[int, object] = {}
-            get = acc.get
             for row, coeff in col:
                 for row2, coeff2 in prev[row]:
-                    acc[row2] = get(row2, 0) + coeff * coeff2
+                    if row2 in acc:
+                        acc[row2] += coeff * coeff2
+                    else:
+                        acc[row2] = coeff * coeff2
             for row2, total in acc.items():
                 if (total % p if p else total) != 0:
                     return VerifyReport(
@@ -571,6 +591,14 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     (g, f) sits at some (g2, f2) with mdeg(g2) <= mdeg(f) = mdeg(g) <=
     mdeg(f2), all equal, so (g2, f) was a pivot too and g2 > g.
 
+    A level's live columns are built one comprehension each, read mod p
+    and without zeros or rows cancelled one level down; each row then keeps
+    the set of its live columns, and the columns are grouped by
+    multidegree once, so f is the least of row g's columns in the group of
+    g's multidegree.  Most pivot columns hold only g when their turn comes
+    (6699 of S14's 8106 over QQ), and fields.eliminate then only drops g
+    from the columns that hold it.
+
     The pivots follow (level, row, column) order, which makes the output
     deterministic; surviving basis elements keep their input labels.  The
     rows must keep the row rule (_check_rows) and the columns the column
@@ -584,17 +612,22 @@ def minimalize(F: FreeComplex, field=QQ) -> FreeComplex:
     dead = [set() for _ in F.modules]  # the cancelled elements of each module
     cols = [[]]  # cols[a][f]: the live entries {row: coeff} of column f of d_a
     for a in range(1, len(F.modules)):
-        gone, below, here = dead[a - 1], F.modules[a - 1], [be.mdeg for be in F.modules[a]]
-        level, rows = [{} for _ in here], {}
-        for f, col in enumerate(F.diffs[a]):
-            for g, coeff in col:
-                c = coeff % p if p else coeff
-                if c and g not in gone:
-                    level[f][g] = c
-                    rows.setdefault(g, set()).add(f)
-        for g in sorted(rows):  # no pivot is left behind: see the docstring
-            if (f := min((j for j in rows[g] if here[j] == below[g].mdeg), default=None)) is None:
+        gone = dead[a - 1]
+        if p:
+            level = [{g: c for g, x in col if (c := x % p) and g not in gone} for col in F.diffs[a]]
+        else:
+            level = [{g: c for g, c in col if c and g not in gone} for col in F.diffs[a]]
+        rows = {g: set() for g in range(len(F.modules[a - 1])) if g not in gone}  # -> its columns
+        same = {}  # multidegree -> the columns of module a that have it
+        for f, (col, be) in enumerate(zip(level, F.modules[a])):
+            for g in col:
+                rows[g].add(f)
+            same.setdefault(be.mdeg, set()).add(f)
+        below = F.modules[a - 1]
+        for g in list(rows):  # in increasing order; no pivot is left behind: see the docstring
+            if (group := same.get(below[g].mdeg)) is None or not (units := rows[g] & group):
                 continue
+            f = min(units)
             pivot, level[f] = level[f], {}
             for g2 in pivot:
                 rows[g2].discard(f)

@@ -68,12 +68,19 @@ def eliminate(pivot: dict, c, lines, index: dict, p: int) -> set:
     Lines are sparse dicts {position: coefficient} and ``index[j]`` holds the
     keys of the lines with an entry at j; the caller has taken the pivot out
     of both.  The one inverse rule: pow(v, -1, p) over GF(p), and over QQ
-    (p = 0) v itself for v = ±1, else Fraction(1, v).  Pops c from ``pivot``
-    and ``index``; returns the keys of the changed lines, some maybe empty.
+    (p = 0) v itself for v = ±1, else Fraction(1, v).  A pivot line that
+    holds only c (most of minimalize's) adds nothing to the lines it
+    clears, so each just loses its entry at c, with no inverse taken.  Pops
+    c from ``pivot`` and ``index``; returns the keys of the changed lines,
+    some maybe empty.
     """
     v = pivot.pop(c)
-    inv = pow(v, -1, p) if p else v if v in (1, -1) else Fraction(1, v)
     changed = index.pop(c)
+    if not pivot:
+        for k in changed:
+            del lines[k][c]
+        return changed
+    inv = pow(v, -1, p) if p else v if v in (1, -1) else Fraction(1, v)
     for k in changed:
         line = lines[k]
         f = line.pop(c) * inv

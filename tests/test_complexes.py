@@ -712,6 +712,31 @@ def test_verify_matches_oracle_on_every_single_entry_change(ex2):
     assert verify_complex(F).ok
 
 
+@pytest.mark.parametrize("e, width", [(127, 1), (128, 2), (255, 2), (256, 2), (32767, 2), (32768, 3)])
+@pytest.mark.parametrize("v", [0, 2, 4])
+def test_verify_finds_a_homogeneity_break_at_packed_field_edges(e, width, v):
+    """verify_complex packs every multidegree of a complex into W-byte fields
+    with a guard bit atop each, W set by its largest exponent e.  Column 0
+    holds rows equal to it, with 0 at v or e at every other variable, so
+    a field that borrowed from its neighbour would show; column 1 holds the
+    same rows and one that passes it by 1 at v alone (the first, a middle or
+    the last of 5 variables).  The report names that row, as the tuple
+    oracle does."""
+    n = 5
+    top = tuple(e - 1 if u == v else e for u in range(n))
+    rows = [top, tuple(0 if u == v else e for u in range(n)), tuple(e - 1 if u == v else 0 for u in range(n)),
+            tuple(e if u == v else 0 for u in range(n))]
+    modules = [[BasisElement((i,), m) for i, m in enumerate(rows)],
+               [BasisElement(("ok",), top), BasisElement(("break",), top)]]
+    F = FreeComplex(modules, [[], [[(0, 1), (1, 1), (2, -1)], [(0, 1), (1, 1), (2, -1), (3, 1)]]])
+    assert shiftlab.complexes._pack([be.mdeg for mod in modules for be in mod], n)[2] == width
+    rep = verify_complex(F)
+    assert (rep.ok, rep.problem, rep.location) == verify_oracle(F)
+    assert (rep.ok, rep.problem, rep.location) == (False, "entry multidegree breaks homogeneity", (1, 1, 3))
+    clean = FreeComplex(modules[:1] + [modules[1][:1]], [[], [F.diffs[1][0]]])
+    assert verify_complex(clean).ok
+
+
 def mixed_length_complex():
     return FreeComplex([[BasisElement((), (0, 0))], [BasisElement((0,), (1, 0, 0))]],
                        [[], [[(0, 1)]]])
@@ -1329,3 +1354,19 @@ def test_s13_minimal_digests():
     for key, field in (("qq", QQ), ("gf", PrimeField(32003))):
         digest = hashlib.sha256(dumps_complex(minimalize(taylor, field)).encode()).hexdigest()
         assert digest == S13_MINIMAL_DIGESTS[key], key
+
+
+# the same for the pinned 14-generator stress ideal, the Taylor complex the
+# bench resolve workload minimalizes: 16384 faces and 8106 pivots a field
+S14_MINIMAL_DIGESTS = {
+    "qq": "7cac3cfef0acae6367422e7e9655f523d8859fba86787b2e04fdcecdb75888fe",
+    "gf": "8a5174d482221cac54dbb9d9b78b7f99fcc478a2dcbc3780f90f98a66dd8c939",
+}
+
+
+def test_s14_minimal_digests():
+    taylor = taylor_complex(load_ideal(str(BENCH_IDEALS / "S14.ideal")))
+    assert verify_complex(taylor).ok
+    for key, field in (("qq", QQ), ("gf", PrimeField(32003))):
+        digest = hashlib.sha256(dumps_complex(minimalize(taylor, field)).encode()).hexdigest()
+        assert digest == S14_MINIMAL_DIGESTS[key], key

@@ -1,11 +1,16 @@
 """The primality test behind PrimeField, checked against deterministic
-Miller-Rabin, the bounds PrimeField puts on its prime, and that a field
-cannot change once built."""
+Miller-Rabin, the bounds PrimeField puts on its prime, that a field
+cannot change once built, and the pivot step eliminate against the general
+update it shortcuts."""
+
+import copy
+import random
+from fractions import Fraction
 
 import pytest
 
 from shiftlab import QQ, PrimeField
-from shiftlab.fields import _is_prime, characteristic, field_from_spec
+from shiftlab.fields import _is_prime, characteristic, eliminate, field_from_spec
 
 
 def miller_rabin(p):
@@ -92,3 +97,71 @@ def test_field_spec_is_q_or_a_prime():
     assert field_from_spec(" QQ ") is QQ and field_from_spec("p:7") == PrimeField(7)
     with pytest.raises(ValueError, match="unknown field spec 'r'"):
         field_from_spec("r")
+
+
+def general_rule(pivot, c, lines, index, p):
+    """eliminate with no shortcut: every line in index[c] takes f times the
+    pivot line off, f its entry at c over the pivot's, whatever the pivot
+    line holds besides c.  The inverse rule is eliminate's."""
+    v = pivot.pop(c)
+    inv = pow(v, -1, p) if p else v if v in (1, -1) else Fraction(1, v)
+    changed = index.pop(c)
+    for k in changed:
+        line = lines[k]
+        f = line.pop(c) * inv % p if p else line.pop(c) * inv
+        for j, x in pivot.items():
+            y = (line.get(j, 0) - f * x) % p if p else line.get(j, 0) - f * x
+            if y:
+                if j not in line:
+                    index[j].add(k)
+                line[j] = y
+            else:
+                del line[j]
+                index[j].discard(k)
+    return changed
+
+
+def typed(lines):
+    return {k: {j: (type(x), x) for j, x in line.items()} for k, line in lines.items()}
+
+
+def assert_eliminate_is_the_general_rule(pivot, c, lines, p):
+    index = {j: set() for j in {*pivot, *(j for line in lines.values() for j in line)}}
+    for k, line in lines.items():
+        for j in line:
+            index[j].add(k)
+    state = (pivot, lines, index)
+    fast, slow = copy.deepcopy(state), copy.deepcopy(state)
+    changed = eliminate(fast[0], c, fast[1], fast[2], p)
+    assert changed == general_rule(slow[0], c, slow[1], slow[2], p) == {k for k in lines if c in lines[k]}
+    assert (fast[0], typed(fast[1]), fast[2]) == (slow[0], typed(slow[1]), slow[2])
+    return fast[1], fast[2]
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["QQ", "GF(3)"])
+def test_a_one_entry_pivot_only_drops_its_position(p):
+    # the pivot line holds only position 2: each line holding 2 loses it and
+    # keeps its other entries, coefficient objects included
+    two = 2 if p else Fraction(2)
+    lines = {0: {2: 1, 0: two, 5: 1}, 1: {2: two}, 3: {0: 1, 5: two}, 4: {2: 1, 1: 1}}
+    after, index = assert_eliminate_is_the_general_rule({2: two}, 2, lines, p)
+    assert after == {0: {0: two, 5: 1}, 1: {}, 3: {0: 1, 5: two}, 4: {1: 1}}
+    assert type(after[0][0]) is type(two) and index == {0: {0, 3}, 5: {0, 3}, 1: {4}}
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["QQ", "GF(3)"])
+def test_eliminate_matches_the_general_rule_on_random_lines(p):
+    rng = random.Random(20261022)
+    values = [1, 2] if p else [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    ones = 0
+    for _ in range(400):
+        lines = {k: {j: rng.choice(values) for j in rng.sample(range(6), rng.randrange(4))}
+                 for k in rng.sample(range(8), rng.randrange(1, 6))}
+        c = rng.randrange(6)
+        pivot = {c: rng.choice(values)}
+        if rng.random() < 0.5:
+            pivot.update((j, rng.choice(values)) for j in rng.sample(range(6), 2) if j != c)
+        ones += len(pivot) == 1
+        lines = {k: line for k, line in lines.items() if c in line or rng.random() < 0.5}
+        assert_eliminate_is_the_general_rule(pivot, c, lines, p)
+    assert ones > 150
