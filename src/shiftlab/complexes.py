@@ -34,7 +34,7 @@ import json
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, mul
 
 from .fields import QQ, characteristic, eliminate
@@ -336,42 +336,48 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits -> 0/1 flags for compres
 
 
 def _restriction_index(modules: tuple, diffs: tuple) -> tuple:
-    """(n, levels, codes) for restrict_complex: n is the length of every
-    basis multidegree (None if there are none); levels[a][v] the pair (E, P)
-    of module a and variable v, with E the sorted distinct exponents of x_v
-    and P[i] the bitmask of the basis elements whose x_v exponent is at most
-    E[i - 1] (P[0] = 0); and codes[a] the columns of d_a (none for a = 0)
-    with each entry (row, c) held as (row, entries), where entries[i] is the
-    entry (i, c).  That entry table has one list per coefficient of d_a,
-    keyed by type and value, so that 1 and Fraction(1) stay apart, and one
-    tuple in it per row of module a-1."""
+    """(n, levels, spans, basis, codes, bits) for restrict_complex, on one
+    flat bit space: element j of module a is bit offs[a] + j, offs[a] the
+    sum of the ranks below a.  n is the length of every basis multidegree
+    (None if there are none); levels[v] the pair (E, P) of variable v, with
+    E the sorted distinct exponents of x_v over every module and P[i] the
+    bitmask of the elements whose x_v exponent is at most E[i - 1] (P[0] =
+    0); spans[a] the pair (offs[a], 2^rank(a) - 1) that reads module a's
+    bits off a mask; basis every basis element in bit order; codes the
+    columns in bit order (empty for module 0), each entry (row, c) of d_a
+    held as (offs[a-1] + row, entries), where entries[i] is the entry (i, c);
+    and bits the ints 0, 1, ..., made once so that a call's remap allocates
+    none.  An entry table has one list per coefficient of d_a, keyed by type
+    and value, so that 1 and Fraction(1) stay apart, and one tuple in it per
+    row of module a-1."""
     n = next((len(be.mdeg) for mod in modules for be in mod), None)
+    basis = tuple(chain.from_iterable(modules))
+    by_exp = [{} for _ in range(n or 0)]
+    for j, be in enumerate(basis):
+        bit = 1 << j
+        for groups, e in zip(by_exp, be.mdeg):
+            groups[e] = groups.get(e, 0) | bit
     levels = []
+    for groups in by_exp:
+        exps, prefix = sorted(groups), [0]
+        for e in exps:
+            prefix.append(prefix[-1] | groups[e])
+        levels.append((exps, prefix))
+    spans, lo = [], 0
     for mod in modules:
-        by_exp = [{} for _ in range(n or 0)]
-        for j, be in enumerate(mod):
-            bit = 1 << j
-            for groups, e in zip(by_exp, be.mdeg):
-                groups[e] = groups.get(e, 0) | bit
-        level = []
-        for groups in by_exp:
-            exps, prefix = sorted(groups), [0]
-            for e in exps:
-                prefix.append(prefix[-1] | groups[e])
-            level.append((exps, prefix))
-        levels.append(level)
-    codes = [()]
-    for below, cols in zip(modules, diffs[1:]):
-        table, coded = {}, []
+        spans.append((lo, (1 << len(mod)) - 1))
+        lo += len(mod)
+    codes = [()] * len(modules[0])
+    for (lo, _), below, cols in zip(spans, modules, diffs[1:]):
+        table = {}
         for col in cols:
             code = []
             for row, c in col:
                 if (entries := table.get(key := (type(c), c))) is None:
                     entries = table[key] = [(i, c) for i in range(len(below))]
-                code.append((row, entries))
-            coded.append(tuple(code))
-        codes.append(coded)
-    return n, levels, codes
+                code.append((lo + row, entries))
+            codes.append(tuple(code))
+    return n, levels, spans, basis, codes, tuple(range(len(basis)))
 
 
 def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
@@ -383,36 +389,43 @@ def restrict_complex(F: FreeComplex, alpha: tuple) -> FreeComplex:
 
     The first call on F checks its rows (_check_rows: else ContractError)
     and indexes it (see _restriction_index), and keeps the index on F; F
-    cannot change, so the index never goes stale.  Each call
-    then finds a module's kept elements, in basis order, as the AND over the
-    variables v of the prefix masks P[bisect_right(E, alpha[v])], and takes
-    each kept entry (row, c), renumbered to (i, c), from the index's entry
-    table: every restriction of F shares those tuples, and each keeps the
-    coefficient objects of F's type.  The build costs more than testing
-    every element once, so this pays off on a complex restricted many times.
+    cannot change, so the index never goes stale.  The index puts every
+    basis element of F in one bit space, so each call takes one
+    bisect_right and one AND per variable v, the mask of the kept elements
+    as the AND of the prefix masks P[bisect_right(E, alpha[v])]; reads each
+    module's kept count off its span of the mask; makes one remap, from the
+    kept elements' bits to their new indices, module by module in basis
+    order; and renumbers the kept columns in one pass, each kept entry
+    (row, c) taken as (i, c) from the index's entry table: every
+    restriction of F shares those tuples, and each keeps the coefficient
+    objects of F's type.  A kept entry whose row is not kept breaks
+    homogeneity (ValueError).  The build costs more than testing every
+    element once, so this pays off on a complex restricted many times.
     """
     if F._index is None:
         _check_rows(F)
         _set(F, "_index", _restriction_index(F.modules, F.diffs))
-    n, levels, codes = F._index
+    n, levels, spans, basis, codes, bits = F._index
     _check_mdeg(alpha, len(alpha) if n is None else n)
-    modules, diffs, remap = [], [], None
-    for a, (mod, level) in enumerate(zip(F.modules, levels)):
-        mask = (1 << len(mod)) - 1
-        for (exps, prefix), x in zip(level, alpha):
-            mask &= prefix[bisect_right(exps, x)]
-            if not mask:
-                break
-        flags = bin(mask)[:1:-1].encode().translate(_BITS)
-        modules.append(tuple(compress(mod, flags)))
-        try:
-            diffs.append([tuple([entries[remap[row]] for row, entries in col])
-                          for col in compress(codes[a], flags)] if a else [])
-        except KeyError:
-            raise ValueError(
-                "restriction not closed: input complex is not homogeneous"
-            ) from None
-        remap = dict(zip(compress(range(len(mod)), flags), range(len(mod))))
+    mask = (1 << len(basis)) - 1
+    for (exps, prefix), x in zip(levels, alpha):
+        mask &= prefix[bisect_right(exps, x)]
+        if not mask:
+            break
+    flags = bin(mask)[:1:-1].encode().translate(_BITS)
+    counts = [(mask >> lo & ones).bit_count() for lo, ones in spans]
+    remap = dict(zip(compress(bits, flags), chain.from_iterable(map(range, counts))))
+    try:
+        cols = [tuple([entries[remap[row]] for row, entries in col]) for col in compress(codes, flags)]
+    except KeyError:
+        raise ValueError("restriction not closed: input complex is not homogeneous") from None
+    kept = tuple(compress(basis, flags))
+    modules, diffs, lo = [], [], 0
+    for k in counts:
+        modules.append(kept[lo:lo + k])
+        diffs.append(cols[lo:lo + k])
+        lo += k
+    diffs[0] = []
     return FreeComplex(modules, diffs)
 
 
@@ -508,6 +521,11 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
     Homogeneity is read on the multidegrees packed once (_pack): a row is
     at most its column in every variable when ((top | H) - row) & H is H,
     the guard bits H, with no field borrowing from the next (see _lattice).
+    A column's d∘d sums are tested for zero in C, with any() over the sums
+    and, over GF(p) and only if one is nonzero, over their residues mod p
+    (a sum that is 0 is 0 mod p).  Only a column that fails is read again,
+    for the row of its first nonzero sum in the order the sums were begun,
+    the location reported.
     """
     p = characteristic(field)
     scan, stray = _scanned(F)  # stray: the first row off the row rule, else None and no row is
@@ -538,15 +556,10 @@ def verify_complex(F: FreeComplex, field=QQ) -> VerifyReport:
             acc: dict[int, object] = {}
             for row, coeff in col:
                 for row2, coeff2 in prev[row]:
-                    if row2 in acc:
-                        acc[row2] += coeff * coeff2
-                    else:
-                        acc[row2] = coeff * coeff2
-            for row2, total in acc.items():
-                if (total % p if p else total) != 0:
-                    return VerifyReport(
-                        False, "d∘d has a nonzero entry", (a, j, row2)
-                    )
+                    acc[row2] = acc[row2] + coeff * coeff2 if row2 in acc else coeff * coeff2
+            if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+                row2 = next(r for r, total in acc.items() if (total % p if p else total) != 0)
+                return VerifyReport(False, "d∘d has a nonzero entry", (a, j, row2))
     return VerifyReport(True)
 
 

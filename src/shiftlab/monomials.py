@@ -57,11 +57,15 @@ def _check_ints(*specs) -> None:
 def _check_mdeg(v, n: int, name: str = "") -> None:
     """The one multidegree rule: n plain ints >= 0 (see _check_ints), else
     ContractError, with _length_mismatch's message for a wrong length.  A
-    name, such as "generator", leads the message."""
+    name, such as "generator", leads the message.  It runs for every basis
+    element a complex builds (16384 for S14's Taylor complex), so the
+    exponents are read in a plain loop: all() over a generator costs a
+    frame per multidegree."""
     if len(v) != n:
         _length_mismatch(n, len(v), f"{name} {tuple(v)}: " if name else "")
-    if not all(type(e) is int and e >= 0 for e in v):
-        raise ContractError(f"{name} exponents must be ints >= 0, got {tuple(v)!r}".lstrip())
+    for e in v:
+        if type(e) is not int or e < 0:
+            raise ContractError(f"{name} exponents must be ints >= 0, got {tuple(v)!r}".lstrip())
 
 
 class IdealSyntaxError(ValueError):

@@ -430,6 +430,7 @@ def built_complex(I, kind):
 @pytest.mark.parametrize("name, kind", [
     *((name, kind) for name in ("ex1", "ex2") for kind in ("taylor", "minimal_qq", "minimal_gf")),
     ("S14", "minimal_qq"),
+    ("S14", "minimal_gf"),
 ])
 def test_restrict_matches_the_filter_oracle(ex1, ex2, name, kind):
     examples = {"ex1": ex1, "ex2": ex2}
@@ -442,6 +443,37 @@ def test_restrict_matches_the_filter_oracle_on_corpus_pairs(restriction_results)
     assert len(restriction_results) == 100
     for rec in restriction_results:
         assert_restricts_like_oracle(rec["min_full"], [rec["alpha"]])
+
+
+@pytest.mark.parametrize("mdegs, diffs, alphas", [
+    ([[]], [[]], [(), (0,), (3, 1)]),
+    ([[], []], [[], []], [(2,)]),
+    ([[3, 0], [], [0, 1], [1, 2]], [[], [], [[], []], [[(0, 1)], [(0, 1), (1, -1)]]], [(0,), (1,), (2,), (3,)]),
+    ([[0], [2, 3], [1]], [[], [[(0, 1)], [(0, 1)]], [[]]], [(0,), (1,), (2,), (3,)]),
+    ([[2], [1], [3]], [[], [[]], [[(0, 1)]]], [(0,), (1,), (2,), (3,)]),
+], ids=["no-basis", "no-basis-two-modules", "empty-middle", "middle-dropped", "module-0-dropped"])
+def test_restrict_matches_the_filter_oracle_at_span_edges(mdegs, diffs, alphas):
+    """Complexes whose modules sit oddly in the index's one bit space: no
+    basis element at all (no multidegree length, so any alpha is read at
+    its own length), an empty middle module, and elements kept above a
+    module whose every element is dropped (a middle one, or module 0, under
+    an entry-less column)."""
+    F = line_complex(mdegs, diffs)
+    assert_restricts_like_oracle(F, alphas)
+    assert (F._index[0] is None) == (F.ranks() == (0,))
+
+
+@pytest.mark.parametrize("name", ["ex1", "S14"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_restriction_lemma_over_the_whole_lattice(ex1, name, field):
+    """Below every lcm-lattice element alpha, the minimal resolution of S/I
+    restricts to a minimal resolution of S/I_alpha, I_alpha the generators
+    that divide alpha: its ranks are the Betti totals of I_alpha."""
+    I = ex1 if name == "ex1" else load_ideal(str(BENCH_IDEALS / f"{name}.ideal"))
+    M = minimalize(taylor_complex(I), field)
+    for alpha in lcm_lattice(I):
+        totals = multigraded_betti(restrict_ideal(I, alpha), field).totals()
+        assert restrict_complex(M, alpha).ranks() == totals, alpha
 
 
 def test_restrict_indexes_a_complex_once(ex1, monkeypatch):
@@ -697,18 +729,22 @@ def verify_oracle(F, p=0):
 
 def test_verify_matches_oracle_on_every_single_entry_change(ex2):
     """Each entry of ex2's Taylor complex in turn gets its sign flipped, its
-    row moved to the next row, or a row one past the end; the report is the
-    oracle's every time, over QQ and over GF(3)."""
+    row moved to the next row, a row one past the end, or 3 added to its
+    coefficient; the report is the oracle's every time, over QQ and over
+    GF(3).  Adding 3 changes nothing mod 3, so over GF(3) that complex
+    verifies: d∘d has nonzero sums that are 0 mod 3."""
     F = taylor_complex(ex2)
     for a in range(1, len(F.modules)):
         n = len(F.modules[a - 1])
         for j, col in enumerate(F.diffs[a]):
             for k, (row, coeff) in enumerate(col):
-                for entry in ((row, -coeff), ((row + 1) % n, coeff), (n, coeff)):
+                for entry in ((row, -coeff), ((row + 1) % n, coeff), (n, coeff), (row, coeff + 3)):
                     G = with_entry(F, a, j, k, entry)
                     for field, p in ((QQ, 0), (PrimeField(3), 3)):
                         rep = verify_complex(G, field)
                         assert (rep.ok, rep.problem, rep.location) == verify_oracle(G, p)
+                    if entry == (row, coeff + 3):
+                        assert verify_complex(G, PrimeField(3)).ok and not verify_complex(G, QQ).ok
     assert verify_complex(F).ok
 
 
